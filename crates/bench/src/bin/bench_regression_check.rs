@@ -165,233 +165,113 @@ fn measure(algo: Algo, budget: usize, mode: Mode, stream: &[Item]) -> f64 {
     rates[rates.len() / 2]
 }
 
-/// The observability-overhead sentinel: paired median ratio of the
-/// instrumented `Engine::update_batch` (always-on `IngestStats`
-/// counters) to the raw `SpaceSaving::update_batch`, on the batched
-/// SPACESAVING sentinel workload. Returns the median per-round ratio —
-/// each round times both sides back-to-back, so machine speed cancels.
-fn measure_obs_overhead(stream: &[Item]) -> f64 {
-    const BUDGET: usize = 256;
-    const ROUNDS: usize = 15;
-
-    fn time_raw(stream: &[Item]) -> f64 {
+/// Best-of-`rounds` throughput `(base, probe)` in items/sec of two
+/// closures that each run one ingest of `items` arrivals.
+///
+/// One ingest is only a few milliseconds, so a single scheduler
+/// preemption dwarfs the effect being measured. Noise can only ever
+/// *inflate* a sample, so the minimum over many alternating rounds
+/// approximates each side's uncontended runtime; the ratio of minima is
+/// far more stable than a median of per-round ratios on a busy
+/// single-core runner.
+fn paired_min_ratio(
+    items: usize,
+    rounds: usize,
+    mut base: impl FnMut(),
+    mut probe: impl FnMut(),
+) -> (f64, f64) {
+    fn secs(run: &mut impl FnMut()) -> f64 {
         let start = Instant::now();
-        let mut raw = hh::counters::SpaceSaving::new(BUDGET);
-        raw.update_batch(stream);
-        std::hint::black_box(raw.stored_len());
+        run();
         start.elapsed().as_secs_f64()
     }
-    fn time_instrumented(stream: &[Item]) -> f64 {
-        let start = Instant::now();
-        let mut engine = EngineConfig::new(hh::engine::AlgoKind::SpaceSaving)
-            .counters(BUDGET)
-            .build::<Item>()
-            .expect("valid config");
-        engine.update_batch(stream);
-        std::hint::black_box(engine.ingest_stats().occurrences);
-        start.elapsed().as_secs_f64()
-    }
-
     // Warm-up: fault in the stream and both code paths before timing.
-    time_raw(stream);
-    time_instrumented(stream);
-    // One ingest is only a few milliseconds, so a single scheduler
-    // preemption dwarfs the effect being measured. Noise can only ever
-    // *inflate* a sample, so the minimum over many alternating rounds
-    // approximates each side's uncontended runtime; the ratio of minima
-    // is far more stable than a median of per-round ratios on a busy
-    // single-core runner.
-    let mut best_raw = f64::INFINITY;
-    let mut best_instrumented = f64::INFINITY;
-    for round in 0..ROUNDS {
+    base();
+    probe();
+    let mut best_base = f64::INFINITY;
+    let mut best_probe = f64::INFINITY;
+    for round in 0..rounds {
         // Alternate which side runs first so slow drift in machine load
         // (frequency scaling, a neighbour on the runner) hits both
         // sides symmetrically.
         if round % 2 == 0 {
-            best_raw = best_raw.min(time_raw(stream));
-            best_instrumented = best_instrumented.min(time_instrumented(stream));
+            best_base = best_base.min(secs(&mut base));
+            best_probe = best_probe.min(secs(&mut probe));
         } else {
-            best_instrumented = best_instrumented.min(time_instrumented(stream));
-            best_raw = best_raw.min(time_raw(stream));
+            best_probe = best_probe.min(secs(&mut probe));
+            best_base = best_base.min(secs(&mut base));
         }
     }
-    best_raw / best_instrumented
+    let n = items as f64;
+    (n / best_base, n / best_probe)
 }
 
-/// Gate the observability overhead: the paired ratio must not fall more
-/// than the tolerance below 1.0, and the `BENCH_obs_overhead.json`
-/// baseline must exist (a gate without its baseline is measuring
-/// nothing). Returns true on failure.
-fn check_obs_overhead(dir: &str, stream: &[Item]) -> bool {
-    let tolerance: f64 = std::env::var("BENCH_OBS_OVERHEAD_TOLERANCE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.02);
-    let file = "BENCH_obs_overhead.json";
-    let baseline_ratio = match (
-        baseline(dir, file, "raw/SpaceSaving/update_batch/256"),
-        baseline(dir, file, "instrumented/Engine/update_batch/256"),
-    ) {
-        (Ok(raw), Ok(instrumented)) => instrumented / raw,
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("FAIL obs_overhead ({file}): baseline unavailable: {e}");
-            return true;
-        }
-    };
-    let ratio = measure_obs_overhead(stream);
-    let ok = ratio >= 1.0 - tolerance;
-    println!(
-        "{:>4}  {file} instrumented/raw: {:.1}% overhead (baseline {:.1}%, budget {:.0}%)",
-        if ok { "ok" } else { "FAIL" },
-        (1.0 - ratio) * 100.0,
-        (1.0 - baseline_ratio) * 100.0,
-        tolerance * 100.0
-    );
-    !ok
+/// The observability-overhead sentinel: raw `SpaceSaving::update_batch`
+/// (base) against the instrumented `Engine::update_batch` with its
+/// always-on `IngestStats` counters (probe), on the batched SPACESAVING
+/// sentinel workload.
+fn measure_obs_overhead(stream: &[Item]) -> (f64, f64) {
+    const BUDGET: usize = 256;
+    paired_min_ratio(
+        stream.len(),
+        15,
+        || {
+            let mut raw = hh::counters::SpaceSaving::new(BUDGET);
+            raw.update_batch(stream);
+            std::hint::black_box(raw.stored_len());
+        },
+        || {
+            let mut engine = EngineConfig::new(hh::engine::AlgoKind::SpaceSaving)
+                .counters(BUDGET)
+                .build::<Item>()
+                .expect("valid config");
+            engine.update_batch(stream);
+            std::hint::black_box(engine.ingest_stats().occurrences);
+        },
+    )
 }
 
-/// The fault-injection-overhead sentinel: paired ratio of the raw
-/// per-item `SpaceSaving::update` loop to the same loop with an
-/// `hh::fault::fault_point` call before every update — one hook per
-/// item, a strictly more pessimistic placement than the real shard
+/// The fault-injection-overhead sentinel: the raw per-item
+/// `SpaceSaving::update` loop (base) against the same loop with an
+/// `hh::fault::fault_point` call before every update (probe) — one hook
+/// per item, a strictly more pessimistic placement than the real shard
 /// loop's one-hook-per-batch. Without the `fault-injection` feature
 /// (this binary is always built without it) the hooks are empty inline
 /// functions, so the ratio certifies that the crash-safety layer costs
-/// the release hot path nothing. Minima over alternating rounds, as in
-/// [`measure_obs_overhead`].
-fn measure_fault_overhead(stream: &[Item]) -> f64 {
+/// the release hot path nothing.
+fn measure_fault_overhead(stream: &[Item]) -> (f64, f64) {
     const BUDGET: usize = 256;
-    const ROUNDS: usize = 15;
-
-    fn time_raw(stream: &[Item]) -> f64 {
-        let start = Instant::now();
-        let mut s = hh::counters::SpaceSaving::new(BUDGET);
-        for &x in stream {
-            s.update(x);
-        }
-        std::hint::black_box(s.stored_len());
-        start.elapsed().as_secs_f64()
-    }
-    fn time_hooked(stream: &[Item]) -> f64 {
-        let start = Instant::now();
-        let mut s = hh::counters::SpaceSaving::new(BUDGET);
-        for &x in stream {
-            hh::fault::fault_point(hh::fault::sites::SHARD_BATCH);
-            s.update(x);
-        }
-        std::hint::black_box(s.stored_len());
-        start.elapsed().as_secs_f64()
-    }
-
-    time_raw(stream);
-    time_hooked(stream);
-    let mut best_raw = f64::INFINITY;
-    let mut best_hooked = f64::INFINITY;
-    for round in 0..ROUNDS {
-        if round % 2 == 0 {
-            best_raw = best_raw.min(time_raw(stream));
-            best_hooked = best_hooked.min(time_hooked(stream));
-        } else {
-            best_hooked = best_hooked.min(time_hooked(stream));
-            best_raw = best_raw.min(time_raw(stream));
-        }
-    }
-    best_raw / best_hooked
+    paired_min_ratio(
+        stream.len(),
+        15,
+        || {
+            let mut s = hh::counters::SpaceSaving::new(BUDGET);
+            for &x in stream {
+                s.update(x);
+            }
+            std::hint::black_box(s.stored_len());
+        },
+        || {
+            let mut s = hh::counters::SpaceSaving::new(BUDGET);
+            for &x in stream {
+                hh::fault::fault_point(hh::fault::sites::SHARD_BATCH);
+                s.update(x);
+            }
+            std::hint::black_box(s.stored_len());
+        },
+    )
 }
 
-/// Gate the disarmed fault-hook overhead: the paired ratio must not fall
-/// more than the tolerance below 1.0, and the `BENCH_fault_overhead.json`
-/// baseline must exist (a gate without its baseline is measuring
-/// nothing). Returns true on failure.
-fn check_fault_overhead(dir: &str, stream: &[Item]) -> bool {
-    let tolerance: f64 = std::env::var("BENCH_FAULT_OVERHEAD_TOLERANCE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.02);
-    let file = "BENCH_fault_overhead.json";
-    let baseline_ratio = match (
-        baseline(dir, file, "raw/SpaceSaving/update/256"),
-        baseline(dir, file, "hooked/SpaceSaving/update/256"),
-    ) {
-        (Ok(raw), Ok(hooked)) => hooked / raw,
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("FAIL fault_overhead ({file}): baseline unavailable: {e}");
-            return true;
-        }
-    };
-    let ratio = measure_fault_overhead(stream);
-    let ok = ratio >= 1.0 - tolerance;
-    println!(
-        "{:>4}  {file} hooked/raw: {:.1}% overhead (baseline {:.1}%, budget {:.0}%)",
-        if ok { "ok" } else { "FAIL" },
-        (1.0 - ratio) * 100.0,
-        (1.0 - baseline_ratio) * 100.0,
-        tolerance * 100.0
-    );
-    !ok
-}
-
-/// The server-ingest sentinel: paired ratio of loopback `hh::net` server
-/// ingest (the pipeline-bench workload arriving as the line protocol over
-/// TCP) to the same stream fed to the in-process 4-shard pipeline.
-/// Mirrors `crates/bench/benches/server_ingest.rs` — same engine config,
-/// shard count, and 8 Ki batch on both sides, so the ratio isolates the
-/// network stack. Minima over alternating rounds, as in
-/// [`measure_obs_overhead`]: noise only inflates a lifecycle, so the
-/// ratio of minima approximates the uncontended cost on any machine.
-/// Returns (pipeline items/sec, server items/sec).
+/// The server-ingest sentinel: the in-process 4-shard pipeline (base)
+/// against loopback `hh::net` server ingest of the same stream arriving
+/// as the line protocol over TCP (probe). Mirrors
+/// `crates/bench/benches/server_ingest.rs` — same engine config, shard
+/// count, and 8 Ki batch on both sides, so the ratio isolates the
+/// network stack.
 fn measure_server_ingest(stream: &[Item]) -> (f64, f64) {
-    const M: usize = 256;
     const SHARDS: usize = 4;
     const BATCH: usize = 8192;
-    const ROUNDS: usize = 5;
-
-    fn engine_config() -> EngineConfig {
-        EngineConfig::new(hh::engine::AlgoKind::SpaceSaving).counters(M)
-    }
-
-    fn time_pipeline(stream: &[Item]) -> f64 {
-        let start = Instant::now();
-        let mut pipeline = PipelineConfig::new(engine_config())
-            .shards(SHARDS)
-            .routing(Routing::HashPartition)
-            .ingest(ShardIngest::Aggregate)
-            .batch_size(BATCH)
-            .spawn::<Item>()
-            .expect("valid pipeline config");
-        pipeline.send_batch(stream).expect("shards alive");
-        let merged = pipeline.finish().expect("clean shutdown");
-        std::hint::black_box(merged.stream_len());
-        start.elapsed().as_secs_f64()
-    }
-
-    fn time_server(lines: &[u8]) -> f64 {
-        sys::reset_drain();
-        let start = Instant::now();
-        let serve = ServeOptions::new(engine_config())
-            .shards(Some(SHARDS))
-            .batch_size(BATCH);
-        let net = NetOptions::new().tcp("127.0.0.1:0");
-        let server: Server<Item> = Server::bind(serve, net).expect("bind loopback");
-        let addr = server.tcp_addr().expect("tcp address");
-        // lint:allow(spawn-confinement) the paired server/pipeline gate must run a real Server::run loop concurrently with the timed client; there is no pool-shaped way to host a blocking event loop
-        let handle = std::thread::spawn(move || {
-            let mut out = Vec::new();
-            server.run(&mut out).expect("server run")
-        });
-        let mut conn = std::net::TcpStream::connect(addr).expect("connect");
-        let _ = sys::set_socket_buffers(std::os::fd::AsRawFd::as_raw_fd(&conn), 4 * 1024 * 1024);
-        conn.write_all(lines).expect("stream lines");
-        conn.write_all(b"?shutdown\n").expect("request drain");
-        conn.shutdown(std::net::Shutdown::Write)
-            .expect("half-close");
-        let mut ack = Vec::new();
-        conn.read_to_end(&mut ack).expect("drain ack");
-        let merged = handle.join().expect("server thread");
-        std::hint::black_box(merged.stream_len());
-        start.elapsed().as_secs_f64()
-    }
-
+    let config = EngineConfig::new(hh::engine::AlgoKind::SpaceSaving).counters(256);
     // The stream rendered as the wire protocol: one item per line.
     let mut lines = Vec::with_capacity(stream.len() * 5);
     for item in stream {
@@ -399,57 +279,171 @@ fn measure_server_ingest(stream: &[Item]) -> (f64, f64) {
         lines.push(b'\n');
     }
 
-    time_pipeline(stream);
-    time_server(&lines);
-    let mut best_pipeline = f64::INFINITY;
-    let mut best_server = f64::INFINITY;
-    for round in 0..ROUNDS {
-        if round % 2 == 0 {
-            best_pipeline = best_pipeline.min(time_pipeline(stream));
-            best_server = best_server.min(time_server(&lines));
-        } else {
-            best_server = best_server.min(time_server(&lines));
-            best_pipeline = best_pipeline.min(time_pipeline(stream));
-        }
-    }
-    let n = stream.len() as f64;
-    (n / best_pipeline, n / best_server)
+    paired_min_ratio(
+        stream.len(),
+        5,
+        || {
+            let mut pipeline = PipelineConfig::new(config.clone())
+                .shards(SHARDS)
+                .routing(Routing::HashPartition)
+                .ingest(ShardIngest::Aggregate)
+                .batch_size(BATCH)
+                .spawn::<Item>()
+                .expect("valid pipeline config");
+            pipeline.send_batch(stream).expect("shards alive");
+            let merged = pipeline.finish().expect("clean shutdown");
+            std::hint::black_box(merged.stream_len());
+        },
+        || {
+            sys::reset_drain();
+            let serve = ServeOptions::new(config.clone())
+                .shards(Some(SHARDS))
+                .batch_size(BATCH);
+            let net = NetOptions::new().tcp("127.0.0.1:0");
+            let server: Server<Item> = Server::bind(serve, net).expect("bind loopback");
+            let addr = server.tcp_addr().expect("tcp address");
+            // lint:allow(spawn-confinement) the paired server/pipeline gate must run a real Server::run loop concurrently with the timed client; there is no pipeline-shaped way to host a blocking event loop
+            let handle = std::thread::spawn(move || {
+                let mut out = Vec::new();
+                server.run(&mut out).expect("server run")
+            });
+            let mut conn = std::net::TcpStream::connect(addr).expect("connect");
+            let _ =
+                sys::set_socket_buffers(std::os::fd::AsRawFd::as_raw_fd(&conn), 4 * 1024 * 1024);
+            conn.write_all(&lines).expect("stream lines");
+            conn.write_all(b"?shutdown\n").expect("request drain");
+            conn.shutdown(std::net::Shutdown::Write)
+                .expect("half-close");
+            let mut ack = Vec::new();
+            conn.read_to_end(&mut ack).expect("drain ack");
+            let merged = handle.join().expect("server thread");
+            std::hint::black_box(merged.stream_len());
+        },
+    )
 }
 
-/// Gate the server's relative ingest cost: the paired loopback/in-process
-/// ratio must not fall more than the tolerance below the 50% target, and
-/// the `BENCH_server_ingest.json` baseline must exist (a gate without its
-/// baseline is measuring nothing). Returns true on failure.
-fn check_server_ingest(dir: &str, stream: &[Item]) -> bool {
-    const REQUIRED_RATIO: f64 = 0.5;
-    let tolerance: f64 = std::env::var("BENCH_SERVER_INGEST_TOLERANCE")
+/// How a paired gate's result line reads.
+#[derive(Clone, Copy)]
+enum Line {
+    /// Slowdown of the probe against the base, against a budget.
+    Overhead,
+    /// Both rates and the probe's share of the base, against a floor.
+    Share,
+}
+
+/// A paired same-process ratio gate: both sides run back-to-back on the
+/// same machine in the same run, so machine speed cancels and the gate
+/// stays tight even on shared CI runners. It fails when the probe/base
+/// throughput ratio falls below `target × (1 − tolerance)`, or when its
+/// baseline file lacks either id (a gate without its baseline is
+/// measuring nothing).
+struct PairedGate {
+    name: &'static str,
+    file: &'static str,
+    base_id: &'static str,
+    probe_id: &'static str,
+    /// Names the sides in the result line, probe first.
+    label: &'static str,
+    /// Environment variable overriding `default_tolerance`.
+    env: &'static str,
+    default_tolerance: f64,
+    target: f64,
+    line: Line,
+    /// Runs on the pipeline-bench hot-set stream instead of the
+    /// throughput-bench Zipf stream.
+    hot_set: bool,
+    /// Best-of-rounds `(base, probe)` items/sec.
+    measure: fn(&[Item]) -> (f64, f64),
+}
+
+const PAIRED_GATES: [PairedGate; 3] = [
+    PairedGate {
+        name: "obs_overhead",
+        file: "BENCH_obs_overhead.json",
+        base_id: "raw/SpaceSaving/update_batch/256",
+        probe_id: "instrumented/Engine/update_batch/256",
+        label: "instrumented/raw",
+        env: "BENCH_OBS_OVERHEAD_TOLERANCE",
+        default_tolerance: 0.02,
+        target: 1.0,
+        line: Line::Overhead,
+        hot_set: false,
+        measure: measure_obs_overhead,
+    },
+    PairedGate {
+        name: "fault_overhead",
+        file: "BENCH_fault_overhead.json",
+        base_id: "raw/SpaceSaving/update/256",
+        probe_id: "hooked/SpaceSaving/update/256",
+        label: "hooked/raw",
+        env: "BENCH_FAULT_OVERHEAD_TOLERANCE",
+        default_tolerance: 0.02,
+        target: 1.0,
+        line: Line::Overhead,
+        hot_set: false,
+        measure: measure_fault_overhead,
+    },
+    PairedGate {
+        name: "server_ingest",
+        file: "BENCH_server_ingest.json",
+        base_id: "pipeline/4",
+        probe_id: "server_loopback/4",
+        label: "server/pipeline",
+        env: "BENCH_SERVER_INGEST_TOLERANCE",
+        default_tolerance: 0.20,
+        target: 0.5,
+        line: Line::Share,
+        hot_set: true,
+        measure: measure_server_ingest,
+    },
+];
+
+/// A fractional tolerance from the environment, or `default`.
+fn env_tolerance(var: &str, default: f64) -> f64 {
+    std::env::var(var)
         .ok()
         .and_then(|v| v.parse().ok())
-        .unwrap_or(0.20);
-    let file = "BENCH_server_ingest.json";
+        .unwrap_or(default)
+}
+
+/// Runs one paired gate and prints its result line. Returns true on
+/// failure.
+fn check_paired(gate: &PairedGate, dir: &str, stream: &[Item]) -> bool {
+    let tolerance = env_tolerance(gate.env, gate.default_tolerance);
+    let file = gate.file;
     let baseline_ratio = match (
-        baseline(dir, file, "pipeline/4"),
-        baseline(dir, file, "server_loopback/4"),
+        baseline(dir, file, gate.base_id),
+        baseline(dir, file, gate.probe_id),
     ) {
-        (Ok(pipeline), Ok(server)) => server / pipeline,
+        (Ok(base), Ok(probe)) => probe / base,
         (Err(e), _) | (_, Err(e)) => {
-            eprintln!("FAIL server_ingest ({file}): baseline unavailable: {e}");
+            eprintln!("FAIL {} ({file}): baseline unavailable: {e}", gate.name);
             return true;
         }
     };
-    let (pipeline_rate, server_rate) = measure_server_ingest(stream);
-    let ratio = server_rate / pipeline_rate;
-    let floor = REQUIRED_RATIO * (1.0 - tolerance);
+    let (base_rate, probe_rate) = (gate.measure)(stream);
+    let ratio = probe_rate / base_rate;
+    let floor = gate.target * (1.0 - tolerance);
     let ok = ratio >= floor;
-    println!(
-        "{:>4}  {file} server/pipeline: {:.1} / {:.1} Melem/s = {:.0}% (baseline {:.0}%, floor {:.0}%)",
-        if ok { "ok" } else { "FAIL" },
-        server_rate / 1e6,
-        pipeline_rate / 1e6,
-        ratio * 100.0,
-        baseline_ratio * 100.0,
-        floor * 100.0
-    );
+    let verdict = if ok { "ok" } else { "FAIL" };
+    match gate.line {
+        Line::Overhead => println!(
+            "{verdict:>4}  {file} {}: {:.1}% overhead (baseline {:.1}%, budget {:.0}%)",
+            gate.label,
+            (1.0 - ratio) * 100.0,
+            (1.0 - baseline_ratio) * 100.0,
+            tolerance * 100.0
+        ),
+        Line::Share => println!(
+            "{verdict:>4}  {file} {}: {:.1} / {:.1} Melem/s = {:.0}% (baseline {:.0}%, floor {:.0}%)",
+            gate.label,
+            probe_rate / 1e6,
+            base_rate / 1e6,
+            ratio * 100.0,
+            baseline_ratio * 100.0,
+            floor * 100.0
+        ),
+    }
     !ok
 }
 
@@ -550,10 +544,7 @@ fn baseline(dir: &str, file: &str, id: &str) -> Result<f64, String> {
 
 fn main() {
     let dir = std::env::var("BENCH_BASELINE_DIR").unwrap_or_else(|_| ".".to_string());
-    let tolerance: f64 = std::env::var("BENCH_REGRESSION_TOLERANCE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.20);
+    let tolerance = env_tolerance("BENCH_REGRESSION_TOLERANCE", 0.20);
     let stream = workload();
     let pipeline_stream = pipeline_workload();
 
@@ -598,14 +589,15 @@ fn main() {
     if check_audited_baselines(&dir) {
         failed = true;
     }
-    if check_obs_overhead(&dir, &stream) {
-        failed = true;
-    }
-    if check_fault_overhead(&dir, &stream) {
-        failed = true;
-    }
-    if check_server_ingest(&dir, &pipeline_stream) {
-        failed = true;
+    for gate in &PAIRED_GATES {
+        let gate_stream = if gate.hot_set {
+            &pipeline_stream
+        } else {
+            &stream
+        };
+        if check_paired(gate, &dir, gate_stream) {
+            failed = true;
+        }
     }
     if failed {
         eprintln!("bench regression gate FAILED");

@@ -1,9 +1,10 @@
 //! Experiment library reproducing every table, figure and theorem of
 //! *Space-optimal Heavy Hitters with Strong Error Bounds* (PODS 2009).
 //!
-//! Each module under [`exp`] is one experiment; each has a matching thin
-//! binary under `src/bin/`. `run_all` executes the full suite and prints
-//! every table (this is what EXPERIMENTS.md records).
+//! Each module under [`exp`] is one experiment, registered under an id
+//! in [`registry`]. `run_all` executes the full suite and prints every
+//! table (this is what EXPERIMENTS.md records); `run_all --only <id>`
+//! runs one experiment.
 //!
 //! The paper is a theory paper: its evaluation artifacts are Table 1
 //! (algorithm bounds summary), Figure 1 (pseudocode) and eleven theorems.

@@ -38,7 +38,7 @@ impl Scale {
 /// One experiment's rendered output: a headline verdict plus its tables.
 #[derive(Debug, Clone)]
 pub struct Report {
-    /// Experiment id (matches the binary name).
+    /// Experiment id (its key in [`crate::registry`]).
     pub id: &'static str,
     /// One-line verdict, e.g. "all 24 configurations within bound".
     pub verdict: String,
@@ -67,16 +67,5 @@ impl Report {
             out.push('\n');
         }
         out
-    }
-
-    /// Prints to stdout and exits non-zero on failure (binary `main` body).
-    pub fn finish(self) -> ! {
-        print!("{}", self.render());
-        if self.ok {
-            std::process::exit(0);
-        } else {
-            eprintln!("FAILED: {}", self.verdict);
-            std::process::exit(1);
-        }
     }
 }

@@ -1,6 +1,6 @@
 //! Plain-text table rendering for experiment output.
 //!
-//! Every experiment binary prints its results through [`Table`], producing
+//! Every experiment prints its results through [`Table`], producing
 //! aligned monospace tables (and, for EXPERIMENTS.md, GitHub-flavoured
 //! markdown).
 

@@ -4,8 +4,8 @@
 //! Definition 3 quantifies over **all subsequences** of the stream suffix,
 //! so exact checking is exponential; these helpers are meant for the small
 //! streams used by the model-checking style tests and the `exp_htc`
-//! experiment, where exhaustive enumeration is feasible (suffix lengths up
-//! to ~16).
+//! experiment (`run_all --only exp_htc`), where exhaustive enumeration is
+//! feasible (suffix lengths up to ~16).
 
 use std::collections::BTreeMap;
 use std::hash::Hash;

@@ -40,8 +40,6 @@ pub mod lossy_counting;
 pub mod merge;
 pub mod monitor;
 pub mod oaindex;
-pub mod parallel;
-pub mod pool;
 pub mod recovery;
 pub mod reference;
 pub mod space_saving;

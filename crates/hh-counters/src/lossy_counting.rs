@@ -10,7 +10,7 @@
 //! Unlike FREQUENT/SPACESAVING its space is *not* fixed: the table grows
 //! and shrinks, using `O(1/ε · log(εN))` entries in the worst case and
 //! `O(1/ε)` on random-order streams (\[24\], discussed in Section 1.1 of the
-//! paper — our `exp_lossy_adversarial` experiment reproduces exactly this
+//! paper — `run_all --only exp_lossy_adversarial` reproduces exactly this
 //! gap). [`LossyCounting::max_table_len`] records the high-water mark.
 
 use std::hash::Hash;

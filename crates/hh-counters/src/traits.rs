@@ -153,8 +153,8 @@ pub trait FrequencyEstimator<I: Eq + Hash + Clone> {
     /// backed by [`crate::stream_summary::StreamSummary`] override it with a
     /// run-length-aggregated fast path that skips per-item clones and
     /// repeated hash probes. Batched ingest is also the natural unit for
-    /// sharded summarization ([`crate::parallel`]): each worker drains its
-    /// partition with one call.
+    /// sharded summarization: a shard worker drains each delivered batch
+    /// with one call.
     fn update_batch(&mut self, items: &[I]) {
         for item in items {
             self.update(item.clone());

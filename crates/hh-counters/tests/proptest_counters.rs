@@ -332,32 +332,6 @@ proptest! {
     }
 
     #[test]
-    fn parallel_summarize_equals_sequential_merge(
-        stream in stream_strategy(12, 200),
-        parts in 1usize..5
-    ) {
-        use hh_counters::merge::merge_k_sparse;
-        use hh_counters::parallel::parallel_summarize;
-        let m = 16;
-        let k = 4;
-        let chunk = stream.len() / parts + 1;
-        let chunks: Vec<Vec<u64>> = stream.chunks(chunk.max(1)).map(|c| c.to_vec()).collect();
-        let par = parallel_summarize(&chunks, k, || SpaceSaving::new(m), || SpaceSaving::new(m));
-        let seq_summaries: Vec<SpaceSaving<u64>> = chunks
-            .iter()
-            .map(|c| {
-                let mut s = SpaceSaving::new(m);
-                for &x in c {
-                    s.update(x);
-                }
-                s
-            })
-            .collect();
-        let seq = merge_k_sparse(&seq_summaries, k, || SpaceSaving::new(m));
-        prop_assert_eq!(par.entries(), seq.entries());
-    }
-
-    #[test]
     fn sticky_sampling_never_overestimates(
         stream in stream_strategy(15, 250),
         seed in 1u64..500

@@ -316,16 +316,26 @@ impl<I: EngineItem> ServeSession<I> {
         let mut resumed_from_fallback = false;
         let resume = match &opts.snapshot_in {
             Some(path) => {
-                let text = std::fs::read_to_string(path)?;
-                let has_prev = std::fs::metadata(format!("{path}.prev")).is_ok();
-                if checkpoint::is_envelope(&text) || has_prev {
-                    let (ckpt, fell_back) = checkpoint::load_latest::<I>(path)?;
-                    resume_unobserved = ckpt.unobserved;
-                    resumed_from_fallback = fell_back;
-                    checkpoint::merge_to_snapshot(ckpt.shards)?
-                } else {
-                    let snap: Snapshot<I> = serde_json::from_str(&text)?;
-                    Some(snap)
+                // A missing current file is what a crash between the two
+                // renames of `checkpoint::write` leaves, so it goes to
+                // `load_latest` with the envelopes. A plain JSON snapshot
+                // has no generations: `.prev` is never consulted for it.
+                let text = match std::fs::read_to_string(path) {
+                    Ok(text) => Some(text),
+                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+                    Err(e) => return Err(e.into()),
+                };
+                match text {
+                    Some(text) if !checkpoint::is_envelope(&text) => {
+                        let snap: Snapshot<I> = serde_json::from_str(&text)?;
+                        Some(snap)
+                    }
+                    _ => {
+                        let (ckpt, fell_back) = checkpoint::load_latest::<I>(path)?;
+                        resume_unobserved = ckpt.unobserved;
+                        resumed_from_fallback = fell_back;
+                        checkpoint::merge_to_snapshot(ckpt.shards)?
+                    }
                 }
             }
             None => None,
@@ -739,6 +749,55 @@ mod tests {
     fn spawn_surfaces_missing_snapshot_in() {
         let o = opts().snapshot_in(Some("/nonexistent/hh-net-nope.json".into()));
         assert!(matches!(ServeSession::<u64>::spawn(&o), Err(Error::Io(_))));
+    }
+
+    /// A fresh temp path whose `.prev` generation holds a one-shard
+    /// checkpoint over `items`, with no current file.
+    fn path_with_prev(name: &str, items: &[u64]) -> String {
+        let path = std::env::temp_dir().join(format!("hh-net-{}-{name}", std::process::id()));
+        let path = path.to_str().unwrap().to_string();
+        let mut e = opts().pipeline_config().engine_config().build().unwrap();
+        e.update_batch(items);
+        let shards = vec![e.snapshot()];
+        checkpoint::write(
+            &format!("{path}.prev"),
+            &Checkpoint {
+                shards,
+                unobserved: 0,
+            },
+        )
+        .unwrap();
+        path
+    }
+
+    #[test]
+    fn resume_falls_back_to_prev_when_the_current_checkpoint_is_missing() {
+        // A crash between the two renames of `checkpoint::write` leaves
+        // only `<path>.prev` on disk.
+        let path = path_with_prev("missing.ckpt", &[1, 1, 2]);
+        let mut s = ServeSession::<u64>::spawn(&opts().snapshot_in(Some(path.clone()))).unwrap();
+        assert!(s.resumed_from_fallback());
+        assert_eq!(s.merged().unwrap().stream_len(), 3);
+        std::fs::remove_file(format!("{path}.prev")).ok();
+    }
+
+    #[test]
+    fn plain_snapshot_in_ignores_a_stale_prev_envelope() {
+        // A plain `--snapshot-out` file written next to an older
+        // checkpoint generation: resume must read the plain file.
+        let path = path_with_prev("stale.json", &[9]);
+        let mut first =
+            ServeSession::<u64>::spawn(&opts().snapshot_out(Some(path.clone()))).unwrap();
+        first.send_batch(&[1, 1, 2]).unwrap();
+        first.finish().unwrap();
+
+        let mut s = ServeSession::<u64>::spawn(&opts().snapshot_in(Some(path.clone()))).unwrap();
+        assert!(!s.resumed_from_fallback());
+        let live = s.merged().unwrap();
+        assert_eq!((live.stream_len(), live.estimate(&9)), (3, 0));
+        for file in [path.clone(), format!("{path}.prev")] {
+            std::fs::remove_file(file).ok();
+        }
     }
 
     #[test]

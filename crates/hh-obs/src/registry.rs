@@ -122,7 +122,7 @@ impl Registry {
     }
 
     /// Registers an existing counter handle (for metrics that live in
-    /// statics or other owners — e.g. the `hh-counters` pool metrics).
+    /// statics or other owners).
     pub fn register_counter(&self, name: &str, labels: &[(&str, &str)], help: &str, c: &Counter) {
         self.push(name, labels, help, Metric::Counter(c.clone()));
     }

@@ -1082,7 +1082,7 @@ pub struct IngestStats {
 ///
 /// `Engine` itself implements [`FrequencyEstimator`], so everything in the
 /// workspace that is generic over estimators — `check_tail`, `k_sparse`,
-/// `merge_k_sparse`, `parallel_summarize`, `TopKMonitor` — drives engines
+/// `merge_k_sparse`, `TopKMonitor` — drives engines
 /// unchanged.
 ///
 /// ```

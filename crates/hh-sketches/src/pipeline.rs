@@ -23,10 +23,8 @@
 //!   [`ShardIngest::Aggregate`] pre-aggregates every delivered batch to
 //!   one `update_by` per distinct item (a large constant-factor win on
 //!   hot-set traffic), while [`ShardIngest::Preserve`] keeps per-shard
-//!   arrival order bit-exact — a pipeline in `Preserve` mode is the
-//!   streaming twin of [`parallel_summarize`]: collecting its shard
-//!   states and k-sparse-merging them ([`Pipeline::merged_k_sparse`])
-//!   equals `parallel_summarize` on the same partition, bit for bit.
+//!   arrival order exact — each shard of a `Preserve` pipeline equals a
+//!   sequential engine fed that shard's partition, bit for bit.
 //!
 //! Backpressure is part of the contract: channels hold at most
 //! `queue_depth` batches per shard, so a producer that outruns the
@@ -65,8 +63,6 @@
 //! assert_eq!(merged.stream_len(), 1003);
 //! assert_eq!(merged.report().top_k(1)[0].item, 3);
 //! ```
-//!
-//! [`parallel_summarize`]: hh_counters::parallel::parallel_summarize
 
 use std::hash::{BuildHasher, Hash};
 use std::panic::AssertUnwindSafe;
@@ -76,7 +72,6 @@ use std::time::Instant;
 
 use hh_counters::error::Error;
 use hh_counters::fasthash::FxBuildHasher;
-use hh_counters::merge::merge_k_sparse;
 use hh_obs::{Counter, Gauge, Histogram, HistogramSnapshot, Registry};
 
 use crate::engine::{Engine, EngineConfig, EngineItem, Snapshot};
@@ -107,10 +102,8 @@ pub enum Routing {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShardIngest {
     /// `update_batch` in delivery order — per-shard state is bit-identical
-    /// to a sequential summary of the shard's sub-stream, which is what
-    /// makes a `Preserve` pipeline exactly reproducible by
-    /// [`hh_counters::parallel::parallel_summarize`] on the same
-    /// partition. The default.
+    /// to a sequential engine fed the shard's sub-stream, so a `Preserve`
+    /// pipeline is exactly reproducible from its partition. The default.
     #[default]
     Preserve,
     /// Pre-aggregate each batch to one `update_by` per distinct item
@@ -166,7 +159,7 @@ impl PipelineConfig {
     pub fn new(engine: EngineConfig) -> Self {
         PipelineConfig {
             engine,
-            shards: hh_counters::pool::max_workers(),
+            shards: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
             routing: Routing::default(),
             ingest: ShardIngest::default(),
             batch: 8192,
@@ -335,7 +328,7 @@ struct PipelineMetrics {
     shards: Vec<ShardMetrics>,
     /// Wall time of each epoch-boundary snapshot collection.
     snapshot_ns: Histogram,
-    /// Wall time of each snapshot-set merge (merged / merged_k_sparse).
+    /// Wall time of each snapshot-set merge ([`Pipeline::merged`]).
     merge_ns: Histogram,
     epochs: Counter,
     /// Occurrences charged to dead shards across all restarts (the mass
@@ -398,7 +391,6 @@ impl PipelineMetrics {
             "hh_pipeline_lost_items_total",
             "occurrences charged to dead shards (widens merged intervals)",
         );
-        hh_counters::pool::register_metrics(&registry);
         PipelineMetrics {
             registry,
             shards: shard_metrics,
@@ -629,10 +621,10 @@ impl<I: EngineItem> BatchAggregator<I> {
 ///
 /// The handle is the single producer: [`Pipeline::send`] /
 /// [`Pipeline::send_batch`] route arrivals, the query methods
-/// ([`Pipeline::snapshots`], [`Pipeline::merged`],
-/// [`Pipeline::merged_k_sparse`]) collect an epoch-consistent view while
-/// ingest stays live, and [`Pipeline::finish`] drains everything and
-/// returns the final merged engine.
+/// ([`Pipeline::snapshots`], [`Pipeline::merged`]) collect an
+/// epoch-consistent view while ingest stays live, and
+/// [`Pipeline::finish`] drains everything and returns the final merged
+/// engine.
 pub struct Pipeline<I: EngineItem> {
     config: PipelineConfig,
     senders: Vec<SyncSender<Msg<I>>>,
@@ -753,8 +745,8 @@ impl<I: EngineItem> Pipeline<I> {
     }
 
     /// The pipeline's metric [`Registry`] — every counter, gauge and
-    /// histogram behind [`Pipeline::stats`] plus the process-wide pool
-    /// counters, renderable as Prometheus text or JSON.
+    /// histogram behind [`Pipeline::stats`], renderable as Prometheus
+    /// text or JSON.
     ///
     /// ```
     /// # use hh_sketches::engine::{AlgoKind, EngineConfig};
@@ -1071,36 +1063,6 @@ impl<I: EngineItem> Pipeline<I> {
         Ok(merged)
     }
 
-    /// The Theorem 11 *k-sparse* merge of an epoch-boundary view: each
-    /// shard contributes only its k-sparse recovery, exactly the
-    /// construction of
-    /// [`hh_counters::parallel::parallel_summarize`]. With
-    /// [`ShardIngest::Preserve`], the result is bit-identical to
-    /// `parallel_summarize(partition, k, …)` on the partition this
-    /// pipeline's routing produced.
-    pub fn merged_k_sparse(&mut self, k: usize) -> Result<Engine<I>, Error> {
-        let snaps = self.snapshots()?;
-        let start = Instant::now();
-        let mut shards = Vec::with_capacity(snaps.len());
-        for snap in snaps {
-            shards.push(Engine::from_snapshot(snap)?);
-        }
-        let target = self.config.engine.build::<I>()?;
-        let mut merged = merge_k_sparse(&shards, k, move || target);
-        self.metrics.merge_ns.record_duration(start.elapsed());
-        merged.add_unobserved(self.lost);
-        Ok(merged)
-    }
-
-    /// Per-shard engines reconstructed from an epoch-boundary snapshot
-    /// set, in shard order — the raw material for custom merges.
-    pub fn shard_engines(&mut self) -> Result<Vec<Engine<I>>, Error> {
-        self.snapshots()?
-            .into_iter()
-            .map(Engine::from_snapshot)
-            .collect()
-    }
-
     /// Drains every buffer, stops the workers, and returns the final
     /// merged engine (same merge as [`Pipeline::merged`], including the
     /// lost-mass widening if shards were ever respawned).
@@ -1198,7 +1160,6 @@ fn merge_snapshots<I: EngineItem>(snaps: Vec<Snapshot<I>>) -> Result<Engine<I>, 
 mod tests {
     use super::*;
     use crate::engine::AlgoKind;
-    use hh_counters::traits::FrequencyEstimator;
 
     fn stream(len: u64, modulus: u64) -> Vec<u64> {
         (0..len).map(|i| (i * i + 11 * i) % modulus).collect()
@@ -1316,36 +1277,6 @@ mod tests {
         assert_eq!(shards[0].estimate(&3), 3);
         assert_eq!(shards[1].estimate(&2), 3);
         assert_eq!(shards[0].estimate(&2), 0);
-    }
-
-    #[test]
-    fn preserve_mode_matches_parallel_summarize_bit_for_bit() {
-        use hh_counters::parallel::parallel_summarize;
-        use hh_counters::SpaceSaving;
-
-        let s = stream(30_000, 499);
-        let (shards, m, k) = (4usize, 48usize, 6usize);
-        let mut p = ss_config(m)
-            .shards(shards)
-            .batch_size(777)
-            .spawn::<u64>()
-            .unwrap();
-        p.send_batch(&s).unwrap();
-        let via_pipeline = p.merged_k_sparse(k).unwrap();
-
-        // reconstruct the partition from the public routing contract
-        let mut partition = vec![Vec::new(); shards];
-        for &x in &s {
-            partition[hash_shard(shards, &x)].push(x);
-        }
-        let via_parallel = parallel_summarize(
-            &partition,
-            k,
-            || SpaceSaving::<u64>::new(m),
-            || SpaceSaving::<u64>::new(m),
-        );
-        assert_eq!(via_pipeline.entries(), via_parallel.entries());
-        assert_eq!(via_pipeline.stream_len(), via_parallel.stream_len());
     }
 
     #[test]
@@ -1478,7 +1409,7 @@ mod tests {
     }
 
     #[test]
-    fn registry_exposes_pipeline_and_pool_metrics() {
+    fn registry_exposes_pipeline_metrics() {
         let mut p = ss_config(8)
             .shards(2)
             .batch_size(16)
@@ -1495,7 +1426,6 @@ mod tests {
             "hh_pipeline_epochs_total",
             "hh_pipeline_shard_restarts_total",
             "hh_pipeline_lost_items_total",
-            "hh_pool_tasks_total",
         ] {
             assert!(text.contains(family), "missing {family} in:\n{text}");
         }

@@ -37,7 +37,7 @@ pub struct LintReport {
 pub struct FileAnalysis {
     /// Repo-relative path with forward slashes.
     pub path: String,
-    /// File basename (`pool.rs`).
+    /// File basename (`pipeline.rs`).
     pub basename: String,
     /// Scope from [`scope::classify`].
     pub scope: Scope,

@@ -61,7 +61,7 @@ const NARROW_CASTS: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32", "f32"];
 pub struct FileCtx<'a> {
     /// Repo-relative path with forward slashes.
     pub path: &'a str,
-    /// File basename (`pool.rs`).
+    /// File basename (`pipeline.rs`).
     pub basename: &'a str,
     /// Scope from [`scope::classify`].
     pub scope: Scope,
@@ -444,8 +444,8 @@ fn rule_atomic_ordering(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Threads are spawned only from the scheduler (`pool.rs`), the shard
-/// pipeline (`pipeline.rs`), the server (`server.rs`) and test code.
+/// Threads are spawned only from the shard pipeline (`pipeline.rs`), the
+/// server (`server.rs`) and test code.
 fn rule_spawn_confinement(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
     if ctx.scope == Scope::TestCode || ctx.scope == Scope::Vendor {
         return;
@@ -469,7 +469,7 @@ fn rule_spawn_confinement(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
             "spawn-confinement",
             t,
             format!(
-                "`thread::{}` outside {} — route work through the pool/pipeline, \
+                "`thread::{}` outside {} — route work through the pipeline, \
                  or waive with a justification",
                 t.text,
                 scope::SPAWN_SITES.join("/")

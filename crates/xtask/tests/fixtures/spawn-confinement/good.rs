@@ -1,4 +1,4 @@
-//@ path: crates/hh-counters/src/pool.rs
+//@ path: crates/hh-sketches/src/pipeline.rs
 
 pub fn run() {
     std::thread::scope(|scope| {

@@ -1,12 +1,11 @@
 //! Integration: the extension modules working together — snapshots over
-//! the wire, parallel sharding, continuous monitoring, drift workloads,
+//! the wire, sharding, continuous monitoring, drift workloads,
 //! trace I/O and the φ-heavy-hitter query — i.e. the full life of a
 //! deployed summary: shard → summarize → checkpoint → ship → merge →
 //! query.
 
 use hh::analysis::Algo;
 use hh::counters::monitor::TopKMonitor;
-use hh::counters::parallel::parallel_summarize;
 use hh::counters::{spacesaving_heavy_hitters, Confidence};
 use hh::prelude::*;
 use hh::streamgen::drift::{drifting_zipf, flash_crowd, flash_item};
@@ -73,32 +72,6 @@ fn full_distributed_lifecycle() {
             "item {item} beyond the merged bound via merge_snapshot"
         );
     }
-}
-
-#[test]
-fn parallel_summarize_agrees_with_snapshot_merge_path() {
-    let counts = hh::streamgen::exact_zipf_counts(3_000, 60_000, 1.2);
-    let stream = stream_from_counts(&counts, StreamOrder::Shuffled(77));
-    let chunks = split(&stream, 4);
-    let m = 64;
-    let k = 6;
-    let par = parallel_summarize(&chunks, k, || SpaceSaving::new(m), || SpaceSaving::new(m));
-    let summaries: Vec<SpaceSaving<u64>> = chunks
-        .iter()
-        .map(|c| {
-            let mut s = SpaceSaving::new(m);
-            for &x in c {
-                s.update(x);
-            }
-            s
-        })
-        .collect();
-    let seq = hh::counters::merge::merge_k_sparse(&summaries, k, || SpaceSaving::new(m));
-    assert_eq!(
-        par.entries(),
-        seq.entries(),
-        "thread scheduling must not leak into results"
-    );
 }
 
 #[test]

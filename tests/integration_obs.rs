@@ -160,7 +160,6 @@ fn registry_exposition_is_wellformed() {
         "hh_pipeline_snapshot_ns",
         "hh_pipeline_merge_ns",
         "hh_pipeline_epochs_total",
-        "hh_pool_tasks_total",
     ] {
         assert!(
             metrics.iter().any(|m| m["name"] == family),

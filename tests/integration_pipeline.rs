@@ -7,9 +7,9 @@
 //!    the merged `(3A, A+B)` k-tail bound of ground truth, in both
 //!    order-preserving and aggregating shard-ingest modes (the merge
 //!    guarantee never conditions on partition or arrival order);
-//! 2. **`parallel_summarize` conformance** — with deterministic routing
-//!    and order-preserving ingest, the pipeline's k-sparse merged query
-//!    equals `parallel_summarize` on the same partition, bit for bit;
+//! 2. **sequential conformance** — with deterministic routing and
+//!    order-preserving ingest, every shard equals a sequential summary of
+//!    the partition the routing dealt it, bit for bit;
 //! 3. **determinism** — the pipeline's output is a pure function of its
 //!    input sequence and configuration; OS thread scheduling never leaks
 //!    into results.
@@ -17,7 +17,6 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use hh::counters::parallel::parallel_summarize;
 use hh::pipeline::{hash_shard, PipelineConfig, Routing, ShardIngest};
 use hh::prelude::*;
 use hh::streamgen::exact_zipf_counts;
@@ -97,14 +96,14 @@ proptest! {
         }
     }
 
-    /// Property 2: with order-preserving ingest the pipeline is the
-    /// streaming twin of `parallel_summarize` — its k-sparse merged query
-    /// equals the batch helper on the partition the routing produced,
-    /// bit for bit. Both routing modes are deterministic; the partition
-    /// is reconstructed from the documented contracts (`hash_shard`, and
-    /// whole-batch rotation for round-robin).
+    /// Property 2: with order-preserving ingest every shard is exactly a
+    /// sequential summary of its sub-stream — shard `j` from
+    /// `finish_shards()` equals `SpaceSaving::new(M)` fed partition `j`,
+    /// entries and stream length alike. Both routing modes are
+    /// deterministic; the partition is reconstructed from the documented
+    /// contracts (`hash_shard`, and whole-batch rotation for round-robin).
     #[test]
-    fn preserve_pipeline_equals_parallel_summarize(
+    fn preserve_shards_equal_sequential_summaries(
         seed in 0u64..1000,
         shards in 1usize..6,
         batch in 1usize..300,
@@ -115,7 +114,7 @@ proptest! {
 
         let mut p = ss_pipeline(shards, routing, ShardIngest::Preserve, batch);
         p.send_batch(&stream).expect("shards alive");
-        let via_pipeline = p.merged_k_sparse(K).expect("epoch query");
+        let engines = p.finish_shards().expect("clean shutdown");
 
         // reconstruct the partition from the routing contract
         let mut partition = vec![Vec::new(); shards];
@@ -131,14 +130,13 @@ proptest! {
                 }
             }
         }
-        let via_parallel = parallel_summarize(
-            &partition,
-            K,
-            || SpaceSaving::<u64>::new(M),
-            || SpaceSaving::<u64>::new(M),
-        );
-        prop_assert_eq!(via_pipeline.entries(), via_parallel.entries());
-        prop_assert_eq!(via_pipeline.stream_len(), via_parallel.stream_len());
+        prop_assert_eq!(engines.len(), shards);
+        for (engine, part) in engines.iter().zip(&partition) {
+            let mut sequential = SpaceSaving::<u64>::new(M);
+            sequential.update_batch(part);
+            prop_assert_eq!(engine.entries(), sequential.entries());
+            prop_assert_eq!(engine.stream_len(), sequential.stream_len());
+        }
     }
 
     /// Property 3: repeated runs over the same input and configuration
