@@ -1,10 +1,11 @@
-//! Engine-overhead benchmark: the cost of the `hh::engine` dynamic
-//! dispatch layer versus calling the concrete backend directly.
+//! Engine-overhead benchmark: the cost of the `hh::engine` dispatch
+//! layer (a `match` over the engine's closed backend enum, plus its
+//! ingest accounting) versus calling the concrete backend directly.
 //!
 //! The acceptance bar for the engine façade is a ≤ 5% update-throughput
-//! regression. Both the per-item `update` loop (one virtual call per
-//! element) and the batched `update_batch` path (one virtual call per
-//! slice, the production ingest path) are measured against direct
+//! regression. Both the per-item `update` loop (one dispatch per
+//! element) and the batched `update_batch` path (one dispatch per slice,
+//! the production ingest path) are measured against direct
 //! `SpaceSaving` and `Frequent` calls at the same budgets.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};

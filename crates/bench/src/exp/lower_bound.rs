@@ -11,7 +11,6 @@
 //! error actually forced.
 
 use hh_analysis::{fnum, fok, Algo, Table};
-use hh_counters::FrequencyEstimator;
 use hh_streamgen::adversarial::LowerBoundInstance;
 use hh_streamgen::{ExactCounter, Item};
 

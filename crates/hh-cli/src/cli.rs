@@ -42,7 +42,8 @@ options:
   --items <a,b,c>    comma-separated items for `estimate`
   --weighted         lines are `item weight` (SPACESAVINGR / FREQUENTR)
   --json             machine-readable output
-  --snapshot-out <F> write the engine snapshot to F after ingest
+  --snapshot-out <F> write the engine snapshot to F after ingest (an hhckpt
+                     envelope, the only snapshot file format)
   --snapshot-in <F>  resume from a snapshot written by --snapshot-out
                      (for `serve`: folded into every report and the final
                      snapshot — the drain -> resume cycle)

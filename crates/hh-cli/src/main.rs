@@ -37,7 +37,8 @@ mod cli;
 
 use cli::{parse_args, Command, Options};
 use hh::counters::Confidence;
-use hh::engine::{Engine, Snapshot, WeightedEngine};
+use hh::engine::{Count, Engine, HeavyHitterEntry, Report, ReportEntry, Snapshot, WeightedEngine};
+use hh::net::checkpoint::{self, Checkpoint};
 use hh::net::{proto, ServeSession, Server};
 use hh::pipeline::PipelineStats;
 use hh::Error;
@@ -118,20 +119,22 @@ fn run(opts: Options, reader: impl BufRead) -> Result<String, Error> {
 }
 
 /// Lines buffered per [`Engine::update_many`] chunk: large enough that the
-/// per-chunk virtual call and pre-aggregation setup are noise, small enough
+/// per-chunk dispatch and pre-aggregation setup are noise, small enough
 /// to stay cache-resident.
 const INGEST_CHUNK: usize = 8192;
 
 fn run_unweighted(opts: Options, reader: impl BufRead) -> Result<String, Error> {
-    let mut engine: Engine<String> = match &opts.snapshot_in {
-        Some(path) => Engine::from_json(&std::fs::read_to_string(path)?)?,
+    let (resume, unobserved) = read_snapshots(opts.snapshot_in.as_slice())?;
+    let mut engine: Engine<String> = match resume {
+        Some(snap) => Engine::from_snapshot(snap)?,
         None => opts.engine_config().build()?,
     };
+    engine.add_unobserved(unobserved);
 
     // Chunked ingest (the `Engine::update_many` driver shape, one chunk at
     // a time as the reader fills it): each buffer goes through the
     // engine's batched fast path — run-length / pre-aggregated per backend
-    // — instead of one virtual dispatch per line.
+    // — instead of one dispatch per line.
     let mut chunk: Vec<String> = Vec::with_capacity(INGEST_CHUNK);
     for line in reader.lines() {
         let line = line?;
@@ -149,55 +152,78 @@ fn run_unweighted(opts: Options, reader: impl BufRead) -> Result<String, Error> 
         engine.update_batch(&chunk);
     }
 
-    let report = engine.report();
-    let out = match opts.command {
-        Command::TopK => render_counts(&report.top_k(opts.k), engine.stream_len(), opts.json),
+    let out = answer(&opts, &engine.report())?;
+    if let Some(path) = &opts.snapshot_out {
+        save(path, engine.snapshot(), engine.unobserved())?;
+    }
+    Ok(out)
+}
+
+/// The one TopK/Heavy/Estimate/Residual dispatch (`merge` reports its
+/// top-k), over counts or weights.
+fn answer<C: Shown>(opts: &Options, report: &Report<'_, String, C>) -> Result<String, Error> {
+    let total = report.total();
+    Ok(match opts.command {
+        Command::TopK | Command::Merge => render_counts(&report.top_k(opts.k), total, opts.json),
         Command::Heavy => {
             let hits = report.heavy_hitters(opts.phi)?;
-            render_heavy(&hits, opts.phi, engine.stream_len(), opts.json)
+            render_heavy(&hits, opts.phi, total, opts.json)
         }
         Command::Estimate => {
-            let rows: Vec<hh::engine::ReportEntry<String>> = opts
-                .items
-                .iter()
-                .map(|i| {
-                    let (lower, upper) = report.interval(i);
-                    hh::engine::ReportEntry {
-                        item: i.clone(),
-                        estimate: engine.estimate(i),
-                        lower,
-                        upper,
-                    }
-                })
-                .collect();
-            render_counts(&rows, engine.stream_len(), opts.json)
+            let rows: Vec<ReportEntry<String, C>> =
+                opts.items.iter().map(|i| report.entry(i)).collect();
+            render_counts(&rows, total, opts.json)
         }
         Command::Residual => {
             let res = report.residual(opts.k);
             if opts.json {
                 format!(
-                    "{{\"k\":{},\"residual_estimate\":{},\"stream_len\":{}}}",
+                    "{{\"k\":{},\"residual_estimate\":{res},\"{}\":{total}}}",
                     opts.k,
-                    res,
-                    engine.stream_len()
+                    C::TOTAL_KEY
                 )
             } else {
                 format!(
-                    "F1^res({}) ~= {res}   (stream length {})",
+                    "F1^res({}) ~= {}   ({} {})",
                     opts.k,
-                    engine.stream_len()
+                    res.text(),
+                    C::TOTAL,
+                    total.text()
                 )
             }
         }
-        Command::Merge | Command::Gen | Command::Serve | Command::Client | Command::Stats => {
+        Command::Gen | Command::Serve | Command::Client | Command::Stats => {
             unreachable!("handled in main")
         }
-    };
+    })
+}
 
-    if let Some(path) = &opts.snapshot_out {
-        hh::net::checkpoint::atomic_write(path, engine.to_json()?.as_bytes())?;
+/// Reads snapshot files — `hhckpt` envelopes, each falling back to its
+/// previous generation when torn or missing — and folds every shard they
+/// hold into one snapshot (Theorem 11), returned with the unobserved mass
+/// the files carry.
+fn read_snapshots(paths: &[String]) -> Result<(Option<Snapshot<String>>, u64), Error> {
+    let mut shards = Vec::new();
+    let mut unobserved = 0u64;
+    for path in paths {
+        let (ckpt, _) = checkpoint::load_latest(path)?;
+        shards.extend(ckpt.shards);
+        unobserved = unobserved.saturating_add(ckpt.unobserved);
     }
-    Ok(out)
+    let merged = checkpoint::merge_to_snapshot(shards)?;
+    if unobserved > 0 && merged.as_ref().is_some_and(Snapshot::is_weighted) {
+        return Err(Error::corrupt_snapshot(
+            "a weighted snapshot cannot carry unobserved mass",
+        ));
+    }
+    Ok((merged, unobserved))
+}
+
+/// Writes `snapshot` to `path` as a one-shard checkpoint envelope, the
+/// only snapshot file format.
+fn save(path: &str, snapshot: Snapshot<String>, unobserved: u64) -> Result<(), Error> {
+    let shards = vec![snapshot];
+    checkpoint::write(path, &Checkpoint { shards, unobserved })
 }
 
 /// `hh serve`: long-lived sharded ingest over the `hh::pipeline` service,
@@ -508,7 +534,8 @@ fn serve_report(
     if opts.json {
         proto::report_record(engine, epoch, opts.k)
     } else {
-        let table = render_counts(&engine.report().top_k(opts.k), engine.stream_len(), false);
+        let report = engine.report();
+        let table = render_counts(&report.top_k(opts.k), report.total(), false);
         Ok(match epoch {
             Some(e) => format!(
                 "-- live report (epoch {e}, {} items) --\n{table}\n",
@@ -530,9 +557,9 @@ fn write_serve_report(
 }
 
 fn run_weighted(opts: Options, reader: impl BufRead) -> Result<String, Error> {
-    let mut engine: WeightedEngine<String> = match &opts.snapshot_in {
-        Some(path) => WeightedEngine::from_json(&std::fs::read_to_string(path)?)?,
-        None => opts.engine_config().build_weighted()?,
+    let mut engine: WeightedEngine<String> = match read_snapshots(opts.snapshot_in.as_slice())? {
+        (Some(snap), _) => WeightedEngine::from_snapshot(snap)?,
+        (None, _) => opts.engine_config().build_weighted()?,
     };
 
     for line in reader.lines() {
@@ -556,45 +583,9 @@ fn run_weighted(opts: Options, reader: impl BufRead) -> Result<String, Error> {
         engine.update(item.to_string(), w);
     }
 
-    let report = engine.weighted_report();
-    let total = hh::counters::WeightedFrequencyEstimator::total_weight(&engine);
-    let out = match opts.command {
-        Command::TopK => render_weights(&report.top_k(opts.k), total, opts.json),
-        Command::Heavy => {
-            let hits = report.heavy_hitters(opts.phi)?;
-            render_weighted_heavy(&hits, opts.phi, total, opts.json)
-        }
-        Command::Estimate => {
-            let rows: Vec<hh::engine::WeightedReportEntry<String>> = opts
-                .items
-                .iter()
-                .map(|i| {
-                    let (lower, upper) = report.interval(i);
-                    hh::engine::WeightedReportEntry {
-                        item: i.clone(),
-                        estimate: engine.estimate(i),
-                        lower,
-                        upper,
-                    }
-                })
-                .collect();
-            render_weights(&rows, total, opts.json)
-        }
-        Command::Residual => {
-            let res = report.residual(opts.k);
-            if opts.json {
-                format!("{{\"k\":{},\"residual_estimate\":{res}}}", opts.k)
-            } else {
-                format!("F1^res({}) ~= {res:.3}", opts.k)
-            }
-        }
-        Command::Merge | Command::Gen | Command::Serve | Command::Client | Command::Stats => {
-            unreachable!("handled in main")
-        }
-    };
-
+    let out = answer(&opts, &engine.report())?;
     if let Some(path) = &opts.snapshot_out {
-        hh::net::checkpoint::atomic_write(path, engine.to_json()?.as_bytes())?;
+        save(path, engine.snapshot(), 0)?;
     }
     Ok(out)
 }
@@ -602,40 +593,22 @@ fn run_weighted(opts: Options, reader: impl BufRead) -> Result<String, Error> {
 /// `hh merge`: combine two or more snapshot files (Theorem 11's merge with
 /// full counter replay; cell-wise for sketches) and report the top-k.
 fn run_merge(opts: &Options) -> Result<String, Error> {
-    let mut snapshots = Vec::new();
-    for path in &opts.inputs {
-        let snap: Snapshot<String> = serde_json::from_str(&std::fs::read_to_string(path)?)?;
-        snapshots.push(snap);
-    }
-    let weighted = snapshots[0].is_weighted();
-
-    let out;
-    let json;
-    if weighted {
-        let mut engine = WeightedEngine::from_snapshot(snapshots.remove(0))?;
-        for snap in &snapshots {
-            engine.merge_snapshot(snap)?;
+    let (merged, unobserved) = read_snapshots(&opts.inputs)?;
+    let merged = merged.ok_or_else(|| Error::parse("the snapshot files hold no snapshots"))?;
+    if merged.is_weighted() {
+        let engine = WeightedEngine::from_snapshot(merged)?;
+        if let Some(path) = &opts.snapshot_out {
+            save(path, engine.snapshot(), 0)?;
         }
-        let total = hh::counters::WeightedFrequencyEstimator::total_weight(&engine);
-        out = render_weights(&engine.weighted_report().top_k(opts.k), total, opts.json);
-        json = engine.to_json()?;
+        answer(opts, &engine.report())
     } else {
-        let mut engine = Engine::from_snapshot(snapshots.remove(0))?;
-        for snap in &snapshots {
-            engine.merge_snapshot(snap)?;
+        let mut engine = Engine::from_snapshot(merged)?;
+        engine.add_unobserved(unobserved);
+        if let Some(path) = &opts.snapshot_out {
+            save(path, engine.snapshot(), engine.unobserved())?;
         }
-        out = render_counts(
-            &engine.report().top_k(opts.k),
-            engine.stream_len(),
-            opts.json,
-        );
-        json = engine.to_json()?;
+        answer(opts, &engine.report())
     }
-
-    if let Some(path) = &opts.snapshot_out {
-        hh::net::checkpoint::atomic_write(path, json.as_bytes())?;
-    }
-    Ok(out)
 }
 
 /// `hh gen`: emit a shuffled Zipf trace, one item per line.
@@ -662,14 +635,60 @@ fn json_str(s: &str) -> String {
     serde_json::to_string(s).expect("string serializes")
 }
 
-fn render_counts(rows: &[hh::engine::ReportEntry<String>], stream_len: u64, json: bool) -> String {
+/// How the CLI prints a count type: occurrences as integers under
+/// `count`, weights to three decimals under `weight`.
+trait Shown: Count {
+    /// JSON key and text column header of a row's estimate.
+    const KEY: &'static str;
+    /// JSON key of the stream total.
+    const TOTAL_KEY: &'static str;
+    /// The stream total in text headers.
+    const TOTAL: &'static str;
+    /// The stream in the heavy-hitter text header.
+    const STREAM: &'static str;
+    /// Text column width of an estimate.
+    const WIDTH: usize;
+    /// Decimals of the heavy-hitter threshold in text output.
+    const THRESHOLD_DECIMALS: usize;
+    /// One count in text output.
+    fn text(self) -> String;
+}
+
+impl Shown for u64 {
+    const KEY: &'static str = "count";
+    const TOTAL_KEY: &'static str = "stream_len";
+    const TOTAL: &'static str = "stream length";
+    const STREAM: &'static str = "stream";
+    const WIDTH: usize = 12;
+    const THRESHOLD_DECIMALS: usize = 1;
+
+    fn text(self) -> String {
+        self.to_string()
+    }
+}
+
+impl Shown for f64 {
+    const KEY: &'static str = "weight";
+    const TOTAL_KEY: &'static str = "total_weight";
+    const TOTAL: &'static str = "total weight";
+    const STREAM: &'static str = "total weight";
+    const WIDTH: usize = 14;
+    const THRESHOLD_DECIMALS: usize = 3;
+
+    fn text(self) -> String {
+        format!("{self:.3}")
+    }
+}
+
+fn render_counts<C: Shown>(rows: &[ReportEntry<String, C>], total: C, json: bool) -> String {
     if json {
         let cells: Vec<String> = rows
             .iter()
             .map(|r| {
                 format!(
-                    "{{\"item\":{},\"count\":{},\"lower\":{},\"upper\":{}}}",
+                    "{{\"item\":{},\"{}\":{},\"lower\":{},\"upper\":{}}}",
                     json_str(&r.item),
+                    C::KEY,
                     r.estimate,
                     r.lower,
                     r.upper
@@ -679,25 +698,31 @@ fn render_counts(rows: &[hh::engine::ReportEntry<String>], stream_len: u64, json
         format!("[{}]", cells.join(","))
     } else {
         let mut out = format!(
-            "{:<24} {:>12} {:>18}   (stream length {stream_len})\n",
-            "item", "count", "certified range"
+            "{:<24} {:>w$} {:>18}   ({} {})\n",
+            "item",
+            C::KEY,
+            "certified range",
+            C::TOTAL,
+            total.text(),
+            w = C::WIDTH
         );
         for r in rows {
             out.push_str(&format!(
-                "{:<24} {:>12} {:>18}\n",
+                "{:<24} {:>w$} {:>18}\n",
                 r.item,
-                r.estimate,
-                format!("[{}..={}]", r.lower, r.upper)
+                r.estimate.text(),
+                format!("[{}..={}]", r.lower.text(), r.upper.text()),
+                w = C::WIDTH
             ));
         }
         out.trim_end().to_string()
     }
 }
 
-fn render_heavy(
-    rows: &[hh::engine::HeavyHitterEntry<String>],
+fn render_heavy<C: Shown>(
+    rows: &[HeavyHitterEntry<String, C>],
     phi: f64,
-    stream_len: u64,
+    total: C,
     json: bool,
 ) -> String {
     if json {
@@ -705,8 +730,9 @@ fn render_heavy(
             .iter()
             .map(|r| {
                 format!(
-                    "{{\"item\":{},\"count\":{},\"confidence\":\"{}\"}}",
+                    "{{\"item\":{},\"{}\":{},\"confidence\":\"{}\"}}",
                     json_str(&r.item),
+                    C::KEY,
                     r.estimate,
                     confidence_str(r.confidence)
                 )
@@ -715,80 +741,18 @@ fn render_heavy(
         format!("[{}]", cells.join(","))
     } else {
         let mut out = format!(
-            "items above phi={phi} of stream (threshold {:.1}):\n",
-            phi * stream_len as f64
+            "items above phi={phi} of {} (threshold {:.p$}):\n",
+            C::STREAM,
+            phi * total.to_f64(),
+            p = C::THRESHOLD_DECIMALS
         );
         for r in rows {
             out.push_str(&format!(
-                "{:<24} {:>12}  {}\n",
+                "{:<24} {:>w$}  {}\n",
                 r.item,
-                r.estimate,
-                confidence_str(r.confidence)
-            ));
-        }
-        out.trim_end().to_string()
-    }
-}
-
-fn render_weights(
-    rows: &[hh::engine::WeightedReportEntry<String>],
-    total_weight: f64,
-    json: bool,
-) -> String {
-    if json {
-        let cells: Vec<String> = rows
-            .iter()
-            .map(|r| {
-                format!(
-                    "{{\"item\":{},\"weight\":{}}}",
-                    json_str(&r.item),
-                    r.estimate
-                )
-            })
-            .collect();
-        format!("[{}]", cells.join(","))
-    } else {
-        let mut out = format!(
-            "{:<24} {:>14}   (total weight {total_weight:.3})\n",
-            "item", "weight"
-        );
-        for r in rows {
-            out.push_str(&format!("{:<24} {:>14.3}\n", r.item, r.estimate));
-        }
-        out.trim_end().to_string()
-    }
-}
-
-fn render_weighted_heavy(
-    rows: &[hh::engine::WeightedHeavyHitterEntry<String>],
-    phi: f64,
-    total_weight: f64,
-    json: bool,
-) -> String {
-    if json {
-        let cells: Vec<String> = rows
-            .iter()
-            .map(|r| {
-                format!(
-                    "{{\"item\":{},\"weight\":{},\"confidence\":\"{}\"}}",
-                    json_str(&r.item),
-                    r.estimate,
-                    confidence_str(r.confidence)
-                )
-            })
-            .collect();
-        format!("[{}]", cells.join(","))
-    } else {
-        let mut out = format!(
-            "items above phi={phi} of total weight (threshold {:.3}):\n",
-            phi * total_weight
-        );
-        for r in rows {
-            out.push_str(&format!(
-                "{:<24} {:>14.3}  {}\n",
-                r.item,
-                r.estimate,
-                confidence_str(r.confidence)
+                r.estimate.text(),
+                confidence_str(r.confidence),
+                w = C::WIDTH
             ));
         }
         out.trim_end().to_string()
@@ -1028,10 +992,36 @@ mod tests {
         ]);
         let mut sink = Vec::new();
         run_serve(&o, "a\na\nb\n".as_bytes(), &mut sink).unwrap();
-        let restored: Engine<String> =
-            Engine::from_json(&std::fs::read_to_string(&snap).unwrap()).unwrap();
+        let (restored, _) = read_snapshots(&[snap.to_str().unwrap().to_string()]).unwrap();
+        let restored = Engine::from_snapshot(restored.unwrap()).unwrap();
         assert_eq!(restored.estimate(&"a".to_string()), 2);
         assert_eq!(restored.stream_len(), 3);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn topk_reads_what_a_checkpointing_serve_writes() {
+        let dir = std::env::temp_dir().join(format!("hh-ckpt-cli-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let snap = dir.join("served.ckpt");
+        let snap = snap.to_str().unwrap();
+        let input = "a\nb\na\nc\na\nb\na\nd\n";
+        let o = opts(&[
+            "serve",
+            "--shards",
+            "2",
+            "-k",
+            "3",
+            "-m",
+            "16",
+            "--checkpoint-every",
+            "3",
+            "--snapshot-out",
+            snap,
+        ]);
+        let served = run_serve(&o, input.as_bytes(), &mut Vec::new()).unwrap();
+        let o = opts(&["topk", "-k", "3", "--snapshot-in", snap]);
+        assert_eq!(run(o, "".as_bytes()).unwrap(), served);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -89,7 +89,10 @@ impl<I: Eq + Hash + Clone> Frequent<I> {
                 entries.len()
             )));
         }
-        let total: u64 = entries.iter().map(|&(_, v)| v).sum();
+        let total = entries
+            .iter()
+            .try_fold(0u64, |sum, &(_, v)| sum.checked_add(v))
+            .ok_or_else(|| Error::corrupt_snapshot("Frequent stored mass overflows u64"))?;
         if total > stream_len {
             return Err(Error::corrupt_snapshot(format!(
                 "stored mass {total} exceeds stream length {stream_len}"
@@ -114,7 +117,10 @@ impl<I: Eq + Hash + Clone> Frequent<I> {
             if s.summary.contains(&item) {
                 return Err(Error::corrupt_snapshot("duplicate item in snapshot"));
             }
-            s.summary.insert(item, decrements + value, decrements);
+            let raw = decrements.checked_add(value).ok_or_else(|| {
+                Error::corrupt_snapshot("Frequent decrements plus value overflow u64")
+            })?;
+            s.summary.insert(item, raw, decrements);
         }
         Ok(s)
     }

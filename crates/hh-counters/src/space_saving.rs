@@ -143,7 +143,10 @@ impl<I: Eq + Hash + Clone> SpaceSaving<I> {
                 entries.len()
             )));
         }
-        let total: u64 = entries.iter().map(|&(_, c, _)| c).sum();
+        let total = entries
+            .iter()
+            .try_fold(0u64, |sum, &(_, c, _)| sum.checked_add(c))
+            .ok_or_else(|| Error::corrupt_snapshot("SpaceSaving counter mass overflows u64"))?;
         if total != stream_len {
             return Err(Error::corrupt_snapshot(format!(
                 "SpaceSaving counter mass {total} must equal stream length {stream_len}"

@@ -165,8 +165,8 @@ pub trait FrequencyEstimator<I: Eq + Hash + Clone> {
     /// [`FrequencyEstimator::update_batch`] call per chunk. This is the
     /// natural ingest surface for drivers that buffer their input (the CLI
     /// reads line chunks, shard workers drain partition segments): each
-    /// chunk goes through the backend's batched fast path with one virtual
-    /// call, and any backend-owned pre-aggregation scratch is reused across
+    /// chunk goes through the backend's batched fast path with one call,
+    /// and any backend-owned pre-aggregation scratch is reused across
     /// chunks.
     fn update_many(&mut self, chunks: &[&[I]]) {
         for chunk in chunks {
@@ -263,76 +263,6 @@ pub trait FrequencyEstimator<I: Eq + Hash + Clone> {
     /// The `(A, B)` tail constants proved for this algorithm, if any.
     fn tail_constants(&self) -> Option<TailConstants> {
         None
-    }
-}
-
-impl<I: Eq + Hash + Clone, T: FrequencyEstimator<I> + ?Sized> FrequencyEstimator<I> for Box<T> {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-
-    fn capacity(&self) -> usize {
-        (**self).capacity()
-    }
-
-    fn update(&mut self, item: I) {
-        (**self).update(item)
-    }
-
-    fn update_by(&mut self, item: I, count: u64) {
-        (**self).update_by(item, count)
-    }
-
-    fn update_batch(&mut self, items: &[I]) {
-        (**self).update_batch(items)
-    }
-
-    fn update_many(&mut self, chunks: &[&[I]]) {
-        (**self).update_many(chunks)
-    }
-
-    fn updates_commute(&self) -> bool {
-        (**self).updates_commute()
-    }
-
-    fn estimate(&self, item: &I) -> u64 {
-        (**self).estimate(item)
-    }
-
-    fn stored_len(&self) -> usize {
-        (**self).stored_len()
-    }
-
-    fn entries(&self) -> Vec<(I, u64)> {
-        (**self).entries()
-    }
-
-    fn entries_into(&self, out: &mut Vec<(I, u64)>) {
-        (**self).entries_into(out)
-    }
-
-    fn stream_len(&self) -> u64 {
-        (**self).stream_len()
-    }
-
-    fn bias(&self) -> Bias {
-        (**self).bias()
-    }
-
-    fn error_term(&self, item: &I) -> Option<u64> {
-        (**self).error_term(item)
-    }
-
-    fn lower_estimate(&self, item: &I) -> u64 {
-        (**self).lower_estimate(item)
-    }
-
-    fn upper_estimate(&self, item: &I) -> u64 {
-        (**self).upper_estimate(item)
-    }
-
-    fn tail_constants(&self) -> Option<TailConstants> {
-        (**self).tail_constants()
     }
 }
 

@@ -1,4 +1,8 @@
-//! Durable, torn-write-safe checkpoints for the serving pipeline.
+//! Durable, torn-write-safe checkpoints: the one on-disk snapshot format.
+//!
+//! Every snapshot file `hh` writes — `serve` checkpoints and drains,
+//! `topk --snapshot-out`, `hh merge --snapshot-out` — is an envelope
+//! written by [`write()`], and every reader goes through [`load_latest`].
 //!
 //! A checkpoint is a self-verifying envelope around the per-shard
 //! [`Snapshot`]s of an epoch boundary plus the pipeline's unobserved
@@ -31,12 +35,10 @@
 use std::path::Path;
 
 use hh_counters::error::Error;
-use hh_sketches::engine::{Engine, EngineItem, Snapshot};
+use hh_sketches::engine::{Engine, EngineItem, Snapshot, WeightedEngine};
 use serde::{Deserialize, Serialize};
 
-/// First token of every checkpoint envelope (how [`is_envelope`] and the
-/// `--snapshot-in` auto-detection distinguish envelopes from the legacy
-/// plain-JSON snapshot files).
+/// First token of every checkpoint envelope.
 pub const MAGIC: &str = "hhckpt";
 
 /// Envelope format version.
@@ -67,12 +69,6 @@ pub fn crc32(bytes: &[u8]) -> u32 {
         }
     }
     !crc
-}
-
-/// Whether `text` looks like a checkpoint envelope (vs a legacy plain
-/// snapshot JSON file).
-pub fn is_envelope(text: &str) -> bool {
-    text.starts_with(MAGIC)
 }
 
 /// Renders a checkpoint into its envelope text.
@@ -158,21 +154,6 @@ where
     })
 }
 
-/// Writes `bytes` to `path` atomically: full contents to `<path>.tmp`,
-/// fsync, rename over `path`, fsync the parent directory. Readers never
-/// observe a half-written file.
-pub fn atomic_write(path: &str, bytes: &[u8]) -> Result<(), Error> {
-    use std::io::Write as _;
-    let tmp = format!("{path}.tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    sync_parent_dir(path)
-}
-
 /// Fsyncs the directory holding `path`, making a just-renamed entry
 /// durable (on Linux a directory opens read-only like any file).
 fn sync_parent_dir(path: &str) -> Result<(), Error> {
@@ -238,9 +219,9 @@ where
     }
 }
 
-/// Folds a checkpoint's snapshots into the single resume snapshot the
-/// serving session carries (Theorem 11 snapshot merge). `None` for an
-/// empty shard list.
+/// Folds a checkpoint's snapshots into one snapshot (Theorem 11 snapshot
+/// merge; weighted shards fold through a [`WeightedEngine`]). `None` for
+/// an empty shard list.
 pub fn merge_to_snapshot<I: EngineItem>(
     shards: Vec<Snapshot<I>>,
 ) -> Result<Option<Snapshot<I>>, Error> {
@@ -248,6 +229,13 @@ pub fn merge_to_snapshot<I: EngineItem>(
     let Some(first) = it.next() else {
         return Ok(None);
     };
+    if first.is_weighted() {
+        let mut merged = WeightedEngine::from_snapshot(first)?;
+        for snap in it {
+            merged.merge_snapshot(&snap)?;
+        }
+        return Ok(Some(merged.snapshot()));
+    }
     let mut merged = Engine::from_snapshot(first)?;
     for snap in it {
         merged.merge_snapshot(&snap)?;
@@ -291,7 +279,7 @@ mod tests {
             unobserved: 7,
         };
         let text = encode(&ckpt).unwrap();
-        assert!(is_envelope(&text));
+        assert!(text.starts_with(MAGIC));
         let back: Checkpoint<u64> = decode(&text).unwrap();
         assert_eq!(back, ckpt);
     }
@@ -379,15 +367,5 @@ mod tests {
         assert_eq!(engine.stream_len(), 4);
         assert_eq!(engine.estimate(&1), 3);
         assert!(merge_to_snapshot::<u64>(Vec::new()).unwrap().is_none());
-    }
-
-    #[test]
-    fn atomic_write_replaces_contents() {
-        let path = tmp_path("aw");
-        atomic_write(&path, b"one").unwrap();
-        atomic_write(&path, b"two").unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "two");
-        assert!(std::fs::metadata(format!("{path}.tmp")).is_err());
-        let _ = std::fs::remove_file(&path);
     }
 }

@@ -129,17 +129,16 @@ impl ServeOptions {
     /// Writes a durable checkpoint (tmp + fsync + atomic rename, CRC'd
     /// envelope, two generations — see [`crate::checkpoint`]) to the
     /// `snapshot_out` path every `n` ingested items (0: no periodic
-    /// checkpoints). Requires `snapshot_out`; when set, the final drain
-    /// snapshot uses the envelope format too.
+    /// checkpoints). Requires `snapshot_out`.
     pub fn checkpoint_every(mut self, n: u64) -> Self {
         self.checkpoint_every = n;
         self
     }
 
     /// Resumes from a snapshot file written by `--snapshot-out` (merged
-    /// into every report through the Theorem 11 snapshot merge). Both
-    /// formats load: a checkpoint envelope (verified, falling back to
-    /// the previous generation if torn) or a legacy plain JSON snapshot.
+    /// into every report through the Theorem 11 snapshot merge). The file
+    /// is a checkpoint envelope, verified and falling back to the previous
+    /// generation if torn or missing.
     pub fn snapshot_in(mut self, path: Option<String>) -> Self {
         self.snapshot_in = path;
         self
@@ -297,10 +296,9 @@ impl<I: EngineItem> ServeSession<I> {
     /// Validates `opts`, loads the resume snapshot (if configured) and
     /// spawns the shard pipeline.
     ///
-    /// A `snapshot_in` file is auto-detected: checkpoint envelopes are
-    /// CRC-verified and fall back to the previous generation when the
-    /// current one is torn ([`checkpoint::load_latest`]); anything else
-    /// is read as a legacy plain JSON snapshot.
+    /// A `snapshot_in` checkpoint envelope is CRC-verified and falls back
+    /// to the previous generation when the current one is torn or missing
+    /// ([`checkpoint::load_latest`]).
     ///
     /// # Errors
     ///
@@ -316,30 +314,19 @@ impl<I: EngineItem> ServeSession<I> {
         let mut resumed_from_fallback = false;
         let resume = match &opts.snapshot_in {
             Some(path) => {
-                // A missing current file is what a crash between the two
-                // renames of `checkpoint::write` leaves, so it goes to
-                // `load_latest` with the envelopes. A plain JSON snapshot
-                // has no generations: `.prev` is never consulted for it.
-                let text = match std::fs::read_to_string(path) {
-                    Ok(text) => Some(text),
-                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
-                    Err(e) => return Err(e.into()),
-                };
-                match text {
-                    Some(text) if !checkpoint::is_envelope(&text) => {
-                        let snap: Snapshot<I> = serde_json::from_str(&text)?;
-                        Some(snap)
-                    }
-                    _ => {
-                        let (ckpt, fell_back) = checkpoint::load_latest::<I>(path)?;
-                        resume_unobserved = ckpt.unobserved;
-                        resumed_from_fallback = fell_back;
-                        checkpoint::merge_to_snapshot(ckpt.shards)?
-                    }
-                }
+                let (ckpt, fell_back) = checkpoint::load_latest::<I>(path)?;
+                resume_unobserved = ckpt.unobserved;
+                resumed_from_fallback = fell_back;
+                checkpoint::merge_to_snapshot(ckpt.shards)?
             }
             None => None,
         };
+        if let Some(snap) = resume.as_ref().filter(|s| s.is_weighted()) {
+            return Err(Error::Unsupported {
+                algo: snap.algo().name().to_string(),
+                operation: "resuming a serve session from a weighted snapshot",
+            });
+        }
         let pipeline = opts.pipeline_config().spawn()?;
         Ok(ServeSession {
             pipeline,
@@ -475,10 +462,9 @@ impl<I: EngineItem> ServeSession<I> {
     }
 
     /// Drains the pipeline, folds in the resume snapshot, writes the
-    /// final snapshot to the configured `snapshot_out` path (atomically;
-    /// in the checkpoint-envelope format when `checkpoint_every` is on,
-    /// as a legacy plain JSON snapshot otherwise), and returns the final
-    /// merged engine.
+    /// final snapshot to the configured `snapshot_out` path (a one-shard
+    /// checkpoint envelope, see [`checkpoint::write`]), and returns the
+    /// final merged engine.
     pub fn finish(self) -> Result<Engine<I>, Error>
     where
         I: Serialize,
@@ -487,7 +473,6 @@ impl<I: EngineItem> ServeSession<I> {
             pipeline,
             resume,
             resume_unobserved,
-            checkpoint_every,
             snapshot_out,
             ..
         } = self;
@@ -497,15 +482,11 @@ impl<I: EngineItem> ServeSession<I> {
         }
         merged.add_unobserved(resume_unobserved);
         if let Some(path) = &snapshot_out {
-            if checkpoint_every > 0 {
-                let ckpt = Checkpoint {
-                    shards: vec![merged.snapshot()],
-                    unobserved: merged.unobserved(),
-                };
-                checkpoint::write(path, &ckpt)?;
-            } else {
-                checkpoint::atomic_write(path, merged.to_json()?.as_bytes())?;
-            }
+            let ckpt = Checkpoint {
+                shards: vec![merged.snapshot()],
+                unobserved: merged.unobserved(),
+            };
+            checkpoint::write(path, &ckpt)?;
         }
         Ok(merged)
     }
@@ -779,25 +760,6 @@ mod tests {
         assert!(s.resumed_from_fallback());
         assert_eq!(s.merged().unwrap().stream_len(), 3);
         std::fs::remove_file(format!("{path}.prev")).ok();
-    }
-
-    #[test]
-    fn plain_snapshot_in_ignores_a_stale_prev_envelope() {
-        // A plain `--snapshot-out` file written next to an older
-        // checkpoint generation: resume must read the plain file.
-        let path = path_with_prev("stale.json", &[9]);
-        let mut first =
-            ServeSession::<u64>::spawn(&opts().snapshot_out(Some(path.clone()))).unwrap();
-        first.send_batch(&[1, 1, 2]).unwrap();
-        first.finish().unwrap();
-
-        let mut s = ServeSession::<u64>::spawn(&opts().snapshot_in(Some(path.clone()))).unwrap();
-        assert!(!s.resumed_from_fallback());
-        let live = s.merged().unwrap();
-        assert_eq!((live.stream_len(), live.estimate(&9)), (3, 0));
-        for file in [path.clone(), format!("{path}.prev")] {
-            std::fs::remove_file(file).ok();
-        }
     }
 
     #[test]

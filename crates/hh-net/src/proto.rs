@@ -53,8 +53,8 @@ pub enum Query {
     TopK(Option<usize>),
     /// `?stats` — pipeline + network telemetry.
     Stats,
-    /// `?snapshot` — full merged snapshot (feed to `hh merge` or
-    /// `--snapshot-in`).
+    /// `?snapshot` — full merged snapshot (rehydrate with
+    /// `Engine::from_json`).
     Snapshot,
     /// `?ping` — liveness check.
     Ping,
@@ -270,8 +270,8 @@ pub fn shutdown_record(routed: u64) -> String {
 }
 
 /// Renders the `?snapshot` response: the merged engine's snapshot wrapped
-/// in a versioned envelope. The `"snapshot"` cell is exactly the
-/// `--snapshot-out` / `hh merge` format.
+/// in a versioned record. The `"snapshot"` cell is one shard of the
+/// checkpoint envelope `--snapshot-out` writes.
 pub fn snapshot_record<I>(engine: &Engine<I>) -> Result<String, Error>
 where
     I: ServeItem + Serialize,

@@ -10,7 +10,9 @@
 //! engine answers the same [`Report`] queries (top-k, φ-heavy hitters with
 //! confidence labels, residual estimation, per-item bound intervals),
 //! serializes to one portable [`Snapshot`] format, and merges across
-//! processes via [`Engine::merge`] (Theorem 11).
+//! processes via [`Engine::merge`] (Theorem 11). The real-weighted
+//! [`WeightedEngine`] (Section 6.1) answers the same [`Report`] in `f64`
+//! weights (see [`Count`]).
 //!
 //! ```
 //! use hh_sketches::engine::{AlgoKind, EngineConfig};
@@ -497,11 +499,13 @@ impl EngineConfig {
     /// ```
     pub fn build<I: EngineItem>(&self) -> Result<Engine<I>, Error> {
         let budget = self.resolved_counters()?;
-        let backend: Box<dyn Backend<I> + Send> = match self.algo {
-            AlgoKind::SpaceSaving => Box::new(SpaceSaving::new(budget)),
-            AlgoKind::Frequent => Box::new(Frequent::new(budget)),
-            AlgoKind::LossyCounting => Box::new(LossyCounting::with_width(budget as u64)),
-            AlgoKind::StickySampling => Box::new(StickySampling::new(
+        let backend = match self.algo {
+            AlgoKind::SpaceSaving => Backend::SpaceSaving(SpaceSaving::new(budget)),
+            AlgoKind::Frequent => Backend::Frequent(Frequent::new(budget)),
+            AlgoKind::LossyCounting => {
+                Backend::LossyCounting(LossyCounting::with_width(budget as u64))
+            }
+            AlgoKind::StickySampling => Backend::StickySampling(StickySampling::new(
                 1.0 / (budget.max(2)) as f64,
                 STICKY_SUPPORT,
                 STICKY_DELTA,
@@ -510,7 +514,7 @@ impl EngineConfig {
             AlgoKind::CountMin => {
                 let (cells, candidates) = split_sketch_budget(budget)?;
                 let depth = self.depth.unwrap_or(CM_DEPTH);
-                Box::new(SketchHeavyHitters::new(
+                Backend::CountMin(SketchHeavyHitters::new(
                     CountMin::with_budget(cells.max(depth), depth, self.seed, self.rule),
                     candidates,
                 ))
@@ -518,18 +522,13 @@ impl EngineConfig {
             AlgoKind::CountSketch => {
                 let (cells, candidates) = split_sketch_budget(budget)?;
                 let depth = self.depth.unwrap_or(CS_DEPTH);
-                Box::new(SketchHeavyHitters::new(
+                Backend::CountSketch(SketchHeavyHitters::new(
                     CountSketch::with_budget(cells.max(depth), depth, self.seed),
                     candidates,
                 ))
             }
         };
-        Ok(Engine {
-            backend,
-            kind: self.algo,
-            ingest: IngestStats::default(),
-            unobserved: 0,
-        })
+        Ok(Engine::with_backend(backend))
     }
 
     /// Builds the real-weighted variant (Section 6.1: SPACESAVINGR or
@@ -551,9 +550,9 @@ impl EngineConfig {
     /// ```
     pub fn build_weighted<I: EngineItem>(&self) -> Result<WeightedEngine<I>, Error> {
         let budget = self.resolved_counters()?;
-        let backend: Box<dyn WeightedBackend<I> + Send> = match self.algo {
-            AlgoKind::SpaceSaving => Box::new(SpaceSavingR::new(budget)),
-            AlgoKind::Frequent => Box::new(FrequentR::new(budget)),
+        let backend = match self.algo {
+            AlgoKind::SpaceSaving => WeightedBackend::SpaceSaving(SpaceSavingR::new(budget)),
+            AlgoKind::Frequent => WeightedBackend::Frequent(FrequentR::new(budget)),
             other => {
                 return Err(Error::Unsupported {
                     algo: other.name().to_string(),
@@ -561,10 +560,7 @@ impl EngineConfig {
                 })
             }
         };
-        Ok(WeightedEngine {
-            backend,
-            kind: self.algo,
-        })
+        Ok(WeightedEngine { backend })
     }
 }
 
@@ -791,16 +787,7 @@ impl<I> Snapshot<I> {
     }
 
     fn tag(&self) -> &'static str {
-        match self {
-            Snapshot::SpaceSaving(_) => "space_saving",
-            Snapshot::Frequent(_) => "frequent",
-            Snapshot::LossyCounting(_) => "lossy_counting",
-            Snapshot::StickySampling(_) => "sticky_sampling",
-            Snapshot::CountMin(_) => "count_min",
-            Snapshot::CountSketch(_) => "count_sketch",
-            Snapshot::SpaceSavingR(_) => "space_saving_r",
-            Snapshot::FrequentR(_) => "frequent_r",
-        }
+        snapshot_tag(self.algo(), self.is_weighted())
     }
 }
 
@@ -859,198 +846,96 @@ fn mismatch<I>(expected: &'static str, found: &Snapshot<I>) -> Error {
     }
 }
 
-/// Rejects Count-Sketch snapshots whose cells were produced under a
-/// different seed→layout derivation — the seed alone cannot tell them
-/// apart, and merging or rehydrating across derivations silently corrupts
-/// every estimate.
-fn check_cs_hash_rev(rev: u32) -> Result<(), Error> {
-    if rev == CS_HASH_REV {
-        Ok(())
+/// The wire tag of the snapshot an `algo` backend captures.
+fn snapshot_tag(algo: AlgoKind, weighted: bool) -> &'static str {
+    match algo {
+        AlgoKind::SpaceSaving if weighted => "space_saving_r",
+        AlgoKind::SpaceSaving => "space_saving",
+        AlgoKind::Frequent if weighted => "frequent_r",
+        AlgoKind::Frequent => "frequent",
+        AlgoKind::LossyCounting => "lossy_counting",
+        AlgoKind::StickySampling => "sticky_sampling",
+        AlgoKind::CountMin => "count_min",
+        AlgoKind::CountSketch => "count_sketch",
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Backends
+// ---------------------------------------------------------------------------
+
+/// The closed set of backends an [`Engine`] runs. An enum rather than a
+/// trait object: every call is one `match`, which the compiler can
+/// inline into the caller.
+enum Backend<I: EngineItem> {
+    SpaceSaving(SpaceSaving<I>),
+    Frequent(Frequent<I>),
+    LossyCounting(LossyCounting<I>),
+    StickySampling(StickySampling<I>),
+    CountMin(SketchHeavyHitters<I, CountMin<I>>),
+    CountSketch(SketchHeavyHitters<I, CountSketch<I>>),
+}
+
+/// Evaluates `$body` with `$b` bound to whichever `Backend` `$on` holds.
+macro_rules! each_backend {
+    ($on:expr, $b:ident => $body:expr) => {
+        match $on {
+            Backend::SpaceSaving($b) => $body,
+            Backend::Frequent($b) => $body,
+            Backend::LossyCounting($b) => $body,
+            Backend::StickySampling($b) => $body,
+            Backend::CountMin($b) => $body,
+            Backend::CountSketch($b) => $body,
+        }
+    };
+}
+
+/// The Section 6.1 backends a [`WeightedEngine`] runs.
+enum WeightedBackend<I: EngineItem> {
+    SpaceSaving(SpaceSavingR<I>),
+    Frequent(FrequentR<I>),
+}
+
+/// `each_backend!` for `WeightedBackend`.
+macro_rules! each_weighted {
+    ($on:expr, $b:ident => $body:expr) => {
+        match $on {
+            WeightedBackend::SpaceSaving($b) => $body,
+            WeightedBackend::Frequent($b) => $body,
+        }
+    };
+}
+
+/// Rebuilds a Count-Min backend from its wire state (rehydration and
+/// merge share it).
+fn count_min_from<I: EngineItem>(
+    s: CountMinState<I>,
+) -> Result<SketchHeavyHitters<I, CountMin<I>>, Error> {
+    let rule = if s.conservative {
+        UpdateRule::Conservative
     } else {
-        Err(Error::corrupt_snapshot(format!(
-            "count_sketch snapshot uses hash derivation rev {rev}, this build uses rev \
-             {CS_HASH_REV}; re-capture the snapshot with a matching build"
-        )))
-    }
+        UpdateRule::Classic
+    };
+    let sketch = CountMin::from_parts(s.depth, s.width, s.seed, rule, s.stream_len, s.cells)?;
+    SketchHeavyHitters::from_parts(sketch, s.candidates, s.cap)
 }
 
-// ---------------------------------------------------------------------------
-// Backend plumbing
-// ---------------------------------------------------------------------------
-
-/// Object-safe extension every engine backend implements on top of
-/// [`FrequencyEstimator`]: snapshot capture and snapshot absorption.
-trait Backend<I: EngineItem>: FrequencyEstimator<I> {
-    fn snapshot(&self) -> Snapshot<I>;
-    fn absorb(&mut self, snap: &Snapshot<I>) -> Result<(), Error>;
-}
-
-impl<I: EngineItem> Backend<I> for SpaceSaving<I> {
-    fn snapshot(&self) -> Snapshot<I> {
-        Snapshot::SpaceSaving(SpaceSavingState {
-            capacity: self.capacity(),
-            stream_len: self.stream_len(),
-            absorbed_slack: self.absorbed_slack(),
-            entries: self.entries_with_err(),
-        })
+/// Rebuilds a Count-Sketch backend from its wire state (rehydration and
+/// merge share it).
+fn count_sketch_from<I: EngineItem>(
+    s: CountSketchState<I>,
+) -> Result<SketchHeavyHitters<I, CountSketch<I>>, Error> {
+    // The seed alone cannot tell hash derivations apart, and cells from
+    // another derivation silently corrupt every estimate.
+    if s.hash_rev != CS_HASH_REV {
+        return Err(Error::corrupt_snapshot(format!(
+            "count_sketch snapshot uses hash derivation rev {}, this build uses rev \
+             {CS_HASH_REV}; re-capture the snapshot with a matching build",
+            s.hash_rev
+        )));
     }
-
-    fn absorb(&mut self, snap: &Snapshot<I>) -> Result<(), Error> {
-        let Snapshot::SpaceSaving(state) = snap else {
-            return Err(mismatch("space_saving", snap));
-        };
-        // replay the counters carrying their overcount bounds (sound lower
-        // bounds) and widen the upper-bound slack by the donor's Δ (sound
-        // upper bounds for items the donor did not store)
-        self.absorb_parts(&state.entries, state.capacity, state.absorbed_slack);
-        Ok(())
-    }
-}
-
-impl<I: EngineItem> Backend<I> for Frequent<I> {
-    fn snapshot(&self) -> Snapshot<I> {
-        Snapshot::Frequent(FrequentState {
-            capacity: self.capacity(),
-            stream_len: self.stream_len(),
-            decrements: self.decrements(),
-            entries: self.entries(),
-        })
-    }
-
-    fn absorb(&mut self, snap: &Snapshot<I>) -> Result<(), Error> {
-        let Snapshot::Frequent(state) = snap else {
-            return Err(mismatch("frequent", snap));
-        };
-        // replay the counters and fold in the donor's decrement rounds and
-        // unstored stream mass, keeping upper bounds and F1 sound
-        self.absorb_parts(&state.entries, state.decrements, state.stream_len);
-        Ok(())
-    }
-}
-
-impl<I: EngineItem> Backend<I> for LossyCounting<I> {
-    fn snapshot(&self) -> Snapshot<I> {
-        Snapshot::LossyCounting(LossyCountingState {
-            width: self.width(),
-            window: self.window(),
-            stream_len: self.stream_len(),
-            max_table: self.max_table_len(),
-            entries: self.entries_with_delta(),
-        })
-    }
-
-    fn absorb(&mut self, snap: &Snapshot<I>) -> Result<(), Error> {
-        let Snapshot::LossyCounting(state) = snap else {
-            return Err(mismatch("lossy_counting", snap));
-        };
-        // Manku–Motwani distributed merge: counts and deltas add, the
-        // absent side contributing its window bound — see
-        // `LossyCounting::absorb_parts`
-        self.absorb_parts(state.entries.clone(), state.window, state.stream_len);
-        Ok(())
-    }
-}
-
-impl<I: EngineItem> Backend<I> for StickySampling<I> {
-    fn snapshot(&self) -> Snapshot<I> {
-        Snapshot::StickySampling(StickySamplingState {
-            epsilon: self.epsilon(),
-            window: self.window(),
-            rate: self.rate(),
-            until_double: self.until_double(),
-            rng_state: self.rng_state(),
-            stream_len: self.stream_len(),
-            max_table: self.max_table_len(),
-            entries: self.entries_sorted(),
-        })
-    }
-
-    fn absorb(&mut self, snap: &Snapshot<I>) -> Result<(), Error> {
-        let Snapshot::StickySampling(state) = snap else {
-            return Err(mismatch("sticky_sampling", snap));
-        };
-        // O(m) table union — replaying through the sampler would cost
-        // O(total count) coin flips and re-thin the donor's sample
-        self.absorb_parts(state.entries.clone(), state.stream_len);
-        Ok(())
-    }
-}
-
-impl<I: EngineItem> Backend<I> for SketchHeavyHitters<I, CountMin<I>> {
-    fn snapshot(&self) -> Snapshot<I> {
-        let sketch = self.sketch();
-        Snapshot::CountMin(CountMinState {
-            depth: sketch.depth(),
-            width: sketch.width(),
-            seed: sketch.seed(),
-            conservative: sketch.rule() == UpdateRule::Conservative,
-            stream_len: sketch.stream_len(),
-            cells: sketch.cells().to_vec(),
-            candidates: self.candidate_items(),
-            cap: self.candidate_cap(),
-        })
-    }
-
-    fn absorb(&mut self, snap: &Snapshot<I>) -> Result<(), Error> {
-        let Snapshot::CountMin(state) = snap else {
-            return Err(mismatch("count_min", snap));
-        };
-        let rule = if state.conservative {
-            UpdateRule::Conservative
-        } else {
-            UpdateRule::Classic
-        };
-        let other_sketch = CountMin::from_parts(
-            state.depth,
-            state.width,
-            state.seed,
-            rule,
-            state.stream_len,
-            state.cells.clone(),
-        )?;
-        let other = SketchHeavyHitters::from_parts(
-            other_sketch,
-            state.candidates.clone(),
-            state.cap.max(1),
-        )?;
-        self.merge_from(&other, |a, b| a.merge_from(b))
-    }
-}
-
-impl<I: EngineItem> Backend<I> for SketchHeavyHitters<I, CountSketch<I>> {
-    fn snapshot(&self) -> Snapshot<I> {
-        let sketch = self.sketch();
-        Snapshot::CountSketch(CountSketchState {
-            depth: sketch.depth(),
-            width: sketch.width(),
-            seed: sketch.seed(),
-            hash_rev: CS_HASH_REV,
-            stream_len: sketch.stream_len(),
-            cells: sketch.cells().to_vec(),
-            candidates: self.candidate_items(),
-            cap: self.candidate_cap(),
-        })
-    }
-
-    fn absorb(&mut self, snap: &Snapshot<I>) -> Result<(), Error> {
-        let Snapshot::CountSketch(state) = snap else {
-            return Err(mismatch("count_sketch", snap));
-        };
-        check_cs_hash_rev(state.hash_rev)?;
-        let other_sketch = CountSketch::from_parts(
-            state.depth,
-            state.width,
-            state.seed,
-            state.stream_len,
-            state.cells.clone(),
-        )?;
-        let other = SketchHeavyHitters::from_parts(
-            other_sketch,
-            state.candidates.clone(),
-            state.cap.max(1),
-        )?;
-        self.merge_from(&other, |a, b| a.merge_from(b))
-    }
+    let sketch = CountSketch::from_parts(s.depth, s.width, s.seed, s.stream_len, s.cells)?;
+    SketchHeavyHitters::from_parts(sketch, s.candidates, s.cap)
 }
 
 // ---------------------------------------------------------------------------
@@ -1078,12 +963,13 @@ pub struct IngestStats {
     pub batches: u64,
 }
 
-/// A uniform, object-safe handle over any configured backend.
+/// A uniform handle over any configured backend.
 ///
-/// `Engine` itself implements [`FrequencyEstimator`], so everything in the
+/// The six backends form a closed enum, so every call dispatches through
+/// one `match` the compiler can inline — no virtual call. `Engine`
+/// itself implements [`FrequencyEstimator`], so everything in the
 /// workspace that is generic over estimators — `check_tail`, `k_sparse`,
-/// `merge_k_sparse`, `TopKMonitor` — drives engines
-/// unchanged.
+/// `merge_k_sparse`, `TopKMonitor` — drives engines unchanged.
 ///
 /// ```
 /// use hh_sketches::engine::{AlgoKind, EngineConfig};
@@ -1096,8 +982,7 @@ pub struct IngestStats {
 /// assert_eq!(e.stored_len(), 1);
 /// ```
 pub struct Engine<I: EngineItem> {
-    backend: Box<dyn Backend<I> + Send>,
-    kind: AlgoKind,
+    backend: Backend<I>,
     ingest: IngestStats,
     /// Occurrences known to exist in the true stream but never ingested
     /// (e.g. a crashed pipeline shard's unsnapshotted in-queue mass, see
@@ -1108,16 +993,24 @@ pub struct Engine<I: EngineItem> {
 impl<I: EngineItem> fmt::Debug for Engine<I> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Engine")
-            .field("algo", &self.kind)
-            .field("capacity", &self.backend.capacity())
-            .field("stored_len", &self.backend.stored_len())
-            .field("stream_len", &self.backend.stream_len())
+            .field("algo", &self.algo())
+            .field("capacity", &self.capacity())
+            .field("stored_len", &self.stored_len())
+            .field("stream_len", &self.stream_len())
             .field("unobserved", &self.unobserved)
             .finish()
     }
 }
 
 impl<I: EngineItem> Engine<I> {
+    fn with_backend(backend: Backend<I>) -> Self {
+        Engine {
+            backend,
+            ingest: IngestStats::default(),
+            unobserved: 0,
+        }
+    }
+
     /// The algorithm this engine runs.
     ///
     /// ```
@@ -1126,33 +1019,40 @@ impl<I: EngineItem> Engine<I> {
     /// assert_eq!(e.algo(), AlgoKind::CountSketch);
     /// ```
     pub fn algo(&self) -> AlgoKind {
-        self.kind
+        match self.backend {
+            Backend::SpaceSaving(_) => AlgoKind::SpaceSaving,
+            Backend::Frequent(_) => AlgoKind::Frequent,
+            Backend::LossyCounting(_) => AlgoKind::LossyCounting,
+            Backend::StickySampling(_) => AlgoKind::StickySampling,
+            Backend::CountMin(_) => AlgoKind::CountMin,
+            Backend::CountSketch(_) => AlgoKind::CountSketch,
+        }
     }
 
     /// Short human-readable backend name (e.g. `"SpaceSaving"`,
     /// `"CountMin(CU)"`).
     pub fn name(&self) -> &'static str {
-        self.backend.name()
+        each_backend!(&self.backend, b => b.name())
     }
 
     /// The space budget `m` the backend was built with (for sketches:
     /// cells plus candidate slots).
     pub fn capacity(&self) -> usize {
-        self.backend.capacity()
+        each_backend!(&self.backend, b => b.capacity())
     }
 
     /// Processes one occurrence of `item`.
     pub fn update(&mut self, item: I) {
         self.ingest.occurrences += 1;
         self.ingest.calls += 1;
-        self.backend.update(item);
+        each_backend!(&mut self.backend, b => b.update(item))
     }
 
     /// Processes `count` occurrences of `item` at once.
     pub fn update_by(&mut self, item: I, count: u64) {
         self.ingest.occurrences += count;
         self.ingest.calls += 1;
-        self.backend.update_by(item, count);
+        each_backend!(&mut self.backend, b => b.update_by(item, count))
     }
 
     /// Processes a slice of arrivals through the backend's batched fast
@@ -1167,14 +1067,14 @@ impl<I: EngineItem> Engine<I> {
     pub fn update_batch(&mut self, items: &[I]) {
         self.ingest.occurrences += items.len() as u64;
         self.ingest.batches += 1;
-        self.backend.update_batch(items);
+        each_backend!(&mut self.backend, b => b.update_batch(items))
     }
 
     /// Processes several slices of arrivals in order — the chunked ingest
     /// surface for drivers that buffer their input (the CLI reads line
     /// chunks; shard workers drain partition segments). Each chunk goes
-    /// through [`Engine::update_batch`] with one virtual call, and the
-    /// backend's pre-aggregation scratch is reused across chunks.
+    /// through the backend's batched fast path, and the backend's
+    /// pre-aggregation scratch is reused across chunks.
     ///
     /// ```
     /// use hh_sketches::engine::{AlgoKind, EngineConfig};
@@ -1187,7 +1087,7 @@ impl<I: EngineItem> Engine<I> {
             self.ingest.occurrences += chunk.len() as u64;
         }
         self.ingest.batches += chunks.len() as u64;
-        self.backend.update_many(chunks);
+        each_backend!(&mut self.backend, b => b.update_many(chunks))
     }
 
     /// This engine instance's local ingest accounting (see
@@ -1209,23 +1109,23 @@ impl<I: EngineItem> Engine<I> {
 
     /// The backend's point estimate `c_i` (0 for unstored items).
     pub fn estimate(&self, item: &I) -> u64 {
-        self.backend.estimate(item)
+        each_backend!(&self.backend, b => b.estimate(item))
     }
 
     /// Number of items currently stored.
     pub fn stored_len(&self) -> usize {
-        self.backend.stored_len()
+        each_backend!(&self.backend, b => b.stored_len())
     }
 
     /// Stored `(item, estimate)` pairs, sorted by decreasing estimate.
     pub fn entries(&self) -> Vec<(I, u64)> {
-        self.backend.entries()
+        each_backend!(&self.backend, b => b.entries())
     }
 
     /// Total stream length accounted for so far (`F1`): occurrences the
     /// backend consumed plus any [unobserved mass](Engine::add_unobserved).
     pub fn stream_len(&self) -> u64 {
-        self.backend.stream_len().saturating_add(self.unobserved)
+        each_backend!(&self.backend, b => b.stream_len()).saturating_add(self.unobserved)
     }
 
     /// Charges `mass` occurrences that are known to exist in the true
@@ -1269,12 +1169,12 @@ impl<I: EngineItem> Engine<I> {
 
     /// The backend's bias direction.
     pub fn bias(&self) -> Bias {
-        self.backend.bias()
+        each_backend!(&self.backend, b => b.bias())
     }
 
     /// The `(A, B)` tail constants proved for the backend, if any.
     pub fn tail_constants(&self) -> Option<TailConstants> {
-        self.backend.tail_constants()
+        each_backend!(&self.backend, b => b.tail_constants())
     }
 
     /// The unified query surface over this engine's current state.
@@ -1291,7 +1191,63 @@ impl<I: EngineItem> Engine<I> {
 
     /// Captures the engine's full state as a portable [`Snapshot`].
     pub fn snapshot(&self) -> Snapshot<I> {
-        self.backend.snapshot()
+        match &self.backend {
+            Backend::SpaceSaving(b) => Snapshot::SpaceSaving(SpaceSavingState {
+                capacity: b.capacity(),
+                stream_len: b.stream_len(),
+                absorbed_slack: b.absorbed_slack(),
+                entries: b.entries_with_err(),
+            }),
+            Backend::Frequent(b) => Snapshot::Frequent(FrequentState {
+                capacity: b.capacity(),
+                stream_len: b.stream_len(),
+                decrements: b.decrements(),
+                entries: b.entries(),
+            }),
+            Backend::LossyCounting(b) => Snapshot::LossyCounting(LossyCountingState {
+                width: b.width(),
+                window: b.window(),
+                stream_len: b.stream_len(),
+                max_table: b.max_table_len(),
+                entries: b.entries_with_delta(),
+            }),
+            Backend::StickySampling(b) => Snapshot::StickySampling(StickySamplingState {
+                epsilon: b.epsilon(),
+                window: b.window(),
+                rate: b.rate(),
+                until_double: b.until_double(),
+                rng_state: b.rng_state(),
+                stream_len: b.stream_len(),
+                max_table: b.max_table_len(),
+                entries: b.entries_sorted(),
+            }),
+            Backend::CountMin(b) => {
+                let sketch = b.sketch();
+                Snapshot::CountMin(CountMinState {
+                    depth: sketch.depth(),
+                    width: sketch.width(),
+                    seed: sketch.seed(),
+                    conservative: sketch.rule() == UpdateRule::Conservative,
+                    stream_len: sketch.stream_len(),
+                    cells: sketch.cells().to_vec(),
+                    candidates: b.candidate_items(),
+                    cap: b.candidate_cap(),
+                })
+            }
+            Backend::CountSketch(b) => {
+                let sketch = b.sketch();
+                Snapshot::CountSketch(CountSketchState {
+                    depth: sketch.depth(),
+                    width: sketch.width(),
+                    seed: sketch.seed(),
+                    hash_rev: CS_HASH_REV,
+                    stream_len: sketch.stream_len(),
+                    cells: sketch.cells().to_vec(),
+                    candidates: b.candidate_items(),
+                    cap: b.candidate_cap(),
+                })
+            }
+        }
     }
 
     /// Rehydrates an engine from a snapshot; the restored engine answers
@@ -1310,70 +1266,38 @@ impl<I: EngineItem> Engine<I> {
     /// assert_eq!(restored.estimate(&1), 2);
     /// ```
     pub fn from_snapshot(snap: Snapshot<I>) -> Result<Self, Error> {
-        let (kind, backend): (AlgoKind, Box<dyn Backend<I> + Send>) = match snap {
-            Snapshot::SpaceSaving(s) => (
-                AlgoKind::SpaceSaving,
-                Box::new(SpaceSaving::from_parts(
-                    s.capacity,
-                    s.stream_len,
-                    s.absorbed_slack,
-                    s.entries,
-                )?),
-            ),
-            Snapshot::Frequent(s) => (
-                AlgoKind::Frequent,
-                Box::new(Frequent::from_parts(
-                    s.capacity,
-                    s.stream_len,
-                    s.decrements,
-                    s.entries,
-                )?),
-            ),
-            Snapshot::LossyCounting(s) => (
-                AlgoKind::LossyCounting,
-                Box::new(LossyCounting::from_parts(
-                    s.width,
-                    s.window,
-                    s.stream_len,
-                    s.max_table,
-                    s.entries,
-                )?),
-            ),
-            Snapshot::StickySampling(s) => (
-                AlgoKind::StickySampling,
-                Box::new(StickySampling::from_parts(
-                    s.epsilon,
-                    s.window,
-                    s.rate,
-                    s.until_double,
-                    s.rng_state,
-                    s.stream_len,
-                    s.max_table,
-                    s.entries,
-                )?),
-            ),
-            Snapshot::CountMin(s) => {
-                let rule = if s.conservative {
-                    UpdateRule::Conservative
-                } else {
-                    UpdateRule::Classic
-                };
-                let sketch =
-                    CountMin::from_parts(s.depth, s.width, s.seed, rule, s.stream_len, s.cells)?;
-                (
-                    AlgoKind::CountMin,
-                    Box::new(SketchHeavyHitters::from_parts(sketch, s.candidates, s.cap)?),
-                )
-            }
-            Snapshot::CountSketch(s) => {
-                check_cs_hash_rev(s.hash_rev)?;
-                let sketch =
-                    CountSketch::from_parts(s.depth, s.width, s.seed, s.stream_len, s.cells)?;
-                (
-                    AlgoKind::CountSketch,
-                    Box::new(SketchHeavyHitters::from_parts(sketch, s.candidates, s.cap)?),
-                )
-            }
+        let backend = match snap {
+            Snapshot::SpaceSaving(s) => Backend::SpaceSaving(SpaceSaving::from_parts(
+                s.capacity,
+                s.stream_len,
+                s.absorbed_slack,
+                s.entries,
+            )?),
+            Snapshot::Frequent(s) => Backend::Frequent(Frequent::from_parts(
+                s.capacity,
+                s.stream_len,
+                s.decrements,
+                s.entries,
+            )?),
+            Snapshot::LossyCounting(s) => Backend::LossyCounting(LossyCounting::from_parts(
+                s.width,
+                s.window,
+                s.stream_len,
+                s.max_table,
+                s.entries,
+            )?),
+            Snapshot::StickySampling(s) => Backend::StickySampling(StickySampling::from_parts(
+                s.epsilon,
+                s.window,
+                s.rate,
+                s.until_double,
+                s.rng_state,
+                s.stream_len,
+                s.max_table,
+                s.entries,
+            )?),
+            Snapshot::CountMin(s) => Backend::CountMin(count_min_from(s)?),
+            Snapshot::CountSketch(s) => Backend::CountSketch(count_sketch_from(s)?),
             weighted @ (Snapshot::SpaceSavingR(_) | Snapshot::FrequentR(_)) => {
                 return Err(Error::Unsupported {
                     algo: weighted.algo().name().to_string(),
@@ -1381,12 +1305,7 @@ impl<I: EngineItem> Engine<I> {
                 })
             }
         };
-        Ok(Engine {
-            backend,
-            kind,
-            ingest: IngestStats::default(),
-            unobserved: 0,
-        })
+        Ok(Engine::with_backend(backend))
     }
 
     /// Absorbs a snapshot produced elsewhere (another process, an earlier
@@ -1403,7 +1322,38 @@ impl<I: EngineItem> Engine<I> {
     /// candidate union. Fails with [`Error::SnapshotMismatch`] when
     /// algorithms (or sketch shapes) differ.
     pub fn merge_snapshot(&mut self, snap: &Snapshot<I>) -> Result<(), Error> {
-        self.backend.absorb(snap)
+        let algo = self.algo();
+        match (&mut self.backend, snap) {
+            // replay the counters carrying their overcount bounds (sound
+            // lower bounds) and widen the upper-bound slack by the donor's
+            // Δ (sound upper bounds for items the donor did not store)
+            (Backend::SpaceSaving(b), Snapshot::SpaceSaving(s)) => {
+                b.absorb_parts(&s.entries, s.capacity, s.absorbed_slack)
+            }
+            // replay the counters and fold in the donor's decrement rounds
+            // and unstored stream mass, keeping upper bounds and F1 sound
+            (Backend::Frequent(b), Snapshot::Frequent(s)) => {
+                b.absorb_parts(&s.entries, s.decrements, s.stream_len)
+            }
+            // Manku–Motwani distributed merge: counts and deltas add, the
+            // absent side contributing its window bound
+            (Backend::LossyCounting(b), Snapshot::LossyCounting(s)) => {
+                b.absorb_parts(s.entries.clone(), s.window, s.stream_len)
+            }
+            // O(m) table union — replaying through the sampler would cost
+            // O(total count) coin flips and re-thin the donor's sample
+            (Backend::StickySampling(b), Snapshot::StickySampling(s)) => {
+                b.absorb_parts(s.entries.clone(), s.stream_len)
+            }
+            (Backend::CountMin(b), Snapshot::CountMin(s)) => {
+                b.merge_from(&count_min_from(s.clone())?, |a, b| a.merge_from(b))?
+            }
+            (Backend::CountSketch(b), Snapshot::CountSketch(s)) => {
+                b.merge_from(&count_sketch_from(s.clone())?, |a, b| a.merge_from(b))?
+            }
+            (_, snap) => return Err(mismatch(snapshot_tag(algo, false), snap)),
+        }
+        Ok(())
     }
 
     /// Merges another engine of the same configuration into this one (see
@@ -1421,7 +1371,7 @@ impl<I: EngineItem> Engine<I> {
     /// assert_eq!(a.estimate(&1), 3);
     /// ```
     pub fn merge(&mut self, other: &Engine<I>) -> Result<(), Error> {
-        self.backend.absorb(&other.snapshot())?;
+        self.merge_snapshot(&other.snapshot())?;
         // Snapshots do not carry unobserved mass; fold it in by hand so a
         // merge of lossy engines stays sound.
         self.unobserved = self.unobserved.saturating_add(other.unobserved);
@@ -1462,11 +1412,11 @@ impl<I: EngineItem> Engine<I> {
 
 impl<I: EngineItem> FrequencyEstimator<I> for Engine<I> {
     fn name(&self) -> &'static str {
-        self.backend.name()
+        Engine::name(self)
     }
 
     fn capacity(&self) -> usize {
-        self.backend.capacity()
+        Engine::capacity(self)
     }
 
     // The four ingest entry points route through the inherent methods so
@@ -1490,23 +1440,23 @@ impl<I: EngineItem> FrequencyEstimator<I> for Engine<I> {
     }
 
     fn updates_commute(&self) -> bool {
-        self.backend.updates_commute()
+        each_backend!(&self.backend, b => b.updates_commute())
     }
 
     fn estimate(&self, item: &I) -> u64 {
-        self.backend.estimate(item)
+        Engine::estimate(self, item)
     }
 
     fn stored_len(&self) -> usize {
-        self.backend.stored_len()
+        Engine::stored_len(self)
     }
 
     fn entries(&self) -> Vec<(I, u64)> {
-        self.backend.entries()
+        Engine::entries(self)
     }
 
     fn entries_into(&self, out: &mut Vec<(I, u64)>) {
-        self.backend.entries_into(out)
+        each_backend!(&self.backend, b => b.entries_into(out))
     }
 
     fn stream_len(&self) -> u64 {
@@ -1514,30 +1464,27 @@ impl<I: EngineItem> FrequencyEstimator<I> for Engine<I> {
     }
 
     fn bias(&self) -> Bias {
-        self.backend.bias()
+        Engine::bias(self)
     }
 
     // The three bound queries widen by the engine's unobserved mass (see
     // `Engine::add_unobserved`): a lost occurrence could belong to any
     // item, so only the upper side of every interval moves.
     fn error_term(&self, item: &I) -> Option<u64> {
-        self.backend
-            .error_term(item)
+        each_backend!(&self.backend, b => b.error_term(item))
             .map(|e| e.saturating_add(self.unobserved))
     }
 
     fn lower_estimate(&self, item: &I) -> u64 {
-        self.backend.lower_estimate(item)
+        each_backend!(&self.backend, b => b.lower_estimate(item))
     }
 
     fn upper_estimate(&self, item: &I) -> u64 {
-        self.backend
-            .upper_estimate(item)
-            .saturating_add(self.unobserved)
+        each_backend!(&self.backend, b => b.upper_estimate(item)).saturating_add(self.unobserved)
     }
 
     fn tail_constants(&self) -> Option<TailConstants> {
-        self.backend.tail_constants()
+        Engine::tail_constants(self)
     }
 }
 
@@ -1545,43 +1492,111 @@ impl<I: EngineItem> FrequencyEstimator<I> for Engine<I> {
 // The query surface
 // ---------------------------------------------------------------------------
 
-/// One reported item with its certified frequency interval.
+mod sealed {
+    use super::EngineItem;
+
+    pub trait Sealed {}
+
+    impl Sealed for u64 {}
+    impl Sealed for f64 {}
+
+    /// What a `Report` reads from an engine, in the engine's count type.
+    pub trait Source<I: EngineItem, C> {
+        /// The stream total the report is over (`F1` or total weight).
+        fn total(&self) -> C;
+        /// The point estimate of any item.
+        fn estimate(&self, item: &I) -> C;
+        /// The certified `(lower, upper)` interval of any item.
+        fn interval(&self, item: &I) -> (C, C);
+        /// Stored `(item, estimate)` pairs, largest first, into `out`
+        /// (cleared first).
+        fn pairs_into(&self, out: &mut Vec<(I, C)>);
+        /// The Theorem 6 residual estimate `F1^res(k)`.
+        fn residual(&self, k: usize) -> C;
+    }
+}
+
+use sealed::Source;
+
+/// The count type of a [`Report`]: `u64` occurrences for an [`Engine`],
+/// `f64` weights for a [`WeightedEngine`] (Section 6.1; Theorem 10 keeps
+/// the same `A = B = 1` tail bound over weights, so both answer the same
+/// queries). Sealed: implemented for exactly these two types.
+///
+/// ```
+/// use hh_sketches::engine::Count;
+///
+/// fn threshold<C: Count>(total: C, phi: f64) -> f64 {
+///     phi * total.to_f64()
+/// }
+/// assert_eq!(threshold(200u64, 0.5), 100.0);
+/// assert_eq!(threshold(3.0f64, 0.5), 1.5);
+/// ```
+pub trait Count:
+    sealed::Sealed + Copy + PartialOrd + fmt::Debug + fmt::Display + Send + Sync + 'static
+{
+    /// The engine whose reports count in this type.
+    type Engine<I: EngineItem>: Source<I, Self> + fmt::Debug;
+
+    /// The count as an `f64` (heavy-hitter thresholds are `phi · F1`).
+    fn to_f64(self) -> f64;
+}
+
+impl Count for u64 {
+    type Engine<I: EngineItem> = Engine<I>;
+
+    fn to_f64(self) -> f64 {
+        self as f64
+    }
+}
+
+impl Count for f64 {
+    type Engine<I: EngineItem> = WeightedEngine<I>;
+
+    fn to_f64(self) -> f64 {
+        self
+    }
+}
+
+/// One reported item with its certified frequency (or weight) interval.
 ///
 /// `lower ≤ f_item ≤ upper` always holds for deterministic backends (for
 /// STICKY SAMPLING the bounds are the trivial ones its probabilistic
 /// guarantee allows).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReportEntry<I> {
+pub struct ReportEntry<I, C = u64> {
     /// The item.
     pub item: I,
     /// The backend's point estimate.
-    pub estimate: u64,
+    pub estimate: C,
     /// Certified lower bound on the true frequency.
-    pub lower: u64,
+    pub lower: C,
     /// Certified upper bound on the true frequency.
-    pub upper: u64,
+    pub upper: C,
 }
 
 /// One reported φ-heavy hitter: a [`ReportEntry`] plus its confidence
 /// label, unified across over- and under-estimating backends.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HeavyHitterEntry<I> {
+pub struct HeavyHitterEntry<I, C = u64> {
     /// The item.
     pub item: I,
     /// The backend's point estimate.
-    pub estimate: u64,
+    pub estimate: C,
     /// Certified lower bound on the true frequency.
-    pub lower: u64,
+    pub lower: C,
     /// Certified upper bound on the true frequency.
-    pub upper: u64,
+    pub upper: C,
     /// Guaranteed (`lower > φF1`) or merely potential (`upper > φF1`).
     pub confidence: Confidence,
 }
 
 /// The one query surface every engine answers: top-k, φ-heavy hitters,
-/// residual estimation, and per-item bound intervals.
+/// residual estimation, and per-item bound intervals — in `u64` counts
+/// for an [`Engine`] and `f64` weights for a [`WeightedEngine`].
 ///
-/// Borrowed from [`Engine::report`]; queries never mutate the engine.
+/// Borrowed from [`Engine::report`] or [`WeightedEngine::report`];
+/// queries never mutate the engine.
 ///
 /// ```
 /// use hh_sketches::engine::{AlgoKind, EngineConfig};
@@ -1597,15 +1612,37 @@ pub struct HeavyHitterEntry<I> {
 /// assert_eq!(hh[0].confidence, Confidence::Guaranteed);
 /// // residual mass after removing the top-1
 /// assert_eq!(report.residual(1), 4);
+///
+/// // the same queries over weights
+/// let mut w = EngineConfig::new(AlgoKind::SpaceSaving).counters(8).build_weighted().unwrap();
+/// w.update(1u64, 70.0);
+/// w.update(2, 20.0);
+/// w.update(3, 10.0);
+/// let hh = w.report().heavy_hitters(0.5).unwrap();
+/// assert_eq!(hh.len(), 1);
+/// assert_eq!((hh[0].item, hh[0].confidence), (1, Confidence::Guaranteed));
 /// ```
 #[derive(Debug, Clone, Copy)]
-pub struct Report<'a, I: EngineItem> {
-    engine: &'a Engine<I>,
+pub struct Report<'a, I: EngineItem, C: Count = u64> {
+    engine: &'a C::Engine<I>,
 }
 
-impl<I: EngineItem> Report<'_, I> {
-    /// The certified `(lower, upper)` frequency interval for any item,
-    /// stored or not.
+impl<I: EngineItem, C: Count> Report<'_, I, C> {
+    /// The stream total the report is over: `F1` for counts, the total
+    /// weight for weights.
+    ///
+    /// ```
+    /// use hh_sketches::engine::{AlgoKind, EngineConfig};
+    /// let mut e = EngineConfig::new(AlgoKind::SpaceSaving).counters(8).build::<u64>().unwrap();
+    /// e.update_batch(&[1, 1, 2]);
+    /// assert_eq!(e.report().total(), 3);
+    /// ```
+    pub fn total(&self) -> C {
+        self.engine.total()
+    }
+
+    /// The certified `(lower, upper)` interval for any item, stored or
+    /// not.
     ///
     /// ```
     /// use hh_sketches::engine::{AlgoKind, EngineConfig};
@@ -1613,16 +1650,33 @@ impl<I: EngineItem> Report<'_, I> {
     /// e.update_batch(&[1, 1, 2]);
     /// assert_eq!(e.report().interval(&1), (2, 2)); // table not full: exact
     /// ```
-    pub fn interval(&self, item: &I) -> (u64, u64) {
-        (
-            self.engine.lower_estimate(item),
-            self.engine.upper_estimate(item),
-        )
+    pub fn interval(&self, item: &I) -> (C, C) {
+        self.engine.interval(item)
+    }
+
+    /// The report row for any item, stored or not: its point estimate and
+    /// certified interval.
+    ///
+    /// ```
+    /// use hh_sketches::engine::{AlgoKind, EngineConfig};
+    /// let mut e = EngineConfig::new(AlgoKind::Frequent).counters(8).build::<u64>().unwrap();
+    /// e.update_batch(&[1, 1, 2]);
+    /// let row = e.report().entry(&1);
+    /// assert_eq!((row.estimate, row.lower, row.upper), (2, 2, 2));
+    /// ```
+    pub fn entry(&self, item: &I) -> ReportEntry<I, C> {
+        let (lower, upper) = self.interval(item);
+        ReportEntry {
+            item: item.clone(),
+            estimate: self.engine.estimate(item),
+            lower,
+            upper,
+        }
     }
 
     /// Every stored entry with its bound interval, sorted by decreasing
     /// estimate (ties broken by the backend's eviction order).
-    pub fn entries(&self) -> Vec<ReportEntry<I>> {
+    pub fn entries(&self) -> Vec<ReportEntry<I, C>> {
         let mut pairs = Vec::new();
         let mut out = Vec::new();
         self.entries_into(&mut pairs, &mut out);
@@ -1644,8 +1698,8 @@ impl<I: EngineItem> Report<'_, I> {
     /// e.report().entries_into(&mut pairs, &mut rows);
     /// assert_eq!(rows[0].item, 5);
     /// ```
-    pub fn entries_into(&self, pairs: &mut Vec<(I, u64)>, out: &mut Vec<ReportEntry<I>>) {
-        self.engine.backend.entries_into(pairs);
+    pub fn entries_into(&self, pairs: &mut Vec<(I, C)>, out: &mut Vec<ReportEntry<I, C>>) {
+        self.engine.pairs_into(pairs);
         out.clear();
         out.reserve(pairs.len());
         for (item, estimate) in pairs.drain(..) {
@@ -1669,17 +1723,18 @@ impl<I: EngineItem> Report<'_, I> {
     /// let top: Vec<u64> = e.report().top_k(2).into_iter().map(|r| r.item).collect();
     /// assert_eq!(top, vec![1, 2]);
     /// ```
-    pub fn top_k(&self, k: usize) -> Vec<ReportEntry<I>> {
+    pub fn top_k(&self, k: usize) -> Vec<ReportEntry<I, C>> {
         let mut entries = self.entries();
         entries.truncate(k);
         entries
     }
 
     /// The φ-heavy-hitters query, unified across bias directions: every
-    /// stored item whose certified *upper* bound exceeds `phi·F1` is
-    /// returned (hence no false negatives among stored items), labelled
-    /// [`Confidence::Guaranteed`] when its *lower* bound already exceeds
-    /// the threshold and [`Confidence::Candidate`] otherwise.
+    /// stored item whose certified *upper* bound exceeds `phi` times the
+    /// [total](Report::total) is returned (hence no false negatives among
+    /// stored items), labelled [`Confidence::Guaranteed`] when its *lower*
+    /// bound already exceeds the threshold and [`Confidence::Candidate`]
+    /// otherwise.
     ///
     /// Fails with [`Error::InvalidQuery`] when `phi ∉ [0, 1)`.
     ///
@@ -1692,19 +1747,19 @@ impl<I: EngineItem> Report<'_, I> {
     /// assert_eq!(hh[0].item, 9);
     /// assert!(e.report().heavy_hitters(1.0).is_err());
     /// ```
-    pub fn heavy_hitters(&self, phi: f64) -> Result<Vec<HeavyHitterEntry<I>>, Error> {
+    pub fn heavy_hitters(&self, phi: f64) -> Result<Vec<HeavyHitterEntry<I, C>>, Error> {
         if !(0.0..1.0).contains(&phi) {
             return Err(Error::InvalidQuery(format!(
                 "phi must be in [0, 1), got {phi}"
             )));
         }
-        let threshold = phi * self.engine.stream_len() as f64;
+        let threshold = phi * self.total().to_f64();
         Ok(self
             .entries()
             .into_iter()
-            .filter(|e| e.upper as f64 > threshold)
+            .filter(|e| e.upper.to_f64() > threshold)
             .map(|e| {
-                let confidence = if e.lower as f64 > threshold {
+                let confidence = if e.lower.to_f64() > threshold {
                     Confidence::Guaranteed
                 } else {
                     Confidence::Candidate
@@ -1721,9 +1776,31 @@ impl<I: EngineItem> Report<'_, I> {
     }
 
     /// The Theorem 6 estimator of the residual tail mass `F1^res(k)`: the
-    /// stream length minus the mass of the k largest counters.
-    pub fn residual(&self, k: usize) -> u64 {
-        recovery::residual_estimate(self.engine, k)
+    /// total minus the mass of the k largest counters.
+    pub fn residual(&self, k: usize) -> C {
+        self.engine.residual(k)
+    }
+}
+
+impl<I: EngineItem> Source<I, u64> for Engine<I> {
+    fn total(&self) -> u64 {
+        Engine::stream_len(self)
+    }
+
+    fn estimate(&self, item: &I) -> u64 {
+        Engine::estimate(self, item)
+    }
+
+    fn interval(&self, item: &I) -> (u64, u64) {
+        (self.lower_estimate(item), self.upper_estimate(item))
+    }
+
+    fn pairs_into(&self, out: &mut Vec<(I, u64)>) {
+        self.entries_into(out)
+    }
+
+    fn residual(&self, k: usize) -> u64 {
+        recovery::residual_estimate(self, k)
     }
 }
 
@@ -1731,79 +1808,10 @@ impl<I: EngineItem> Report<'_, I> {
 // Weighted engine
 // ---------------------------------------------------------------------------
 
-/// Object-safe extension for the Section 6.1 weighted backends.
-trait WeightedBackend<I: EngineItem>: WeightedFrequencyEstimator<I> {
-    fn lower_weight(&self, item: &I) -> f64;
-    fn upper_weight(&self, item: &I) -> f64;
-    fn snapshot(&self) -> Snapshot<I>;
-    fn absorb(&mut self, snap: &Snapshot<I>) -> Result<(), Error>;
-}
-
-impl<I: EngineItem> WeightedBackend<I> for SpaceSavingR<I> {
-    fn lower_weight(&self, item: &I) -> f64 {
-        self.guaranteed_weight(item)
-    }
-
-    fn upper_weight(&self, item: &I) -> f64 {
-        if self.err(item).is_some() {
-            // the absorbed slack covers weight a merged-in donor may have
-            // held for the item without storing it
-            self.estimate_weighted(item) + self.absorbed_slack()
-        } else {
-            // unstored: bounded by the minimum counter, whose lazy lookup
-            // needs &mut — fall back to the trivially sound total weight
-            self.total_weight()
-        }
-    }
-
-    fn snapshot(&self) -> Snapshot<I> {
-        Snapshot::SpaceSavingR(SpaceSavingRState {
-            capacity: self.capacity(),
-            total_weight: self.total_weight(),
-            absorbed_slack: self.absorbed_slack(),
-            entries: self.entries_with_err(),
-        })
-    }
-
-    fn absorb(&mut self, snap: &Snapshot<I>) -> Result<(), Error> {
-        let Snapshot::SpaceSavingR(state) = snap else {
-            return Err(mismatch("space_saving_r", snap));
-        };
-        self.absorb_parts(&state.entries, state.capacity, state.absorbed_slack);
-        Ok(())
-    }
-}
-
-impl<I: EngineItem> WeightedBackend<I> for FrequentR<I> {
-    fn lower_weight(&self, item: &I) -> f64 {
-        self.estimate_weighted(item)
-    }
-
-    fn upper_weight(&self, item: &I) -> f64 {
-        self.estimate_weighted(item) + self.reductions()
-    }
-
-    fn snapshot(&self) -> Snapshot<I> {
-        Snapshot::FrequentR(FrequentRState {
-            capacity: self.capacity(),
-            total_weight: self.total_weight(),
-            reductions: self.reductions(),
-            entries: self.entries_weighted(),
-        })
-    }
-
-    fn absorb(&mut self, snap: &Snapshot<I>) -> Result<(), Error> {
-        let Snapshot::FrequentR(state) = snap else {
-            return Err(mismatch("frequent_r", snap));
-        };
-        self.absorb_parts(&state.entries, state.reductions, state.total_weight);
-        Ok(())
-    }
-}
-
 /// The uniform handle over a real-weighted backend (SPACESAVINGR or
 /// FREQUENTR; Theorem 10 preserves the `A = B = 1` tail guarantee over the
-/// weight vector).
+/// weight vector). Its [`Report`] answers the same queries as an
+/// [`Engine`]'s, in `f64` weights.
 ///
 /// ```
 /// use hh_sketches::engine::{AlgoKind, EngineConfig};
@@ -1815,20 +1823,19 @@ impl<I: EngineItem> WeightedBackend<I> for FrequentR<I> {
 /// e.update("flow-a", 120.0);
 /// e.update("flow-b", 3.5);
 /// e.update("flow-a", 40.0);
-/// assert_eq!(e.weighted_report().top_k(1)[0].item, "flow-a");
+/// assert_eq!(e.report().top_k(1)[0].item, "flow-a");
 /// ```
 pub struct WeightedEngine<I: EngineItem> {
-    backend: Box<dyn WeightedBackend<I> + Send>,
-    kind: AlgoKind,
+    backend: WeightedBackend<I>,
 }
 
 impl<I: EngineItem> fmt::Debug for WeightedEngine<I> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("WeightedEngine")
-            .field("algo", &self.kind)
-            .field("capacity", &self.backend.capacity())
-            .field("stored_len", &self.backend.stored_len())
-            .field("total_weight", &self.backend.total_weight())
+            .field("algo", &self.algo())
+            .field("capacity", &self.capacity())
+            .field("stored_len", &self.stored_len())
+            .field("total_weight", &self.total_weight())
             .finish()
     }
 }
@@ -1836,27 +1843,43 @@ impl<I: EngineItem> fmt::Debug for WeightedEngine<I> {
 impl<I: EngineItem> WeightedEngine<I> {
     /// The algorithm this engine runs (its unweighted [`AlgoKind`]).
     pub fn algo(&self) -> AlgoKind {
-        self.kind
+        match self.backend {
+            WeightedBackend::SpaceSaving(_) => AlgoKind::SpaceSaving,
+            WeightedBackend::Frequent(_) => AlgoKind::Frequent,
+        }
     }
 
     /// Processes an arrival of `item` with weight `w ≥ 0`.
     pub fn update(&mut self, item: I, w: f64) {
-        self.backend.update_weighted(item, w);
+        each_weighted!(&mut self.backend, b => b.update_weighted(item, w))
     }
 
     /// The point estimate of the item's total weight.
     pub fn estimate(&self, item: &I) -> f64 {
-        self.backend.estimate_weighted(item)
+        each_weighted!(&self.backend, b => b.estimate_weighted(item))
     }
 
-    /// The unified weighted query surface.
-    pub fn weighted_report(&self) -> WeightedReport<'_, I> {
-        WeightedReport { engine: self }
+    /// The unified query surface, in weights.
+    pub fn report(&self) -> Report<'_, I, f64> {
+        Report { engine: self }
     }
 
     /// Captures the engine's full state as a portable [`Snapshot`].
     pub fn snapshot(&self) -> Snapshot<I> {
-        self.backend.snapshot()
+        match &self.backend {
+            WeightedBackend::SpaceSaving(b) => Snapshot::SpaceSavingR(SpaceSavingRState {
+                capacity: b.capacity(),
+                total_weight: b.total_weight(),
+                absorbed_slack: b.absorbed_slack(),
+                entries: b.entries_with_err(),
+            }),
+            WeightedBackend::Frequent(b) => Snapshot::FrequentR(FrequentRState {
+                capacity: b.capacity(),
+                total_weight: b.total_weight(),
+                reductions: b.reductions(),
+                entries: b.entries_weighted(),
+            }),
+        }
     }
 
     /// Rehydrates a weighted engine from a snapshot.
@@ -1869,25 +1892,19 @@ impl<I: EngineItem> WeightedEngine<I> {
     /// assert!((back.estimate(&1) - 2.5).abs() < 1e-12);
     /// ```
     pub fn from_snapshot(snap: Snapshot<I>) -> Result<Self, Error> {
-        let (kind, backend): (AlgoKind, Box<dyn WeightedBackend<I> + Send>) = match snap {
-            Snapshot::SpaceSavingR(s) => (
-                AlgoKind::SpaceSaving,
-                Box::new(SpaceSavingR::from_parts(
-                    s.capacity,
-                    s.total_weight,
-                    s.absorbed_slack,
-                    s.entries,
-                )?),
-            ),
-            Snapshot::FrequentR(s) => (
-                AlgoKind::Frequent,
-                Box::new(FrequentR::from_parts(
-                    s.capacity,
-                    s.total_weight,
-                    s.reductions,
-                    s.entries,
-                )?),
-            ),
+        let backend = match snap {
+            Snapshot::SpaceSavingR(s) => WeightedBackend::SpaceSaving(SpaceSavingR::from_parts(
+                s.capacity,
+                s.total_weight,
+                s.absorbed_slack,
+                s.entries,
+            )?),
+            Snapshot::FrequentR(s) => WeightedBackend::Frequent(FrequentR::from_parts(
+                s.capacity,
+                s.total_weight,
+                s.reductions,
+                s.entries,
+            )?),
             other => {
                 return Err(Error::Unsupported {
                     algo: other.algo().name().to_string(),
@@ -1895,18 +1912,28 @@ impl<I: EngineItem> WeightedEngine<I> {
                 })
             }
         };
-        Ok(WeightedEngine { backend, kind })
+        Ok(WeightedEngine { backend })
     }
 
     /// Absorbs a weighted snapshot (cross-process merge; the weighted
     /// analogue of [`Engine::merge_snapshot`]).
     pub fn merge_snapshot(&mut self, snap: &Snapshot<I>) -> Result<(), Error> {
-        self.backend.absorb(snap)
+        let algo = self.algo();
+        match (&mut self.backend, snap) {
+            (WeightedBackend::SpaceSaving(b), Snapshot::SpaceSavingR(s)) => {
+                b.absorb_parts(&s.entries, s.capacity, s.absorbed_slack)
+            }
+            (WeightedBackend::Frequent(b), Snapshot::FrequentR(s)) => {
+                b.absorb_parts(&s.entries, s.reductions, s.total_weight)
+            }
+            (_, snap) => return Err(mismatch(snapshot_tag(algo, true), snap)),
+        }
+        Ok(())
     }
 
     /// Merges another weighted engine into this one.
     pub fn merge(&mut self, other: &WeightedEngine<I>) -> Result<(), Error> {
-        self.backend.absorb(&other.snapshot())
+        self.merge_snapshot(&other.snapshot())
     }
 
     /// Serializes the engine's snapshot to JSON.
@@ -1930,156 +1957,72 @@ impl<I: EngineItem> WeightedEngine<I> {
 
 impl<I: EngineItem> WeightedFrequencyEstimator<I> for WeightedEngine<I> {
     fn name(&self) -> &'static str {
-        self.backend.name()
+        each_weighted!(&self.backend, b => b.name())
     }
 
     fn capacity(&self) -> usize {
-        self.backend.capacity()
+        each_weighted!(&self.backend, b => b.capacity())
     }
 
     fn update_weighted(&mut self, item: I, w: f64) {
-        self.backend.update_weighted(item, w)
+        WeightedEngine::update(self, item, w)
     }
 
     fn estimate_weighted(&self, item: &I) -> f64 {
-        self.backend.estimate_weighted(item)
+        WeightedEngine::estimate(self, item)
     }
 
     fn stored_len(&self) -> usize {
-        self.backend.stored_len()
+        each_weighted!(&self.backend, b => b.stored_len())
     }
 
     fn entries_weighted(&self) -> Vec<(I, f64)> {
-        self.backend.entries_weighted()
+        each_weighted!(&self.backend, b => b.entries_weighted())
     }
 
     fn total_weight(&self) -> f64 {
-        self.backend.total_weight()
-    }
-
-    fn tail_constants(&self) -> Option<TailConstants> {
-        self.backend.tail_constants()
+        each_weighted!(&self.backend, b => b.total_weight())
     }
 }
 
-/// One reported item of a weighted query, with its certified weight
-/// interval.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WeightedReportEntry<I> {
-    /// The item.
-    pub item: I,
-    /// The backend's point estimate of its total weight.
-    pub estimate: f64,
-    /// Certified lower bound on the true weight.
-    pub lower: f64,
-    /// Certified upper bound on the true weight.
-    pub upper: f64,
-}
-
-/// One reported weighted φ-heavy hitter.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WeightedHeavyHitterEntry<I> {
-    /// The item.
-    pub item: I,
-    /// The backend's point estimate of its total weight.
-    pub estimate: f64,
-    /// Certified lower bound on the true weight.
-    pub lower: f64,
-    /// Certified upper bound on the true weight.
-    pub upper: f64,
-    /// Guaranteed or merely potential.
-    pub confidence: Confidence,
-}
-
-/// The weighted twin of [`Report`]: top-k, φ-heavy hitters, residual and
-/// per-item intervals over total weights.
-///
-/// ```
-/// use hh_sketches::engine::{AlgoKind, EngineConfig};
-/// use hh_counters::Confidence;
-///
-/// let mut e = EngineConfig::new(AlgoKind::SpaceSaving).counters(8).build_weighted().unwrap();
-/// e.update(1u64, 70.0);
-/// e.update(2, 20.0);
-/// e.update(3, 10.0);
-/// let hh = e.weighted_report().heavy_hitters(0.5).unwrap();
-/// assert_eq!(hh.len(), 1);
-/// assert_eq!((hh[0].item, hh[0].confidence), (1, Confidence::Guaranteed));
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct WeightedReport<'a, I: EngineItem> {
-    engine: &'a WeightedEngine<I>,
-}
-
-impl<I: EngineItem> WeightedReport<'_, I> {
-    /// The certified `(lower, upper)` weight interval for any item.
-    pub fn interval(&self, item: &I) -> (f64, f64) {
-        (
-            self.engine.backend.lower_weight(item),
-            self.engine.backend.upper_weight(item),
-        )
+impl<I: EngineItem> Source<I, f64> for WeightedEngine<I> {
+    fn total(&self) -> f64 {
+        self.total_weight()
     }
 
-    /// Every stored entry with its weight interval, heaviest first.
-    pub fn entries(&self) -> Vec<WeightedReportEntry<I>> {
-        self.engine
-            .backend
-            .entries_weighted()
-            .into_iter()
-            .map(|(item, estimate)| {
-                let (lower, upper) = self.interval(&item);
-                WeightedReportEntry {
-                    item,
-                    estimate,
-                    lower,
-                    upper,
-                }
-            })
-            .collect()
+    fn estimate(&self, item: &I) -> f64 {
+        WeightedEngine::estimate(self, item)
     }
 
-    /// The `k` heaviest entries.
-    pub fn top_k(&self, k: usize) -> Vec<WeightedReportEntry<I>> {
-        let mut entries = self.entries();
-        entries.truncate(k);
-        entries
-    }
-
-    /// The weighted φ-heavy-hitters query (threshold `phi` of the total
-    /// weight), with the same no-false-negative/labelling contract as
-    /// [`Report::heavy_hitters`].
-    pub fn heavy_hitters(&self, phi: f64) -> Result<Vec<WeightedHeavyHitterEntry<I>>, Error> {
-        if !(0.0..1.0).contains(&phi) {
-            return Err(Error::InvalidQuery(format!(
-                "phi must be in [0, 1), got {phi}"
-            )));
-        }
-        let threshold = phi * self.engine.backend.total_weight();
-        Ok(self
-            .entries()
-            .into_iter()
-            .filter(|e| e.upper > threshold)
-            .map(|e| {
-                let confidence = if e.lower > threshold {
-                    Confidence::Guaranteed
+    fn interval(&self, item: &I) -> (f64, f64) {
+        match &self.backend {
+            WeightedBackend::SpaceSaving(b) => {
+                let upper = if b.err(item).is_some() {
+                    // the absorbed slack covers weight a merged-in donor
+                    // may have held for the item without storing it
+                    b.estimate_weighted(item) + b.absorbed_slack()
                 } else {
-                    Confidence::Candidate
+                    // unstored: bounded by the minimum counter, whose lazy
+                    // lookup needs &mut — fall back to the trivially sound
+                    // total weight
+                    b.total_weight()
                 };
-                WeightedHeavyHitterEntry {
-                    item: e.item,
-                    estimate: e.estimate,
-                    lower: e.lower,
-                    upper: e.upper,
-                    confidence,
-                }
-            })
-            .collect())
+                (b.guaranteed_weight(item), upper)
+            }
+            WeightedBackend::Frequent(b) => {
+                let w = b.estimate_weighted(item);
+                (w, w + b.reductions())
+            }
+        }
     }
 
-    /// The weighted Theorem 6 residual estimator: total weight minus the
-    /// mass of the k heaviest counters.
-    pub fn residual(&self, k: usize) -> f64 {
-        recovery::residual_estimate_weighted(self.engine, k)
+    fn pairs_into(&self, out: &mut Vec<(I, f64)>) {
+        out.clear();
+        out.append(&mut self.entries_weighted());
+    }
+
+    fn residual(&self, k: usize) -> f64 {
+        recovery::residual_estimate_weighted(self, k)
     }
 }
 
@@ -2294,6 +2237,34 @@ mod tests {
             entries: vec![(1u64, 3), (2, 2)],
         });
         assert!(Engine::from_snapshot(snap).is_err());
+        // Counter mass that overflows u64 must not wrap into a value that
+        // passes the stream-length check.
+        let overflowing = [
+            Snapshot::SpaceSaving(SpaceSavingState {
+                capacity: 2,
+                stream_len: 0,
+                absorbed_slack: 0,
+                entries: vec![(1u64, 1 << 63, 0), (2, 1 << 63, 0)],
+            }),
+            Snapshot::Frequent(FrequentState {
+                capacity: 2,
+                stream_len: 4,
+                decrements: 0,
+                entries: vec![(1u64, u64::MAX), (2, 5)],
+            }),
+            Snapshot::Frequent(FrequentState {
+                capacity: 1,
+                stream_len: u64::MAX,
+                decrements: 1,
+                entries: vec![(1u64, u64::MAX)],
+            }),
+        ];
+        for snap in overflowing {
+            assert!(matches!(
+                Engine::from_snapshot(snap),
+                Err(Error::CorruptSnapshot(_))
+            ));
+        }
     }
 
     #[test]

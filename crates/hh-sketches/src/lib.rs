@@ -29,7 +29,8 @@ pub use count_min::{CountMin, UpdateRule};
 pub use count_sketch::CountSketch;
 pub use dyadic::DyadicCountMin;
 pub use engine::{
-    AlgoKind, CapacitySpec, Engine, EngineConfig, IngestStats, Report, Snapshot, WeightedEngine,
+    AlgoKind, CapacitySpec, Count, Engine, EngineConfig, HeavyHitterEntry, IngestStats, Report,
+    ReportEntry, Snapshot, WeightedEngine,
 };
 pub use pipeline::{Pipeline, PipelineConfig, PipelineStats, Routing, ShardIngest, ShardStats};
 pub use topk_tracker::SketchHeavyHitters;

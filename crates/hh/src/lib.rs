@@ -5,8 +5,9 @@
 //! (PODS 2009). Re-exports the full public API of the workspace:
 //!
 //! * [`engine`] — the unified serving surface: config-driven construction
-//!   ([`engine::EngineConfig`]), one query surface ([`engine::Report`]),
-//!   portable snapshots ([`engine::Snapshot`]) and cross-process merging;
+//!   ([`engine::EngineConfig`]), one query surface ([`engine::Report`],
+//!   in counts or real weights), portable snapshots
+//!   ([`engine::Snapshot`]) and cross-process merging;
 //! * [`pipeline`] — the concurrent twin of [`engine`]: a long-lived
 //!   sharded ingest service ([`pipeline::Pipeline`]) with bounded-channel
 //!   backpressure and live epoch-boundary queries, sound by the paper's
@@ -93,7 +94,7 @@ pub mod prelude {
     };
     pub use hh_net::{NetOptions, ServeOptions, ServeSession, Server};
     pub use hh_sketches::engine::{
-        AlgoKind, CapacitySpec, Engine, EngineConfig, Report, Snapshot, WeightedEngine,
+        AlgoKind, CapacitySpec, Count, Engine, EngineConfig, Report, Snapshot, WeightedEngine,
     };
     pub use hh_sketches::pipeline::{
         Pipeline, PipelineConfig, PipelineStats, Routing, ShardIngest, ShardStats,

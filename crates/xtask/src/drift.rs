@@ -7,7 +7,7 @@
 //! 1. **Protocol records ↔ docs/PROTOCOL.md.** `hh-net/src/proto.rs`
 //!    is the single NDJSON emitter; every `"field":` name it renders
 //!    must be documented, every documented field must be emitted, the
-//!    version literal must interpolate [`PROTOCOL_VERSION`] (never a
+//!    version literal must interpolate `PROTOCOL_VERSION` (never a
 //!    hardcoded number), and the doc's `"v": N` mentions must match
 //!    the constant. Record-shaped literals (`{"v":…`) anywhere else in
 //!    library/binary non-test code are emitter drift.

@@ -36,9 +36,14 @@ fn main() {
         "{:>8}  {:>12}  {:>12}  {:>9}",
         "flow", "estimated", "exact", "rel err"
     );
-    let report = monitor.weighted_report();
+    // The same `Report` an unweighted engine answers, in bytes: every row
+    // carries a certified (lower, upper) interval around the true weight
+    // (up to float rounding in the sums).
+    let report = monitor.report();
+    let tol = 1e-9 * report.total();
     for entry in report.top_k(10) {
         let exact = oracle.weight(&entry.item);
+        assert!(entry.lower <= exact + tol && exact <= entry.upper + tol);
         println!(
             "{:>8}  {:>12.0}  {:>12.0}  {:>8.2}%",
             entry.item,

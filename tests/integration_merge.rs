@@ -1,7 +1,6 @@
 //! Integration: summary merging (Theorem 11) across splits, algorithms and
 //! merge variants.
 
-use hh::analysis::Algo;
 use hh::counters::merge::{merge_full, merge_k_sparse};
 use hh::prelude::*;
 use hh::streamgen::exact_zipf_counts;
@@ -13,10 +12,14 @@ fn zipf_stream(seed: u64) -> Vec<u64> {
     stream_from_counts(&counts, StreamOrder::Shuffled(seed))
 }
 
-fn summarize(algo: Algo, parts: &[Vec<u64>], m: usize) -> Vec<Box<dyn FrequencyEstimator<u64>>> {
+fn summarize(config: &EngineConfig, parts: &[Vec<u64>]) -> Vec<Engine<u64>> {
     parts
         .iter()
-        .map(|p| hh::analysis::run(algo, m, 0, p))
+        .map(|p| {
+            let mut e = config.build().expect("valid config");
+            e.update_batch(p);
+            e
+        })
         .collect()
 }
 
@@ -33,18 +36,15 @@ fn merged_summary_obeys_theorem_11_bound() {
     for ell in [2usize, 5, 10] {
         let parts = split(&stream, ell);
         assert_eq!(concat(&parts), stream);
-        for algo in [Algo::Frequent, Algo::SpaceSaving] {
-            let summaries = summarize(algo, &parts, m);
-            let merged: Box<dyn FrequencyEstimator<u64>> = match algo {
-                Algo::Frequent => Box::new(merge_k_sparse(&summaries, k, || Frequent::new(m))),
-                _ => Box::new(merge_k_sparse(&summaries, k, || SpaceSaving::new(m))),
-            };
+        for algo in [AlgoKind::Frequent, AlgoKind::SpaceSaving] {
+            let config = EngineConfig::new(algo).counters(m);
+            let summaries = summarize(&config, &parts);
+            let merged = merge_k_sparse(&summaries, k, || config.build().expect("valid config"));
             for (item, f) in oracle.iter() {
                 let err = f.abs_diff(merged.estimate(item)) as f64;
                 assert!(
                     err <= bound + 1e-9,
-                    "{} ell={ell} item {item}: err {err} > bound {bound}",
-                    algo.name()
+                    "{algo} ell={ell} item {item}: err {err} > bound {bound}"
                 );
             }
         }
@@ -58,7 +58,10 @@ fn merge_full_at_least_as_accurate_as_k_sparse_on_heavy_items() {
     let m = 80;
     let k = 8;
     let parts = split(&stream, 6);
-    let summaries = summarize(Algo::SpaceSaving, &parts, m);
+    let summaries = summarize(
+        &EngineConfig::new(AlgoKind::SpaceSaving).counters(m),
+        &parts,
+    );
     let sparse = merge_k_sparse(&summaries, k, || SpaceSaving::new(m));
     let full = merge_full(&summaries, || SpaceSaving::new(m));
     let mut sparse_total_err = 0u64;

@@ -59,6 +59,14 @@ fn theorem5_recovery_error_never_beats_best_possible() {
     }
 }
 
+/// Theorem 6's residual estimate of `est` after it consumed `stream`.
+fn residual_of(mut est: impl FrequencyEstimator<u64>, stream: &[u64], k: usize) -> u64 {
+    for &x in stream {
+        est.update(x);
+    }
+    residual_estimate(&est, k)
+}
+
 #[test]
 fn theorem6_residual_bracket() {
     let stream = zipf_stream(1.2, 3);
@@ -68,20 +76,11 @@ fn theorem6_residual_bracket() {
         for &eps in &[0.5, 0.2, 0.05] {
             let m = TailConstants::ONE_ONE.counters_for_residual_estimate(k, eps);
             for one_sided in [true, false] {
-                let est: Box<dyn FrequencyEstimator<u64>> = if one_sided {
-                    let mut e = SpaceSaving::new(m);
-                    for &x in &stream {
-                        e.update(x);
-                    }
-                    Box::new(e)
+                let observed = if one_sided {
+                    residual_of(SpaceSaving::new(m), &stream, k)
                 } else {
-                    let mut e = Frequent::new(m);
-                    for &x in &stream {
-                        e.update(x);
-                    }
-                    Box::new(e)
-                };
-                let observed = residual_estimate(&est, k) as f64;
+                    residual_of(Frequent::new(m), &stream, k)
+                } as f64;
                 let truth = freqs.res1(k) as f64;
                 assert!(
                     observed >= (1.0 - eps) * truth - 1e-9
@@ -152,7 +151,7 @@ fn k_sparse_of_sketch_heavy_hitters_also_works() {
     let stream = zipf_stream(1.4, 6);
     let oracle = ExactCounter::from_stream(&stream);
     let est = hh::analysis::run(Algo::CountMinCU, 512, 1, &stream);
-    let rec = k_sparse(&est, 10);
+    let rec = k_sparse(est.as_ref(), 10);
     assert_eq!(rec.len(), 10);
     let err = lp_recovery_error(&rec, &oracle, 1.0);
     // crude sanity: better than recovering nothing

@@ -2,6 +2,8 @@
 
 use hh::prelude::*;
 use hh::streamgen::WeightedStream;
+use proptest::collection::vec;
+use proptest::prelude::*;
 
 fn trace(seed: u64) -> WeightedStream {
     WeightedStream::packet_trace(2_000, 50_000, 1.1, 5.0, 1.2, seed)
@@ -115,4 +117,59 @@ fn weighted_totals_preserved() {
     // SpaceSavingR counter mass == total weight
     let sum: f64 = ssr.entries_weighted().iter().map(|&(_, w)| w).sum();
     assert!((sum - t.total_weight()).abs() < 1e-6 * t.total_weight());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The weighted `Report` against an exact oracle, for both weighted
+    /// engines: a stream ingested in two halves and merged through
+    /// `merge_snapshot` keeps every interval around the true weight, and
+    /// `heavy_hitters` misses no stored item above its threshold. Weights
+    /// are multiples of 0.5, so the f64 arithmetic stays exact.
+    #[test]
+    fn report_over_weights_brackets_exact_weights(
+        stream in vec((1u64..40, 1u32..20), 1..400),
+        m in 2usize..24,
+        phi_percent in 1u32..60,
+    ) {
+        let updates: Vec<(u64, f64)> =
+            stream.iter().map(|&(item, halves)| (item, f64::from(halves) * 0.5)).collect();
+        let oracle = ExactWeightedCounter::from_stream(&updates);
+        let (first, second) = updates.split_at(updates.len() / 2);
+        let phi = f64::from(phi_percent) / 100.0;
+        for algo in [AlgoKind::SpaceSaving, AlgoKind::Frequent] {
+            let config = EngineConfig::new(algo).counters(m);
+            let mut a = config.build_weighted::<u64>().unwrap();
+            let mut b = config.build_weighted::<u64>().unwrap();
+            for &(item, w) in first {
+                a.update(item, w);
+            }
+            for &(item, w) in second {
+                b.update(item, w);
+            }
+            a.merge_snapshot(&b.snapshot()).unwrap();
+
+            let report = a.report();
+            prop_assert_eq!(report.total(), oracle.total(), "{}", algo);
+            for item in 0u64..41 {
+                let (lower, upper) = report.interval(&item);
+                let w = oracle.weight(&item);
+                prop_assert!(
+                    lower <= w && w <= upper,
+                    "{} item {}: {} not in [{}, {}]", algo, item, w, lower, upper
+                );
+            }
+            let threshold = phi * report.total();
+            let hits = report.heavy_hitters(phi).unwrap();
+            for entry in report.entries() {
+                if oracle.weight(&entry.item) > threshold {
+                    prop_assert!(
+                        hits.iter().any(|h| h.item == entry.item),
+                        "{} phi {}: heavy item {} missing", algo, phi, entry.item
+                    );
+                }
+            }
+        }
+    }
 }
