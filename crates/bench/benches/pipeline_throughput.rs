@@ -17,6 +17,12 @@
 //!
 //! `BENCH_pipeline_throughput.json` snapshots the results; the
 //! `bench_regression_check` gate watches the 4-shard sentinel.
+//!
+//! A second, ungated group (`text_items`) runs the same traffic as text
+//! through a 2-shard pipeline, `String` items against [`Key`] items, at
+//! 7-byte keys (stored inline in a `Key`) and 40-byte keys (boxed in
+//! both): what an allocation per routed, aggregated and inserted item
+//! costs, and that the boxed `Key` path is no slower than `String`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -99,5 +105,40 @@ fn bench_pipeline_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_pipeline_throughput);
+/// The hot-set stream as text keys of exactly `width` bytes.
+fn text_keys(stream: &[Item], width: usize) -> Vec<String> {
+    stream.iter().map(|x| format!("{x:0>width$}")).collect()
+}
+
+fn pipeline_run<I: hh::engine::EngineItem>(items: &[I]) -> u64 {
+    let mut pipeline = PipelineConfig::new(engine_config())
+        .shards(2)
+        .routing(Routing::HashPartition)
+        .ingest(ShardIngest::Aggregate)
+        .batch_size(BATCH)
+        .spawn::<I>()
+        .expect("valid config");
+    pipeline.send_batch(items).expect("shards alive");
+    pipeline.finish().expect("clean shutdown").stream_len()
+}
+
+fn bench_text_items(c: &mut Criterion) {
+    let stream = workload();
+    let mut group = c.benchmark_group("text_items");
+    group.throughput(Throughput::Elements(stream.len() as u64));
+    group.sample_size(10);
+    for width in [7usize, 40] {
+        let strings = text_keys(&stream, width);
+        let keys: Vec<Key> = strings.iter().map(|s| Key::from(s.as_str())).collect();
+        group.bench_with_input(BenchmarkId::new("string", width), &(), |b, ()| {
+            b.iter(|| std::hint::black_box(pipeline_run(&strings)));
+        });
+        group.bench_with_input(BenchmarkId::new("key", width), &(), |b, ()| {
+            b.iter(|| std::hint::black_box(pipeline_run(&keys)));
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_pipeline_throughput, bench_text_items);
 criterion_main!(benches);

@@ -5,6 +5,7 @@
 //! [`hh::engine::CapacitySpec`], and the parsed [`Options`] build engines
 //! exclusively through [`EngineConfig`].
 
+use hh::counters::Key;
 use hh::engine::{AlgoKind, CapacitySpec, EngineConfig};
 use hh::net::{NetOptions, ServeOptions};
 use hh::pipeline::{Routing, ShardIngest};
@@ -145,7 +146,7 @@ pub struct Options {
     /// Seed for randomized backends.
     pub seed: u64,
     /// Items for `estimate`.
-    pub items: Vec<String>,
+    pub items: Vec<Key>,
     /// Weighted input mode.
     pub weighted: bool,
     /// JSON output.
@@ -327,8 +328,8 @@ pub fn parse_args(args: &[String]) -> Result<Options, Error> {
             "--items" => {
                 opts.items = next_value(&mut it, "--items")?
                     .split(',')
-                    .map(str::to_string)
                     .filter(|s| !s.is_empty())
+                    .map(Key::from)
                     .collect()
             }
             "--weighted" => opts.weighted = true,
@@ -591,7 +592,7 @@ mod tests {
     fn estimate_needs_items() {
         assert!(p(&["estimate"]).is_err());
         let o = p(&["estimate", "--items", "a,b"]).unwrap();
-        assert_eq!(o.items, vec!["a", "b"]);
+        assert_eq!(o.items, vec![Key::from("a"), Key::from("b")]);
     }
 
     #[test]

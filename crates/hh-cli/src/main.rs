@@ -25,7 +25,7 @@
 //! ```
 //!
 //! Add `--json` for machine-readable output. Items are arbitrary
-//! whitespace-free strings.
+//! whitespace-free strings, held as [`Key`]s (inline up to 22 bytes).
 
 #![deny(unsafe_code)]
 
@@ -36,7 +36,7 @@ use std::process::ExitCode;
 mod cli;
 
 use cli::{parse_args, Command, Options};
-use hh::counters::Confidence;
+use hh::counters::{Confidence, Key};
 use hh::engine::{Count, Engine, HeavyHitterEntry, Report, ReportEntry, Snapshot, WeightedEngine};
 use hh::net::checkpoint::{self, Checkpoint};
 use hh::net::{proto, ServeSession, Server};
@@ -123,9 +123,9 @@ fn run(opts: Options, reader: impl BufRead) -> Result<String, Error> {
 /// to stay cache-resident.
 const INGEST_CHUNK: usize = 8192;
 
-fn run_unweighted(opts: Options, reader: impl BufRead) -> Result<String, Error> {
+fn run_unweighted(opts: Options, mut reader: impl BufRead) -> Result<String, Error> {
     let (resume, unobserved) = read_snapshots(opts.snapshot_in.as_slice())?;
-    let mut engine: Engine<String> = match resume {
+    let mut engine: Engine<Key> = match resume {
         Some(snap) => Engine::from_snapshot(snap)?,
         None => opts.engine_config().build()?,
     };
@@ -135,14 +135,10 @@ fn run_unweighted(opts: Options, reader: impl BufRead) -> Result<String, Error> 
     // a time as the reader fills it): each buffer goes through the
     // engine's batched fast path — run-length / pre-aggregated per backend
     // — instead of one dispatch per line.
-    let mut chunk: Vec<String> = Vec::with_capacity(INGEST_CHUNK);
-    for line in reader.lines() {
-        let line = line?;
-        let item = line.trim();
-        if item.is_empty() {
-            continue;
-        }
-        chunk.push(item.to_string());
+    let mut chunk: Vec<Key> = Vec::with_capacity(INGEST_CHUNK);
+    let mut line = String::new();
+    while let Some(item) = next_item(&mut reader, &mut line)? {
+        chunk.push(Key::from(item));
         if chunk.len() == INGEST_CHUNK {
             engine.update_batch(&chunk);
             chunk.clear();
@@ -159,9 +155,24 @@ fn run_unweighted(opts: Options, reader: impl BufRead) -> Result<String, Error> 
     Ok(out)
 }
 
+/// Reads the next non-blank line into `buf` and returns it trimmed, or
+/// `None` at the end of the input. `buf` is reused, so with [`Key`] items
+/// an input line costs no allocation.
+fn next_item<'b>(reader: &mut impl BufRead, buf: &'b mut String) -> Result<Option<&'b str>, Error> {
+    loop {
+        buf.clear();
+        if reader.read_line(buf)? == 0 {
+            return Ok(None);
+        }
+        if !buf.trim().is_empty() {
+            return Ok(Some(buf.trim()));
+        }
+    }
+}
+
 /// The one TopK/Heavy/Estimate/Residual dispatch (`merge` reports its
 /// top-k), over counts or weights.
-fn answer<C: Shown>(opts: &Options, report: &Report<'_, String, C>) -> Result<String, Error> {
+fn answer<C: Shown>(opts: &Options, report: &Report<'_, Key, C>) -> Result<String, Error> {
     let total = report.total();
     Ok(match opts.command {
         Command::TopK | Command::Merge => render_counts(&report.top_k(opts.k), total, opts.json),
@@ -170,7 +181,7 @@ fn answer<C: Shown>(opts: &Options, report: &Report<'_, String, C>) -> Result<St
             render_heavy(&hits, opts.phi, total, opts.json)
         }
         Command::Estimate => {
-            let rows: Vec<ReportEntry<String, C>> =
+            let rows: Vec<ReportEntry<Key, C>> =
                 opts.items.iter().map(|i| report.entry(i)).collect();
             render_counts(&rows, total, opts.json)
         }
@@ -202,7 +213,7 @@ fn answer<C: Shown>(opts: &Options, report: &Report<'_, String, C>) -> Result<St
 /// previous generation when torn or missing — and folds every shard they
 /// hold into one snapshot (Theorem 11), returned with the unobserved mass
 /// the files carry.
-fn read_snapshots(paths: &[String]) -> Result<(Option<Snapshot<String>>, u64), Error> {
+fn read_snapshots(paths: &[String]) -> Result<(Option<Snapshot<Key>>, u64), Error> {
     let mut shards = Vec::new();
     let mut unobserved = 0u64;
     for path in paths {
@@ -221,7 +232,7 @@ fn read_snapshots(paths: &[String]) -> Result<(Option<Snapshot<String>>, u64), E
 
 /// Writes `snapshot` to `path` as a one-shard checkpoint envelope, the
 /// only snapshot file format.
-fn save(path: &str, snapshot: Snapshot<String>, unobserved: u64) -> Result<(), Error> {
+fn save(path: &str, snapshot: Snapshot<Key>, unobserved: u64) -> Result<(), Error> {
     let shards = vec![snapshot];
     checkpoint::write(path, &Checkpoint { shards, unobserved })
 }
@@ -235,20 +246,16 @@ fn save(path: &str, snapshot: Snapshot<String>, unobserved: u64) -> Result<(), E
 /// into every report. Returns the final merged report.
 fn run_serve(
     opts: &Options,
-    reader: impl BufRead,
+    mut reader: impl BufRead,
     out: &mut impl std::io::Write,
 ) -> Result<String, Error> {
-    let mut session: ServeSession<String> = ServeSession::spawn(&opts.serve_options())?;
+    let mut session: ServeSession<Key> = ServeSession::spawn(&opts.serve_options())?;
 
-    for line in reader.lines() {
-        let line = line?;
-        let item = line.trim();
-        if item.is_empty() {
-            continue;
-        }
+    let mut line = String::new();
+    while let Some(item) = next_item(&mut reader, &mut line)? {
         // Per-item sends keep cadence boundaries exact: a report due at
         // item N fires at item N, not at the end of a chunk containing it.
-        let due = session.send(item.to_string())?;
+        let due = session.send(Key::from(item))?;
         if due.report {
             let live = session.merged()?;
             write_serve_report(out, &live, session.pipeline().epoch(), opts)?;
@@ -290,7 +297,7 @@ fn run_serve(
 /// and `--snapshot-out` captures the drained summary for `--snapshot-in`
 /// resume.
 fn run_serve_net(opts: &Options, out: &mut impl std::io::Write) -> Result<String, Error> {
-    let server: Server<String> = Server::bind(opts.serve_options(), opts.net_options())?;
+    let server: Server<Key> = Server::bind(opts.serve_options(), opts.net_options())?;
     if let Some(addr) = server.tcp_addr() {
         eprintln!("listening on {addr}");
     }
@@ -526,11 +533,7 @@ fn run_stats(opts: &Options, reader: impl BufRead) -> Result<String, Error> {
 /// Renders one serve report; `epoch` is `Some` for periodic live reports
 /// and `None` for the final one. JSON reports come from `hh::net::proto`
 /// (versioned, identical to what the network server sends to clients).
-fn serve_report(
-    engine: &Engine<String>,
-    epoch: Option<u64>,
-    opts: &Options,
-) -> Result<String, Error> {
+fn serve_report(engine: &Engine<Key>, epoch: Option<u64>, opts: &Options) -> Result<String, Error> {
     if opts.json {
         proto::report_record(engine, epoch, opts.k)
     } else {
@@ -548,7 +551,7 @@ fn serve_report(
 
 fn write_serve_report(
     out: &mut impl std::io::Write,
-    engine: &Engine<String>,
+    engine: &Engine<Key>,
     epoch: u64,
     opts: &Options,
 ) -> Result<(), Error> {
@@ -557,7 +560,7 @@ fn write_serve_report(
 }
 
 fn run_weighted(opts: Options, reader: impl BufRead) -> Result<String, Error> {
-    let mut engine: WeightedEngine<String> = match read_snapshots(opts.snapshot_in.as_slice())? {
+    let mut engine: WeightedEngine<Key> = match read_snapshots(opts.snapshot_in.as_slice())? {
         (Some(snap), _) => WeightedEngine::from_snapshot(snap)?,
         (None, _) => opts.engine_config().build_weighted()?,
     };
@@ -580,7 +583,7 @@ fn run_weighted(opts: Options, reader: impl BufRead) -> Result<String, Error> {
                 "negative or non-finite weight in {line:?}"
             )));
         }
-        engine.update(item.to_string(), w);
+        engine.update(Key::from(item), w);
     }
 
     let out = answer(&opts, &engine.report())?;
@@ -680,14 +683,14 @@ impl Shown for f64 {
     }
 }
 
-fn render_counts<C: Shown>(rows: &[ReportEntry<String, C>], total: C, json: bool) -> String {
+fn render_counts<C: Shown>(rows: &[ReportEntry<Key, C>], total: C, json: bool) -> String {
     if json {
         let cells: Vec<String> = rows
             .iter()
             .map(|r| {
                 format!(
                     "{{\"item\":{},\"{}\":{},\"lower\":{},\"upper\":{}}}",
-                    json_str(&r.item),
+                    json_str(r.item.as_str()),
                     C::KEY,
                     r.estimate,
                     r.lower,
@@ -720,7 +723,7 @@ fn render_counts<C: Shown>(rows: &[ReportEntry<String, C>], total: C, json: bool
 }
 
 fn render_heavy<C: Shown>(
-    rows: &[HeavyHitterEntry<String, C>],
+    rows: &[HeavyHitterEntry<Key, C>],
     phi: f64,
     total: C,
     json: bool,
@@ -731,7 +734,7 @@ fn render_heavy<C: Shown>(
             .map(|r| {
                 format!(
                     "{{\"item\":{},\"{}\":{},\"confidence\":\"{}\"}}",
-                    json_str(&r.item),
+                    json_str(r.item.as_str()),
                     C::KEY,
                     r.estimate,
                     confidence_str(r.confidence)
@@ -994,7 +997,7 @@ mod tests {
         run_serve(&o, "a\na\nb\n".as_bytes(), &mut sink).unwrap();
         let (restored, _) = read_snapshots(&[snap.to_str().unwrap().to_string()]).unwrap();
         let restored = Engine::from_snapshot(restored.unwrap()).unwrap();
-        assert_eq!(restored.estimate(&"a".to_string()), 2);
+        assert_eq!(restored.estimate(&Key::from("a")), 2);
         assert_eq!(restored.stream_len(), 3);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -1,0 +1,62 @@
+//! Snapshot files that pass the envelope's CRC but carry hostile payloads
+//! must end `hh` with an error or a normal answer, never an abort.
+
+use std::process::{Command, Output};
+
+use hh::net::checkpoint::{crc32, MAGIC};
+
+const HH: &str = env!("CARGO_BIN_EXE_hh");
+
+/// Writes a CRC-valid one-shard envelope around `payload`; returns its path.
+fn envelope(name: &str, payload: &str) -> String {
+    let path = std::env::temp_dir().join(format!("hh-hostile-{}-{name}", std::process::id()));
+    let crc = crc32(payload.as_bytes());
+    let len = payload.len();
+    let text = format!("{MAGIC} v1 crc={crc:08x} len={len} shards=1 unobserved=0\n{payload}");
+    std::fs::write(&path, text).unwrap();
+    path.to_str().unwrap().to_string()
+}
+
+fn hh(args: &[&str]) -> Output {
+    Command::new(HH).args(args).output().unwrap()
+}
+
+#[test]
+fn deeply_nested_payload_is_an_error() {
+    let path = envelope("deep", &"[".repeat(200_000));
+    for args in [
+        ["topk", "--snapshot-in", &path, "/dev/null"],
+        ["serve", "--snapshot-in", &path, "/dev/null"],
+    ] {
+        let out = hh(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains("nesting deeper than 128"), "{stderr}");
+    }
+    std::fs::remove_file(path).ok();
+}
+
+#[test]
+fn huge_declared_capacity_is_not_allocated() {
+    let payload = r#"[{"algo":"space_saving","state":{"capacity":4000000000000,"stream_len":3,"absorbed_slack":0,"entries":[["a",2,0],["b",1,0]]}}]"#;
+    let path = envelope("capacity", payload);
+    let out = hh(&[
+        "topk",
+        "-k",
+        "1",
+        "--json",
+        "--snapshot-in",
+        &path,
+        "/dev/null",
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        "[{\"item\":\"a\",\"count\":2,\"lower\":2,\"upper\":2}]\n"
+    );
+    std::fs::remove_file(path).ok();
+}

@@ -43,8 +43,14 @@ impl<I: Eq + Hash + Clone> Frequent<I> {
     /// Creates a summary with `m ≥ 1` counters.
     pub fn new(m: usize) -> Self {
         assert!(m >= 1, "need at least one counter");
+        Self::with_room(m, m)
+    }
+
+    /// A summary with `m` counters whose table starts sized for `room`
+    /// entries and grows on demand up to `m`.
+    fn with_room(m: usize, room: usize) -> Self {
         Frequent {
-            summary: StreamSummary::with_capacity(m),
+            summary: StreamSummary::with_capacity(room),
             m,
             offset: 0,
             absorbed: 0,
@@ -98,7 +104,9 @@ impl<I: Eq + Hash + Clone> Frequent<I> {
                 "stored mass {total} exceeds stream length {stream_len}"
             )));
         }
-        let mut s = Self::new(m);
+        // Sized from the entries present, not from the untrusted declared
+        // capacity (see `SpaceSaving::from_parts`).
+        let mut s = Self::with_room(m, entries.len());
         s.stream_len = stream_len;
         s.offset = decrements;
         // Ascending insertion preserves the bucket FIFO order (see the

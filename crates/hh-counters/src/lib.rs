@@ -36,6 +36,7 @@ pub mod fasthash;
 pub mod frequent;
 pub mod heavy_hitters;
 pub mod htc;
+pub mod key;
 pub mod lossy_counting;
 pub mod merge;
 pub mod monitor;
@@ -55,6 +56,7 @@ pub use frequent::Frequent;
 pub use heavy_hitters::{
     frequent_heavy_hitters, spacesaving_heavy_hitters, Confidence, HeavyHitter,
 };
+pub use key::Key;
 pub use lossy_counting::LossyCounting;
 pub use reference::{ReferenceFrequent, ReferenceSpaceSaving};
 pub use space_saving::{HeapSpaceSaving, SpaceSaving};

@@ -42,8 +42,14 @@ impl<I: Eq + Hash + Clone> SpaceSaving<I> {
     /// Creates a summary with `m ≥ 1` counters.
     pub fn new(m: usize) -> Self {
         assert!(m >= 1, "need at least one counter");
+        Self::with_room(m, m)
+    }
+
+    /// A summary with `m` counters whose table starts sized for `room`
+    /// entries and grows on demand up to `m`.
+    fn with_room(m: usize, room: usize) -> Self {
         SpaceSaving {
-            summary: StreamSummary::with_capacity(m),
+            summary: StreamSummary::with_capacity(room),
             m,
             stream_len: 0,
             absorbed_slack: 0,
@@ -152,7 +158,9 @@ impl<I: Eq + Hash + Clone> SpaceSaving<I> {
                 "SpaceSaving counter mass {total} must equal stream length {stream_len}"
             )));
         }
-        let mut s = Self::new(m);
+        // Sized from the entries present, not from the declared capacity:
+        // `m` is untrusted input, and the table grows up to it on demand.
+        let mut s = Self::with_room(m, entries.len());
         s.stream_len = stream_len;
         s.absorbed_slack = absorbed_slack;
         // Insert in ascending order so the bucket FIFO (and hence future

@@ -250,7 +250,9 @@ impl<I: Eq + Hash + Clone + Ord> SpaceSavingR<I> {
                 "absorbed slack must be finite and >= 0",
             ));
         }
+        // Sized from the entries present, never from the untrusted `m`.
         let mut s = Self::new(m);
+        s.counts.reserve(entries.len());
         s.total = total_weight;
         s.absorbed_slack = absorbed_slack;
         for (item, weight, err) in entries {
@@ -423,7 +425,9 @@ impl<I: Eq + Hash + Clone + Ord> FrequentR<I> {
                 "total weight and reductions must be finite and >= 0",
             ));
         }
+        // Sized from the entries present, never from the untrusted `m`.
         let mut s = Self::new(m);
+        s.raw.reserve(entries.len());
         s.total = total_weight;
         s.offset = reductions;
         for (item, value) in entries {

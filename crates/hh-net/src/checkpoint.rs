@@ -320,6 +320,32 @@ mod tests {
         ));
     }
 
+    /// A CRC-valid envelope around an arbitrary payload.
+    fn envelope(payload: &str) -> String {
+        let crc = crc32(payload.as_bytes());
+        let len = payload.len();
+        format!("{MAGIC} v1 crc={crc:08x} len={len} shards=1 unobserved=0\n{payload}")
+    }
+
+    #[test]
+    fn hostile_payloads_are_errors_not_aborts() {
+        // 200k nested `[`: a typed error, not a stack overflow.
+        let deep = envelope(&"[".repeat(200_000));
+        assert!(matches!(decode::<u64>(&deep), Err(Error::Json(_))));
+        // A declared capacity of 4e12 loads without pre-sizing from it.
+        let text = encode(&Checkpoint {
+            shards: vec![snap_of(&[1, 1, 2])],
+            unobserved: 0,
+        })
+        .unwrap();
+        let payload = text.split_once('\n').unwrap().1;
+        let huge = payload.replacen("\"capacity\":16", "\"capacity\":4000000000000", 1);
+        assert_ne!(huge, payload);
+        let ckpt: Checkpoint<u64> = decode(&envelope(&huge)).unwrap();
+        let engine = Engine::from_snapshot(merge_to_snapshot(ckpt.shards).unwrap().unwrap());
+        assert_eq!(engine.unwrap().estimate(&1), 2);
+    }
+
     #[test]
     fn write_keeps_two_generations_and_load_latest_falls_back() {
         let path = tmp_path("gen");

@@ -2268,6 +2268,52 @@ mod tests {
     }
 
     #[test]
+    fn declared_capacity_is_not_allocated_up_front() {
+        // A snapshot's capacity is untrusted: loading one that declares
+        // 4e12 counters must size the tables from the entries it holds
+        // (pre-sizing from it aborted on a 96 TB allocation).
+        const HUGE: usize = 4_000_000_000_000;
+        let mut e = Engine::from_snapshot(Snapshot::SpaceSaving(SpaceSavingState {
+            capacity: HUGE,
+            stream_len: 3,
+            absorbed_slack: 0,
+            entries: vec![(1u64, 2, 0), (2, 1, 0)],
+        }))
+        .unwrap();
+        assert_eq!(e.capacity(), HUGE);
+        // The table still grows past the entries it was sized for.
+        e.update_batch(&(10..1000).collect::<Vec<u64>>());
+        assert_eq!((e.estimate(&1), e.stored_len()), (2, 992));
+        let mut e = Engine::from_snapshot(Snapshot::Frequent(FrequentState {
+            capacity: HUGE,
+            stream_len: 3,
+            decrements: 0,
+            entries: vec![(1u64, 2), (2, 1)],
+        }))
+        .unwrap();
+        e.update_batch(&(10..1000).collect::<Vec<u64>>());
+        assert_eq!((e.estimate(&1), e.stored_len()), (2, 992));
+        let weighted = [
+            Snapshot::SpaceSavingR(SpaceSavingRState {
+                capacity: HUGE,
+                total_weight: 1.5,
+                absorbed_slack: 0.0,
+                entries: vec![(1u64, 1.5, 0.0)],
+            }),
+            Snapshot::FrequentR(FrequentRState {
+                capacity: HUGE,
+                total_weight: 1.5,
+                reductions: 0.0,
+                entries: vec![(1u64, 1.5)],
+            }),
+        ];
+        for snap in weighted {
+            let e = WeightedEngine::from_snapshot(snap).unwrap();
+            assert_eq!((e.capacity(), e.estimate(&1)), (HUGE, 1.5));
+        }
+    }
+
+    #[test]
     fn count_sketch_hash_revision_mismatch_is_rejected() {
         let mut e = EngineConfig::new(AlgoKind::CountSketch)
             .counters(64)

@@ -89,7 +89,7 @@ pub use hh_sketches::pipeline;
 pub mod prelude {
     pub use hh_analysis::{check_tail, error_stats, lp_recovery_error, precision_recall, Table};
     pub use hh_counters::{
-        Bias, Confidence, Error, FrequencyEstimator, Frequent, FrequentR, LossyCounting,
+        Bias, Confidence, Error, FrequencyEstimator, Frequent, FrequentR, Key, LossyCounting,
         SpaceSaving, SpaceSavingR, TailConstants, WeightedFrequencyEstimator,
     };
     pub use hh_net::{NetOptions, ServeOptions, ServeSession, Server};
