@@ -60,3 +60,21 @@ fn huge_declared_capacity_is_not_allocated() {
     );
     std::fs::remove_file(path).ok();
 }
+
+#[test]
+fn merging_past_u64_is_an_error() {
+    // Each file alone is valid: one item counted 2^63. Together they
+    // count 2^64, which must not wrap to a stream length of 0.
+    let payloads = [
+        r#"[{"algo":"space_saving","state":{"capacity":4,"stream_len":9223372036854775808,"absorbed_slack":0,"entries":[["a",9223372036854775808,0]]}}]"#,
+        r#"[{"algo":"frequent","state":{"capacity":4,"stream_len":9223372036854775808,"decrements":0,"entries":[["a",9223372036854775808]]}}]"#,
+    ];
+    for (i, payload) in payloads.iter().enumerate() {
+        let path = envelope(&format!("half-{i}"), payload);
+        let out = hh(&["merge", "-k", "1", &path, &path]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{payload}: {stderr}");
+        assert!(stderr.contains("overflow"), "{stderr}");
+        std::fs::remove_file(path).ok();
+    }
+}

@@ -40,19 +40,22 @@ pub enum Error {
     /// A snapshot violates its own invariants (counter mass, capacity,
     /// duplicate items, `err > count`, …).
     CorruptSnapshot(String),
+    /// Merging would push the combined bookkeeping (stream length, slack,
+    /// decrement rounds) past `u64::MAX`; the merge target is unchanged.
+    Overflow(String),
     /// A query parameter is out of its domain (e.g. `phi ∉ [0, 1)`).
     InvalidQuery(String),
     /// A sharded-pipeline worker failed (panicked shard, closed channel).
     Pipeline(String),
-    /// A pipeline shard worker died. `recovered` reports whether
-    /// supervision rebuilt the shard from its last epoch snapshot before
-    /// this error was raised (`true`: the shard is live again but the
-    /// attempted operation still failed; `false`: the shard is gone —
-    /// supervision is off or the rebuild itself failed).
+    /// A pipeline shard worker died and could not be recovered past.
+    /// `recovered` reports whether the shard was rebuilt from its restore
+    /// point before this error was raised (`true`: the rebuilt worker died
+    /// again at once, so the attempted operation still failed; `false`:
+    /// the restore point failed to rehydrate, so the shard is gone).
     ShardDown {
         /// Index of the dead shard.
         shard: usize,
-        /// Whether supervision respawned the shard from a snapshot.
+        /// Whether the shard was rebuilt from its restore point.
         recovered: bool,
     },
     /// Malformed textual input (CLI stream lines, numeric arguments).
@@ -96,13 +99,14 @@ impl fmt::Display for Error {
                 write!(f, "snapshot mismatch: expected {expected}, found {found}")
             }
             Error::CorruptSnapshot(msg) => write!(f, "corrupt snapshot: {msg}"),
+            Error::Overflow(msg) => write!(f, "arithmetic overflow: {msg}"),
             Error::InvalidQuery(msg) => write!(f, "invalid query: {msg}"),
             Error::Pipeline(msg) => write!(f, "pipeline error: {msg}"),
             Error::ShardDown { shard, recovered } => {
                 if *recovered {
                     write!(
                         f,
-                        "shard {shard} worker died (respawned from its last epoch snapshot)"
+                        "shard {shard} worker died (respawned from its restore point)"
                     )
                 } else {
                     write!(f, "shard {shard} worker died and was not recovered")
@@ -153,6 +157,7 @@ mod tests {
                 found: "CountMin 4x64 seed 7".into(),
             },
             Error::corrupt_snapshot("counter mass mismatch"),
+            Error::Overflow("merged stream length exceeds u64".into()),
             Error::InvalidQuery("phi must be in [0, 1)".into()),
             Error::pipeline("shard 3 disconnected"),
             Error::ShardDown {

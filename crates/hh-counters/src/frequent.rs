@@ -61,13 +61,14 @@ impl<I: Eq + Hash + Clone> Frequent<I> {
     /// Number of decrement rounds performed so far. Every estimate `c_i`
     /// satisfies `f_i − decrements ≤ c_i ≤ f_i`.
     pub fn decrements(&self) -> u64 {
-        self.offset + self.absorbed
+        self.offset.saturating_add(self.absorbed)
     }
 
     /// A guaranteed upper bound on any item's true frequency:
-    /// `estimate + decrements`.
+    /// `estimate + decrements`, saturating at `u64::MAX` (which still
+    /// bounds any count).
     pub fn upper_estimate(&self, item: &I) -> u64 {
-        self.estimate(item) + self.decrements()
+        self.estimate(item).saturating_add(self.decrements())
     }
 
     /// Rebuilds a summary from snapshot parts: the capacity `m`, the total
@@ -139,19 +140,42 @@ impl<I: Eq + Hash + Clone> Frequent<I> {
     /// mass so the merged `estimate + decrements` upper bound and `F1` stay
     /// sound. Estimates keep underestimating: the replayed mass never
     /// exceeds the true combined frequencies.
-    pub fn absorb_parts(&mut self, entries: &[(I, u64)], decrements: u64, stream_len: u64) {
-        let mut mass = 0u64;
-        for (item, value) in entries {
-            if *value > 0 {
-                self.apply(item, *value);
-                mass += *value;
-            }
-        }
+    ///
+    /// Returns [`Error::Overflow`], leaving the summary unchanged, when the
+    /// combined stream length or decrement rounds would exceed `u64::MAX`,
+    /// or when the decrement offset plus the combined stream length would
+    /// (that sum bounds every raw counter after the replay).
+    pub fn absorb_parts(
+        &mut self,
+        entries: &[(I, u64)],
+        decrements: u64,
+        stream_len: u64,
+    ) -> Result<(), Error> {
+        let overflow = |what: &str| Error::Overflow(format!("merged Frequent {what} exceeds u64"));
+        let mass = entries
+            .iter()
+            .try_fold(0u64, |sum, &(_, v)| sum.checked_add(v))
+            .ok_or_else(|| overflow("stream length"))?;
+        let combined = self
+            .stream_len
+            .checked_add(mass.max(stream_len))
+            .ok_or_else(|| overflow("stream length"))?;
+        self.offset
+            .checked_add(combined)
+            .ok_or_else(|| overflow("counters"))?;
         // Decrement rounds the donor performed bound the mass its table no
         // longer holds (an unstored donor item has f ≤ decrements); fold
         // them into the merged bound and restore the true combined F1.
-        self.absorbed += decrements;
-        self.stream_len += stream_len.saturating_sub(mass);
+        let absorbed = self
+            .absorbed
+            .checked_add(decrements)
+            .ok_or_else(|| overflow("decrement rounds"))?;
+        for (item, value) in entries {
+            self.apply(item, *value);
+        }
+        self.absorbed = absorbed;
+        self.stream_len = combined;
+        Ok(())
     }
 
     fn logical(&self, raw: u64) -> u64 {

@@ -86,12 +86,12 @@ impl<I: Eq + Hash + Clone> SpaceSaving<I> {
     /// stored items, `Δ` for unstored ones (an unstored item can have
     /// occurred at most `min_counter` times), plus the absorbed-snapshot
     /// slack (mass a merged-in donor may have held for the item without
-    /// storing it).
+    /// storing it). Saturates at `u64::MAX`, which still bounds any count.
     pub fn upper_estimate(&self, item: &I) -> u64 {
         self.summary
             .count(item)
             .unwrap_or_else(|| self.min_counter())
-            + self.absorbed_slack
+            .saturating_add(self.absorbed_slack)
     }
 
     /// The accumulated donor-`Δ` slack from absorbed snapshots (0 for a
@@ -106,16 +106,38 @@ impl<I: Eq + Hash + Clone> SpaceSaving<I> {
     /// by the donor's minimum counter `Δ` (plus any slack the donor itself
     /// had absorbed) — an item the donor did not store may still have
     /// occurred up to `Δ` times in its stream.
-    pub fn absorb_parts(&mut self, entries: &[(I, u64, u64)], capacity: usize, slack: u64) {
+    ///
+    /// Returns [`Error::Overflow`], leaving the summary unchanged, when the
+    /// combined stream length or slack would exceed `u64::MAX`. Every
+    /// merged counter is bounded by the combined stream length, so no
+    /// counter can overflow once that check passes.
+    pub fn absorb_parts(
+        &mut self,
+        entries: &[(I, u64, u64)],
+        capacity: usize,
+        slack: u64,
+    ) -> Result<(), Error> {
+        let overflow =
+            |what: &str| Error::Overflow(format!("merged SpaceSaving {what} exceeds u64"));
+        entries
+            .iter()
+            .try_fold(self.stream_len, |sum, &(_, c, _)| sum.checked_add(c))
+            .ok_or_else(|| overflow("stream length"))?;
         let donor_min = if entries.len() >= capacity {
             entries.iter().map(|&(_, c, _)| c).min().unwrap_or(0)
         } else {
             0
         };
+        let absorbed_slack = self
+            .absorbed_slack
+            .checked_add(donor_min)
+            .and_then(|s| s.checked_add(slack))
+            .ok_or_else(|| overflow("slack"))?;
         for (item, count, err) in entries {
             self.absorb_counter(item, *count, *err);
         }
-        self.absorbed_slack += donor_min + slack;
+        self.absorbed_slack = absorbed_slack;
+        Ok(())
     }
 
     /// Full snapshot including the per-entry error annotations, sorted by

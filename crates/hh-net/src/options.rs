@@ -161,29 +161,9 @@ impl ServeOptions {
         &self.engine
     }
 
-    /// The report cadence in items (0: final only).
-    pub fn report_cadence(&self) -> u64 {
-        self.report_every
-    }
-
     /// The stats cadence in items (`None`: no stats records).
     pub fn stats_cadence(&self) -> Option<u64> {
         self.stats_every
-    }
-
-    /// The checkpoint cadence in items (0: no periodic checkpoints).
-    pub fn checkpoint_cadence(&self) -> u64 {
-        self.checkpoint_every
-    }
-
-    /// The snapshot-out path, if any.
-    pub fn snapshot_out_path(&self) -> Option<&str> {
-        self.snapshot_out.as_deref()
-    }
-
-    /// The snapshot-in path, if any.
-    pub fn snapshot_in_path(&self) -> Option<&str> {
-        self.snapshot_in.as_deref()
     }
 
     /// `k` for report records.

@@ -391,8 +391,7 @@ impl<I: ServeItem> Server<I> {
 
             for ev in &events {
                 match ev.token {
-                    TCP_TOKEN => self.accept_tcp(now),
-                    UNIX_TOKEN => self.accept_unix(now),
+                    TCP_TOKEN | UNIX_TOKEN => self.accept(ev.token, now),
                     token => self.note_conn_event(token, ev),
                 }
             }
@@ -423,33 +422,25 @@ impl<I: ServeItem> Server<I> {
         }
     }
 
-    fn accept_tcp(&mut self, now: Instant) {
+    /// Accepts every pending connection on the listener behind `token`
+    /// (`TCP_TOKEN` or `UNIX_TOKEN`).
+    fn accept(&mut self, token: u64, now: Instant) {
         loop {
             if hh_fault::eintr(hh_fault::sites::NET_ACCEPT) {
                 continue; // injected EINTR: retry, like the real arm below
             }
-            let Some(listener) = &self.tcp else { return };
-            match listener.accept() {
-                Ok((stream, _)) => self.install(ConnStream::Tcp(stream), now),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+            let accepted = if token == TCP_TOKEN {
+                let Some(listener) = &self.tcp else { return };
+                listener.accept().map(|(s, _)| ConnStream::Tcp(s))
+            } else {
+                let Some(listener) = &self.unix else { return };
+                listener.accept().map(|(s, _)| ConnStream::Unix(s))
+            };
+            match accepted {
+                Ok(stream) => self.install(stream, now),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                // Transient accept failures (ECONNABORTED, fd pressure):
-                // stop this round, the listener stays registered.
-                Err(_) => return,
-            }
-        }
-    }
-
-    fn accept_unix(&mut self, now: Instant) {
-        loop {
-            if hh_fault::eintr(hh_fault::sites::NET_ACCEPT) {
-                continue; // injected EINTR: retry, like the real arm below
-            }
-            let Some(listener) = &self.unix else { return };
-            match listener.accept() {
-                Ok((stream, _)) => self.install(ConnStream::Unix(stream), now),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                // WouldBlock ends the round; so do transient failures
+                // (ECONNABORTED, fd pressure): the listener stays registered.
                 Err(_) => return,
             }
         }
@@ -480,7 +471,14 @@ impl<I: ServeItem> Server<I> {
             return;
         }
         let nonblocking = match &stream {
-            ConnStream::Tcp(s) => s.set_nonblocking(true),
+            ConnStream::Tcp(s) => {
+                // Replies go out as soon as they are written: with Nagle on,
+                // a query client that waits for each reply can lock into
+                // one-reply-behind against the peer's delayed ACK.
+                // lint:allow(error-swallow) latency hint like the buffer sizing below; refusal leaves the kernel default
+                let _ = s.set_nodelay(true);
+                s.set_nonblocking(true)
+            }
             ConnStream::Unix(s) => s.set_nonblocking(true),
         };
         if nonblocking.is_err() {
@@ -642,12 +640,13 @@ impl<I: ServeItem> Server<I> {
         }
         if conn.eof {
             // A final unterminated line still counts (printf-style
-            // clients); then flush responses and close when drained.
-            if !conn.rbuf.is_empty() && !conn.skip_line {
-                let line = std::mem::take(&mut conn.rbuf);
-                self.handle_line(conn, token, &line, out)?;
+            // clients): terminate it and take the normal line path; then
+            // flush responses and close when drained.
+            if !conn.rbuf.is_empty() {
+                let mut line = std::mem::take(&mut conn.rbuf);
+                line.push(b'\n');
+                self.ingest_slice(conn, token, &line, out)?;
             }
-            conn.rbuf.clear();
             flush_conn(conn, token, &self.poller, &self.metrics);
             return Ok(conn.has_pending_writes() && !conn.broken);
         }
@@ -819,26 +818,6 @@ impl<I: ServeItem> Server<I> {
             }
         }
         Ok(start)
-    }
-
-    /// Parses and executes one complete protocol line given as raw bytes
-    /// (the EOF trailing-line path; freshly read data goes through the
-    /// bulk-validated [`Self::ingest_bytes`] instead).
-    fn handle_line(
-        &mut self,
-        conn: &mut Conn,
-        token: u64,
-        raw: &[u8],
-        out: &mut impl io::Write,
-    ) -> Result<(), Error> {
-        match std::str::from_utf8(raw) {
-            Ok(text) => self.handle_text(conn, token, text, out),
-            Err(_) => {
-                conn.lines += 1;
-                self.reject(conn, token, "line is not valid UTF-8");
-                Ok(())
-            }
-        }
     }
 
     /// Parses and executes one complete protocol line.
@@ -1022,5 +1001,34 @@ impl<I: ServeItem> Server<I> {
             let _ = std::fs::remove_file(path);
         }
         self.session.finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hh_sketches::engine::{AlgoKind, EngineConfig};
+
+    #[test]
+    fn accepted_tcp_connections_disable_nagle() {
+        let serve =
+            ServeOptions::new(EngineConfig::new(AlgoKind::SpaceSaving).counters(8)).shards(Some(1));
+        let net = NetOptions::new().tcp("127.0.0.1:0");
+        let mut server: Server<u64> = Server::bind(serve, net).unwrap();
+        let _client = TcpStream::connect(server.tcp_addr().unwrap()).unwrap();
+        // The handshake may still be landing on the listener's queue.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while server.conns.is_empty() && Instant::now() < deadline {
+            server.accept(TCP_TOKEN, Instant::now());
+            std::thread::yield_now();
+        }
+        let Some(Some(Conn {
+            stream: ConnStream::Tcp(stream),
+            ..
+        })) = server.conns.first()
+        else {
+            panic!("no TCP connection accepted");
+        };
+        assert!(stream.nodelay().unwrap());
     }
 }

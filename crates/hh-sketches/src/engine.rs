@@ -1131,9 +1131,9 @@ impl<I: EngineItem> Engine<I> {
     /// Charges `mass` occurrences that are known to exist in the true
     /// stream but were never delivered to any backend — the loss-accounting
     /// primitive behind supervised shard recovery: when a pipeline shard
-    /// dies, the items shipped to it since its last epoch snapshot are
-    /// gone, and a recovered merged view stays *sound* by assuming every
-    /// one of them could have been any single item.
+    /// dies, the items shipped to it since its restore point are gone,
+    /// and a recovered merged view stays *sound* by assuming every one of
+    /// them could have been any single item.
     ///
     /// Concretely, `stream_len`, every [`upper_estimate`] and every
     /// [`error_term`] grow by `mass` while point and lower estimates are
@@ -1320,7 +1320,9 @@ impl<I: EngineItem> Engine<I> {
     /// reports the true combined `F1`. STICKY SAMPLING merges by O(m)
     /// table union; sketch backends add cell-wise and re-rank the
     /// candidate union. Fails with [`Error::SnapshotMismatch`] when
-    /// algorithms (or sketch shapes) differ.
+    /// algorithms (or sketch shapes) differ, and with [`Error::Overflow`]
+    /// when the combined SPACESAVING or FREQUENT bookkeeping would exceed
+    /// `u64::MAX`.
     pub fn merge_snapshot(&mut self, snap: &Snapshot<I>) -> Result<(), Error> {
         let algo = self.algo();
         match (&mut self.backend, snap) {
@@ -1328,12 +1330,12 @@ impl<I: EngineItem> Engine<I> {
             // lower bounds) and widen the upper-bound slack by the donor's
             // Δ (sound upper bounds for items the donor did not store)
             (Backend::SpaceSaving(b), Snapshot::SpaceSaving(s)) => {
-                b.absorb_parts(&s.entries, s.capacity, s.absorbed_slack)
+                b.absorb_parts(&s.entries, s.capacity, s.absorbed_slack)?
             }
             // replay the counters and fold in the donor's decrement rounds
             // and unstored stream mass, keeping upper bounds and F1 sound
             (Backend::Frequent(b), Snapshot::Frequent(s)) => {
-                b.absorb_parts(&s.entries, s.decrements, s.stream_len)
+                b.absorb_parts(&s.entries, s.decrements, s.stream_len)?
             }
             // Manku–Motwani distributed merge: counts and deltas add, the
             // absent side contributing its window bound
@@ -2265,6 +2267,51 @@ mod tests {
                 Err(Error::CorruptSnapshot(_))
             ));
         }
+    }
+
+    #[test]
+    fn merges_past_u64_are_typed_errors_not_wrapped_bounds() {
+        // Two valid engines, each holding one item counted 2^63: the
+        // combined F1 is 2^64. Merging must refuse and leave the target
+        // as it was, not wrap to stream_len 0 and an interval of (0, 0).
+        for algo in [AlgoKind::SpaceSaving, AlgoKind::Frequent] {
+            let config = EngineConfig::new(algo).counters(4);
+            let mut a = config.build::<u64>().unwrap();
+            let mut b = config.build::<u64>().unwrap();
+            a.update_by(1, 1 << 63);
+            b.update_by(1, 1 << 63);
+            let before = a.snapshot();
+            let err = a.merge_snapshot(&b.snapshot()).unwrap_err();
+            assert!(matches!(err, Error::Overflow(_)), "{algo}: {err}");
+            assert_eq!(
+                a.snapshot(),
+                before,
+                "{algo}: failed merge changed the target"
+            );
+            assert_eq!(a.stream_len(), 1 << 63, "{algo}");
+        }
+        // Slack and decrement rounds are checked the same way.
+        let mut ss = Engine::from_snapshot(Snapshot::SpaceSaving(SpaceSavingState {
+            capacity: 1,
+            stream_len: 1,
+            absorbed_slack: u64::MAX - 1,
+            entries: vec![(1u64, 1, 0)],
+        }))
+        .unwrap();
+        let donor = ss.snapshot();
+        assert!(matches!(ss.merge_snapshot(&donor), Err(Error::Overflow(_))));
+        let donor = Snapshot::Frequent(FrequentState {
+            capacity: 1,
+            stream_len: 1,
+            decrements: u64::MAX - 5,
+            entries: vec![],
+        });
+        let mut fq = EngineConfig::new(AlgoKind::Frequent)
+            .counters(1)
+            .build::<u64>()
+            .unwrap();
+        fq.merge_snapshot(&donor).unwrap();
+        assert!(matches!(fq.merge_snapshot(&donor), Err(Error::Overflow(_))));
     }
 
     #[test]

@@ -32,17 +32,19 @@
 //!
 //! **Supervision.** Shard workers run under `catch_unwind`, and the
 //! coordinator notices a dead shard at its next interaction with it (a
-//! ship or an epoch marker — detection is lazy, there is no watchdog
-//! thread). With [`PipelineConfig::supervised`] on (the default) the
-//! shard is respawned from its last epoch-boundary [`Snapshot`] and the
-//! mass shipped since that snapshot is charged to the pipeline's *lost*
-//! account: merged views widen `stream_len`, upper estimates and error
-//! terms by the lost mass (see [`Engine::add_unobserved`]), so certified
-//! intervals and the `(3A, A+B)` guarantee stay sound — the true count
-//! of any item still lies inside its reported interval, because at most
-//! `lost` occurrences went unobserved. With supervision off, the first
-//! operation that trips over a dead shard reports the typed
-//! [`Error::ShardDown`] and the pipeline stays usable for draining.
+//! ship, an epoch marker or the drain — detection is lazy, there is no
+//! watchdog thread). Every shard has a *restore point* from the moment
+//! it is spawned: the snapshot of its fresh engine, replaced by its
+//! snapshot at every epoch boundary. A dead shard is rebuilt from its
+//! restore point and the mass shipped to it since then is charged to the
+//! pipeline's *lost* account: merged views widen `stream_len`, upper
+//! estimates and error terms by the lost mass (see
+//! [`Engine::add_unobserved`]), so certified intervals and the
+//! `(3A, A+B)` guarantee stay sound — the true count of any item still
+//! lies inside its reported interval, because at most `lost` occurrences
+//! went unobserved. An operation reports the typed [`Error::ShardDown`]
+//! only when a restore point fails to rehydrate or a rebuilt worker dies
+//! again at once.
 //!
 //! ```
 //! use hh_sketches::engine::{AlgoKind, EngineConfig};
@@ -141,14 +143,13 @@ pub struct PipelineConfig {
     ingest: ShardIngest,
     batch: usize,
     queue: usize,
-    supervised: bool,
 }
 
 impl PipelineConfig {
     /// Starts a pipeline config: engines per `engine`, one shard per unit
     /// of available parallelism, hash-partitioned routing,
     /// order-preserving ingest, 8192-item batches, 4 queued batches per
-    /// shard, supervision on.
+    /// shard. Shard supervision is always on (see the [module docs](self)).
     ///
     /// # Invariants
     ///
@@ -164,7 +165,6 @@ impl PipelineConfig {
             ingest: ShardIngest::default(),
             batch: 8192,
             queue: 4,
-            supervised: true,
         }
     }
 
@@ -200,17 +200,6 @@ impl PipelineConfig {
         self
     }
 
-    /// Turns shard supervision on or off (on by default). Supervised
-    /// pipelines respawn a panicked shard worker from its last
-    /// epoch-boundary snapshot and account the lost mass into every
-    /// merged view's certified intervals (see the [module docs](self));
-    /// unsupervised pipelines surface a dead shard as the typed
-    /// [`Error::ShardDown`] with `recovered: false`.
-    pub fn supervised(mut self, supervised: bool) -> Self {
-        self.supervised = supervised;
-        self
-    }
-
     /// The configured shard count.
     pub fn shard_count(&self) -> usize {
         self.shards
@@ -239,10 +228,12 @@ impl PipelineConfig {
         let metrics = PipelineMetrics::new(self.shards);
         let mut senders = Vec::with_capacity(self.shards);
         let mut workers = Vec::with_capacity(self.shards);
+        let mut last_snapshots = Vec::with_capacity(self.shards);
         for shard in 0..self.shards {
             // Engines are built on the coordinator thread so config errors
             // surface here, before any thread exists.
             let engine = self.engine.build::<I>()?;
+            last_snapshots.push(engine.snapshot());
             let (tx, handle) = spawn_worker(
                 engine,
                 self.queue,
@@ -263,7 +254,7 @@ impl PipelineConfig {
             senders,
             workers,
             buffers,
-            last_snapshots: (0..self.shards).map(|_| None).collect(),
+            last_snapshots,
             shipped_since: vec![0; self.shards],
             lost: 0,
             rr_cursor: 0,
@@ -523,7 +514,7 @@ fn shard_worker<I: EngineItem>(
 /// handle as an `Err(panic message)` instead of silently poisoning the
 /// pipeline. `AssertUnwindSafe` is sound here: on panic the engine and
 /// aggregator are dropped with the closure — supervision rebuilds state
-/// from the last epoch snapshot and never observes the torn values.
+/// from the shard's restore point and never observes the torn values.
 fn spawn_worker<I: EngineItem>(
     engine: Engine<I>,
     queue: usize,
@@ -632,10 +623,10 @@ pub struct Pipeline<I: EngineItem> {
     /// Pending per-shard batches (`HashPartition`) or the single staging
     /// batch (`RoundRobin`).
     buffers: Vec<Vec<I>>,
-    /// Supervision state: each shard's last epoch-boundary snapshot
-    /// (`None` until the first epoch) — the restore point a respawned
-    /// worker rebuilds from.
-    last_snapshots: Vec<Option<Snapshot<I>>>,
+    /// Supervision state: each shard's restore point — the snapshot of
+    /// its fresh engine at spawn, then its last epoch-boundary snapshot.
+    /// A dead shard is rebuilt from it.
+    last_snapshots: Vec<Snapshot<I>>,
     /// Items shipped to each shard since its snapshot in
     /// `last_snapshots` was taken — the mass charged as lost if the
     /// worker dies before the next epoch.
@@ -681,7 +672,7 @@ impl<I: EngineItem> Pipeline<I> {
 
     /// Occurrences charged to dead shards so far — the mass every merged
     /// view is widened by ([`Engine::add_unobserved`]). `0` unless a
-    /// supervised shard worker died and was respawned.
+    /// shard worker died and was rebuilt.
     pub fn lost_items(&self) -> u64 {
         self.lost
     }
@@ -779,9 +770,9 @@ impl<I: EngineItem> Pipeline<I> {
     }
 
     /// Routes one arrival. Blocks when the destination shard's queue is
-    /// full (backpressure). A dead shard worker is respawned under
-    /// supervision (the default); otherwise — or if the respawn fails —
-    /// the call reports [`Error::ShardDown`].
+    /// full (backpressure). A dead shard worker is respawned from its
+    /// restore point; if that fails the call reports
+    /// [`Error::ShardDown`].
     pub fn send(&mut self, item: I) -> Result<(), Error> {
         self.routed += 1;
         match self.config.routing {
@@ -873,114 +864,88 @@ impl<I: EngineItem> Pipeline<I> {
 
     /// The single shipping point: all telemetry is per *batch* here (a
     /// counter add, a gauge bump, one timed send), so the per-item send
-    /// paths above stay exactly as lean as before instrumentation. A
-    /// failed send means the shard worker died: under supervision the
-    /// shard is respawned from its last epoch snapshot and the batch —
-    /// recovered intact from the send error — is re-shipped to the
-    /// rebuilt worker, so *this* batch is never part of the lost mass.
+    /// paths above stay exactly as lean as before instrumentation.
     fn ship_to(&mut self, shard: usize, batch: Vec<I>) -> Result<(), Error> {
         let len = batch.len() as u64;
-        let metrics = &self.metrics.shards[shard];
-        metrics.routed_items.add(len);
-        metrics.queue_depth.add(1);
+        self.metrics.shards[shard].routed_items.add(len);
         let start = Instant::now();
-        let sent = self.senders[shard].send(Msg::Batch(batch));
+        let sent = self.deliver(shard, Msg::Batch(batch));
+        let metrics = &self.metrics.shards[shard];
         metrics.send_block_ns.record_duration(start.elapsed());
-        match sent {
-            Ok(()) => {
-                self.shipped_since[shard] += len;
-                Ok(())
-            }
-            Err(undelivered) => {
-                // Never delivered: keep the in-flight gauge truthful.
-                metrics.queue_depth.sub(1);
-                let batch = match undelivered.0 {
-                    Msg::Batch(batch) => batch,
-                    // We just sent a Batch; nothing else can come back.
-                    Msg::Checkpoint(_) => Vec::new(),
-                };
-                self.respawn(shard)?;
-                self.metrics.shards[shard].queue_depth.add(1);
-                match self.senders[shard].send(Msg::Batch(batch)) {
-                    Ok(()) => {
-                        self.shipped_since[shard] += len;
-                        Ok(())
-                    }
-                    Err(_) => {
-                        // The respawned worker died instantly (e.g. a
-                        // persistent injected fault): give up loudly.
-                        self.metrics.shards[shard].queue_depth.sub(1);
-                        Err(Error::ShardDown {
-                            shard,
-                            recovered: true,
-                        })
-                    }
-                }
-            }
-        }
+        sent?;
+        // Counted once delivered: a batch lost with a dead channel was
+        // never in flight, and a recovery resets the gauge.
+        metrics.queue_depth.add(1);
+        self.shipped_since[shard] += len;
+        Ok(())
     }
 
-    /// Supervised recovery: reap the dead worker, charge everything
-    /// shipped since its last epoch snapshot to the lost account, and
-    /// respawn the shard from that snapshot (or from a fresh engine if
-    /// no epoch has completed yet).
-    fn respawn(&mut self, shard: usize) -> Result<(), Error> {
-        if !self.config.supervised {
-            return Err(Error::ShardDown {
-                shard,
-                recovered: false,
-            });
-        }
-        let engine = match self.last_snapshots[shard].clone() {
-            Some(snap) => Engine::from_snapshot(snap).map_err(|_| Error::ShardDown {
-                shard,
-                recovered: false,
-            })?,
-            None => self
-                .config
-                .engine
-                .build::<I>()
-                .map_err(|_| Error::ShardDown {
-                    shard,
-                    recovered: false,
-                })?,
+    /// Sends `msg` to `shard`. A failed send means the worker died: the
+    /// shard is respawned from its restore point and the message — handed
+    /// back intact by the send error — goes to the rebuilt worker, so it
+    /// is never part of the lost mass. One attempt: a rebuilt worker that
+    /// is already dead again (e.g. a persistent injected fault) surfaces
+    /// as [`Error::ShardDown`].
+    fn deliver(&mut self, shard: usize, msg: Msg<I>) -> Result<(), Error> {
+        let Err(undelivered) = self.senders[shard].send(msg) else {
+            return Ok(());
         };
+        self.respawn(shard)?;
+        self.senders[shard]
+            .send(undelivered.0)
+            .map_err(|_| Error::ShardDown {
+                shard,
+                recovered: true,
+            })
+    }
+
+    /// Replaces a dead shard worker with a new one running the
+    /// [recovered](Self::recover) engine, and reaps the dead worker.
+    fn respawn(&mut self, shard: usize) -> Result<(), Error> {
+        let engine = self.recover(shard)?;
         let (tx, handle) = spawn_worker(
             engine,
             self.config.queue,
             self.config.ingest,
             self.metrics.shards[shard].clone(),
         );
-        // Push-then-swap_remove replaces slot `shard` in place and hands
-        // back the dead worker's sender and handle.
-        self.senders.push(tx);
-        drop(self.senders.swap_remove(shard));
-        self.workers.push(handle);
-        let dead = self.workers.swap_remove(shard);
+        drop(std::mem::replace(&mut self.senders[shard], tx));
+        let dead = std::mem::replace(&mut self.workers[shard], handle);
         // The worker already exited (that is why we are here); reap its
         // panic payload so the thread is not leaked.
-        // lint:allow(error-swallow) the Err payload is the panic we are recovering from; supervision already recorded the restart
+        // lint:allow(error-swallow) the Err payload is the panic we are recovering from; recover already recorded the restart
         let _ = dead.join();
-        // Batches queued at the crash died with the channel; everything
-        // shipped since the restore point is gone either way.
-        let lost = self.shipped_since[shard];
-        self.shipped_since[shard] = 0;
+        Ok(())
+    }
+
+    /// The one recovery step for a dead shard, whoever noticed the death:
+    /// rebuilds its engine from the restore point and charges everything
+    /// shipped to it since then as lost. Batches queued at the crash died
+    /// with the channel, so the shard's in-flight gauge restarts at zero.
+    fn recover(&mut self, shard: usize) -> Result<Engine<I>, Error> {
+        let engine = Engine::from_snapshot(self.last_snapshots[shard].clone()).map_err(|_| {
+            Error::ShardDown {
+                shard,
+                recovered: false,
+            }
+        })?;
+        let lost = std::mem::take(&mut self.shipped_since[shard]);
         self.lost = self.lost.saturating_add(lost);
         let metrics = &self.metrics.shards[shard];
         metrics.queue_depth.set(0);
         metrics.restarts.inc();
         self.metrics.lost_items.add(lost);
-        Ok(())
+        Ok(engine)
     }
 
     /// Collects one snapshot per shard at an epoch boundary: every item
     /// routed before this call is reflected, no item sent after is. The
     /// pipeline keeps ingesting afterwards; the epoch counter increments.
     ///
-    /// Under supervision a shard found dead here is respawned and its
-    /// restored engine answers the epoch (sound: the lost mass is in the
-    /// pipeline's lost account, which merged views widen by). On success
-    /// the collected snapshots become the shards' new restore points.
+    /// A shard found dead here is respawned and its restored engine
+    /// answers the epoch (sound: the lost mass is in the pipeline's lost
+    /// account, which merged views widen by). On success the collected
+    /// snapshots become the shards' new restore points.
     pub fn snapshots(&mut self) -> Result<Vec<Snapshot<I>>, Error> {
         let start = Instant::now();
         self.flush()?;
@@ -998,8 +963,8 @@ impl<I: EngineItem> Pipeline<I> {
                 Err(_) => {
                     // The shard died between the marker and its reply.
                     // Respawn it and ask the rebuilt worker: its state
-                    // *is* the last restore point, exactly what this
-                    // epoch can still soundly report for the shard.
+                    // *is* the restore point, exactly what this epoch can
+                    // still soundly report for the shard.
                     self.respawn(shard)?;
                     let retry = self.post_checkpoint(shard)?;
                     snaps.push(retry.recv().map_err(|_| Error::ShardDown {
@@ -1010,34 +975,19 @@ impl<I: EngineItem> Pipeline<I> {
             }
         }
         // The epoch is the new restore point for every shard.
-        if self.config.supervised {
-            for (shard, snap) in snaps.iter().enumerate() {
-                self.last_snapshots[shard] = Some(snap.clone());
-                self.shipped_since[shard] = 0;
-            }
-        }
+        self.last_snapshots.clone_from(&snaps);
+        self.shipped_since.fill(0);
         self.epoch += 1;
         self.metrics.snapshot_ns.record_duration(start.elapsed());
         self.metrics.epochs.inc();
         Ok(snaps)
     }
 
-    /// Posts one epoch marker to `shard`, respawning it first if the
-    /// send finds it dead (one attempt — a worker that dies again
-    /// immediately surfaces as [`Error::ShardDown`]).
+    /// Posts one epoch marker to `shard` and returns the receiver its
+    /// snapshot reply arrives on.
     fn post_checkpoint(&mut self, shard: usize) -> Result<Receiver<Snapshot<I>>, Error> {
         let (reply_tx, reply_rx) = std::sync::mpsc::sync_channel(1);
-        if self.senders[shard].send(Msg::Checkpoint(reply_tx)).is_ok() {
-            return Ok(reply_rx);
-        }
-        self.respawn(shard)?;
-        let (reply_tx, reply_rx) = std::sync::mpsc::sync_channel(1);
-        self.senders[shard]
-            .send(Msg::Checkpoint(reply_tx))
-            .map_err(|_| Error::ShardDown {
-                shard,
-                recovered: true,
-            })?;
+        self.deliver(shard, Msg::Checkpoint(reply_tx))?;
         Ok(reply_rx)
     }
 
@@ -1067,79 +1017,43 @@ impl<I: EngineItem> Pipeline<I> {
     /// merged engine (same merge as [`Pipeline::merged`], including the
     /// lost-mass widening if shards were ever respawned).
     pub fn finish(mut self) -> Result<Engine<I>, Error> {
-        let (engines, lost) = self.drain_shards()?;
-        let mut engines = engines.into_iter();
+        let mut engines = self.drain_shards()?.into_iter();
         // lint:allow(panic-freedom) unreachable: PipelineConfig::spawn rejects shards == 0, and drain_shards returns exactly one engine per shard
         let mut merged = engines.next().expect("spawn enforces at least one shard");
         for engine in engines {
             merged.merge(&engine)?;
         }
-        merged.add_unobserved(lost);
+        merged.add_unobserved(self.lost);
         Ok(merged)
     }
 
     /// Drains every buffer, stops the workers, and returns the per-shard
     /// engines in shard order. A shard found dead at the drain is
-    /// replaced by its last restore point under supervision (the caller
-    /// can read the charged loss off [`Pipeline::stats`] beforehand —
-    /// after this the pipeline is consumed).
+    /// replaced by its restore point (the caller can read the charged
+    /// loss off [`Pipeline::stats`] beforehand — after this the pipeline
+    /// is consumed).
     pub fn finish_shards(mut self) -> Result<Vec<Engine<I>>, Error> {
-        self.drain_shards().map(|(engines, _)| engines)
+        self.drain_shards()
     }
 
-    /// The common drain: disconnect every channel, join every worker,
-    /// and turn panicked workers into restored engines (supervised) or a
-    /// typed [`Error::ShardDown`] (unsupervised). Returns the engines
-    /// plus the pipeline's total lost mass.
-    fn drain_shards(&mut self) -> Result<(Vec<Engine<I>>, u64), Error> {
+    /// The common drain: disconnect every channel, join every worker, and
+    /// [recover](Self::recover) the shards whose workers died.
+    fn drain_shards(&mut self) -> Result<Vec<Engine<I>>, Error> {
         self.flush()?;
         // Dropping the senders disconnects the channels; workers drain
         // what is queued and return their engines.
         self.senders.clear();
-        let mut engines = Vec::with_capacity(self.workers.len());
-        for (shard, handle) in self.workers.drain(..).enumerate() {
-            let outcome = handle
-                .join()
-                .unwrap_or_else(|payload| Err(panic_message(payload.as_ref())));
-            match outcome {
-                Ok(engine) => engines.push(engine),
-                Err(_panic) => {
-                    if !self.config.supervised {
-                        return Err(Error::ShardDown {
-                            shard,
-                            recovered: false,
-                        });
-                    }
-                    // The worker died somewhere before the drain: fall
-                    // back to its restore point and charge the rest.
-                    let engine = match self.last_snapshots[shard].take() {
-                        Some(snap) => {
-                            Engine::from_snapshot(snap).map_err(|_| Error::ShardDown {
-                                shard,
-                                recovered: false,
-                            })?
-                        }
-                        None => self
-                            .config
-                            .engine
-                            .build::<I>()
-                            .map_err(|_| Error::ShardDown {
-                                shard,
-                                recovered: false,
-                            })?,
-                    };
-                    let lost = self.shipped_since[shard];
-                    self.shipped_since[shard] = 0;
-                    self.lost = self.lost.saturating_add(lost);
-                    let metrics = &self.metrics.shards[shard];
-                    metrics.queue_depth.set(0);
-                    metrics.restarts.inc();
-                    self.metrics.lost_items.add(lost);
-                    engines.push(engine);
-                }
-            }
+        let workers = std::mem::take(&mut self.workers);
+        let mut engines = Vec::with_capacity(workers.len());
+        for (shard, handle) in workers.into_iter().enumerate() {
+            let engine = match handle.join() {
+                Ok(Ok(engine)) => engine,
+                // The worker died somewhere before the drain.
+                _ => self.recover(shard)?,
+            };
+            engines.push(engine);
         }
-        Ok((engines, self.lost))
+        Ok(engines)
     }
 }
 
@@ -1443,8 +1357,8 @@ mod tests {
 
     #[test]
     fn healthy_pipelines_report_no_restarts_or_loss() {
-        // Supervision is on by default and must be invisible while no
-        // shard dies: zero restarts, zero lost mass, exact stream_len.
+        // Supervision must be invisible while no shard dies: zero
+        // restarts, zero lost mass, exact stream_len.
         let mut p = ss_config(32)
             .shards(2)
             .batch_size(64)
@@ -1462,17 +1376,5 @@ mod tests {
         let merged = p.finish().unwrap();
         assert_eq!(merged.stream_len(), 3_000);
         assert_eq!(merged.unobserved(), 0);
-    }
-
-    #[test]
-    fn supervised_builder_knob_round_trips() {
-        let on = ss_config(8);
-        assert!(on.supervised);
-        let off = ss_config(8).supervised(false);
-        assert!(!off.supervised);
-        // an unsupervised pipeline still runs fine while healthy
-        let mut p = off.shards(2).spawn::<u64>().unwrap();
-        p.send_batch(&[1, 2, 3, 4]).unwrap();
-        assert_eq!(p.finish().unwrap().stream_len(), 4);
     }
 }

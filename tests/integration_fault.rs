@@ -158,40 +158,71 @@ proptest! {
     }
 }
 
-/// Without supervision, a dead shard is a typed, attributable error —
-/// not a hang and not a silent undercount.
+/// A shard killed by the last batch it is ever shipped is noticed only by
+/// the drain in `finish()` — no later ship or epoch marker touches it. The
+/// drain must rebuild it from its restore point (the fresh engine at
+/// spawn, or the last epoch) and charge exactly the items shipped since
+/// then, keeping every certified interval sound.
 #[test]
-fn unsupervised_shard_death_is_a_typed_error() {
-    let _chaos = Chaos::arm(FaultPlan::new(7).panic_on(sites::SHARD_BATCH, 1));
-    let mut pipeline: Pipeline<u64> =
-        PipelineConfig::new(EngineConfig::new(AlgoKind::SpaceSaving).counters(16))
-            .shards(1)
-            .batch_size(4)
-            .queue_depth(1)
-            .supervised(false)
-            .spawn()
-            .expect("valid pipeline config");
-    // The first batch kills the worker; a later ship or the drain must
-    // surface ShardDown{recovered: false}.
-    let mut saw = None;
-    for i in 0..200u64 {
-        if let Err(e) = pipeline.send(i) {
-            saw = Some(e);
-            break;
+fn shard_killed_by_its_last_batch_is_recovered_at_the_drain() {
+    const BATCH: usize = 4;
+    const BATCHES: u64 = 30;
+    let stream: Vec<u64> = skewed_stream(11)
+        .into_iter()
+        .take(BATCH * BATCHES as usize)
+        .collect();
+    let oracle = ExactCounter::from_stream(&stream);
+    // `None`: no epoch before the kill; `Some(b)`: an epoch after `b` batches.
+    for epoch_after in [None, Some(BATCHES / 2)] {
+        let split = epoch_after.map_or(0, |b| b as usize * BATCH);
+        // The plan is disarmed (and the panic hook restored) before the
+        // assertions below, so a failing one reports its message.
+        let (registry, merged) = {
+            let _chaos = Chaos::arm(FaultPlan::new(5).panic_on(sites::SHARD_BATCH, BATCHES));
+            let mut pipeline: Pipeline<u64> =
+                PipelineConfig::new(EngineConfig::new(AlgoKind::SpaceSaving).counters(8))
+                    .shards(1)
+                    .batch_size(BATCH)
+                    .spawn()
+                    .expect("valid pipeline config");
+            if split > 0 {
+                pipeline.send_batch(&stream[..split]).unwrap();
+                pipeline.snapshots().expect("epoch before the kill");
+            }
+            // A whole number of batches: the router buffers are empty, so
+            // the drain ships nothing and only the join sees the dead worker.
+            pipeline.send_batch(&stream[split..]).unwrap();
+            let registry = pipeline.registry().clone();
+            (registry, pipeline.finish())
+        };
+        let merged = merged.expect("drain recovers the dead shard");
+
+        let lost = (stream.len() - split) as u64;
+        let text = registry.to_prometheus();
+        assert!(
+            text.contains("hh_pipeline_shard_restarts_total{shard=\"0\"} 1\n"),
+            "{epoch_after:?}: one restart expected in:\n{text}"
+        );
+        assert!(
+            text.contains(&format!("hh_pipeline_lost_items_total {lost}\n")),
+            "{epoch_after:?}: lost {lost} expected in:\n{text}"
+        );
+        assert_eq!(merged.unobserved(), lost, "{epoch_after:?}");
+        assert_eq!(merged.stream_len(), stream.len() as u64, "{epoch_after:?}");
+        let report = merged.report();
+        let top = report.top_k(K);
+        // The epoch's restore point holds counters; a fresh one holds none.
+        assert_eq!(top.is_empty(), epoch_after.is_none(), "{epoch_after:?}");
+        for entry in top {
+            let truth = oracle.count(&entry.item);
+            assert!(
+                entry.lower <= truth && truth <= entry.upper,
+                "{epoch_after:?}: item {}: certified [{}, {}] misses true count {truth}",
+                entry.item,
+                entry.lower,
+                entry.upper
+            );
         }
-    }
-    let err = match saw {
-        Some(e) => e,
-        None => pipeline
-            .finish()
-            .expect_err("dead shard cannot drain cleanly"),
-    };
-    match err {
-        hh::Error::ShardDown {
-            shard: 0,
-            recovered: false,
-        } => {}
-        other => panic!("expected ShardDown{{recovered: false}}, got {other:?}"),
     }
 }
 

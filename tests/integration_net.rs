@@ -239,6 +239,54 @@ fn malformed_lines_are_rejected_without_killing_the_connection() {
     assert_eq!(engine.stream_len(), 3);
 }
 
+/// Writes `bytes` with no final newline, half-closes, and returns every
+/// response record the server sends before closing the connection.
+fn send_unterminated(addr: SocketAddr, bytes: &[u8]) -> Vec<serde_json::Value> {
+    let mut conn = TcpStream::connect(addr).expect("connect");
+    conn.write_all(bytes).unwrap();
+    conn.shutdown(Shutdown::Write).expect("half-close");
+    let mut rest = String::new();
+    conn.read_to_string(&mut rest).expect("read until close");
+    rest.lines()
+        .map(|l| serde_json::from_str(l).unwrap_or_else(|e| panic!("bad NDJSON {l:?}: {e}")))
+        .collect()
+}
+
+#[test]
+fn unterminated_final_line_is_processed_at_eof() {
+    let _guard = SERVER_LOCK.lock().unwrap();
+    sys::reset_drain();
+
+    let serve = ServeOptions::new(config()).shards(Some(1));
+    let net = NetOptions::new().tcp("127.0.0.1:0").idle_timeout_ms(60_000);
+    let (addr, server) = spawn_server(serve, net);
+
+    // The trailing line counts like a terminated one, in every shape.
+    assert!(send_unterminated(addr, b"plain\nplain").is_empty());
+    assert!(send_unterminated(addr, b"tabbed\t3").is_empty());
+    let bad = send_unterminated(addr, b"ok\n\xff\xfe");
+    assert_eq!(bad.len(), 1, "{bad:?}");
+    assert!(bad[0]["error"].as_str().is_some(), "{bad:?}");
+    let pong = send_unterminated(addr, b"?ping");
+    assert_eq!(pong.len(), 1, "{pong:?}");
+    assert_eq!(pong[0]["pong"], true);
+
+    let mut conn = TcpStream::connect(addr).expect("connect query client");
+    let mut reader = BufReader::new(conn.try_clone().unwrap());
+    let top = query(&mut conn, &mut reader, "?topk 3");
+    assert_eq!(top["stream_len"].as_u64(), Some(6), "{top:?}");
+    assert_eq!(top["top"][0]["item"], "tabbed");
+    assert_eq!(top["top"][0]["count"], 3);
+    assert_eq!(top["top"][1]["item"], "plain");
+    assert_eq!(top["top"][1]["count"], 2);
+    let stats = query(&mut conn, &mut reader, "?stats");
+    assert_eq!(stats["net"]["malformed"].as_u64(), Some(1), "{stats:?}");
+
+    query(&mut conn, &mut reader, "?shutdown");
+    let engine = server.join().expect("server thread");
+    assert_eq!(engine.stream_len(), 6);
+}
+
 #[test]
 fn unix_socket_listener_speaks_the_same_protocol() {
     let _guard = SERVER_LOCK.lock().unwrap();
