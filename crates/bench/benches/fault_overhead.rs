@@ -8,8 +8,8 @@
 //! SPACESAVING update loop with a `fault_point` call before every
 //! update — one hook per item, the most pessimistic placement the
 //! pipeline ever uses (the real shard loop hooks once per *batch*).
-//! `bench_regression_check` gates the paired ratio against the
-//! checked-in `BENCH_fault_overhead.json`.
+//! `bench_regression_check`'s `fault_overhead` gate measures the same
+//! pair as a same-run ratio.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 

@@ -6,8 +6,8 @@
 //! (which maintains the plain-`u64` `IngestStats` counters on every
 //! ingest call); the raw path is the concrete `SpaceSaving::update_batch`
 //! with no counters at all. Both run the throughput-bench workload at
-//! the sentinel budget, so `bench_regression_check` can gate the paired
-//! ratio against the checked-in `BENCH_obs_overhead.json`.
+//! 256 counters; `bench_regression_check`'s `obs_overhead` gate
+//! measures the same pair as a same-run ratio.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 

@@ -15,8 +15,8 @@
 //! on a multi-core host the per-shard work additionally runs in
 //! parallel.
 //!
-//! `BENCH_pipeline_throughput.json` snapshots the results; the
-//! `bench_regression_check` gate watches the 4-shard sentinel.
+//! `bench_regression_check`'s `pipeline_4` gate measures the 4-shard
+//! pipeline against one `Engine::update_batch` as a same-run ratio.
 //!
 //! A second, ungated group (`text_items`) runs the same traffic as text
 //! through a 2-shard pipeline, `String` items against [`Key`] items, at
@@ -31,7 +31,7 @@ use hh::prelude::*;
 use hh_streamgen::zipf::{stream_from_counts, StreamOrder};
 use hh_streamgen::{exact_zipf_counts, Item};
 
-/// Kept in sync with `bench_regression_check`'s pipeline sentinel.
+/// Kept in sync with `bench_regression_check`'s hot-set stream.
 const DISTINCT: usize = 1024;
 const TOTAL: u64 = 1_000_000;
 const ALPHA: f64 = 0.1;

@@ -9,9 +9,9 @@
 //! whole network stack — loopback TCP, the epoll event loop, line
 //! splitting, `u64` parsing, and restaging into shard batches.
 //!
-//! `BENCH_server_ingest.json` snapshots the results; the
-//! `bench_regression_check` gate re-measures the pair and fails if the
-//! server side falls below half the in-process figure.
+//! `bench_regression_check`'s `server_ingest` gate measures the same
+//! pair as a same-run ratio and fails if the server side falls below
+//! its floor (half the in-process figure, less a tolerance).
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};

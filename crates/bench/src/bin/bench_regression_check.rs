@@ -1,111 +1,58 @@
 //! Bench-regression smoke gate.
 //!
-//! Re-measures the sentinel hot-path configurations — SPACESAVING at 256
-//! counters and Count-Min at a 64-cell budget on the throughput-bench
-//! workload, plus the 4-shard `hh::pipeline` ingest on the
-//! pipeline-bench workload — and fails (exit 1) if median items/sec
-//! drops more than the tolerance below the checked-in `BENCH_*.json`
-//! baselines. This keeps the PR 4 hot-path gains and the sharded
-//! pipeline's concurrency wins from silently rotting.
+//! Every check is a *paired same-process ratio*: a probe (the code under
+//! guard) and a base (a reference that does not run that code) ingest
+//! the same stream back-to-back in alternating rounds, and the gate
+//! fails (exit 1) when the probe/base throughput ratio falls below its
+//! floor. Machine speed cancels out of the ratio, so the floors hold on
+//! any host and need no recorded baseline.
 //!
 //! ```text
 //! cargo run --release -p bench --bin bench_regression_check
 //! ```
 //!
-//! Knobs (environment):
-//! * `BENCH_BASELINE_DIR` — where the `BENCH_updates_per_sec{,_batched}.json`
-//!   baselines live (default: current directory, i.e. the repo root in CI).
-//! * `BENCH_REGRESSION_TOLERANCE` — allowed fractional drop (default 0.20,
-//!   i.e. fail below 80% of baseline). The default suits same-machine
-//!   comparisons; CI sets a much larger value because shared runners are
-//!   arbitrarily slower than the machines that recorded the baselines, so
-//!   cross-machine absolute throughput can only catch order-of-magnitude
-//!   rot, not jitter.
-//! * `BENCH_OBS_OVERHEAD_TOLERANCE` — allowed fractional slowdown of the
-//!   instrumented `Engine::update_batch` path versus the raw
-//!   `SpaceSaving::update_batch` path (default 0.02, the issue's ≤ 2%
-//!   observability budget). Unlike the throughput sentinels this is a
-//!   *paired same-process ratio* — both sides run back-to-back on the
-//!   same machine in the same run — so it stays tight even on shared CI
-//!   runners.
-//! * `BENCH_FAULT_OVERHEAD_TOLERANCE` — allowed fractional slowdown of
-//!   the per-item update loop with a disarmed `hh::fault::fault_point`
-//!   hook before every update versus the same loop without it (default
-//!   0.02). This binary is built without the `fault-injection` feature,
-//!   so the hooks are empty inline functions and the paired ratio
-//!   certifies the crash-safety layer stays free on release hot paths.
-//! * `BENCH_SERVER_INGEST_TOLERANCE` — allowed fractional shortfall of
-//!   the loopback `hh::net` server's ingest rate below half the
-//!   in-process pipeline rate (default 0.20, i.e. fail below a 40%
-//!   ratio). Also a paired same-process ratio: both sides run
-//!   back-to-back, so machine speed cancels and only the network stack's
-//!   relative cost is gated. The 50% target itself holds on a quiet
-//!   machine; the tolerance absorbs scheduler jitter, which hits the
-//!   multi-thread server lifecycle harder than the steady pipeline.
+//! The gates:
+//! * `spacesaving_update`, `countmin_update` — per-item SPACESAVING at
+//!   256 counters and Count-Min at a 64-cell budget against an exact
+//!   `FxHashMap` count of the throughput-bench Zipf stream.
+//! * `spacesaving_batch`, `countmin_batch` — each backend's
+//!   `update_batch` against its own per-item loop.
+//! * `pipeline_4` — the 4-shard `hh::pipeline` (`Aggregate` ingest)
+//!   against one `Engine::update_batch` of the pipeline-bench hot-set
+//!   stream.
+//! * `obs_overhead` — the instrumented `Engine::update_batch` against
+//!   raw `SpaceSaving::update_batch`.
+//! * `fault_overhead` — the per-item update loop with a disarmed
+//!   `hh::fault::fault_point` hook before every update against the same
+//!   loop without it. This binary is built without the
+//!   `fault-injection` feature, so the hooks are empty inline functions.
+//! * `server_ingest` — loopback `hh::net` server ingest against the
+//!   in-process pipeline it feeds.
+//!
+//! The first five floors are fixed, set from repeated runs on a 2-core
+//! host with room for run-to-run spread. The last three are
+//! `target × (1 − tolerance)`, and each tolerance can be overridden:
+//! * `BENCH_OBS_OVERHEAD_TOLERANCE` (default 0.02, the ≤ 2%
+//!   observability budget);
+//! * `BENCH_FAULT_OVERHEAD_TOLERANCE` (default 0.02);
+//! * `BENCH_SERVER_INGEST_TOLERANCE` (default 0.20 below a 50% target,
+//!   i.e. fail below a 40% ratio; the tolerance absorbs scheduler
+//!   jitter, which hits the multi-thread server lifecycle harder than
+//!   the steady pipeline).
 
 #![deny(unsafe_code)]
 
+use std::hint::black_box;
 use std::io::{Read as _, Write as _};
 use std::time::Instant;
 
+use hh::counters::fasthash::FxHashMap;
 use hh::net::{sys, NetOptions, ServeOptions, Server};
 use hh::pipeline::{PipelineConfig, Routing, ShardIngest};
 use hh::prelude::{EngineConfig, FrequencyEstimator};
 use hh_analysis::{feed, make_estimator, Algo};
 use hh_streamgen::zipf::{stream_from_counts, StreamOrder};
 use hh_streamgen::{exact_zipf_counts, Item};
-
-/// How a sentinel drives its ingest.
-#[derive(Clone, Copy)]
-enum Mode {
-    /// One `update` call per element.
-    PerItem,
-    /// One whole-stream `update_batch` call.
-    Batched,
-    /// Sharded `hh::pipeline` ingest at the given shard count.
-    Pipeline(usize),
-}
-
-/// The sentinel configurations: (algo, budget, baseline file, id, mode).
-const SENTINELS: [(Algo, usize, &str, &str, Mode); 5] = [
-    (
-        Algo::SpaceSaving,
-        256,
-        "BENCH_updates_per_sec.json",
-        "SpaceSaving/256",
-        Mode::PerItem,
-    ),
-    (
-        Algo::CountMin,
-        64,
-        "BENCH_updates_per_sec.json",
-        "CountMin/64",
-        Mode::PerItem,
-    ),
-    (
-        Algo::SpaceSaving,
-        256,
-        "BENCH_updates_per_sec_batched.json",
-        "SpaceSaving/256",
-        Mode::Batched,
-    ),
-    (
-        Algo::CountMin,
-        64,
-        "BENCH_updates_per_sec_batched.json",
-        "CountMin/64",
-        Mode::Batched,
-    ),
-    (
-        Algo::SpaceSaving,
-        256,
-        "BENCH_pipeline_throughput.json",
-        "pipeline/4",
-        Mode::Pipeline(4),
-    ),
-];
-
-const SAMPLES: usize = 7;
 
 fn workload() -> Vec<Item> {
     // Identical to crates/bench/benches/throughput.rs.
@@ -118,51 +65,6 @@ fn pipeline_workload() -> Vec<Item> {
     // saturation traffic, 4× the counter budget in distinct items.
     let counts = exact_zipf_counts(1024, 1_000_000, 0.1);
     stream_from_counts(&counts, StreamOrder::Shuffled(1))
-}
-
-/// Median items/sec over `SAMPLES` runs of one full-stream ingest.
-fn measure(algo: Algo, budget: usize, mode: Mode, stream: &[Item]) -> f64 {
-    let mut rates: Vec<f64> = (0..SAMPLES)
-        .map(|_| {
-            let start;
-            match mode {
-                Mode::PerItem | Mode::Batched => {
-                    let mut est = make_estimator(algo, budget, 7);
-                    start = Instant::now();
-                    if matches!(mode, Mode::Batched) {
-                        feed(est.as_mut(), stream);
-                    } else {
-                        for &x in stream {
-                            est.update(x);
-                        }
-                    }
-                    std::hint::black_box(est.stored_len());
-                }
-                Mode::Pipeline(shards) => {
-                    // Mirrors the pipeline_throughput bench configuration.
-                    let kind = algo
-                        .kind()
-                        .expect("pipeline sentinels must use engine-covered algorithms");
-                    start = Instant::now();
-                    let mut pipeline =
-                        PipelineConfig::new(EngineConfig::new(kind).counters(budget))
-                            .shards(shards)
-                            .routing(Routing::HashPartition)
-                            .ingest(ShardIngest::Aggregate)
-                            .batch_size(32 * 1024)
-                            .spawn::<Item>()
-                            .expect("valid pipeline config");
-                    pipeline.send_batch(stream).expect("shards alive");
-                    let merged = pipeline.finish().expect("clean shutdown");
-                    std::hint::black_box(merged.stream_len());
-                }
-            }
-            let secs = start.elapsed().as_secs_f64();
-            stream.len() as f64 / secs
-        })
-        .collect();
-    rates.sort_by(|a, b| a.total_cmp(b));
-    rates[rates.len() / 2]
 }
 
 /// Best-of-`rounds` throughput `(base, probe)` in items/sec of two
@@ -206,10 +108,84 @@ fn paired_min_ratio(
     (n / best_base, n / best_probe)
 }
 
-/// The observability-overhead sentinel: raw `SpaceSaving::update_batch`
+/// Rounds for the gates on the 200k-arrival Zipf stream.
+const COUNTER_ROUNDS: usize = 41;
+
+/// The reference for the per-item counter gates: an exact count of the
+/// stream in an `FxHashMap`, which runs no counter-algorithm code.
+fn exact_count(stream: &[Item]) {
+    let mut counts: FxHashMap<Item, u64> = FxHashMap::default();
+    for &x in stream {
+        *counts.entry(x).or_insert(0) += 1;
+    }
+    black_box(counts.len());
+}
+
+/// One ingest of `stream` into a fresh `algo` estimator at `budget`:
+/// one `update` call per arrival, or one whole-stream `update_batch`.
+fn ingest(algo: Algo, budget: usize, stream: &[Item], batched: bool) {
+    let mut est = make_estimator(algo, budget, 7);
+    if batched {
+        feed(est.as_mut(), stream);
+    } else {
+        for &x in stream {
+            est.update(x);
+        }
+    }
+    black_box(est.stored_len());
+}
+
+/// Per-item `algo` updates (probe) against the exact count (base).
+fn per_item_vs_exact(algo: Algo, budget: usize, stream: &[Item]) -> (f64, f64) {
+    paired_min_ratio(
+        stream.len(),
+        COUNTER_ROUNDS,
+        || exact_count(stream),
+        || ingest(algo, budget, stream, false),
+    )
+}
+
+/// Batched `algo` ingest (probe) against its per-item loop (base).
+fn batch_vs_per_item(algo: Algo, budget: usize, stream: &[Item]) -> (f64, f64) {
+    paired_min_ratio(
+        stream.len(),
+        COUNTER_ROUNDS,
+        || ingest(algo, budget, stream, false),
+        || ingest(algo, budget, stream, true),
+    )
+}
+
+/// The sharded-ingest gate: one `Engine::update_batch` of the hot-set
+/// stream (base) against the 4-shard `Aggregate` pipeline of the
+/// pipeline-bench configuration (probe).
+fn measure_pipeline(stream: &[Item]) -> (f64, f64) {
+    let config = EngineConfig::new(hh::engine::AlgoKind::SpaceSaving).counters(256);
+    paired_min_ratio(
+        stream.len(),
+        21,
+        || {
+            let mut engine = config.build::<Item>().expect("valid config");
+            engine.update_batch(stream);
+            black_box(engine.stream_len());
+        },
+        || {
+            let mut pipeline = PipelineConfig::new(config.clone())
+                .shards(4)
+                .routing(Routing::HashPartition)
+                .ingest(ShardIngest::Aggregate)
+                .batch_size(32 * 1024)
+                .spawn::<Item>()
+                .expect("valid pipeline config");
+            pipeline.send_batch(stream).expect("shards alive");
+            let merged = pipeline.finish().expect("clean shutdown");
+            black_box(merged.stream_len());
+        },
+    )
+}
+
+/// The observability-overhead gate: raw `SpaceSaving::update_batch`
 /// (base) against the instrumented `Engine::update_batch` with its
-/// always-on `IngestStats` counters (probe), on the batched SPACESAVING
-/// sentinel workload.
+/// always-on `IngestStats` counters (probe).
 fn measure_obs_overhead(stream: &[Item]) -> (f64, f64) {
     const BUDGET: usize = 256;
     paired_min_ratio(
@@ -218,7 +194,7 @@ fn measure_obs_overhead(stream: &[Item]) -> (f64, f64) {
         || {
             let mut raw = hh::counters::SpaceSaving::new(BUDGET);
             raw.update_batch(stream);
-            std::hint::black_box(raw.stored_len());
+            black_box(raw.stored_len());
         },
         || {
             let mut engine = EngineConfig::new(hh::engine::AlgoKind::SpaceSaving)
@@ -226,19 +202,16 @@ fn measure_obs_overhead(stream: &[Item]) -> (f64, f64) {
                 .build::<Item>()
                 .expect("valid config");
             engine.update_batch(stream);
-            std::hint::black_box(engine.ingest_stats().occurrences);
+            black_box(engine.ingest_stats().occurrences);
         },
     )
 }
 
-/// The fault-injection-overhead sentinel: the raw per-item
+/// The fault-injection-overhead gate: the raw per-item
 /// `SpaceSaving::update` loop (base) against the same loop with an
 /// `hh::fault::fault_point` call before every update (probe) — one hook
 /// per item, a strictly more pessimistic placement than the real shard
-/// loop's one-hook-per-batch. Without the `fault-injection` feature
-/// (this binary is always built without it) the hooks are empty inline
-/// functions, so the ratio certifies that the crash-safety layer costs
-/// the release hot path nothing.
+/// loop's one-hook-per-batch.
 fn measure_fault_overhead(stream: &[Item]) -> (f64, f64) {
     const BUDGET: usize = 256;
     paired_min_ratio(
@@ -249,7 +222,7 @@ fn measure_fault_overhead(stream: &[Item]) -> (f64, f64) {
             for &x in stream {
                 s.update(x);
             }
-            std::hint::black_box(s.stored_len());
+            black_box(s.stored_len());
         },
         || {
             let mut s = hh::counters::SpaceSaving::new(BUDGET);
@@ -257,12 +230,12 @@ fn measure_fault_overhead(stream: &[Item]) -> (f64, f64) {
                 hh::fault::fault_point(hh::fault::sites::SHARD_BATCH);
                 s.update(x);
             }
-            std::hint::black_box(s.stored_len());
+            black_box(s.stored_len());
         },
     )
 }
 
-/// The server-ingest sentinel: the in-process 4-shard pipeline (base)
+/// The server-ingest gate: the in-process 4-shard pipeline (base)
 /// against loopback `hh::net` server ingest of the same stream arriving
 /// as the line protocol over TCP (probe). Mirrors
 /// `crates/bench/benches/server_ingest.rs` — same engine config, shard
@@ -292,7 +265,7 @@ fn measure_server_ingest(stream: &[Item]) -> (f64, f64) {
                 .expect("valid pipeline config");
             pipeline.send_batch(stream).expect("shards alive");
             let merged = pipeline.finish().expect("clean shutdown");
-            std::hint::black_box(merged.stream_len());
+            black_box(merged.stream_len());
         },
         || {
             sys::reset_drain();
@@ -317,38 +290,50 @@ fn measure_server_ingest(stream: &[Item]) -> (f64, f64) {
             let mut ack = Vec::new();
             conn.read_to_end(&mut ack).expect("drain ack");
             let merged = handle.join().expect("server thread");
-            std::hint::black_box(merged.stream_len());
+            black_box(merged.stream_len());
         },
     )
 }
 
-/// How a paired gate's result line reads.
-#[derive(Clone, Copy)]
-enum Line {
-    /// Slowdown of the probe against the base, against a budget.
-    Overhead,
-    /// Both rates and the probe's share of the base, against a floor.
-    Share,
+/// The lowest probe/base ratio a gate accepts.
+enum Floor {
+    /// A fixed ratio.
+    Fixed(f64),
+    /// `target × (1 − tolerance)`, the tolerance overridable from `env`.
+    Tolerance {
+        target: f64,
+        default: f64,
+        env: &'static str,
+    },
+}
+
+impl Floor {
+    fn ratio(&self) -> f64 {
+        match *self {
+            Floor::Fixed(floor) => floor,
+            Floor::Tolerance {
+                target,
+                default,
+                env,
+            } => {
+                let tolerance = std::env::var(env)
+                    .ok()
+                    .and_then(|v| v.parse().ok())
+                    .unwrap_or(default);
+                target * (1.0 - tolerance)
+            }
+        }
+    }
 }
 
 /// A paired same-process ratio gate: both sides run back-to-back on the
 /// same machine in the same run, so machine speed cancels and the gate
-/// stays tight even on shared CI runners. It fails when the probe/base
-/// throughput ratio falls below `target × (1 − tolerance)`, or when its
-/// baseline file lacks either id (a gate without its baseline is
-/// measuring nothing).
+/// stays tight even on shared CI runners.
 struct PairedGate {
     name: &'static str,
-    file: &'static str,
-    base_id: &'static str,
-    probe_id: &'static str,
     /// Names the sides in the result line, probe first.
     label: &'static str,
-    /// Environment variable overriding `default_tolerance`.
-    env: &'static str,
-    default_tolerance: f64,
-    target: f64,
-    line: Line,
+    floor: Floor,
     /// Runs on the pipeline-bench hot-set stream instead of the
     /// throughput-bench Zipf stream.
     hot_set: bool,
@@ -356,246 +341,135 @@ struct PairedGate {
     measure: fn(&[Item]) -> (f64, f64),
 }
 
-const PAIRED_GATES: [PairedGate; 3] = [
+const PAIRED_GATES: [PairedGate; 8] = [
+    PairedGate {
+        name: "spacesaving_update",
+        label: "SpaceSaving/256 per-item / exact count",
+        floor: Floor::Fixed(0.145),
+        hot_set: false,
+        measure: |s| per_item_vs_exact(Algo::SpaceSaving, 256, s),
+    },
+    PairedGate {
+        name: "spacesaving_batch",
+        label: "SpaceSaving/256 batched / per-item",
+        floor: Floor::Fixed(0.8),
+        hot_set: false,
+        measure: |s| batch_vs_per_item(Algo::SpaceSaving, 256, s),
+    },
+    PairedGate {
+        name: "countmin_update",
+        label: "CountMin/64 per-item / exact count",
+        floor: Floor::Fixed(0.045),
+        hot_set: false,
+        measure: |s| per_item_vs_exact(Algo::CountMin, 64, s),
+    },
+    PairedGate {
+        name: "countmin_batch",
+        label: "CountMin/64 batched / per-item",
+        floor: Floor::Fixed(1.8),
+        hot_set: false,
+        measure: |s| batch_vs_per_item(Algo::CountMin, 64, s),
+    },
+    PairedGate {
+        name: "pipeline_4",
+        label: "pipeline/4 / single engine",
+        floor: Floor::Fixed(2.5),
+        hot_set: true,
+        measure: measure_pipeline,
+    },
     PairedGate {
         name: "obs_overhead",
-        file: "BENCH_obs_overhead.json",
-        base_id: "raw/SpaceSaving/update_batch/256",
-        probe_id: "instrumented/Engine/update_batch/256",
         label: "instrumented/raw",
-        env: "BENCH_OBS_OVERHEAD_TOLERANCE",
-        default_tolerance: 0.02,
-        target: 1.0,
-        line: Line::Overhead,
+        floor: Floor::Tolerance {
+            target: 1.0,
+            default: 0.02,
+            env: "BENCH_OBS_OVERHEAD_TOLERANCE",
+        },
         hot_set: false,
         measure: measure_obs_overhead,
     },
     PairedGate {
         name: "fault_overhead",
-        file: "BENCH_fault_overhead.json",
-        base_id: "raw/SpaceSaving/update/256",
-        probe_id: "hooked/SpaceSaving/update/256",
         label: "hooked/raw",
-        env: "BENCH_FAULT_OVERHEAD_TOLERANCE",
-        default_tolerance: 0.02,
-        target: 1.0,
-        line: Line::Overhead,
+        floor: Floor::Tolerance {
+            target: 1.0,
+            default: 0.02,
+            env: "BENCH_FAULT_OVERHEAD_TOLERANCE",
+        },
         hot_set: false,
         measure: measure_fault_overhead,
     },
     PairedGate {
         name: "server_ingest",
-        file: "BENCH_server_ingest.json",
-        base_id: "pipeline/4",
-        probe_id: "server_loopback/4",
         label: "server/pipeline",
-        env: "BENCH_SERVER_INGEST_TOLERANCE",
-        default_tolerance: 0.20,
-        target: 0.5,
-        line: Line::Share,
+        floor: Floor::Tolerance {
+            target: 0.5,
+            default: 0.20,
+            env: "BENCH_SERVER_INGEST_TOLERANCE",
+        },
         hot_set: true,
         measure: measure_server_ingest,
     },
 ];
 
-/// A fractional tolerance from the environment, or `default`.
-fn env_tolerance(var: &str, default: f64) -> f64 {
-    std::env::var(var)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// Whether a measured ratio clears its floor. A NaN or infinite ratio
+/// or floor (a side that measured nothing, a garbled tolerance) fails.
+fn passes(ratio: f64, floor: f64) -> bool {
+    ratio.is_finite() && floor.is_finite() && ratio >= floor
 }
 
 /// Runs one paired gate and prints its result line. Returns true on
 /// failure.
-fn check_paired(gate: &PairedGate, dir: &str, stream: &[Item]) -> bool {
-    let tolerance = env_tolerance(gate.env, gate.default_tolerance);
-    let file = gate.file;
-    let baseline_ratio = match (
-        baseline(dir, file, gate.base_id),
-        baseline(dir, file, gate.probe_id),
-    ) {
-        (Ok(base), Ok(probe)) => probe / base,
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("FAIL {} ({file}): baseline unavailable: {e}", gate.name);
-            return true;
-        }
-    };
+fn check_paired(gate: &PairedGate, stream: &[Item]) -> bool {
+    let floor = gate.floor.ratio();
     let (base_rate, probe_rate) = (gate.measure)(stream);
     let ratio = probe_rate / base_rate;
-    let floor = gate.target * (1.0 - tolerance);
-    let ok = ratio >= floor;
-    let verdict = if ok { "ok" } else { "FAIL" };
-    match gate.line {
-        Line::Overhead => println!(
-            "{verdict:>4}  {file} {}: {:.1}% overhead (baseline {:.1}%, budget {:.0}%)",
-            gate.label,
-            (1.0 - ratio) * 100.0,
-            (1.0 - baseline_ratio) * 100.0,
-            tolerance * 100.0
-        ),
-        Line::Share => println!(
-            "{verdict:>4}  {file} {}: {:.1} / {:.1} Melem/s = {:.0}% (baseline {:.0}%, floor {:.0}%)",
-            gate.label,
-            probe_rate / 1e6,
-            base_rate / 1e6,
-            ratio * 100.0,
-            baseline_ratio * 100.0,
-            floor * 100.0
-        ),
-    }
+    let ok = passes(ratio, floor);
+    println!(
+        "{:>4}  {} ({}): {:.1} / {:.1} Melem/s = {ratio:.3} (floor {floor:.3})",
+        if ok { "ok" } else { "FAIL" },
+        gate.name,
+        gate.label,
+        probe_rate / 1e6,
+        base_rate / 1e6,
+    );
     !ok
 }
 
-/// Baselines that are not re-measured here (their benches take minutes,
-/// or they record paired ratios already gated above) but still must stay
-/// structurally sound: present, parseable, and carrying the schema the
-/// analysis notebooks and `xtask lint`'s drift rule expect. Each entry
-/// is `(file, expected "group" field)`. A baseline missing from both
-/// this table and the sentinel gates is an `artifact-drift` lint error.
-const AUDITED_BASELINES: [(&str, &str); 9] = [
-    ("BENCH_engine_overhead.json", "engine_overhead"),
-    ("BENCH_frequent_backend.json", "frequent_backend"),
-    ("BENCH_merge_summaries.json", "merge_summaries"),
-    ("BENCH_point_queries.json", "point_queries"),
-    ("BENCH_spacesaving_backend.json", "spacesaving_backend"),
-    (
-        "BENCH_stream_summary_evict_insert.json",
-        "stream_summary_evict_insert",
-    ),
-    (
-        "BENCH_stream_summary_increment.json",
-        "stream_summary_increment",
-    ),
-    (
-        "BENCH_stream_summary_snapshot.json",
-        "stream_summary_snapshot",
-    ),
-    (
-        "BENCH_updates_per_sec_chunked.json",
-        "updates_per_sec_chunked",
-    ),
-];
-
-/// Validates every audited baseline's schema: readable JSON whose
-/// `group` matches, with a non-empty `benchmarks` array where every
-/// entry has a non-empty `id`, a positive `median_ns_per_iter`, and a
-/// positive `items_per_sec` when present. Returns true on failure.
-fn check_audited_baselines(dir: &str) -> bool {
-    let mut failed = false;
-    for (file, group) in AUDITED_BASELINES {
-        if let Err(e) = audit_baseline(dir, file, group) {
-            eprintln!("FAIL {file}: {e}");
-            failed = true;
-        } else {
-            println!("  ok  {file} schema audit ({group})");
-        }
-    }
-    failed
-}
-
-fn audit_baseline(dir: &str, file: &str, group: &str) -> Result<(), String> {
-    let path = format!("{dir}/{file}");
-    let text = std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let value: serde_json::Value =
-        serde_json::from_str(&text).map_err(|e| format!("bad json in {path}: {e}"))?;
-    if value["group"].as_str() != Some(group) {
-        return Err(format!("{path}: group != {group:?}"));
-    }
-    let benchmarks = value["benchmarks"]
-        .as_array()
-        .filter(|b| !b.is_empty())
-        .ok_or_else(|| format!("{path}: missing or empty benchmarks array"))?;
-    for b in benchmarks {
-        let id = b["id"]
-            .as_str()
-            .filter(|s| !s.is_empty())
-            .ok_or_else(|| format!("{path}: benchmark entry without an id"))?;
-        if !b["median_ns_per_iter"].as_f64().is_some_and(|v| v > 0.0) {
-            return Err(format!("{path}: {id} has no positive median_ns_per_iter"));
-        }
-        if !matches!(b["items_per_sec"], serde_json::Value::Null)
-            && !b["items_per_sec"].as_f64().is_some_and(|v| v > 0.0)
-        {
-            return Err(format!("{path}: {id} has a non-positive items_per_sec"));
-        }
-    }
-    Ok(())
-}
-
-/// Reads the baseline items/sec for `id` out of a BENCH json file.
-fn baseline(dir: &str, file: &str, id: &str) -> Result<f64, String> {
-    let path = format!("{dir}/{file}");
-    let text = std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let value: serde_json::Value =
-        serde_json::from_str(&text).map_err(|e| format!("bad json in {path}: {e}"))?;
-    let benchmarks = value["benchmarks"]
-        .as_array()
-        .ok_or_else(|| format!("{path}: missing benchmarks array"))?;
-    for b in benchmarks {
-        if b["id"].as_str() == Some(id) {
-            return b["items_per_sec"]
-                .as_f64()
-                .ok_or_else(|| format!("{path}: {id} has no items_per_sec"));
-        }
-    }
-    Err(format!("{path}: no benchmark with id {id:?}"))
+/// The host the ratios were measured on: cores, CPU model and rustc.
+fn host_line() -> String {
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|t| {
+            t.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split(':').nth(1))
+                .map(|s| s.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".into());
+    let rustc = std::process::Command::new("rustc")
+        .arg("--version")
+        .output()
+        .ok()
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .filter(|v| !v.is_empty())
+        .unwrap_or_else(|| "unknown".into());
+    format!("host: nproc={nproc} cpu={cpu} rustc={rustc}")
 }
 
 fn main() {
-    let dir = std::env::var("BENCH_BASELINE_DIR").unwrap_or_else(|_| ".".to_string());
-    let tolerance = env_tolerance("BENCH_REGRESSION_TOLERANCE", 0.20);
+    println!("bench regression gate, {}", host_line());
     let stream = workload();
     let pipeline_stream = pipeline_workload();
-
     let mut failed = false;
-    println!(
-        "bench regression gate (tolerance: -{:.0}%)",
-        tolerance * 100.0
-    );
-    for (algo, budget, file, id, mode) in SENTINELS {
-        let base = match baseline(&dir, file, id) {
-            Ok(b) => b,
-            Err(e) => {
-                // A gate that cannot find its baselines must not pass
-                // vacuously: a misconfigured dir or a renamed bench id
-                // would otherwise keep CI green while measuring nothing.
-                eprintln!("FAIL {id} ({file}): baseline unavailable: {e}");
-                failed = true;
-                continue;
-            }
-        };
-        let sentinel_stream = match mode {
-            Mode::Pipeline(_) => &pipeline_stream,
-            _ => &stream,
-        };
-        let measured = measure(algo, budget, mode, sentinel_stream);
-        let ratio = measured / base;
-        let verdict = if ratio >= 1.0 - tolerance {
-            "ok"
-        } else {
-            "FAIL"
-        };
-        println!(
-            "{verdict:>4}  {file} {id}: {:.1} Melem/s vs baseline {:.1} Melem/s ({:+.1}%)",
-            measured / 1e6,
-            base / 1e6,
-            (ratio - 1.0) * 100.0
-        );
-        if ratio < 1.0 - tolerance {
-            failed = true;
-        }
-    }
-    if check_audited_baselines(&dir) {
-        failed = true;
-    }
     for gate in &PAIRED_GATES {
         let gate_stream = if gate.hot_set {
             &pipeline_stream
         } else {
             &stream
         };
-        if check_paired(gate, &dir, gate_stream) {
+        if check_paired(gate, gate_stream) {
             failed = true;
         }
     }
@@ -604,4 +478,33 @@ fn main() {
         std::process::exit(1);
     }
     println!("bench regression gate passed");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_ratio_below_its_floor_fails() {
+        assert!(passes(1.0, 1.0));
+        assert!(passes(3.2, 2.5));
+        assert!(!passes(0.99, 1.0));
+        assert!(!passes(0.0, 0.045));
+    }
+
+    #[test]
+    fn nan_and_infinite_ratios_never_pass() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(!passes(bad, 0.5), "ratio {bad} passed");
+            assert!(!passes(1.0, bad), "floor {bad} passed");
+        }
+    }
+
+    #[test]
+    fn gate_names_are_unique() {
+        let mut names: Vec<&str> = PAIRED_GATES.iter().map(|g| g.name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), PAIRED_GATES.len());
+    }
 }

@@ -68,6 +68,8 @@ fn merging_past_u64_is_an_error() {
     let payloads = [
         r#"[{"algo":"space_saving","state":{"capacity":4,"stream_len":9223372036854775808,"absorbed_slack":0,"entries":[["a",9223372036854775808,0]]}}]"#,
         r#"[{"algo":"frequent","state":{"capacity":4,"stream_len":9223372036854775808,"decrements":0,"entries":[["a",9223372036854775808]]}}]"#,
+        r#"[{"algo":"lossy_counting","state":{"width":4611686018427387904,"window":3,"stream_len":9223372036854775808,"max_table":1,"entries":[["a",9223372036854775808,0]]}}]"#,
+        r#"[{"algo":"sticky_sampling","state":{"epsilon":0.01,"window":100,"rate":1,"until_double":100,"rng_state":1,"stream_len":9223372036854775808,"max_table":1,"entries":[["a",9223372036854775808]]}}]"#,
     ];
     for (i, payload) in payloads.iter().enumerate() {
         let path = envelope(&format!("half-{i}"), payload);

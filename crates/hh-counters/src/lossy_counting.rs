@@ -152,32 +152,62 @@ impl<I: Eq + Hash + Clone> LossyCounting<I> {
     /// of both sides' (so every new delta stays a past window id), followed
     /// by one standard prune. Estimates keep underestimating and
     /// `count + delta` stays a sound upper bound on the combined frequency.
-    pub fn absorb_parts(&mut self, entries: Vec<(I, u64, u64)>, window: u64, stream_len: u64) {
+    ///
+    /// Returns [`Error::Overflow`], leaving the summary unchanged, when the
+    /// combined stream length, window id, or any merged count, delta or
+    /// `count + delta` bound would exceed `u64::MAX`.
+    pub fn absorb_parts(
+        &mut self,
+        entries: Vec<(I, u64, u64)>,
+        window: u64,
+        stream_len: u64,
+    ) -> Result<(), Error> {
+        let overflow =
+            |what: &str| Error::Overflow(format!("merged LossyCounting {what} exceeds u64"));
         let donor_absent = window.saturating_sub(1);
         let self_absent = self.window - 1;
-        let mut seen = crate::fasthash::FxHashMap::default();
+        let combined_len = self
+            .stream_len
+            .checked_add(stream_len)
+            .ok_or_else(|| overflow("stream length"))?;
+        let combined_window = self
+            .window
+            .checked_add(donor_absent)
+            .ok_or_else(|| overflow("window id"))?;
+        // Every donor item's merged (count, delta), checked before the
+        // table changes.
+        let mut merged = FxHashMap::default();
         for (item, count, delta) in entries {
             if count == 0 {
                 continue;
             }
-            seen.insert(item.clone(), ());
-            match self.table.get_mut(&item) {
-                Some((c, d)) => {
-                    *c += count;
-                    *d += delta;
-                }
-                None => {
-                    self.table.insert(item, (count, delta + self_absent));
-                }
-            }
+            let (c, d) = merged
+                .get(&item)
+                .or_else(|| self.table.get(&item))
+                .copied()
+                .unwrap_or((0, self_absent));
+            let sum = c
+                .checked_add(count)
+                .zip(d.checked_add(delta))
+                .filter(|&(c, d)| c.checked_add(d).is_some());
+            merged.insert(item, sum.ok_or_else(|| overflow("count"))?);
+        }
+        // Items only this side stores widen their delta by the donor's bound.
+        let mut unmatched = self
+            .table
+            .iter()
+            .filter(|(item, _)| !merged.contains_key(*item));
+        if unmatched.any(|(_, &(c, d))| c.checked_add(d + donor_absent).is_none()) {
+            return Err(overflow("count"));
         }
         for (item, (_, d)) in self.table.iter_mut() {
-            if !seen.contains_key(item) {
+            if !merged.contains_key(item) {
                 *d += donor_absent;
             }
         }
-        self.stream_len += stream_len;
-        self.window += donor_absent;
+        self.table.extend(merged);
+        self.stream_len = combined_len;
+        self.window = combined_window;
         // Organic pruning drops entries with `c + d ≤ b` *before* advancing
         // to window `b + 1`, which is what keeps the `window − 1` upper
         // bound sound for pruned items; mirror that by pruning at the
@@ -185,6 +215,7 @@ impl<I: Eq + Hash + Clone> LossyCounting<I> {
         let boundary = self.window - 1;
         self.table.retain(|_, &mut (c, d)| c + d > boundary);
         self.max_table = self.max_table.max(self.table.len());
+        Ok(())
     }
 
     fn prune(&mut self) {

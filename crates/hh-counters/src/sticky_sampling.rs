@@ -191,15 +191,33 @@ impl<I: Eq + Hash + Clone> StickySampling<I> {
     /// counts underestimate their streams, so the union keeps
     /// underestimating the combined one; the local sampling schedule
     /// (rate, epoch) continues unchanged.
-    pub fn absorb_parts(&mut self, entries: Vec<(I, u64)>, stream_len: u64) {
+    ///
+    /// Returns [`Error::Overflow`], leaving the summary unchanged, when the
+    /// combined stream length or any merged count would exceed `u64::MAX`.
+    pub fn absorb_parts(&mut self, entries: Vec<(I, u64)>, stream_len: u64) -> Result<(), Error> {
+        let overflow =
+            |what: &str| Error::Overflow(format!("merged StickySampling {what} exceeds u64"));
+        let combined_len = self
+            .stream_len
+            .checked_add(stream_len)
+            .ok_or_else(|| overflow("stream length"))?;
+        // Every donor item's merged count, checked before the table changes.
+        let mut merged = FxHashMap::default();
         for (item, count) in entries {
             if count == 0 {
                 continue;
             }
-            *self.table.entry(item).or_insert(0) += count;
+            let c = merged
+                .get(&item)
+                .or_else(|| self.table.get(&item))
+                .copied()
+                .unwrap_or(0);
+            merged.insert(item, c.checked_add(count).ok_or_else(|| overflow("count"))?);
         }
-        self.stream_len += stream_len;
+        self.table.extend(merged);
+        self.stream_len = combined_len;
         self.max_table = self.max_table.max(self.table.len());
+        Ok(())
     }
 
     fn double_rate(&mut self) {

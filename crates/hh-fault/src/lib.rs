@@ -13,7 +13,7 @@
 //! * **feature `active` off (default)** — every hook is an empty
 //!   `#[inline(always)]` function; the optimizer erases the call and the
 //!   pipeline/server hot paths are bit-identical to a hook-free build
-//!   (the `BENCH_fault_overhead.json` sentinel gates this).
+//!   (the `fault_overhead` gate of `bench_regression_check` holds this).
 //! * **feature `active` on** — hooks consult the installed plan: a
 //!   relaxed-atomic fast path when no plan is installed, a shared-lock
 //!   lookup when one is.

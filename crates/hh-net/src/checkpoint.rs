@@ -94,16 +94,21 @@ fn header_field<'a>(token: Option<&'a str>, key: &str) -> Result<&'a str, Error>
         .ok_or_else(|| Error::corrupt_snapshot(format!("checkpoint header missing {key}=")))
 }
 
-/// Parses and verifies an envelope. Torn or tampered payloads (length
-/// mismatch, CRC mismatch) are a typed [`Error::CorruptSnapshot`].
-pub fn decode<I>(text: &str) -> Result<Checkpoint<I>, Error>
-where
-    I: EngineItem + Deserialize,
-{
-    let (header, payload) = text
-        .split_once('\n')
-        .ok_or_else(|| Error::corrupt_snapshot("checkpoint has no header line"))?;
-    let mut tokens = header.split(' ');
+/// The longest header line [`load`] reads: the magic, the version and
+/// four decimal `u64` fields take under 120 bytes.
+const MAX_HEADER_LINE: u64 = 256;
+
+/// The fields of an envelope header line.
+struct Header {
+    crc: u32,
+    len: u64,
+    shards: usize,
+    unobserved: u64,
+}
+
+/// Parses an envelope header line (without its newline).
+fn parse_header(line: &str) -> Result<Header, Error> {
+    let mut tokens = line.split(' ');
     if tokens.next() != Some(MAGIC) {
         return Err(Error::corrupt_snapshot(
             "not a checkpoint envelope (bad magic)",
@@ -118,40 +123,70 @@ where
         }
         None => return Err(Error::corrupt_snapshot("checkpoint header missing version")),
     }
-    let crc: u32 = u32::from_str_radix(header_field(tokens.next(), "crc")?, 16)
+    let crc = u32::from_str_radix(header_field(tokens.next(), "crc")?, 16)
         .map_err(|_| Error::corrupt_snapshot("checkpoint crc is not hex"))?;
-    let len: usize = header_field(tokens.next(), "len")?
+    let len = header_field(tokens.next(), "len")?
         .parse()
         .map_err(|_| Error::corrupt_snapshot("checkpoint len is not an integer"))?;
-    let shards: usize = header_field(tokens.next(), "shards")?
+    let shards = header_field(tokens.next(), "shards")?
         .parse()
         .map_err(|_| Error::corrupt_snapshot("checkpoint shards is not an integer"))?;
-    let unobserved: u64 = header_field(tokens.next(), "unobserved")?
+    let unobserved = header_field(tokens.next(), "unobserved")?
         .parse()
         .map_err(|_| Error::corrupt_snapshot("checkpoint unobserved is not an integer"))?;
-    if payload.len() != len {
-        return Err(Error::corrupt_snapshot(format!(
-            "checkpoint payload is {} bytes, header says {len} (torn write?)",
-            payload.len()
-        )));
-    }
-    let actual = crc32(payload.as_bytes());
-    if actual != crc {
-        return Err(Error::corrupt_snapshot(format!(
-            "checkpoint crc mismatch: header {crc:08x}, payload {actual:08x}"
-        )));
-    }
-    let snaps: Vec<Snapshot<I>> = serde_json::from_str(payload)?;
-    if snaps.len() != shards {
-        return Err(Error::corrupt_snapshot(format!(
-            "checkpoint holds {} snapshots, header says {shards}",
-            snaps.len()
-        )));
-    }
-    Ok(Checkpoint {
-        shards: snaps,
+    Ok(Header {
+        crc,
+        len,
+        shards,
         unobserved,
     })
+}
+
+impl Header {
+    /// Verifies `payload` against the header and deserializes it.
+    fn open<I>(&self, payload: &str) -> Result<Checkpoint<I>, Error>
+    where
+        I: EngineItem + Deserialize,
+    {
+        let len = self.len;
+        if payload.len() as u64 != len {
+            return Err(Error::corrupt_snapshot(format!(
+                "checkpoint payload is {} bytes, header says {len} (torn write?)",
+                payload.len()
+            )));
+        }
+        let actual = crc32(payload.as_bytes());
+        if actual != self.crc {
+            return Err(Error::corrupt_snapshot(format!(
+                "checkpoint crc mismatch: header {:08x}, payload {actual:08x}",
+                self.crc
+            )));
+        }
+        let snaps: Vec<Snapshot<I>> = serde_json::from_str(payload)?;
+        if snaps.len() != self.shards {
+            return Err(Error::corrupt_snapshot(format!(
+                "checkpoint holds {} snapshots, header says {}",
+                snaps.len(),
+                self.shards
+            )));
+        }
+        Ok(Checkpoint {
+            shards: snaps,
+            unobserved: self.unobserved,
+        })
+    }
+}
+
+/// Parses and verifies an envelope. Torn or tampered payloads (length
+/// mismatch, CRC mismatch) are a typed [`Error::CorruptSnapshot`].
+pub fn decode<I>(text: &str) -> Result<Checkpoint<I>, Error>
+where
+    I: EngineItem + Deserialize,
+{
+    let (header, payload) = text
+        .split_once('\n')
+        .ok_or_else(|| Error::corrupt_snapshot("checkpoint has no header line"))?;
+    parse_header(header)?.open(payload)
 }
 
 /// Fsyncs the directory holding `path`, making a just-renamed entry
@@ -194,11 +229,33 @@ where
 }
 
 /// Loads and verifies the checkpoint at `path` (no fallback).
+///
+/// The header line is read with a bound, and the file's size must equal
+/// the header plus its `len=` before any payload byte is read, so a
+/// torn, padded or hostile file of any size costs one short read.
 pub fn load<I>(path: &str) -> Result<Checkpoint<I>, Error>
 where
     I: EngineItem + Deserialize,
 {
-    decode(&std::fs::read_to_string(path)?)
+    use std::io::{BufRead as _, Read as _};
+    let file = std::fs::File::open(path)?;
+    let size = file.metadata()?.len();
+    let mut reader = std::io::BufReader::new(file);
+    let mut line = String::new();
+    (&mut reader).take(MAX_HEADER_LINE).read_line(&mut line)?;
+    let header = line
+        .strip_suffix('\n')
+        .ok_or_else(|| Error::corrupt_snapshot("checkpoint has no header line"))?;
+    let header = parse_header(header)?;
+    let expected = (line.len() as u64).saturating_add(header.len);
+    if size != expected {
+        return Err(Error::corrupt_snapshot(format!(
+            "checkpoint file is {size} bytes, header says {expected}"
+        )));
+    }
+    let mut payload = String::new();
+    reader.read_to_string(&mut payload)?;
+    header.open(&payload)
 }
 
 /// Loads `path`, falling back to the previous generation
@@ -344,6 +401,35 @@ mod tests {
         let ckpt: Checkpoint<u64> = decode(&envelope(&huge)).unwrap();
         let engine = Engine::from_snapshot(merge_to_snapshot(ckpt.shards).unwrap().unwrap());
         assert_eq!(engine.unwrap().estimate(&1), 2);
+    }
+
+    #[test]
+    fn load_checks_the_file_size_before_reading_the_payload() {
+        // A sparse 4 GiB file whose header claims a 2-byte payload: the
+        // size check must reject it from metadata, naming both sizes,
+        // without reading or allocating the payload.
+        let path = tmp_path("sparse");
+        let header = format!("{MAGIC} v1 crc=00000000 len=2 shards=1 unobserved=0\n");
+        std::fs::write(&path, &header).unwrap();
+        let size: u64 = 4 << 30;
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(size)
+            .unwrap();
+        let err = load::<u64>(&path).unwrap_err();
+        let msg = err.to_string();
+        assert!(matches!(err, Error::CorruptSnapshot(_)), "{msg}");
+        let expected = header.len() + 2;
+        assert!(
+            msg.contains(&format!("file is {size} bytes, header says {expected}")),
+            "{msg}"
+        );
+        // A header line that never ends within the bound is rejected too.
+        std::fs::write(&path, "hhckpt ".repeat(100)).unwrap();
+        assert!(matches!(load::<u64>(&path), Err(Error::CorruptSnapshot(_))));
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

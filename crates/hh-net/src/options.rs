@@ -215,6 +215,37 @@ impl ServeOptions {
     }
 }
 
+/// A countdown to the next multiple of `every` routed items. A call to
+/// [`Cadence::tick`] that crosses one or more boundaries fires once and
+/// stays aligned to the multiples; `every == 0` never fires.
+#[derive(Debug)]
+struct Cadence {
+    every: u64,
+    until: u64,
+}
+
+impl Cadence {
+    fn new(every: u64) -> Self {
+        Cadence {
+            every,
+            until: every,
+        }
+    }
+
+    /// Counts `n` more routed items; true when a boundary was crossed.
+    fn tick(&mut self, n: u64) -> bool {
+        if self.every == 0 {
+            return false;
+        }
+        if n < self.until {
+            self.until -= n;
+            return false;
+        }
+        self.until = self.every - (n - self.until) % self.every;
+        true
+    }
+}
+
 /// Whether a cadence boundary was crossed by the items just routed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Due {
@@ -262,12 +293,9 @@ pub struct ServeSession<I: EngineItem> {
     /// Whether the resume load fell back to the previous checkpoint
     /// generation because the current one was torn or corrupt.
     resumed_from_fallback: bool,
-    report_every: u64,
-    stats_every: u64,
-    checkpoint_every: u64,
-    until_report: u64,
-    until_stats: u64,
-    until_checkpoint: u64,
+    report_cadence: Cadence,
+    stats_cadence: Cadence,
+    checkpoint_cadence: Cadence,
     snapshot_out: Option<String>,
     k: usize,
 }
@@ -313,12 +341,9 @@ impl<I: EngineItem> ServeSession<I> {
             resume,
             resume_unobserved,
             resumed_from_fallback,
-            report_every: opts.report_every,
-            stats_every: opts.stats_every.unwrap_or(0),
-            checkpoint_every: opts.checkpoint_every,
-            until_report: opts.report_every,
-            until_stats: opts.stats_every.unwrap_or(0),
-            until_checkpoint: opts.checkpoint_every,
+            report_cadence: Cadence::new(opts.report_every),
+            stats_cadence: Cadence::new(opts.stats_every.unwrap_or(0)),
+            checkpoint_cadence: Cadence::new(opts.checkpoint_every),
             snapshot_out: opts.snapshot_out.clone(),
             k: opts.k,
         })
@@ -375,35 +400,11 @@ impl<I: EngineItem> ServeSession<I> {
     }
 
     fn note_routed(&mut self, n: u64) -> Due {
-        let mut due = Due::default();
-        if self.report_every > 0 {
-            if n >= self.until_report {
-                due.report = true;
-                let over = (n - self.until_report) % self.report_every;
-                self.until_report = self.report_every - over;
-            } else {
-                self.until_report -= n;
-            }
+        Due {
+            report: self.report_cadence.tick(n),
+            stats: self.stats_cadence.tick(n),
+            checkpoint: self.checkpoint_cadence.tick(n),
         }
-        if self.stats_every > 0 {
-            if n >= self.until_stats {
-                due.stats = true;
-                let over = (n - self.until_stats) % self.stats_every;
-                self.until_stats = self.stats_every - over;
-            } else {
-                self.until_stats -= n;
-            }
-        }
-        if self.checkpoint_every > 0 {
-            if n >= self.until_checkpoint {
-                due.checkpoint = true;
-                let over = (n - self.until_checkpoint) % self.checkpoint_every;
-                self.until_checkpoint = self.checkpoint_every - over;
-            } else {
-                self.until_checkpoint -= n;
-            }
-        }
-        due
     }
 
     /// The live merged view at an epoch boundary, with the resume

@@ -1321,8 +1321,7 @@ impl<I: EngineItem> Engine<I> {
     /// table union; sketch backends add cell-wise and re-rank the
     /// candidate union. Fails with [`Error::SnapshotMismatch`] when
     /// algorithms (or sketch shapes) differ, and with [`Error::Overflow`]
-    /// when the combined SPACESAVING or FREQUENT bookkeeping would exceed
-    /// `u64::MAX`.
+    /// when the combined counter bookkeeping would exceed `u64::MAX`.
     pub fn merge_snapshot(&mut self, snap: &Snapshot<I>) -> Result<(), Error> {
         let algo = self.algo();
         match (&mut self.backend, snap) {
@@ -1340,12 +1339,12 @@ impl<I: EngineItem> Engine<I> {
             // Manku–Motwani distributed merge: counts and deltas add, the
             // absent side contributing its window bound
             (Backend::LossyCounting(b), Snapshot::LossyCounting(s)) => {
-                b.absorb_parts(s.entries.clone(), s.window, s.stream_len)
+                b.absorb_parts(s.entries.clone(), s.window, s.stream_len)?
             }
             // O(m) table union — replaying through the sampler would cost
             // O(total count) coin flips and re-thin the donor's sample
             (Backend::StickySampling(b), Snapshot::StickySampling(s)) => {
-                b.absorb_parts(s.entries.clone(), s.stream_len)
+                b.absorb_parts(s.entries.clone(), s.stream_len)?
             }
             (Backend::CountMin(b), Snapshot::CountMin(s)) => {
                 b.merge_from(&count_min_from(s.clone())?, |a, b| a.merge_from(b))?
@@ -2274,12 +2273,45 @@ mod tests {
         // Two valid engines, each holding one item counted 2^63: the
         // combined F1 is 2^64. Merging must refuse and leave the target
         // as it was, not wrap to stream_len 0 and an interval of (0, 0).
-        for algo in [AlgoKind::SpaceSaving, AlgoKind::Frequent] {
-            let config = EngineConfig::new(algo).counters(4);
-            let mut a = config.build::<u64>().unwrap();
-            let mut b = config.build::<u64>().unwrap();
-            a.update_by(1, 1 << 63);
-            b.update_by(1, 1 << 63);
+        // STICKY SAMPLING's update_by samples each occurrence, so the
+        // sampling backends start from snapshots.
+        let half = |algo: AlgoKind| match algo {
+            AlgoKind::LossyCounting => {
+                Engine::from_snapshot(Snapshot::LossyCounting(LossyCountingState {
+                    width: 1 << 62,
+                    window: 3,
+                    stream_len: 1 << 63,
+                    max_table: 1,
+                    entries: vec![(1u64, 1 << 63, 0)],
+                }))
+                .unwrap()
+            }
+            AlgoKind::StickySampling => {
+                Engine::from_snapshot(Snapshot::StickySampling(StickySamplingState {
+                    epsilon: 0.01,
+                    window: 100,
+                    rate: 1,
+                    until_double: 100,
+                    rng_state: 1,
+                    stream_len: 1 << 63,
+                    max_table: 1,
+                    entries: vec![(1u64, 1 << 63)],
+                }))
+                .unwrap()
+            }
+            _ => {
+                let mut e = EngineConfig::new(algo).counters(4).build().unwrap();
+                e.update_by(1, 1 << 63);
+                e
+            }
+        };
+        for algo in [
+            AlgoKind::SpaceSaving,
+            AlgoKind::Frequent,
+            AlgoKind::LossyCounting,
+            AlgoKind::StickySampling,
+        ] {
+            let (mut a, b) = (half(algo), half(algo));
             let before = a.snapshot();
             let err = a.merge_snapshot(&b.snapshot()).unwrap_err();
             assert!(matches!(err, Error::Overflow(_)), "{algo}: {err}");

@@ -2,7 +2,7 @@
 //! a drifted contract is fixed by updating the artifact, not by
 //! annotating the code.
 //!
-//! Three contracts are enforced (scope rationale in docs/ANALYSIS.md):
+//! Two contracts are enforced (scope rationale in docs/ANALYSIS.md):
 //!
 //! 1. **Protocol records ↔ docs/PROTOCOL.md.** `hh-net/src/proto.rs`
 //!    is the single NDJSON emitter; every `"field":` name it renders
@@ -11,13 +11,8 @@
 //!    hardcoded number), and the doc's `"v": N` mentions must match
 //!    the constant. Record-shaped literals (`{"v":…`) anywhere else in
 //!    library/binary non-test code are emitter drift.
-//! 2. **Bench baselines ↔ the regression gate.** Every `BENCH_*.json`
-//!    at the repo root must be referenced by
-//!    `bench_regression_check.rs` (a new baseline with no gate is an
-//!    error, not a silent hole), and every baseline the gate
-//!    references must exist.
-//! 3. **CI.** The workflow must run both the bench gate and
-//!    `xtask lint` itself.
+//! 2. **CI.** The workflow must run `xtask lint` itself and, when the
+//!    bench regression gate exists, the gate.
 
 use crate::engine::{Artifacts, FileAnalysis};
 use crate::lexer::TokenKind;
@@ -26,7 +21,7 @@ use crate::scope::Scope;
 
 /// The single sanctioned NDJSON record emitter.
 pub const PROTO_PATH: &str = "crates/hh-net/src/proto.rs";
-/// The bench regression gate every baseline must appear in.
+/// The bench regression gate CI must run.
 pub const GATE_PATH: &str = "crates/bench/src/bin/bench_regression_check.rs";
 /// Where the record shapes are documented.
 pub const DOC_PATH: &str = "docs/PROTOCOL.md";
@@ -43,8 +38,7 @@ pub fn check(fas: &[FileAnalysis], artifacts: &Artifacts, out: &mut Vec<Diagnost
         check_protocol(proto, artifacts, out);
     }
     check_confinement(fas, out);
-    check_bench_gates(fas, artifacts, out);
-    check_ci(artifacts, proto.is_some(), out);
+    check_ci(fas, artifacts, out);
 }
 
 fn diag(out: &mut Vec<Diagnostic>, path: &str, line: u32, col: u32, message: String) {
@@ -267,86 +261,12 @@ fn check_confinement(fas: &[FileAnalysis], out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Contract 2: BENCH_*.json baselines ↔ bench_regression_check.rs.
-fn check_bench_gates(fas: &[FileAnalysis], artifacts: &Artifacts, out: &mut Vec<Diagnostic>) {
-    if artifacts.bench_baselines.is_empty() {
-        return;
-    }
-    let Some(gate) = fas.iter().find(|fa| fa.path == GATE_PATH) else {
-        diag(
-            out,
-            GATE_PATH,
-            1,
-            1,
-            format!(
-                "{} BENCH_*.json baselines exist but the regression gate `{GATE_PATH}` \
-                 is missing",
-                artifacts.bench_baselines.len()
-            ),
-        );
-        return;
-    };
-    // Names the gate's literals reference (including in test regions:
-    // a gate is a gate wherever it is asserted from).
-    let mut referenced: Vec<Field> = Vec::new();
-    for t in &gate.tokens {
-        if t.kind != TokenKind::Literal || !t.text.contains('"') {
-            continue;
-        }
-        let text = unescaped(&t.text);
-        let bytes = text.as_bytes();
-        let mut i = 0;
-        while let Some(pos) = text[i..].find("BENCH_") {
-            let start = i + pos;
-            let mut j = start;
-            while j < bytes.len()
-                && (bytes[j].is_ascii_alphanumeric() || bytes[j] == b'_' || bytes[j] == b'.')
-            {
-                j += 1;
-            }
-            let name = &text[start..j];
-            if name.ends_with(".json") {
-                referenced.push((name.to_string(), t.line));
-            }
-            i = j.max(start + 1);
-        }
-    }
-    for base in &artifacts.bench_baselines {
-        if !referenced.iter().any(|(r, _)| r == base) {
-            diag(
-                out,
-                GATE_PATH,
-                1,
-                1,
-                format!(
-                    "baseline `{base}` has no gate in {GATE_PATH} — add it to the \
-                     sentinel/audited tables (a baseline with no gate is a silent hole)"
-                ),
-            );
-        }
-    }
-    let mut seen = std::collections::BTreeSet::new();
-    for (name, line) in &referenced {
-        if !seen.insert(name.clone()) {
-            continue;
-        }
-        if !artifacts.bench_baselines.contains(name) {
-            diag(
-                out,
-                GATE_PATH,
-                *line,
-                1,
-                format!("gate references `{name}` but no such baseline exists at the repo root"),
-            );
-        }
-    }
-}
-
-/// Contract 3: CI runs the gates.
-fn check_ci(artifacts: &Artifacts, have_proto: bool, out: &mut Vec<Diagnostic>) {
-    let relevant = have_proto || !artifacts.bench_baselines.is_empty();
+/// Contract 2: CI runs the gates.
+fn check_ci(fas: &[FileAnalysis], artifacts: &Artifacts, out: &mut Vec<Diagnostic>) {
+    let has = |path: &str| fas.iter().any(|fa| fa.path == path);
+    let have_gate = has(GATE_PATH);
     let Some((ci_path, ci)) = &artifacts.ci_yml else {
-        if relevant {
+        if have_gate || has(PROTO_PATH) {
             diag(
                 out,
                 CI_PATH,
@@ -357,14 +277,14 @@ fn check_ci(artifacts: &Artifacts, have_proto: bool, out: &mut Vec<Diagnostic>) 
         }
         return;
     };
-    if !artifacts.bench_baselines.is_empty() && !ci.contains("bench_regression_check") {
+    if have_gate && !ci.contains("bench_regression_check") {
         diag(
             out,
             ci_path,
             1,
             1,
-            "CI workflow never runs `bench_regression_check` — the BENCH_*.json \
-             baselines gate nothing without it"
+            "CI workflow never runs `bench_regression_check` — the paired \
+             regression gates guard nothing without it"
                 .to_string(),
         );
     }

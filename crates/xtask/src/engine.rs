@@ -25,8 +25,8 @@ pub struct LintReport {
     pub files: usize,
     /// Number of vendor manifests checked.
     pub manifests: usize,
-    /// Number of non-source artifacts (PROTOCOL.md, ci.yml, BENCH
-    /// baselines) cross-checked by the drift rule.
+    /// Number of non-source artifacts (PROTOCOL.md, ci.yml)
+    /// cross-checked by the drift rule.
     pub artifacts: usize,
     /// Number of honored (used) waivers across the tree.
     pub waivers_honored: usize,
@@ -61,8 +61,6 @@ pub struct Artifacts {
     pub protocol_md: Option<(String, String)>,
     /// `.github/workflows/ci.yml`, if present.
     pub ci_yml: Option<(String, String)>,
-    /// Basenames of `BENCH_*.json` baselines at the repo root.
-    pub bench_baselines: Vec<String>,
 }
 
 impl Artifacts {
@@ -74,9 +72,7 @@ impl Artifacts {
     }
 
     fn count(&self) -> usize {
-        usize::from(self.protocol_md.is_some())
-            + usize::from(self.ci_yml.is_some())
-            + self.bench_baselines.len()
+        usize::from(self.protocol_md.is_some()) + usize::from(self.ci_yml.is_some())
     }
 }
 
@@ -173,8 +169,7 @@ pub fn lint_source(rel_path: &str, src: &str) -> (Vec<Diagnostic>, usize) {
 
 /// Walks the repo and lints every `.rs` file under `crates/`, `vendor/`,
 /// `tests/`, `examples/` as one unit, plus every `vendor/*/Cargo.toml`,
-/// plus the drift artifacts (docs/PROTOCOL.md, the CI workflow, and the
-/// `BENCH_*.json` baselines at the root).
+/// plus the drift artifacts (docs/PROTOCOL.md and the CI workflow).
 pub fn lint_repo(root: &Path) -> std::io::Result<LintReport> {
     let vendor_crates = vendor_crate_names(root)?;
 
@@ -224,14 +219,6 @@ pub fn load_artifacts(root: &Path) -> std::io::Result<Artifacts> {
     if ci.is_file() {
         artifacts.ci_yml = Some((drift::CI_PATH.to_string(), fs::read_to_string(ci)?));
     }
-    for entry in fs::read_dir(root)? {
-        let entry = entry?;
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if name.starts_with("BENCH_") && name.ends_with(".json") && entry.file_type()?.is_file() {
-            artifacts.bench_baselines.push(name);
-        }
-    }
-    artifacts.bench_baselines.sort();
     Ok(artifacts)
 }
 

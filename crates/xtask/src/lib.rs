@@ -7,7 +7,7 @@
 //! thread spawns confined to the scheduler/pipeline/server, vendored
 //! stand-ins that stay dependency-free, allocation-free ingest hot
 //! paths, panics that never reach a public entry point, artifacts
-//! (protocol doc, bench baselines, CI) that cannot drift from the
+//! (protocol doc, CI) that cannot drift from the
 //! code. This crate checks exactly those, against a real token stream
 //! (see [`lexer`]) so string literals and comments can never
 //! false-positive; the interprocedural rules run over an item-level

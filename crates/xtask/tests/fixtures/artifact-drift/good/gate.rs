@@ -1,9 +1,8 @@
 //@ path: crates/bench/src/bin/bench_regression_check.rs
-//! Fixture: the regression gate referencing its one baseline.
+//! Fixture: the regression gate, which the CI workflow must run.
 
 #![deny(unsafe_code)]
 
 fn main() {
-    let baseline = "BENCH_demo.json";
-    println!("checking {baseline}");
+    println!("bench regression gate passed");
 }

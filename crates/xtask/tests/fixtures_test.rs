@@ -5,8 +5,8 @@
 //! `bad.expected` byte-for-byte. A case is either a single file
 //! (`good.rs` / `bad.rs`) or a directory (`good/` / `bad/`) for the
 //! interprocedural and cross-artifact rules: every `.rs` member is
-//! linted as one unit and artifact members (`PROTOCOL.md`, `ci.yml`,
-//! `BENCH_*.json`) are loaded under their canonical repo paths.
+//! linted as one unit and artifact members (`PROTOCOL.md`, `ci.yml`)
+//! are loaded under their canonical repo paths.
 //!
 //! Every fixture source's first line is a `//@ path: <pretend-repo-path>`
 //! directive: the engine lints the source *as if* it lived at that
@@ -74,11 +74,8 @@ fn load_case(dir: &Path, which: &str) -> (Vec<(String, String)>, Artifacts) {
             artifacts.protocol_md = Some(("docs/PROTOCOL.md".to_string(), read()));
         } else if name == "ci.yml" {
             artifacts.ci_yml = Some((".github/workflows/ci.yml".to_string(), read()));
-        } else if name.starts_with("BENCH_") && name.ends_with(".json") {
-            artifacts.bench_baselines.push(name);
         }
     }
-    artifacts.bench_baselines.sort();
     (files, artifacts)
 }
 
@@ -225,7 +222,7 @@ fn fixture_corpus_is_invisible_to_repo_sweeps() {
 fn drift_fixture_catches_single_field_rename_and_missing_gate() {
     // The acceptance property of the drift rule, asserted directly:
     // starting from the *clean* fixture set, renaming one documented
-    // field or dropping the one gate reference must surface findings.
+    // field or dropping the bench gate from CI must surface findings.
     let dir = fixtures_dir().join("artifact-drift");
     let (files, artifacts) = load_case(&dir, "good");
     assert!(lint_files(&files, &artifacts).diagnostics.is_empty());
@@ -244,18 +241,18 @@ fn drift_fixture_catches_single_field_rename_and_missing_gate() {
         "field rename in PROTOCOL.md went unnoticed"
     );
 
-    // Drop the gate's baseline reference.
-    let gated: Vec<(String, String)> = files
-        .iter()
-        .map(|(p, s)| (p.clone(), s.replace("BENCH_demo.json", "ungated")))
-        .collect();
-    let report = lint_files(&gated, &artifacts);
+    // Drop the bench gate from the CI workflow.
+    let mut ungated = artifacts_clone(&artifacts);
+    if let Some((_, ci)) = &mut ungated.ci_yml {
+        *ci = ci.replace("bench_regression_check", "run_all");
+    }
+    let report = lint_files(&files, &ungated);
     assert!(
         report
             .diagnostics
             .iter()
             .any(|d| d.rule == "artifact-drift"),
-        "deleted bench gate went unnoticed"
+        "bench gate missing from CI went unnoticed"
     );
 }
 
@@ -265,6 +262,5 @@ fn artifacts_clone(a: &Artifacts) -> Artifacts {
     let mut out = Artifacts::none();
     out.protocol_md = a.protocol_md.clone();
     out.ci_yml = a.ci_yml.clone();
-    out.bench_baselines = a.bench_baselines.clone();
     out
 }
