@@ -67,9 +67,10 @@ fn bench_updates_batched(c: &mut Criterion) {
     group.finish();
 }
 
-/// The `update_many` driver shape: the same stream fed as 8192-element
-/// chunks, as a buffered reader (the CLI) or a shard worker would deliver
-/// it. Overhead versus one whole-stream `update_batch` should be noise.
+/// The chunked driver shape: the same stream fed as 8192-element
+/// chunks, one `update_batch` each, as a buffered reader (the CLI) or a
+/// shard worker would deliver it. Overhead versus one whole-stream
+/// `update_batch` should be noise.
 fn bench_updates_chunked(c: &mut Criterion) {
     let stream = workload();
     let mut group = c.benchmark_group("updates_per_sec_chunked");

@@ -148,37 +148,19 @@ pub fn feed<E: FrequencyEstimator<Item> + ?Sized>(est: &mut E, stream: &[Item]) 
     est.update_batch(stream);
 }
 
-/// Feeds a stream in fixed-size chunks through the estimator's
-/// [`FrequencyEstimator::update_many`] path — the driver shape of buffered
-/// ingest (a CLI reading line blocks, a shard worker draining partition
-/// segments). Equivalent to [`feed`]; backend pre-aggregation scratch is
-/// reused across chunks.
-///
-/// Chunk slices are streamed through a small constant-size group buffer
-/// rather than materialized all at once: the former
-/// `Vec<&[Item]>`-of-every-chunk was an O(stream/chunk) allocation per
-/// call, which on the bench hot path (hundreds of calls over
-/// 200 000-element streams at 8 KiB chunks) dominated the bookkeeping
-/// this helper is supposed to keep off the measurement.
+/// Feeds a stream in fixed-size chunks, one
+/// [`FrequencyEstimator::update_batch`] call per chunk — the driver shape
+/// of buffered ingest (a CLI reading line blocks, a shard worker draining
+/// partition segments). Equivalent to [`feed`] for the counter
+/// algorithms; backend pre-aggregation scratch is reused across chunks.
 pub fn feed_chunked<E: FrequencyEstimator<Item> + ?Sized>(
     est: &mut E,
     stream: &[Item],
     chunk: usize,
 ) {
     assert!(chunk >= 1, "chunk size must be positive");
-    // 32 slices per update_many call: enough to amortize the virtual call,
-    // small enough to live in one reused buffer regardless of stream size.
-    const GROUP: usize = 32;
-    let mut group: Vec<&[Item]> = Vec::with_capacity(GROUP);
     for slice in stream.chunks(chunk) {
-        group.push(slice);
-        if group.len() == GROUP {
-            est.update_many(&group);
-            group.clear();
-        }
-    }
-    if !group.is_empty() {
-        est.update_many(&group);
+        est.update_batch(slice);
     }
 }
 
@@ -221,31 +203,19 @@ mod tests {
 
     #[test]
     fn feed_chunked_matches_feed_for_any_chunking() {
-        // Streamed grouping must stay exactly equivalent to handing
-        // `update_many` every chunk slice at once (the former collect-all
-        // behavior), including chunk counts that straddle the internal
-        // group size (32) and a chunk size of 1 (one slice per element).
-        // For the counter algorithms that also equals whole-stream ingest;
-        // sketch candidate heaps are chunking-sensitive heuristics, so for
-        // them only the same-chunking comparison is exact.
+        // Every chunking, including a chunk size of 1 (one slice per
+        // element), ingests the whole stream; for the counter algorithms
+        // it also equals whole-stream ingest exactly. Sketch candidate
+        // heaps are chunking-sensitive heuristics, so for them only the
+        // stream length is compared.
         let stream: Vec<Item> = (0..2_077).map(|i| (i * i + 3 * i) % 97).collect();
         for algo in [Algo::SpaceSaving, Algo::Frequent, Algo::CountMin] {
             let mut whole = make_estimator(algo, 64, 7);
             feed(whole.as_mut(), &stream);
-            for chunk in [1usize, 31, 32, 33, 64, 2_077, 5_000] {
+            for chunk in [1usize, 31, 64, 2_077, 5_000] {
                 let mut chunked = make_estimator(algo, 64, 7);
                 feed_chunked(chunked.as_mut(), &stream, chunk);
                 assert_eq!(chunked.stream_len(), whole.stream_len());
-
-                let mut all_at_once = make_estimator(algo, 64, 7);
-                let slices: Vec<&[Item]> = stream.chunks(chunk).collect();
-                all_at_once.update_many(&slices);
-                assert_eq!(
-                    chunked.entries(),
-                    all_at_once.entries(),
-                    "{} chunk={chunk} vs collect-all update_many",
-                    algo.name()
-                );
                 if algo.is_counter() {
                     assert_eq!(
                         chunked.entries(),

@@ -8,7 +8,6 @@
 use hh::counters::Key;
 use hh::engine::{AlgoKind, CapacitySpec, EngineConfig};
 use hh::net::{NetOptions, ServeOptions};
-use hh::pipeline::{Routing, ShardIngest};
 use hh::Error;
 
 /// Usage text printed on parse errors.
@@ -51,10 +50,9 @@ options:
   --zipf <SPEC>      for `gen`: n,total,alpha[,seed] (e.g. 1000,50000,1.2)
 
 serve options (each maps 1:1 onto hh::net::ServeOptions; stdin/trace mode
-and --listen mode share the struct, so the two cannot drift):
+and --listen mode share the struct, so the two cannot drift; items are
+hash-partitioned across shards, and each record fires at its boundary item):
   --shards <N>       worker shards (default: available cores)
-  --routing <R>      hash (default) or roundrobin
-  --ingest <M>       aggregate (default) or preserve
   --batch-size <N>   router flush threshold in items (default 8192)
   --queue-depth <N>  bounded channel capacity in batches (default 4)
   --report-every <N> emit a live top-k report every N items
@@ -166,10 +164,6 @@ pub struct Options {
     pub stats_every: Option<u64>,
     /// Durable checkpoint interval (items) for `serve`; 0 disables.
     pub checkpoint_every: u64,
-    /// Shard routing policy for `serve`.
-    pub routing: Routing,
-    /// Per-shard ingest mode for `serve`.
-    pub ingest: ShardIngest,
     /// Router flush threshold in items for `serve`.
     pub batch_size: usize,
     /// Bounded channel capacity (batches) for `serve`.
@@ -218,8 +212,6 @@ impl Options {
     pub fn serve_options(&self) -> ServeOptions {
         ServeOptions::new(self.engine_config())
             .shards(self.shards)
-            .routing(self.routing)
-            .ingest(self.ingest)
             .batch_size(self.batch_size)
             .queue_depth(self.queue_depth)
             .report_every(self.report_every)
@@ -288,8 +280,6 @@ pub fn parse_args(args: &[String]) -> Result<Options, Error> {
         report_every: 0,
         stats_every: None,
         checkpoint_every: 0,
-        routing: Routing::HashPartition,
-        ingest: ShardIngest::Aggregate,
         batch_size: 8192,
         queue_depth: 4,
         listen: None,
@@ -359,28 +349,6 @@ pub fn parse_args(args: &[String]) -> Result<Options, Error> {
                     next_value(&mut it, "--checkpoint-every")?,
                     "--checkpoint-every",
                 )?
-            }
-            "--routing" => {
-                opts.routing = match next_value(&mut it, "--routing")?.as_str() {
-                    "hash" => Routing::HashPartition,
-                    "roundrobin" => Routing::RoundRobin,
-                    other => {
-                        return Err(Error::parse(format!(
-                            "--routing must be hash or roundrobin, got {other:?}"
-                        )))
-                    }
-                }
-            }
-            "--ingest" => {
-                opts.ingest = match next_value(&mut it, "--ingest")?.as_str() {
-                    "aggregate" => ShardIngest::Aggregate,
-                    "preserve" => ShardIngest::Preserve,
-                    other => {
-                        return Err(Error::parse(format!(
-                            "--ingest must be aggregate or preserve, got {other:?}"
-                        )))
-                    }
-                }
             }
             "--batch-size" => {
                 opts.batch_size = parse_num(next_value(&mut it, "--batch-size")?, "--batch-size")?
@@ -671,10 +639,6 @@ mod tests {
             "5000",
             "--max-conns",
             "16",
-            "--routing",
-            "roundrobin",
-            "--ingest",
-            "preserve",
             "--batch-size",
             "512",
             "--queue-depth",
@@ -686,16 +650,15 @@ mod tests {
         assert_eq!(o.addr_file.as_deref(), Some("addr.txt"));
         assert_eq!(o.idle_timeout_ms, 5000);
         assert_eq!(o.max_conns, 16);
-        assert_eq!(o.routing, Routing::RoundRobin);
-        assert_eq!(o.ingest, ShardIngest::Preserve);
         assert_eq!((o.batch_size, o.queue_depth), (512, 2));
         o.serve_options().validate().unwrap();
         o.net_options().validate().unwrap();
         // listen flags belong to serve; FILE input conflicts with --listen
         assert!(p(&["topk", "--listen", "127.0.0.1:0"]).is_err());
         assert!(p(&["serve", "--listen", "127.0.0.1:0", "in.txt"]).is_err());
-        assert!(p(&["serve", "--routing", "nope"]).is_err());
-        assert!(p(&["serve", "--ingest", "nope"]).is_err());
+        // One shard policy: the policy flags are unknown, not defaulted.
+        assert!(p(&["serve", "--routing", "hash"]).is_err());
+        assert!(p(&["serve", "--ingest", "aggregate"]).is_err());
     }
 
     #[test]

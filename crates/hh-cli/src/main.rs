@@ -118,7 +118,7 @@ fn run(opts: Options, reader: impl BufRead) -> Result<String, Error> {
     }
 }
 
-/// Lines buffered per [`Engine::update_many`] chunk: large enough that the
+/// Lines buffered per [`Engine::update_batch`] chunk: large enough that the
 /// per-chunk dispatch and pre-aggregation setup are noise, small enough
 /// to stay cache-resident.
 const INGEST_CHUNK: usize = 8192;
@@ -131,10 +131,10 @@ fn run_unweighted(opts: Options, mut reader: impl BufRead) -> Result<String, Err
     };
     engine.add_unobserved(unobserved);
 
-    // Chunked ingest (the `Engine::update_many` driver shape, one chunk at
-    // a time as the reader fills it): each buffer goes through the
-    // engine's batched fast path — run-length / pre-aggregated per backend
-    // — instead of one dispatch per line.
+    // Chunked ingest (one `Engine::update_batch` per chunk as the reader
+    // fills it): each buffer goes through the engine's batched fast path
+    // — run-length / pre-aggregated per backend — instead of one dispatch
+    // per line.
     let mut chunk: Vec<Key> = Vec::with_capacity(INGEST_CHUNK);
     let mut line = String::new();
     while let Some(item) = next_item(&mut reader, &mut line)? {

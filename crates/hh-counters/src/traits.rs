@@ -161,19 +161,6 @@ pub trait FrequencyEstimator<I: Eq + Hash + Clone> {
         }
     }
 
-    /// Processes several slices of arrivals in order — equivalent to one
-    /// [`FrequencyEstimator::update_batch`] call per chunk. This is the
-    /// natural ingest surface for drivers that buffer their input (the CLI
-    /// reads line chunks, shard workers drain partition segments): each
-    /// chunk goes through the backend's batched fast path with one call,
-    /// and any backend-owned pre-aggregation scratch is reused across
-    /// chunks.
-    fn update_many(&mut self, chunks: &[&[I]]) {
-        for chunk in chunks {
-            self.update_batch(chunk);
-        }
-    }
-
     /// Whether this estimator's final state is invariant under *reordering
     /// and aggregation* of its update sequence — i.e. any permutation of
     /// `update_by` calls, and any merging of same-item calls into one

@@ -12,9 +12,10 @@
 //! Three layers:
 //!
 //! * [`ServeOptions`] / [`ServeSession`] — the shared serving runtime
-//!   (shards, routing, batch/queue sizing, report/stats cadence,
-//!   snapshot in/out) driven identically by `hh serve` reading stdin and
-//!   by the network server, so the two modes cannot drift;
+//!   (shards, batch/queue sizing, report/stats/checkpoint cadence,
+//!   snapshot in/out; always hash-partitioned) driven identically by
+//!   `hh serve` reading stdin and by the network server, one
+//!   [`ServeSession::send`] per item, so the two modes cannot drift;
 //! * [`proto`] — the wire protocol: `item` / `item\tcount` ingest lines,
 //!   `?topk` / `?stats` / `?snapshot` / `?ping` / `?shutdown` queries,
 //!   and the versioned (`"v":1`) NDJSON record renderers;

@@ -4,8 +4,10 @@
 //! runtime that both loops tick.
 //!
 //! `ServeOptions` owns every knob the two modes share — shard count,
-//! routing, shard-ingest mode, batch size, queue depth, report/stats
-//! cadence, snapshot in/out — and `hh serve`'s flags map 1:1 onto it.
+//! batch size, queue depth, report/stats/checkpoint cadence, snapshot
+//! in/out — and `hh serve`'s flags map 1:1 onto it. The shard policy is
+//! fixed: hash-partition routing with per-batch aggregation (Theorem 11
+//! makes the merged guarantee hold for any partition and any order).
 //! [`NetOptions`] adds the listener-only knobs (addresses, connection
 //! limits, timeouts).
 
@@ -47,8 +49,6 @@ use crate::checkpoint::{self, Checkpoint};
 pub struct ServeOptions {
     engine: EngineConfig,
     shards: Option<usize>,
-    routing: Routing,
-    ingest: ShardIngest,
     batch_size: usize,
     queue_depth: usize,
     report_every: u64,
@@ -61,16 +61,12 @@ pub struct ServeOptions {
 
 impl ServeOptions {
     /// Serving defaults over `engine`: auto shard count (one per
-    /// available core), hash-partition routing, per-batch aggregation
-    /// (the serving sweet spot — order never matters to the merged
-    /// guarantee), 8192-item batches, 4-deep queues, final-only reports,
-    /// no stats records, no snapshots, `k = 10`.
+    /// available core), 8192-item batches, 4-deep queues, final-only
+    /// reports, no stats records, no snapshots, `k = 10`.
     pub fn new(engine: EngineConfig) -> Self {
         ServeOptions {
             engine,
             shards: None,
-            routing: Routing::HashPartition,
-            ingest: ShardIngest::Aggregate,
             batch_size: 8192,
             queue_depth: 4,
             report_every: 0,
@@ -85,18 +81,6 @@ impl ServeOptions {
     /// Sets the shard count (must be ≥ 1; `None` = one per core).
     pub fn shards(mut self, shards: Option<usize>) -> Self {
         self.shards = shards;
-        self
-    }
-
-    /// Sets the routing policy.
-    pub fn routing(mut self, routing: Routing) -> Self {
-        self.routing = routing;
-        self
-    }
-
-    /// Sets the shard ingest mode.
-    pub fn ingest(mut self, ingest: ShardIngest) -> Self {
-        self.ingest = ingest;
         self
     }
 
@@ -171,11 +155,13 @@ impl ServeOptions {
         self.k
     }
 
-    /// The pipeline configuration these options describe.
+    /// The pipeline configuration these options describe: hash-partition
+    /// routing with per-batch aggregation, the one shard policy serving
+    /// runs.
     pub fn pipeline_config(&self) -> PipelineConfig {
         let mut config = PipelineConfig::new(self.engine.clone())
-            .routing(self.routing)
-            .ingest(self.ingest)
+            .routing(Routing::HashPartition)
+            .ingest(ShardIngest::Aggregate)
             .batch_size(self.batch_size)
             .queue_depth(self.queue_depth);
         if let Some(shards) = self.shards {
@@ -215,38 +201,33 @@ impl ServeOptions {
     }
 }
 
-/// A countdown to the next multiple of `every` routed items. A call to
-/// [`Cadence::tick`] that crosses one or more boundaries fires once and
-/// stays aligned to the multiples; `every == 0` never fires.
+/// Fires at every multiple of `every` routed items; `every == 0` never
+/// fires.
 #[derive(Debug)]
 struct Cadence {
     every: u64,
-    until: u64,
+    /// The routed count of the next boundary item (`u64::MAX`: never).
+    next: u64,
 }
 
 impl Cadence {
     fn new(every: u64) -> Self {
-        Cadence {
-            every,
-            until: every,
-        }
+        let next = if every == 0 { u64::MAX } else { every };
+        Cadence { every, next }
     }
 
-    /// Counts `n` more routed items; true when a boundary was crossed.
-    fn tick(&mut self, n: u64) -> bool {
-        if self.every == 0 {
+    /// Whether item number `routed` is a boundary item (then arms the
+    /// next boundary). Items must be offered one by one, in order.
+    fn fire(&mut self, routed: u64) -> bool {
+        if routed < self.next {
             return false;
         }
-        if n < self.until {
-            self.until -= n;
-            return false;
-        }
-        self.until = self.every - (n - self.until) % self.every;
+        self.next += self.every;
         true
     }
 }
 
-/// Whether a cadence boundary was crossed by the items just routed.
+/// Which cadence boundaries the item just routed landed on.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Due {
     /// A live top-k report record is due.
@@ -278,8 +259,9 @@ impl Due {
 ///     .shards(Some(2))
 ///     .report_every(3);
 /// let mut session: ServeSession<u64> = ServeSession::spawn(&opts).unwrap();
-/// assert!(!session.send_batch(&[1, 2]).unwrap().report);
-/// assert!(session.send_batch(&[3]).unwrap().report); // boundary crossed
+/// assert!(!session.send(1).unwrap().report);
+/// assert!(!session.send(2).unwrap().report);
+/// assert!(session.send(3).unwrap().report); // the boundary item
 /// let merged = session.finish().unwrap();
 /// assert_eq!(merged.stream_len(), 3);
 /// ```
@@ -296,6 +278,9 @@ pub struct ServeSession<I: EngineItem> {
     report_cadence: Cadence,
     stats_cadence: Cadence,
     checkpoint_cadence: Cadence,
+    /// The earliest `next` of the three cadences, so an item that is no
+    /// boundary costs one compare (0 until the first item sets it).
+    next_due: u64,
     snapshot_out: Option<String>,
     k: usize,
 }
@@ -312,7 +297,8 @@ impl<I: EngineItem> ServeSession<I> {
     ///
     /// Everything [`ServeOptions::validate`] rejects, plus I/O,
     /// verification ([`Error::CorruptSnapshot`]) or deserialization
-    /// failures on the `snapshot_in` file.
+    /// failures on the `snapshot_in` file, and [`Error::SnapshotMismatch`]
+    /// when that snapshot does not merge into the configured engine.
     pub fn spawn(opts: &ServeOptions) -> Result<Self, Error>
     where
         I: Deserialize,
@@ -335,6 +321,12 @@ impl<I: EngineItem> ServeSession<I> {
                 operation: "resuming a serve session from a weighted snapshot",
             });
         }
+        if let Some(snap) = &resume {
+            // Every merged view folds the resume snapshot in; a checkpoint
+            // of another algorithm or shape must fail here, before any item
+            // is accepted, not at the first query.
+            opts.engine.build::<I>()?.merge_snapshot(snap)?;
+        }
         let pipeline = opts.pipeline_config().spawn()?;
         Ok(ServeSession {
             pipeline,
@@ -344,6 +336,7 @@ impl<I: EngineItem> ServeSession<I> {
             report_cadence: Cadence::new(opts.report_every),
             stats_cadence: Cadence::new(opts.stats_every.unwrap_or(0)),
             checkpoint_cadence: Cadence::new(opts.checkpoint_every),
+            next_due: 0,
             snapshot_out: opts.snapshot_out.clone(),
             k: opts.k,
         })
@@ -383,28 +376,27 @@ impl<I: EngineItem> ServeSession<I> {
         self.pipeline.stats()
     }
 
-    /// Routes one item; returns which cadence boundaries it crossed.
+    /// Routes one item — the only way items enter a session — and
+    /// returns which cadence boundaries it landed on, so every record
+    /// fires at its boundary item.
+    #[inline]
     pub fn send(&mut self, item: I) -> Result<Due, Error> {
         self.pipeline.send(item)?;
-        Ok(self.note_routed(1))
-    }
-
-    /// Routes a batch; returns which cadence boundaries it crossed (a
-    /// boundary inside the batch fires once, at the end of the batch).
-    pub fn send_batch(&mut self, items: &[I]) -> Result<Due, Error> {
-        if items.is_empty() {
+        let routed = self.pipeline.routed();
+        if routed < self.next_due {
             return Ok(Due::default());
         }
-        self.pipeline.send_batch(items)?;
-        Ok(self.note_routed(items.len() as u64))
-    }
-
-    fn note_routed(&mut self, n: u64) -> Due {
-        Due {
-            report: self.report_cadence.tick(n),
-            stats: self.stats_cadence.tick(n),
-            checkpoint: self.checkpoint_cadence.tick(n),
-        }
+        let due = Due {
+            report: self.report_cadence.fire(routed),
+            stats: self.stats_cadence.fire(routed),
+            checkpoint: self.checkpoint_cadence.fire(routed),
+        };
+        self.next_due = self
+            .report_cadence
+            .next
+            .min(self.stats_cadence.next)
+            .min(self.checkpoint_cadence.next);
+        Ok(due)
     }
 
     /// The live merged view at an epoch boundary, with the resume
@@ -660,8 +652,10 @@ mod tests {
     fn cadence_boundaries_fire_once_per_crossing() {
         let o = opts().shards(Some(1)).report_every(5).stats_every(Some(3));
         let mut s: ServeSession<u64> = ServeSession::spawn(&o).unwrap();
-        // 3 items: stats boundary only.
-        let due = s.send_batch(&[1, 2, 3]).unwrap();
+        // Item 3: stats boundary only.
+        assert!(!s.send(1).unwrap().any());
+        assert!(!s.send(2).unwrap().any());
+        let due = s.send(3).unwrap();
         assert_eq!(
             due,
             Due {
@@ -670,15 +664,19 @@ mod tests {
                 checkpoint: false
             }
         );
-        // 2 more (total 5): report boundary; stats not yet (next at 6).
-        let due = s.send_batch(&[4, 5]).unwrap();
+        // Item 5: report boundary; stats not yet (next at 6).
+        assert!(!s.send(4).unwrap().any());
+        let due = s.send(5).unwrap();
         assert!(due.report && !due.stats);
-        // One giant batch crosses both cadences multiple times: fires once.
-        let due = s.send_batch(&(0..17).collect::<Vec<u64>>()).unwrap();
-        assert!(due.report && due.stats);
-        // Countdown stays aligned: routed = 22, next report at 25.
-        assert!(!s.send_batch(&[9, 9]).unwrap().report);
-        assert!(s.send(7).unwrap().report);
+        // Countdowns stay aligned: each fires at its multiples only.
+        for n in 6..=25u64 {
+            let due = s.send(n).unwrap();
+            assert_eq!(
+                (due.report, due.stats),
+                (n % 5 == 0, n % 3 == 0),
+                "item {n}"
+            );
+        }
         s.finish().unwrap();
     }
 
@@ -690,7 +688,9 @@ mod tests {
 
         let first = opts().shards(Some(2)).snapshot_out(Some(snap.clone()));
         let mut s: ServeSession<u64> = ServeSession::spawn(&first).unwrap();
-        s.send_batch(&[1, 1, 2]).unwrap();
+        for item in [1, 1, 2] {
+            s.send(item).unwrap();
+        }
         let merged = s.finish().unwrap();
         assert_eq!(merged.stream_len(), 3);
 
@@ -698,7 +698,8 @@ mod tests {
         // snapshot's stream.
         let second = opts().shards(Some(2)).snapshot_in(Some(snap));
         let mut s: ServeSession<u64> = ServeSession::spawn(&second).unwrap();
-        s.send_batch(&[1, 3]).unwrap();
+        s.send(1).unwrap();
+        s.send(3).unwrap();
         let live = s.merged().unwrap();
         assert_eq!(live.stream_len(), 5);
         assert_eq!(live.estimate(&1), 3);
@@ -711,6 +712,39 @@ mod tests {
     fn spawn_surfaces_missing_snapshot_in() {
         let o = opts().snapshot_in(Some("/nonexistent/hh-net-nope.json".into()));
         assert!(matches!(ServeSession::<u64>::spawn(&o), Err(Error::Io(_))));
+    }
+
+    #[test]
+    fn spawn_rejects_a_snapshot_in_of_another_config() {
+        let path = std::env::temp_dir().join(format!("hh-net-mismatch-{}", std::process::id()));
+        let path = path.to_str().unwrap().to_string();
+        let resume_under = |written: EngineConfig, served: EngineConfig| {
+            let mut e = written.build::<u64>().unwrap();
+            e.update_batch(&[1, 1, 2]);
+            let ckpt = Checkpoint {
+                shards: vec![e.snapshot()],
+                unobserved: 0,
+            };
+            checkpoint::write(&path, &ckpt).unwrap();
+            ServeSession::<u64>::spawn(&ServeOptions::new(served).snapshot_in(Some(path.clone())))
+        };
+        for (written, served) in [
+            (
+                EngineConfig::new(AlgoKind::SpaceSaving).counters(4),
+                EngineConfig::new(AlgoKind::Frequent).counters(128),
+            ),
+            (
+                EngineConfig::new(AlgoKind::CountMin).counters(64),
+                EngineConfig::new(AlgoKind::CountMin).counters(128),
+            ),
+        ] {
+            match resume_under(written, served) {
+                Err(Error::SnapshotMismatch { .. }) => {}
+                other => panic!("expected SnapshotMismatch, got {other:?}"),
+            }
+        }
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(format!("{path}.prev")).ok();
     }
 
     /// A fresh temp path whose `.prev` generation holds a one-shard
@@ -769,12 +803,15 @@ mod tests {
             .checkpoint_every(4)
             .snapshot_out(Some(path.clone()));
         let mut s: ServeSession<u64> = ServeSession::spawn(&first).unwrap();
-        let due = s.send_batch(&[1, 1, 2, 3]).unwrap();
-        assert!(due.checkpoint);
+        for item in [1, 1, 2] {
+            assert!(!s.send(item).unwrap().checkpoint);
+        }
+        assert!(s.send(3).unwrap().checkpoint);
         s.checkpoint().unwrap();
         let mid = crate::checkpoint::load::<u64>(&path).unwrap();
         assert_eq!(mid.unobserved, 0);
-        s.send_batch(&[4, 4]).unwrap();
+        s.send(4).unwrap();
+        s.send(4).unwrap();
         let merged = s.finish().unwrap();
         assert_eq!(merged.stream_len(), 6);
         // final drain rotated the mid-stream checkpoint to .prev
@@ -784,7 +821,7 @@ mod tests {
         let second = opts().shards(Some(2)).snapshot_in(Some(path.clone()));
         let mut s: ServeSession<u64> = ServeSession::spawn(&second).unwrap();
         assert!(!s.resumed_from_fallback());
-        s.send_batch(&[1]).unwrap();
+        s.send(1).unwrap();
         let live = s.merged().unwrap();
         assert_eq!(live.stream_len(), 7);
         assert_eq!(live.estimate(&1), 3);

@@ -6,9 +6,9 @@
 //! Single-threaded at the socket layer (all parallelism lives in the
 //! pipeline's shard workers): the loop waits for edge-triggered
 //! readiness, drains readable sockets into per-connection line buffers,
-//! batches parsed items into [`ServeSession::send_batch`], and answers
-//! in-band `?` queries from epoch-boundary merged engines. Backpressure
-//! is the point of the shape — when any shard queue is full
+//! routes each parsed item straight into [`ServeSession::send`], and
+//! answers in-band `?` queries from epoch-boundary merged engines.
+//! Backpressure is the point of the shape — when any shard queue is full
 //! ([`ServeSession::saturated`]), the loop simply *stops reading* client
 //! sockets; kernel receive buffers fill, TCP flow control pushes back on
 //! writers, and nothing is dropped or buffered unboundedly.
@@ -16,8 +16,8 @@
 //! Robustness: malformed lines get an error record and a registry
 //! counter (the connection lives on), oversized lines are skipped to the
 //! next newline, idle connections are reaped, and SIGTERM / SIGINT /
-//! `?shutdown` trigger a graceful drain — flush staged items, emit final
-//! records, write `--snapshot-out`, return the merged engine.
+//! `?shutdown` trigger a graceful drain — emit final records, write
+//! `--snapshot-out`, return the merged engine.
 
 use std::io::{self, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -42,8 +42,6 @@ const CONN_BASE: u64 = 2;
 /// drained in few syscalls; at the line protocol's typical ~5 bytes per
 /// item one chunk carries ~13k items, comfortably above one shard batch.
 const READ_CHUNK: usize = 64 * 1024;
-/// Staged items are shipped to the pipeline at this many.
-const STAGE_CAP: usize = 8192;
 /// Kernel send/receive buffer requested per connection (clamped by the
 /// host's `net.core.{r,w}mem_max`).
 const SOCK_BUF: usize = 4 * 1024 * 1024;
@@ -291,7 +289,6 @@ pub struct Server<I: ServeItem> {
     unix_path: Option<String>,
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
-    staged: Vec<I>,
     metrics: NetMetrics,
     /// Accepted item lines not yet flushed into the `lines` counter (a
     /// relaxed fetch_add per line is measurable at line-rate, so the hot
@@ -356,7 +353,6 @@ impl<I: ServeItem> Server<I> {
             unix_path,
             conns: Vec::new(),
             free: Vec::new(),
-            staged: Vec::with_capacity(STAGE_CAP),
             metrics,
             pending_lines: 0,
             stats_final,
@@ -371,9 +367,9 @@ impl<I: ServeItem> Server<I> {
 
     /// Runs the event loop until a drain is requested (SIGTERM/SIGINT
     /// via [`sys::install_drain_signal_handlers`], [`sys::request_drain`],
-    /// or an in-band `?shutdown`), then drains: staged items ship, final
-    /// records stream to `out`, pending client responses flush, the
-    /// final snapshot is written, and the merged engine is returned.
+    /// or an in-band `?shutdown`), then drains: final records stream to
+    /// `out`, pending client responses flush, the final snapshot is
+    /// written, and the merged engine is returned.
     pub fn run(mut self, out: &mut impl io::Write) -> Result<Engine<I>, Error> {
         let mut events: Vec<Event> = Vec::new();
         let mut last_sweep = Instant::now();
@@ -564,7 +560,7 @@ impl<I: ServeItem> Server<I> {
     }
 
     /// Drains every readable connection into the pipeline, pausing the
-    /// moment the shard queues saturate; then ships whatever was staged.
+    /// moment the shard queues saturate.
     fn pump(&mut self, out: &mut impl io::Write, now: Instant) -> Result<(), Error> {
         for slot in 0..self.conns.len() {
             if self.session.saturated() {
@@ -586,8 +582,6 @@ impl<I: ServeItem> Server<I> {
                 self.free.push(slot);
             }
         }
-        let due = self.ship()?;
-        self.emit_due(due, out)?;
         Ok(())
     }
 
@@ -782,11 +776,7 @@ impl<I: ServeItem> Server<I> {
                     Some(item) => {
                         conn.lines += 1;
                         self.pending_lines += 1;
-                        self.staged.push(item);
-                        if self.staged.len() >= STAGE_CAP {
-                            let due = self.ship()?;
-                            self.emit_due(due, out)?;
-                        }
+                        self.route(item, out)?;
                     }
                     None => self.handle_text(conn, token, line, out)?,
                 }
@@ -838,16 +828,12 @@ impl<I: ServeItem> Server<I> {
                     // line-rate.
                     self.pending_lines += 1;
                     for _ in 0..count {
-                        self.staged.push(item.clone());
-                        if self.staged.len() >= STAGE_CAP {
-                            let due = self.ship()?;
-                            self.emit_due(due, out)?;
-                        }
+                        self.route(item.clone(), out)?;
                     }
                 }
                 Err(_) => self.reject(conn, token, "item does not parse as the served item type"),
             },
-            Line::Query(q) => self.answer(conn, token, q, out)?,
+            Line::Query(q) => self.answer(conn, token, q)?,
             Line::Malformed(reason) => self.reject(conn, token, reason),
         }
         Ok(())
@@ -862,19 +848,12 @@ impl<I: ServeItem> Server<I> {
         self.push_reply(conn, token, &record);
     }
 
-    /// Answers one in-band query. Staged items ship first so the
-    /// response covers everything the client already sent.
+    /// Answers one in-band query. Every item the client sent before it
+    /// is already routed, and the epoch boundary flushes the pipeline's
+    /// buffers, so the response covers them all.
     // lint:cold-path queries are rare control traffic against a line-rate ingest stream
-    fn answer(
-        &mut self,
-        conn: &mut Conn,
-        token: u64,
-        query: Query,
-        out: &mut impl io::Write,
-    ) -> Result<(), Error> {
+    fn answer(&mut self, conn: &mut Conn, token: u64, query: Query) -> Result<(), Error> {
         self.metrics.queries.inc();
-        let due = self.ship()?;
-        self.emit_due(due, out)?;
         let record = match query {
             Query::TopK(k) => {
                 let merged = self.session.merged()?;
@@ -913,19 +892,20 @@ impl<I: ServeItem> Server<I> {
         flush_conn(conn, token, &self.poller, &self.metrics);
     }
 
-    /// Ships the staged batch into the pipeline.
-    fn ship(&mut self) -> Result<Due, Error> {
-        if self.staged.is_empty() {
-            return Ok(Due::default());
+    /// Routes one parsed item into the session and streams the records
+    /// whose cadence boundary it is.
+    fn route(&mut self, item: I, out: &mut impl io::Write) -> Result<(), Error> {
+        let due = self.session.send(item)?;
+        if due.any() {
+            self.emit_due(due, out)?;
         }
-        let due = self.session.send_batch(&self.staged)?;
-        self.staged.clear();
-        Ok(due)
+        Ok(())
     }
 
     /// Streams cadence-due report/stats records to the server's own
     /// output, exactly like stdin serve mode.
     // lint:cold-path epoch-boundary records; the cost is amortized over the whole epoch's items
+    #[cold]
     fn emit_due(&mut self, due: Due, out: &mut impl io::Write) -> Result<(), Error> {
         if due.report {
             let merged = self.session.merged()?;
@@ -942,9 +922,7 @@ impl<I: ServeItem> Server<I> {
         if due.checkpoint {
             self.session.checkpoint()?;
         }
-        if due.any() {
-            out.flush()?;
-        }
+        out.flush()?;
         Ok(())
     }
 
@@ -957,12 +935,10 @@ impl<I: ServeItem> Server<I> {
         self.metrics.sample()
     }
 
-    /// Graceful drain: ship staged items, emit the final stats record,
-    /// give clients a bounded window to accept pending responses, write
-    /// the final snapshot, return the merged engine.
+    /// Graceful drain: emit the final stats record, give clients a
+    /// bounded window to accept pending responses, write the final
+    /// snapshot, return the merged engine.
     fn shutdown(mut self, out: &mut impl io::Write) -> Result<Engine<I>, Error> {
-        let due = self.ship()?;
-        self.emit_due(due, out)?;
         if self.stats_final {
             self.session.merged()?;
             let sample = self.net_sample();

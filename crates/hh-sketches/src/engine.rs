@@ -959,7 +959,7 @@ pub struct IngestStats {
     pub occurrences: u64,
     /// Single-item calls (`update` / `update_by`).
     pub calls: u64,
-    /// Slices consumed via `update_batch` / `update_many`.
+    /// Slices consumed via `update_batch`.
     pub batches: u64,
 }
 
@@ -1068,26 +1068,6 @@ impl<I: EngineItem> Engine<I> {
         self.ingest.occurrences += items.len() as u64;
         self.ingest.batches += 1;
         each_backend!(&mut self.backend, b => b.update_batch(items))
-    }
-
-    /// Processes several slices of arrivals in order — the chunked ingest
-    /// surface for drivers that buffer their input (the CLI reads line
-    /// chunks; shard workers drain partition segments). Each chunk goes
-    /// through the backend's batched fast path, and the backend's
-    /// pre-aggregation scratch is reused across chunks.
-    ///
-    /// ```
-    /// use hh_sketches::engine::{AlgoKind, EngineConfig};
-    /// let mut e = EngineConfig::new(AlgoKind::SpaceSaving).counters(8).build::<u64>().unwrap();
-    /// e.update_many(&[&[1, 1, 2][..], &[2, 3][..]]);
-    /// assert_eq!(e.stream_len(), 5);
-    /// ```
-    pub fn update_many(&mut self, chunks: &[&[I]]) {
-        for chunk in chunks {
-            self.ingest.occurrences += chunk.len() as u64;
-        }
-        self.ingest.batches += chunks.len() as u64;
-        each_backend!(&mut self.backend, b => b.update_many(chunks))
     }
 
     /// This engine instance's local ingest accounting (see
@@ -1434,10 +1414,6 @@ impl<I: EngineItem> FrequencyEstimator<I> for Engine<I> {
 
     fn update_batch(&mut self, items: &[I]) {
         Engine::update_batch(self, items)
-    }
-
-    fn update_many(&mut self, chunks: &[&[I]]) {
-        Engine::update_many(self, chunks)
     }
 
     fn updates_commute(&self) -> bool {

@@ -773,6 +773,7 @@ impl<I: EngineItem> Pipeline<I> {
     /// full (backpressure). A dead shard worker is respawned from its
     /// restore point; if that fails the call reports
     /// [`Error::ShardDown`].
+    #[inline]
     pub fn send(&mut self, item: I) -> Result<(), Error> {
         self.routed += 1;
         match self.config.routing {

@@ -245,9 +245,13 @@ fn serve_session_resumes_from_previous_generation_after_torn_checkpoint() {
             .checkpoint_every(4)
             .snapshot_out(Some(path.clone()));
         let mut session: ServeSession<u64> = ServeSession::spawn(&serve).unwrap();
-        session.send_batch(&[1, 1, 2, 3]).unwrap();
+        for item in [1, 1, 2, 3] {
+            session.send(item).unwrap();
+        }
         session.checkpoint().unwrap(); // generation 1: clean, covers 4 items
-        session.send_batch(&[4, 4, 4, 4]).unwrap();
+        for _ in 0..4 {
+            session.send(4).unwrap();
+        }
         session.checkpoint().unwrap(); // generation 2: torn on disk
                                        // Crash: no finish(), the torn file stays current.
     }

@@ -195,6 +195,60 @@ fn loopback_ingest_matches_single_engine_and_resumes() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Cadence records fire at their boundary item in network mode too: one
+/// client write of 7 items crosses the every-3 boundaries twice, so the
+/// server reports at exactly 3 and 6 items, and the last periodic
+/// checkpoint covers 6.
+#[test]
+fn cadence_records_fire_at_the_boundary_item_over_tcp() {
+    let _guard = SERVER_LOCK.lock().unwrap();
+    sys::reset_drain();
+
+    let dir = std::env::temp_dir().join(format!("hh-net-cadence-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("cadence.ckpt").to_str().unwrap().to_string();
+    let serve = ServeOptions::new(config())
+        .shards(Some(2))
+        .report_every(3)
+        .checkpoint_every(3)
+        .snapshot_out(Some(path.clone()));
+    let server: Server<String> =
+        Server::bind(serve, NetOptions::new().tcp("127.0.0.1:0")).expect("bind");
+    let addr = server.tcp_addr().expect("tcp listener");
+    let handle = thread::spawn(move || {
+        let mut out = Vec::new();
+        let engine = server.run(&mut out).expect("server run");
+        (engine, String::from_utf8(out).expect("UTF-8 records"))
+    });
+
+    let mut conn = TcpStream::connect(addr).expect("connect");
+    conn.write_all(b"a\nb\na\nc\na\nb\nd\n?shutdown\n")
+        .expect("write");
+    conn.shutdown(Shutdown::Write).expect("half-close");
+    let mut acks = String::new();
+    conn.read_to_string(&mut acks).expect("read until close");
+    let (engine, out) = handle.join().expect("server thread");
+    assert_eq!(engine.stream_len(), 7);
+
+    let reports: Vec<u64> = out
+        .lines()
+        .map(|l| serde_json::from_str::<serde_json::Value>(l).expect("NDJSON record"))
+        .filter(|v| v["epoch"].as_u64().is_some())
+        .map(|v| v["stream_len"].as_u64().expect("stream_len"))
+        .collect();
+    assert_eq!(reports, [3, 6], "{out}");
+
+    // The drain's final snapshot rotated the last periodic checkpoint
+    // to the previous generation.
+    let periodic = hh::net::checkpoint::load::<String>(&format!("{path}.prev")).expect("load");
+    let mut covered: Engine<String> = config().build().unwrap();
+    for shard in &periodic.shards {
+        covered.merge_snapshot(shard).expect("same config");
+    }
+    assert_eq!(covered.stream_len(), 6);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn malformed_lines_are_rejected_without_killing_the_connection() {
     let _guard = SERVER_LOCK.lock().unwrap();

@@ -187,7 +187,9 @@ fn engine_ingest_stats_count_every_path() {
     }
     direct.update_by(3, 50);
     direct.update_batch(&(0..100u64).map(|i| i % 11).collect::<Vec<_>>());
-    direct.update_many(&[&[1u64, 2][..], &[3][..]]);
+    for chunk in [&[1u64, 2][..], &[3][..]] {
+        direct.update_batch(chunk);
+    }
     let stats = direct.ingest_stats();
     assert_eq!(stats.occurrences, 100 + 50 + 100 + 3);
     assert_eq!(stats.calls, 101);
@@ -204,7 +206,9 @@ fn engine_ingest_stats_count_every_path() {
         }
         est.update_by(3, 50);
         est.update_batch(&(0..100u64).map(|i| i % 11).collect::<Vec<_>>());
-        est.update_many(&[&[1u64, 2][..], &[3][..]]);
+        for chunk in [&[1u64, 2][..], &[3][..]] {
+            est.update_batch(chunk);
+        }
     }
     assert_eq!(via_trait.ingest_stats(), stats);
 
