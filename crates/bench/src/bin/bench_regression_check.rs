@@ -20,6 +20,10 @@
 //! * `pipeline_4` — the 4-shard `hh::pipeline` (`Aggregate` ingest)
 //!   against one `Engine::update_batch` of the pipeline-bench hot-set
 //!   stream.
+//! * `pipeline_key` — a 2-shard aggregating `Pipeline<Key>` against
+//!   `Pipeline<u64>` on the same Zipf 1.5 ids, rendered as decimal
+//!   `Key`s: what hashing, comparing and cloning a text item costs over
+//!   an integer on the served ingest path.
 //! * `obs_overhead` — the instrumented `Engine::update_batch` against
 //!   raw `SpaceSaving::update_batch`.
 //! * `fault_overhead` — the per-item update loop with a disarmed
@@ -29,7 +33,7 @@
 //! * `server_ingest` — loopback `hh::net` server ingest against the
 //!   in-process pipeline it feeds.
 //!
-//! The first five floors are fixed, set from repeated runs on a 2-core
+//! The first six floors are fixed, set from repeated runs on a 2-core
 //! host with room for run-to-run spread. The last three are
 //! `target × (1 − tolerance)`, and each tolerance can be overridden:
 //! * `BENCH_OBS_OVERHEAD_TOLERANCE` (default 0.02, the ≤ 2%
@@ -47,6 +51,8 @@ use std::io::{Read as _, Write as _};
 use std::time::Instant;
 
 use hh::counters::fasthash::FxHashMap;
+use hh::counters::Key;
+use hh::engine::EngineItem;
 use hh::net::{sys, NetOptions, ServeOptions, Server};
 use hh::pipeline::{PipelineConfig, Routing, ShardIngest};
 use hh::prelude::{EngineConfig, FrequencyEstimator};
@@ -54,7 +60,7 @@ use hh_analysis::{feed, make_estimator, Algo};
 use hh_streamgen::zipf::{stream_from_counts, StreamOrder};
 use hh_streamgen::{exact_zipf_counts, Item};
 
-fn workload() -> Vec<Item> {
+fn counter_workload() -> Vec<Item> {
     // Identical to crates/bench/benches/throughput.rs.
     let counts = exact_zipf_counts(20_000, 200_000, 1.2);
     stream_from_counts(&counts, StreamOrder::Shuffled(1))
@@ -64,6 +70,13 @@ fn pipeline_workload() -> Vec<Item> {
     // Identical to crates/bench/benches/pipeline_throughput.rs: hot-set
     // saturation traffic, 4× the counter budget in distinct items.
     let counts = exact_zipf_counts(1024, 1_000_000, 0.1);
+    stream_from_counts(&counts, StreamOrder::Shuffled(1))
+}
+
+fn key_workload() -> Vec<Item> {
+    // Zipf 1.5 over 10⁶ ids, the skew of the `serve_burst` benchmark
+    // workload.
+    let counts = exact_zipf_counts(1_000_000, 1_000_000, 1.5);
     stream_from_counts(&counts, StreamOrder::Shuffled(1))
 }
 
@@ -155,6 +168,22 @@ fn batch_vs_per_item(algo: Algo, budget: usize, stream: &[Item]) -> (f64, f64) {
     )
 }
 
+/// One ingest of `stream` through a SpaceSaving/256 pipeline of
+/// `shards` hash-partitioned shards with `Aggregate` ingest.
+fn run_pipeline<I: EngineItem>(stream: &[I], shards: usize, batch: usize) {
+    let config = EngineConfig::new(hh::engine::AlgoKind::SpaceSaving).counters(256);
+    let mut pipeline = PipelineConfig::new(config)
+        .shards(shards)
+        .routing(Routing::HashPartition)
+        .ingest(ShardIngest::Aggregate)
+        .batch_size(batch)
+        .spawn::<I>()
+        .expect("valid pipeline config");
+    pipeline.send_batch(stream).expect("shards alive");
+    let merged = pipeline.finish().expect("clean shutdown");
+    black_box(merged.stream_len());
+}
+
 /// The sharded-ingest gate: one `Engine::update_batch` of the hot-set
 /// stream (base) against the 4-shard `Aggregate` pipeline of the
 /// pipeline-bench configuration (probe).
@@ -168,18 +197,23 @@ fn measure_pipeline(stream: &[Item]) -> (f64, f64) {
             engine.update_batch(stream);
             black_box(engine.stream_len());
         },
-        || {
-            let mut pipeline = PipelineConfig::new(config.clone())
-                .shards(4)
-                .routing(Routing::HashPartition)
-                .ingest(ShardIngest::Aggregate)
-                .batch_size(32 * 1024)
-                .spawn::<Item>()
-                .expect("valid pipeline config");
-            pipeline.send_batch(stream).expect("shards alive");
-            let merged = pipeline.finish().expect("clean shutdown");
-            black_box(merged.stream_len());
-        },
+        || run_pipeline(stream, 4, 32 * 1024),
+    )
+}
+
+/// The text-item gate: a 2-shard pipeline in 8 Ki batches (the `hh
+/// serve` defaults) over `u64` ids (base) against the same ids as
+/// decimal `Key`s (probe).
+fn measure_pipeline_key(stream: &[Item]) -> (f64, f64) {
+    let keys: Vec<Key> = stream
+        .iter()
+        .map(|id| Key::from(id.to_string().as_str()))
+        .collect();
+    paired_min_ratio(
+        stream.len(),
+        21,
+        || run_pipeline(stream, 2, 8192),
+        || run_pipeline(&keys, 2, 8192),
     )
 }
 
@@ -255,18 +289,7 @@ fn measure_server_ingest(stream: &[Item]) -> (f64, f64) {
     paired_min_ratio(
         stream.len(),
         5,
-        || {
-            let mut pipeline = PipelineConfig::new(config.clone())
-                .shards(SHARDS)
-                .routing(Routing::HashPartition)
-                .ingest(ShardIngest::Aggregate)
-                .batch_size(BATCH)
-                .spawn::<Item>()
-                .expect("valid pipeline config");
-            pipeline.send_batch(stream).expect("shards alive");
-            let merged = pipeline.finish().expect("clean shutdown");
-            black_box(merged.stream_len());
-        },
+        || run_pipeline(stream, SHARDS, BATCH),
         || {
             sys::reset_drain();
             let serve = ServeOptions::new(config.clone())
@@ -334,48 +357,54 @@ struct PairedGate {
     /// Names the sides in the result line, probe first.
     label: &'static str,
     floor: Floor,
-    /// Runs on the pipeline-bench hot-set stream instead of the
-    /// throughput-bench Zipf stream.
-    hot_set: bool,
+    /// The stream both sides ingest.
+    workload: fn() -> Vec<Item>,
     /// Best-of-rounds `(base, probe)` items/sec.
     measure: fn(&[Item]) -> (f64, f64),
 }
 
-const PAIRED_GATES: [PairedGate; 8] = [
+const PAIRED_GATES: [PairedGate; 9] = [
     PairedGate {
         name: "spacesaving_update",
         label: "SpaceSaving/256 per-item / exact count",
         floor: Floor::Fixed(0.145),
-        hot_set: false,
+        workload: counter_workload,
         measure: |s| per_item_vs_exact(Algo::SpaceSaving, 256, s),
     },
     PairedGate {
         name: "spacesaving_batch",
         label: "SpaceSaving/256 batched / per-item",
         floor: Floor::Fixed(0.8),
-        hot_set: false,
+        workload: counter_workload,
         measure: |s| batch_vs_per_item(Algo::SpaceSaving, 256, s),
     },
     PairedGate {
         name: "countmin_update",
         label: "CountMin/64 per-item / exact count",
         floor: Floor::Fixed(0.045),
-        hot_set: false,
+        workload: counter_workload,
         measure: |s| per_item_vs_exact(Algo::CountMin, 64, s),
     },
     PairedGate {
         name: "countmin_batch",
         label: "CountMin/64 batched / per-item",
         floor: Floor::Fixed(1.8),
-        hot_set: false,
+        workload: counter_workload,
         measure: |s| batch_vs_per_item(Algo::CountMin, 64, s),
     },
     PairedGate {
         name: "pipeline_4",
         label: "pipeline/4 / single engine",
         floor: Floor::Fixed(2.5),
-        hot_set: true,
+        workload: pipeline_workload,
         measure: measure_pipeline,
+    },
+    PairedGate {
+        name: "pipeline_key",
+        label: "pipeline/2 Key / u64",
+        floor: Floor::Fixed(0.26),
+        workload: key_workload,
+        measure: measure_pipeline_key,
     },
     PairedGate {
         name: "obs_overhead",
@@ -385,7 +414,7 @@ const PAIRED_GATES: [PairedGate; 8] = [
             default: 0.02,
             env: "BENCH_OBS_OVERHEAD_TOLERANCE",
         },
-        hot_set: false,
+        workload: counter_workload,
         measure: measure_obs_overhead,
     },
     PairedGate {
@@ -396,7 +425,7 @@ const PAIRED_GATES: [PairedGate; 8] = [
             default: 0.02,
             env: "BENCH_FAULT_OVERHEAD_TOLERANCE",
         },
-        hot_set: false,
+        workload: counter_workload,
         measure: measure_fault_overhead,
     },
     PairedGate {
@@ -407,7 +436,7 @@ const PAIRED_GATES: [PairedGate; 8] = [
             default: 0.20,
             env: "BENCH_SERVER_INGEST_TOLERANCE",
         },
-        hot_set: true,
+        workload: pipeline_workload,
         measure: measure_server_ingest,
     },
 ];
@@ -460,16 +489,9 @@ fn host_line() -> String {
 
 fn main() {
     println!("bench regression gate, {}", host_line());
-    let stream = workload();
-    let pipeline_stream = pipeline_workload();
     let mut failed = false;
     for gate in &PAIRED_GATES {
-        let gate_stream = if gate.hot_set {
-            &pipeline_stream
-        } else {
-            &stream
-        };
-        if check_paired(gate, gate_stream) {
+        if check_paired(gate, &(gate.workload)()) {
             failed = true;
         }
     }
@@ -497,6 +519,30 @@ mod tests {
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             assert!(!passes(bad, 0.5), "ratio {bad} passed");
             assert!(!passes(1.0, bad), "floor {bad} passed");
+        }
+    }
+
+    #[test]
+    fn every_gate_is_documented_once() {
+        let module_docs: String = include_str!("bench_regression_check.rs")
+            .lines()
+            .filter(|l| l.starts_with("//!"))
+            .collect();
+        let performance_md = include_str!("../../../../docs/PERFORMANCE.md");
+        for gate in &PAIRED_GATES {
+            let row = format!("| `{}` |", gate.name);
+            let rows = performance_md.lines().filter(|l| l.starts_with(&row));
+            assert_eq!(
+                rows.count(),
+                1,
+                "{}: PERFORMANCE.md §8 gate table",
+                gate.name
+            );
+            assert!(
+                module_docs.contains(&format!("`{}`", gate.name)),
+                "{}: module docs",
+                gate.name
+            );
         }
     }
 

@@ -183,22 +183,27 @@ impl<I: Eq + Hash + Clone> Frequent<I> {
         raw - self.offset
     }
 
-    /// One FREQUENT step for `count` occurrences of `item`, cloning the item
-    /// only when it actually enters the table. Shared by
+    /// One FREQUENT step for `count` occurrences of `item`, hashing it once
+    /// and cloning it only when it actually enters the table. Shared by
     /// [`FrequencyEstimator::update_by`] and the batched ingest path.
     fn apply(&mut self, item: &I, count: u64) {
         if count == 0 {
             return;
         }
         self.stream_len += count;
+        let hash = self.summary.hash_of(item);
         let mut remaining = count;
         loop {
-            if self.summary.increment(item, remaining) {
+            if self.summary.increment_hashed(hash, item, remaining) {
                 return;
             }
             if self.summary.len() < self.m {
-                self.summary
-                    .insert(item.clone(), self.offset + remaining, self.offset);
+                self.summary.insert_hashed(
+                    hash,
+                    item.clone(),
+                    self.offset + remaining,
+                    self.offset,
+                );
                 return;
             }
             // Table full and item unstored: spend decrement rounds. Each

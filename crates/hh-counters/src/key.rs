@@ -59,6 +59,7 @@ const _: () = assert!(std::mem::size_of::<Key>() == std::mem::size_of::<String>(
 
 impl Key {
     /// The key's text.
+    #[inline]
     pub fn as_str(&self) -> &str {
         match &self.0 {
             // The inline bytes were copied whole from a `&str`, so they
@@ -69,14 +70,18 @@ impl Key {
     }
 
     /// The key's text as bytes.
+    #[inline]
     fn as_bytes(&self) -> &[u8] {
         match &self.0 {
-            Repr::Inline { len, bytes } => &bytes[..usize::from(*len)],
+            // `len <= INLINE` always; the `min` lets every inlined copy of
+            // this slice drop its bounds-check panic branch.
+            Repr::Inline { len, bytes } => &bytes[..usize::from(*len).min(INLINE)],
             Repr::Heap(s) => s.as_bytes(),
         }
     }
 
     /// Inline text, or `None` when `s` is too long to store in place.
+    #[inline]
     fn inline(s: &str) -> Option<Key> {
         let src = s.as_bytes();
         let len = u8::try_from(src.len())
@@ -89,6 +94,7 @@ impl Key {
 }
 
 impl From<&str> for Key {
+    #[inline]
     fn from(s: &str) -> Self {
         Key::inline(s).unwrap_or_else(|| Key(Repr::Heap(s.into())))
     }
@@ -97,24 +103,31 @@ impl From<&str> for Key {
 impl FromStr for Key {
     type Err = Infallible;
 
+    #[inline]
     fn from_str(s: &str) -> Result<Self, Infallible> {
         Ok(Key::from(s))
     }
 }
 
 impl Ord for Key {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
         self.as_bytes().cmp(other.as_bytes())
     }
 }
 
 impl PartialOrd for Key {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
+// `Hash` and the accessors under it are `#[inline]` because `Key` is
+// hashed in other crates (shard routing, batch aggregation), where an
+// out-of-line `as_bytes` call costs more than the Fx hash itself.
 impl Hash for Key {
+    #[inline]
     fn hash<H: Hasher>(&self, state: &mut H) {
         // `str`'s `Hash` through the default `Hasher::write_str`.
         state.write(self.as_bytes());

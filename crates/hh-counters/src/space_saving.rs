@@ -229,8 +229,8 @@ impl<I: Eq + Hash + Clone> SpaceSaving<I> {
         self.summary.add_err(item, err.min(count));
     }
 
-    /// One SPACESAVING step for `count` occurrences of `item`, cloning the
-    /// item only when it actually enters the table. Shared by
+    /// One SPACESAVING step for `count` occurrences of `item`, hashing it
+    /// once and cloning it only when it actually enters the table. Shared by
     /// [`FrequencyEstimator::update_by`] and the batched ingest path.
     // lint:hot-path
     fn apply(&mut self, item: &I, count: u64) {
@@ -238,17 +238,18 @@ impl<I: Eq + Hash + Clone> SpaceSaving<I> {
             return;
         }
         self.stream_len += count;
-        if self.summary.increment(item, count) {
+        let hash = self.summary.hash_of(item);
+        if self.summary.increment_hashed(hash, item, count) {
             return;
         }
         if self.summary.len() < self.m {
-            self.summary.insert(item.clone(), count, 0);
+            self.summary.insert_hashed(hash, item.clone(), count, 0);
             return;
         }
         // lint:allow(panic-freedom) unreachable: this branch runs only when the summary is at capacity m >= 1, so eviction always finds a minimum
         let (_, min_count, _) = self.summary.evict_min().expect("full table is non-empty");
         self.summary
-            .insert(item.clone(), min_count + count, min_count);
+            .insert_hashed(hash, item.clone(), min_count + count, min_count);
     }
 
     #[doc(hidden)]

@@ -18,13 +18,17 @@
 //! *struct-of-arrays* along the hot/cold split an update actually has: the
 //! per-entry **link record** (bucket id + FIFO links, 12 bytes) is one flat
 //! array, the per-bucket **counts** another, the per-bucket link/FIFO
-//! metadata a third — while the items themselves and their cold error
-//! annotations live out of line and are only read on insert, eviction,
-//! lookup confirmation and snapshot. The item index is a custom
-//! open-addressing `(tag, slot)` table ([`crate::oaindex::RawIndex`])
-//! instead of a general `HashMap`, so the per-update probe is a single
-//! flat-array scan that never drags item keys through the cache and never
-//! stalls on a rehash (see `docs/PERFORMANCE.md`).
+//! metadata a third — while the items themselves, their cold error
+//! annotations and their hashes live out of line and are only read on
+//! insert, eviction, lookup confirmation and snapshot. The item index is
+//! a custom open-addressing `(tag, slot)` table
+//! ([`crate::oaindex::RawIndex`]) instead of a general `HashMap`, so the
+//! per-update probe is a single flat-array scan that never drags item
+//! keys through the cache and never stalls on a rehash (see
+//! `docs/PERFORMANCE.md`). Storing each entry's hash means an update
+//! hashes its item at most once: the `_hashed` variants take the
+//! caller's hash, and freeing an entry removes it from the index under
+//! the stored one.
 //!
 //! # Tie-breaking discipline
 //!
@@ -102,6 +106,9 @@ pub struct StreamSummary<I> {
     /// evicted count here; FREQUENT stores the offset at insertion). Cold:
     /// read only on eviction, merge and snapshot.
     eerr: Vec<u64>,
+    /// Each entry's item hash, kept so that freeing an entry removes it
+    /// from the index without hashing the item again.
+    ehash: Vec<u64>,
     /// Hot per-entry link records.
     elink: Vec<EntryLink>,
     free_entries: Vec<u32>,
@@ -133,6 +140,7 @@ impl<I: Eq + Hash + Clone> StreamSummary<I> {
         StreamSummary {
             items: Vec::new(),
             eerr: Vec::new(),
+            ehash: Vec::new(),
             elink: Vec::new(),
             free_entries: Vec::new(),
             bcount: Vec::new(),
@@ -154,6 +162,7 @@ impl<I: Eq + Hash + Clone> StreamSummary<I> {
         let mut s = Self::new();
         s.items.reserve(m);
         s.eerr.reserve(m);
+        s.ehash.reserve(m);
         s.elink.reserve(m);
         s.bcount.reserve(m + 1);
         s.bmeta.reserve(m + 1);
@@ -176,18 +185,25 @@ impl<I: Eq + Hash + Clone> StreamSummary<I> {
         self.counter_sum
     }
 
+    /// The hash the index keys `item` by. Callers that both probe and
+    /// insert compute it once and pass it to the `_hashed` variants.
     #[inline]
-    fn hash_of(&self, item: &I) -> u64 {
+    pub(crate) fn hash_of(&self, item: &I) -> u64 {
         self.hasher.hash_one(item)
     }
 
     /// Index probe: entry id of `item`, if stored.
     #[inline]
     fn find(&self, item: &I) -> Option<u32> {
+        self.find_hashed(self.hash_of(item), item)
+    }
+
+    /// [`Self::find`] with `hash == self.hash_of(item)` already computed.
+    #[inline]
+    fn find_hashed(&self, hash: u64, item: &I) -> Option<u32> {
         let items = &self.items;
-        self.index.get(self.hash_of(item), |e| {
-            items[e as usize].as_ref() == Some(item)
-        })
+        self.index
+            .get(hash, |e| items[e as usize].as_ref() == Some(item))
     }
 
     /// Whether `item` is stored.
@@ -226,10 +242,11 @@ impl<I: Eq + Hash + Clone> StreamSummary<I> {
 
     // ---- arena plumbing -------------------------------------------------
 
-    fn alloc_entry(&mut self, item: I, err: u64) -> u32 {
+    fn alloc_entry(&mut self, item: I, hash: u64, err: u64) -> u32 {
         if let Some(idx) = self.free_entries.pop() {
             self.items[idx as usize] = Some(item);
             self.eerr[idx as usize] = err;
+            self.ehash[idx as usize] = hash;
             self.elink[idx as usize] = DETACHED;
             idx
         } else {
@@ -237,16 +254,21 @@ impl<I: Eq + Hash + Clone> StreamSummary<I> {
             let idx = self.items.len() as u32;
             self.items.push(Some(item));
             self.eerr.push(err);
+            self.ehash.push(hash);
             self.elink.push(DETACHED);
             idx
         }
     }
 
+    /// Frees detached entry `e`: drops it from the index under its stored
+    /// hash and returns its item.
     fn free_entry(&mut self, e: u32) -> I {
         // lint:allow(panic-freedom) unreachable: callers pass entries reached via live bucket links, and linked entries always hold their item (SoA invariant)
         let item = self.items[e as usize].take().expect("freeing a live entry");
+        self.index.remove(self.ehash[e as usize], |v| v == e);
         self.elink[e as usize] = DETACHED;
         self.free_entries.push(e);
+        self.len -= 1;
         item
     }
 
@@ -371,9 +393,15 @@ impl<I: Eq + Hash + Clone> StreamSummary<I> {
     ///
     /// Panics in debug builds if the item is already stored.
     pub fn insert(&mut self, item: I, count: u64, err: u64) {
+        self.insert_hashed(self.hash_of(&item), item, count, err);
+    }
+
+    /// [`Self::insert`] with `hash == self.hash_of(&item)` already
+    /// computed.
+    pub(crate) fn insert_hashed(&mut self, hash: u64, item: I, count: u64, err: u64) {
+        debug_assert_eq!(hash, self.hash_of(&item), "insert under a foreign hash");
         debug_assert!(!self.contains(&item), "insert of an already-stored item");
-        let hash = self.hash_of(&item);
-        let e = self.alloc_entry(item, err);
+        let e = self.alloc_entry(item, hash, err);
         let b = self.bucket_at(count, NIL);
         self.attach_front(e, b);
         self.index.insert(hash, e);
@@ -398,7 +426,14 @@ impl<I: Eq + Hash + Clone> StreamSummary<I> {
     /// number of distinct counts skipped over.
     // lint:hot-path
     pub fn increment(&mut self, item: &I, by: u64) -> bool {
-        let Some(e) = self.find(item) else {
+        self.increment_hashed(self.hash_of(item), item, by)
+    }
+
+    /// [`Self::increment`] with `hash == self.hash_of(item)` already
+    /// computed.
+    // lint:hot-path
+    pub(crate) fn increment_hashed(&mut self, hash: u64, item: &I, by: u64) -> bool {
+        let Some(e) = self.find_hashed(hash, item) else {
             return false;
         };
         if by == 0 {
@@ -445,18 +480,13 @@ impl<I: Eq + Hash + Clone> StreamSummary<I> {
         }
         let err = self.eerr[e as usize];
         let item = self.free_entry(e);
-        self.index.remove(self.hash_of(&item), |v| v == e);
-        self.len -= 1;
         self.counter_sum -= count;
         Some((item, count, err))
     }
 
     /// Removes a specific item, returning its `(raw_count, err)`.
     pub fn remove(&mut self, item: &I) -> Option<(u64, u64)> {
-        let items = &self.items;
-        let e = self.index.remove(self.hasher.hash_one(item), |e| {
-            items[e as usize].as_ref() == Some(item)
-        })?;
+        let e = self.find(item)?;
         let b = self.elink[e as usize].bucket;
         let count = self.bcount[b as usize];
         self.detach(e);
@@ -465,7 +495,6 @@ impl<I: Eq + Hash + Clone> StreamSummary<I> {
         }
         let err = self.eerr[e as usize];
         self.free_entry(e);
-        self.len -= 1;
         self.counter_sum -= count;
         Some((count, err))
     }
@@ -495,10 +524,7 @@ impl<I: Eq + Hash + Clone> StreamSummary<I> {
             while e != NIL {
                 let next = self.elink[e as usize].next;
                 self.detach(e);
-                let item = self.free_entry(e);
-                self.index.remove(self.hash_of(&item), |v| v == e);
-                sink(item);
-                self.len -= 1;
+                sink(self.free_entry(e));
                 self.counter_sum -= count;
                 e = next;
             }
@@ -605,6 +631,13 @@ impl<I: Eq + Hash + Clone> StreamSummary<I> {
                     .as_ref()
                     // lint:allow(panic-freedom) precondition: validate() is a corruption checker whose contract is to panic on broken invariants (test/debug support)
                     .expect("live entry has item");
+                let hash = self.ehash[e as usize];
+                assert_eq!(hash, self.hash_of(item), "stored hash is the item's");
+                assert_eq!(
+                    self.index.get(hash, |v| v == e),
+                    Some(e),
+                    "index holds the entry under its stored hash"
+                );
                 assert_eq!(self.find(item), Some(e), "index points at entry");
                 n += 1;
                 sum += count;
@@ -797,6 +830,48 @@ mod tests {
         assert!(s.increment(&1, 0));
         assert_eq!(s.count(&1), Some(5));
         s.check_invariants();
+    }
+
+    #[test]
+    fn stored_hashes_stay_consistent_under_churn() {
+        use crate::key::Key;
+        // Inline and boxed keys, so the hashes cover both representations.
+        let key = |id: u64| {
+            let text = if id.is_multiple_of(3) {
+                format!("a-boxed-key-longer-than-22-bytes-{id}")
+            } else {
+                format!("k{id}")
+            };
+            Key::from(text.as_str())
+        };
+        let mut s: StreamSummary<Key> = StreamSummary::with_capacity(64);
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for step in 0..4000u32 {
+            // xorshift64
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let item = key(state % 200);
+            let arg = (state >> 40) % 8;
+            match (state >> 32) % 10 {
+                0..=3 if !s.contains(&item) => s.insert(item, 1 + arg, 0),
+                0..=6 => {
+                    s.increment(&item, arg);
+                }
+                7 => {
+                    s.evict_min();
+                }
+                8 => {
+                    s.remove(&item);
+                }
+                _ if step.is_multiple_of(2) => {
+                    let floor = s.min_count().unwrap_or(0);
+                    assert!(s.pop_le(floor).iter().all(|k| !s.contains(k)));
+                }
+                _ => s.drop_le(s.min_count().unwrap_or(0)),
+            }
+            s.check_invariants();
+        }
     }
 
     #[test]

@@ -88,11 +88,11 @@ use crate::engine::{Engine, EngineConfig, EngineItem, Snapshot};
 /// trades locality against balance rather than correctness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Routing {
-    /// Each item goes to the shard `fx_hash(item) mod shards` — see
-    /// [`hash_shard`]. All occurrences of an item land on one shard, so
-    /// each shard summarizes a disjoint slice of the universe: per-shard
-    /// counter pressure drops and a hot set of up to `shards × m`
-    /// distinct items is held exactly. The default.
+    /// Each item goes to the shard a multiply-shift of the high half of
+    /// its Fx hash picks — see [`hash_shard`]. All occurrences of an
+    /// item land on one shard, so each shard summarizes a disjoint slice
+    /// of the universe: per-shard counter pressure drops and a hot set
+    /// of up to `shards × m` distinct items is held exactly. The default.
     #[default]
     HashPartition,
     /// Whole batches are dealt to shards in rotation. No per-item work in
@@ -265,15 +265,25 @@ impl PipelineConfig {
     }
 }
 
-/// The shard an item routes to under [`Routing::HashPartition`]: the
-/// item's Fx hash modulo the shard count. Public because it is part of
-/// the pipeline's partition contract — tests (and external shards
-/// reproducing a pipeline's partition) rely on it.
+/// The shard an item routes to under [`Routing::HashPartition`]:
+/// `((hash >> 32) * shards) >> 32`, where `hash` is the item's 64-bit Fx
+/// hash — its high 32 bits scaled onto `0..shards`. Public because it is
+/// part of the pipeline's partition contract — tests (and external
+/// shards reproducing a pipeline's partition) rely on it.
 ///
 /// ```
-/// let s = hh_sketches::pipeline::hash_shard(4, &42u64);
-/// assert!(s < 4);
-/// assert_eq!(s, hh_sketches::pipeline::hash_shard(4, &42u64));
+/// use std::hash::BuildHasher;
+/// use hh_counters::fasthash::FxBuildHasher;
+/// use hh_sketches::pipeline::hash_shard;
+///
+/// for item in [0u64, 42, 0xdead_beef, u64::MAX] {
+///     let hash = FxBuildHasher::default().hash_one(item);
+///     for shards in [1usize, 2, 3, 4, 7] {
+///         let expected = ((hash >> 32) * shards as u64) >> 32;
+///         assert_eq!(hash_shard(shards, &item) as u64, expected);
+///         assert!(hash_shard(shards, &item) < shards);
+///     }
+/// }
 /// ```
 pub fn hash_shard<I: Hash>(shards: usize, item: &I) -> usize {
     // Multiply-shift on the high 32 bits: the well-mixed half of the Fx
@@ -1075,6 +1085,7 @@ fn merge_snapshots<I: EngineItem>(snaps: Vec<Snapshot<I>>) -> Result<Engine<I>, 
 mod tests {
     use super::*;
     use crate::engine::AlgoKind;
+    use hh_counters::key::Key;
 
     fn stream(len: u64, modulus: u64) -> Vec<u64> {
         (0..len).map(|i| (i * i + 11 * i) % modulus).collect()
@@ -1174,6 +1185,36 @@ mod tests {
                     assert_eq!(shard.estimate(&item), 0, "item {item} leaked to shard {j}");
                 }
             }
+        }
+    }
+
+    /// `hash_shard` at 2, 3, 4 and 7 shards, recorded from the
+    /// `copy_from_slice` Fx construction: the partition is a public
+    /// contract, so these must not move.
+    #[test]
+    fn hash_shard_matches_the_recorded_goldens() {
+        fn at<I: Hash>(item: &I) -> [usize; 4] {
+            [2, 3, 4, 7].map(|n| hash_shard(n, item))
+        }
+        for (x, want) in [
+            (0u64, [0, 0, 0, 0]),
+            (1, [0, 0, 1, 2]),
+            (42, [0, 1, 1, 2]),
+            (0xdead_beef, [0, 1, 1, 2]),
+            (u64::MAX, [1, 2, 2, 4]),
+        ] {
+            assert_eq!(at(&x), want, "u64 {x}");
+        }
+        for (text, want) in [
+            ("", [0, 0, 0, 1]),
+            ("user:42", [1, 2, 3, 5]),
+            // 22 bytes: the longest inline `Key`.
+            ("abcdefghijklmnopqrstuv", [1, 2, 2, 4]),
+            // 32 bytes: a boxed `Key`.
+            ("a-boxed-key-longer-than-22-bytes", [0, 1, 1, 2]),
+        ] {
+            assert_eq!(at(&Key::from(text)), want, "Key {text:?}");
+            assert_eq!(at(&text.to_string()), want, "String {text:?}");
         }
     }
 
