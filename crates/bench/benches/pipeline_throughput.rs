@@ -26,7 +26,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use hh::pipeline::{PipelineConfig, Routing, ShardIngest};
+use hh::pipeline::PipelineConfig;
 use hh::prelude::*;
 use hh_streamgen::zipf::{stream_from_counts, StreamOrder};
 use hh_streamgen::{exact_zipf_counts, Item};
@@ -90,8 +90,6 @@ fn bench_pipeline_throughput(c: &mut Criterion) {
                 b.iter(|| {
                     let mut pipeline = PipelineConfig::new(engine_config())
                         .shards(shards)
-                        .routing(Routing::HashPartition)
-                        .ingest(ShardIngest::Aggregate)
                         .batch_size(BATCH)
                         .spawn::<Item>()
                         .expect("valid config");
@@ -113,8 +111,6 @@ fn text_keys(stream: &[Item], width: usize) -> Vec<String> {
 fn pipeline_run<I: hh::engine::EngineItem>(items: &[I]) -> u64 {
     let mut pipeline = PipelineConfig::new(engine_config())
         .shards(2)
-        .routing(Routing::HashPartition)
-        .ingest(ShardIngest::Aggregate)
         .batch_size(BATCH)
         .spawn::<I>()
         .expect("valid config");

@@ -19,7 +19,7 @@ use std::net::{Shutdown, TcpStream};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use hh::net::{sys, NetOptions, ServeOptions, Server};
-use hh::pipeline::{PipelineConfig, Routing, ShardIngest};
+use hh::pipeline::PipelineConfig;
 use hh::prelude::*;
 use hh_streamgen::zipf::{stream_from_counts, StreamOrder};
 use hh_streamgen::{exact_zipf_counts, Item};
@@ -94,8 +94,6 @@ fn bench_server_ingest(c: &mut Criterion) {
         b.iter(|| {
             let mut pipeline = PipelineConfig::new(engine_config())
                 .shards(SHARDS)
-                .routing(Routing::HashPartition)
-                .ingest(ShardIngest::Aggregate)
                 .batch_size(BATCH)
                 .spawn::<Item>()
                 .expect("valid config");

@@ -54,7 +54,7 @@ use hh::counters::fasthash::FxHashMap;
 use hh::counters::Key;
 use hh::engine::EngineItem;
 use hh::net::{sys, NetOptions, ServeOptions, Server};
-use hh::pipeline::{PipelineConfig, Routing, ShardIngest};
+use hh::pipeline::PipelineConfig;
 use hh::prelude::{EngineConfig, FrequencyEstimator};
 use hh_analysis::{feed, make_estimator, Algo};
 use hh_streamgen::zipf::{stream_from_counts, StreamOrder};
@@ -174,8 +174,6 @@ fn run_pipeline<I: EngineItem>(stream: &[I], shards: usize, batch: usize) {
     let config = EngineConfig::new(hh::engine::AlgoKind::SpaceSaving).counters(256);
     let mut pipeline = PipelineConfig::new(config)
         .shards(shards)
-        .routing(Routing::HashPartition)
-        .ingest(ShardIngest::Aggregate)
         .batch_size(batch)
         .spawn::<I>()
         .expect("valid pipeline config");

@@ -1,5 +1,6 @@
-//! Snapshot files that pass the envelope's CRC but carry hostile payloads
-//! must end `hh` with an error or a normal answer, never an abort.
+//! Hostile inputs — snapshot files that pass the envelope's CRC but carry
+//! hostile payloads, and flag values far outside any sane range — must
+//! end `hh` with an error or a normal answer, never an abort.
 
 use std::process::{Command, Output};
 
@@ -78,5 +79,22 @@ fn merging_past_u64_is_an_error() {
         assert_eq!(out.status.code(), Some(1), "{payload}: {stderr}");
         assert!(stderr.contains("overflow"), "{stderr}");
         std::fs::remove_file(path).ok();
+    }
+}
+
+#[test]
+fn out_of_range_pipeline_sizing_is_an_error() {
+    // Each would ask for hundreds of GB (a 10^10-item shard buffer, a
+    // 10^10-slot channel) or for 10^5 worker threads.
+    for args in [
+        ["serve", "--batch-size", "10000000000", "/dev/null"],
+        ["serve", "--queue-depth", "10000000000", "/dev/null"],
+        ["serve", "--shards", "100000", "/dev/null"],
+    ] {
+        let out = hh(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
 }

@@ -15,7 +15,7 @@ use std::fmt::Display;
 
 use hh_counters::error::Error;
 use hh_sketches::engine::{Engine, EngineConfig, EngineItem, Snapshot};
-use hh_sketches::pipeline::{Pipeline, PipelineConfig, PipelineStats, Routing, ShardIngest};
+use hh_sketches::pipeline::{Pipeline, PipelineConfig, PipelineStats};
 use serde::{Deserialize, Serialize};
 
 use crate::checkpoint::{self, Checkpoint};
@@ -28,8 +28,9 @@ use crate::checkpoint::{self, Checkpoint};
 ///
 /// [`ServeOptions::validate`] (called by `spawn`) returns
 /// [`Error::InvalidConfig`] — never panics, never silently clamps — when
-/// `shards`, `batch_size` or `queue_depth` is zero, or when the embedded
-/// engine config itself cannot build.
+/// `shards`, `batch_size` or `queue_depth` is out of the range
+/// [`PipelineConfig::validate`] accepts, or when the embedded engine
+/// config itself cannot build.
 ///
 /// ```
 /// use hh_net::ServeOptions;
@@ -78,19 +79,19 @@ impl ServeOptions {
         }
     }
 
-    /// Sets the shard count (must be ≥ 1; `None` = one per core).
+    /// Sets the shard count (`1..=2^10`; `None` = one per core).
     pub fn shards(mut self, shards: Option<usize>) -> Self {
         self.shards = shards;
         self
     }
 
-    /// Sets the router batch size (must be ≥ 1).
+    /// Sets the router batch size (`1..=2^20` items).
     pub fn batch_size(mut self, batch_size: usize) -> Self {
         self.batch_size = batch_size;
         self
     }
 
-    /// Sets the per-shard queue depth in batches (must be ≥ 1).
+    /// Sets the per-shard queue depth (`1..=2^10` batches).
     pub fn queue_depth(mut self, queue_depth: usize) -> Self {
         self.queue_depth = queue_depth;
         self
@@ -155,13 +156,10 @@ impl ServeOptions {
         self.k
     }
 
-    /// The pipeline configuration these options describe: hash-partition
-    /// routing with per-batch aggregation, the one shard policy serving
-    /// runs.
+    /// The pipeline configuration these options describe (the pipeline
+    /// always hash-partitions and aggregates per batch).
     pub fn pipeline_config(&self) -> PipelineConfig {
         let mut config = PipelineConfig::new(self.engine.clone())
-            .routing(Routing::HashPartition)
-            .ingest(ShardIngest::Aggregate)
             .batch_size(self.batch_size)
             .queue_depth(self.queue_depth);
         if let Some(shards) = self.shards {
@@ -174,18 +172,12 @@ impl ServeOptions {
     ///
     /// # Errors
     ///
-    /// [`Error::InvalidConfig`] on zero `shards`, `batch_size` or
-    /// `queue_depth`, a zero report `k`, or an unbuildable engine config.
+    /// [`Error::InvalidConfig`] on pipeline sizing that
+    /// [`PipelineConfig::validate`] rejects (`shards`, `batch_size` or
+    /// `queue_depth` out of range), a zero report `k`, or an unbuildable
+    /// engine config.
     pub fn validate(&self) -> Result<(), Error> {
-        if self.shards == Some(0) {
-            return Err(Error::invalid_config("serve needs at least one shard"));
-        }
-        if self.batch_size == 0 {
-            return Err(Error::invalid_config("batch size must be at least 1"));
-        }
-        if self.queue_depth == 0 {
-            return Err(Error::invalid_config("queue depth must be at least 1"));
-        }
+        self.pipeline_config().validate()?;
         if self.k == 0 {
             return Err(Error::invalid_config("report k must be at least 1"));
         }
@@ -614,8 +606,11 @@ mod tests {
     fn validate_rejects_degenerate_values_with_typed_errors() {
         for bad in [
             opts().shards(Some(0)),
+            opts().shards(Some(100_000)),
             opts().batch_size(0),
+            opts().batch_size(10_000_000_000),
             opts().queue_depth(0),
+            opts().queue_depth(10_000_000_000),
             opts().top_k(0),
             ServeOptions::new(EngineConfig::new(AlgoKind::SpaceSaving).counters(0)),
         ] {

@@ -32,5 +32,5 @@ pub use engine::{
     AlgoKind, CapacitySpec, Count, Engine, EngineConfig, HeavyHitterEntry, IngestStats, Report,
     ReportEntry, Snapshot, WeightedEngine,
 };
-pub use pipeline::{Pipeline, PipelineConfig, PipelineStats, Routing, ShardIngest, ShardStats};
+pub use pipeline::{Pipeline, PipelineConfig, PipelineStats, ShardStats};
 pub use topk_tracker::SketchHeavyHitters;

@@ -13,18 +13,18 @@
 //! Everything rests on the paper's Theorem 11 (Section 6.2): summaries
 //! of separate sub-streams merge with only a constant-factor loss —
 //! `(A, B)` per shard becomes `(3A, A+B)` merged — **regardless of how
-//! the stream was partitioned**. Two consequences shape the design:
+//! the stream was partitioned or ordered**. The pipeline runs one shard
+//! policy that leans on both halves of that:
 //!
-//! * routing is a policy choice, not a correctness concern
-//!   ([`Routing::HashPartition`] by item hash, or [`Routing::RoundRobin`]
-//!   over whole batches — both yield the same merged guarantee);
-//! * shards may reorder *within* the sub-stream they were dealt: the
-//!   guarantee never conditions on arrival order, so
-//!   [`ShardIngest::Aggregate`] pre-aggregates every delivered batch to
-//!   one `update_by` per distinct item (a large constant-factor win on
-//!   hot-set traffic), while [`ShardIngest::Preserve`] keeps per-shard
-//!   arrival order exact — each shard of a `Preserve` pipeline equals a
-//!   sequential engine fed that shard's partition, bit for bit.
+//! * **hash partition** — every item goes to the shard [`hash_shard`]
+//!   picks, so all occurrences of an item live on one shard and each
+//!   shard summarizes a disjoint slice of the universe;
+//! * **per-batch aggregation** — a shard feeds each delivered batch to
+//!   its engine as one `update_by` per distinct item, in first-occurrence
+//!   order (a large constant-factor win on hot-set traffic). Shard `j`
+//!   therefore equals a sequential engine fed partition `j` in
+//!   consecutive `batch_size`-item chunks, each aggregated that way; an
+//!   epoch query's flush cuts every shard's open chunk short.
 //!
 //! Backpressure is part of the contract: channels hold at most
 //! `queue_depth` batches per shard, so a producer that outruns the
@@ -82,38 +82,46 @@ use crate::engine::{Engine, EngineConfig, EngineItem, Snapshot};
 // Configuration
 // ---------------------------------------------------------------------------
 
-/// How the coordinator assigns arrivals to shards.
+/// Largest accepted [`PipelineConfig::shards`]: one worker thread each.
+/// Near a host's thread or memory-map limit, the OS can refuse a thread
+/// after it was created (its signal stack), which aborts the process
+/// instead of failing the spawn; this cap keeps a pipeline well clear of
+/// that. The default shard count is clamped to it.
+const MAX_SHARDS: usize = 1 << 10;
+
+/// Largest accepted [`PipelineConfig::batch_size`], in items. Shard
+/// buffers are preallocated at the batch size, so this bounds them; it
+/// also keeps the per-batch aggregator's `u32` slot index in range.
+const MAX_BATCH: usize = 1 << 20;
+
+/// Largest accepted [`PipelineConfig::queue_depth`], in batches per
+/// shard (each channel preallocates its slots).
+const MAX_QUEUE: usize = 1 << 10;
+
+/// The pipeline's routing policy: hash partition, the only one.
 ///
-/// Theorem 11's merged guarantee is partition-oblivious, so the choice
-/// trades locality against balance rather than correctness.
+/// Each item goes to the shard [`hash_shard`] picks, so all occurrences
+/// of an item land on one shard. Named only through
+/// [`PipelineConfig::routing`], which keeps it for existing callers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Routing {
-    /// Each item goes to the shard a multiply-shift of the high half of
-    /// its Fx hash picks — see [`hash_shard`]. All occurrences of an
-    /// item land on one shard, so each shard summarizes a disjoint slice
-    /// of the universe: per-shard counter pressure drops and a hot set
-    /// of up to `shards × m` distinct items is held exactly. The default.
+    /// Route by [`hash_shard`]. The default and only value.
     #[default]
     HashPartition,
-    /// Whole batches are dealt to shards in rotation. No per-item work in
-    /// the router, but every shard sees the full universe.
-    RoundRobin,
 }
 
-/// How a shard worker consumes a delivered batch.
+/// How a shard worker consumes a delivered batch: per-batch
+/// aggregation, the only mode.
+///
+/// Named only through [`PipelineConfig::ingest`], which keeps it for
+/// existing callers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShardIngest {
-    /// `update_batch` in delivery order — per-shard state is bit-identical
-    /// to a sequential engine fed the shard's sub-stream, so a `Preserve`
-    /// pipeline is exactly reproducible from its partition. The default.
+    /// One `update_by` per distinct item of the batch, in
+    /// first-occurrence order — a permutation of the batch, which
+    /// Theorem 11 licenses: the merged `(3A, A+B)` guarantee never
+    /// conditions on arrival order. The default and only value.
     #[default]
-    Preserve,
-    /// Pre-aggregate each batch to one `update_by` per distinct item
-    /// (first-occurrence order). Equivalent to ingesting a permutation of
-    /// the batch, which Theorem 11 licenses: the merged `(3A, A+B)`
-    /// guarantee never conditions on arrival order. Within-shard
-    /// tie-breaking may differ from `Preserve`; certified bounds and the
-    /// tail guarantee do not.
     Aggregate,
 }
 
@@ -122,15 +130,14 @@ pub enum ShardIngest {
 ///
 /// ```
 /// use hh_sketches::engine::{AlgoKind, EngineConfig};
-/// use hh_sketches::pipeline::{PipelineConfig, Routing, ShardIngest};
+/// use hh_sketches::pipeline::PipelineConfig;
 ///
 /// let config = PipelineConfig::new(EngineConfig::new(AlgoKind::Frequent).counters(64))
 ///     .shards(4)
-///     .routing(Routing::RoundRobin)
-///     .ingest(ShardIngest::Aggregate)
 ///     .batch_size(1024)
 ///     .queue_depth(2);
 /// assert_eq!(config.shard_count(), 4);
+/// assert!(config.validate().is_ok());
 /// let pipeline = config.spawn::<u64>().unwrap();
 /// assert_eq!(pipeline.shards(), 4);
 /// pipeline.finish().unwrap();
@@ -139,62 +146,62 @@ pub enum ShardIngest {
 pub struct PipelineConfig {
     engine: EngineConfig,
     shards: usize,
-    routing: Routing,
-    ingest: ShardIngest,
     batch: usize,
     queue: usize,
 }
 
 impl PipelineConfig {
     /// Starts a pipeline config: engines per `engine`, one shard per unit
-    /// of available parallelism, hash-partitioned routing,
-    /// order-preserving ingest, 8192-item batches, 4 queued batches per
-    /// shard. Shard supervision is always on (see the [module docs](self)).
+    /// of available parallelism, 8192-item batches, 4 queued batches per
+    /// shard. Routing (hash partition), per-batch aggregation and shard
+    /// supervision are fixed (see the [module docs](self)).
     ///
     /// # Invariants
     ///
-    /// `shards`, `batch_size` and `queue_depth` must all be ≥ 1.
-    /// [`PipelineConfig::spawn`] reports a violation as a typed
+    /// `shards` must be in `1..=2^10`, `batch_size` in `1..=2^20` and
+    /// `queue_depth` in `1..=2^10`. [`PipelineConfig::validate`] (called
+    /// by [`PipelineConfig::spawn`]) reports a violation as a typed
     /// [`Error::InvalidConfig`] — it never panics and never silently
     /// clamps a degenerate value.
     pub fn new(engine: EngineConfig) -> Self {
         PipelineConfig {
             engine,
-            shards: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-            routing: Routing::default(),
-            ingest: ShardIngest::default(),
+            shards: std::thread::available_parallelism()
+                .map_or(1, std::num::NonZeroUsize::get)
+                .min(MAX_SHARDS),
             batch: 8192,
             queue: 4,
         }
     }
 
-    /// Sets the number of worker shards (`≥ 1`).
+    /// Sets the number of worker shards (`1..=2^10`).
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards;
         self
     }
 
-    /// Sets the routing policy.
-    pub fn routing(mut self, routing: Routing) -> Self {
-        self.routing = routing;
+    /// Stores and changes nothing: hash partition is the only routing.
+    /// Kept only because the repo benchmark (`perfbench/`) names it.
+    pub fn routing(self, _routing: Routing) -> Self {
         self
     }
 
-    /// Sets how shard workers consume batches.
-    pub fn ingest(mut self, ingest: ShardIngest) -> Self {
-        self.ingest = ingest;
+    /// Stores and changes nothing: per-batch aggregation is the only
+    /// shard ingest. Kept only because the repo benchmark (`perfbench/`)
+    /// names it.
+    pub fn ingest(self, _ingest: ShardIngest) -> Self {
         self
     }
 
     /// Sets the router's flush threshold: a shard buffer is shipped once
-    /// it holds this many items (`≥ 1`).
+    /// it holds this many items (`1..=2^20`).
     pub fn batch_size(mut self, batch: usize) -> Self {
         self.batch = batch;
         self
     }
 
-    /// Sets the bounded channel capacity, in batches per shard (`≥ 1`);
-    /// a full queue blocks the producer (backpressure).
+    /// Sets the bounded channel capacity, in batches per shard
+    /// (`1..=2^10`); a full queue blocks the producer (backpressure).
     pub fn queue_depth(mut self, queue: usize) -> Self {
         self.queue = queue;
         self
@@ -210,21 +217,46 @@ impl PipelineConfig {
         &self.engine
     }
 
+    /// Checks the sizing bounds without spawning anything.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::InvalidConfig`] on a shard count, batch size or queue
+    /// depth of zero or above its maximum (2^10 shards, 2^20 items, 2^10
+    /// batches).
+    pub fn validate(&self) -> Result<(), Error> {
+        if !(1..=MAX_SHARDS).contains(&self.shards) {
+            return Err(Error::invalid_config(format!(
+                "shard count must be in 1..={MAX_SHARDS}, got {}",
+                self.shards
+            )));
+        }
+        if !(1..=MAX_BATCH).contains(&self.batch) {
+            return Err(Error::invalid_config(format!(
+                "batch size must be in 1..={MAX_BATCH}, got {}",
+                self.batch
+            )));
+        }
+        if !(1..=MAX_QUEUE).contains(&self.queue) {
+            return Err(Error::invalid_config(format!(
+                "queue depth must be in 1..={MAX_QUEUE}, got {}",
+                self.queue
+            )));
+        }
+        Ok(())
+    }
+
     /// Validates the config and spawns the shard workers.
     ///
-    /// Fails with [`Error::InvalidConfig`] on a zero shard count, batch
-    /// size or queue depth, or when the engine config itself is invalid
-    /// (the error a plain [`EngineConfig::build`] would report).
+    /// # Errors
+    ///
+    /// Everything [`PipelineConfig::validate`] rejects; the
+    /// [`Error::InvalidConfig`] a plain [`EngineConfig::build`] would
+    /// report for an invalid engine config; and [`Error::Pipeline`] when
+    /// the OS refuses a worker thread (the workers already started are
+    /// shut down and joined first).
     pub fn spawn<I: EngineItem>(&self) -> Result<Pipeline<I>, Error> {
-        if self.shards == 0 {
-            return Err(Error::invalid_config("pipeline needs at least one shard"));
-        }
-        if self.batch == 0 {
-            return Err(Error::invalid_config("batch size must be at least 1"));
-        }
-        if self.queue == 0 {
-            return Err(Error::invalid_config("queue depth must be at least 1"));
-        }
+        self.validate()?;
         let metrics = PipelineMetrics::new(self.shards);
         let mut senders = Vec::with_capacity(self.shards);
         let mut workers = Vec::with_capacity(self.shards);
@@ -234,30 +266,33 @@ impl PipelineConfig {
             // surface here, before any thread exists.
             let engine = self.engine.build::<I>()?;
             last_snapshots.push(engine.snapshot());
-            let (tx, handle) = spawn_worker(
-                engine,
-                self.queue,
-                self.ingest,
-                metrics.shards[shard].clone(),
-            );
-            workers.push(handle);
-            senders.push(tx);
+            match spawn_worker(engine, self.queue, metrics.shards[shard].clone()) {
+                Ok((tx, handle)) => {
+                    senders.push(tx);
+                    workers.push(handle);
+                }
+                Err(e) => {
+                    // Disconnect the started workers' channels, then reap
+                    // them: each sees an empty, closed queue and returns.
+                    drop(senders);
+                    for handle in workers {
+                        // lint:allow(error-swallow) a fresh worker that received nothing has nothing to report; the spawn error is what the caller needs
+                        let _ = handle.join();
+                    }
+                    return Err(e);
+                }
+            }
         }
-        let buffers = match self.routing {
-            Routing::HashPartition => (0..self.shards)
-                .map(|_| Vec::with_capacity(self.batch))
-                .collect(),
-            Routing::RoundRobin => vec![Vec::with_capacity(self.batch)],
-        };
         Ok(Pipeline {
             config: self.clone(),
             senders,
             workers,
-            buffers,
+            buffers: (0..self.shards)
+                .map(|_| Vec::with_capacity(self.batch))
+                .collect(),
             last_snapshots,
             shipped_since: vec![0; self.shards],
             lost: 0,
-            rr_cursor: 0,
             routed: 0,
             epoch: 0,
             metrics,
@@ -265,7 +300,7 @@ impl PipelineConfig {
     }
 }
 
-/// The shard an item routes to under [`Routing::HashPartition`]:
+/// The shard an item routes to:
 /// `((hash >> 32) * shards) >> 32`, where `hash` is the item's 64-bit Fx
 /// hash — its high 32 bits scaled onto `0..shards`. Public because it is
 /// part of the pipeline's partition contract — tests (and external
@@ -482,10 +517,13 @@ enum Msg<I> {
 /// engine on a clean shutdown, or the panic message when the worker died.
 type ShardOutcome<I> = Result<Engine<I>, String>;
 
+/// A running shard worker: the sending end of its channel and its join
+/// handle.
+type Worker<I> = (SyncSender<Msg<I>>, JoinHandle<ShardOutcome<I>>);
+
 fn shard_worker<I: EngineItem>(
     mut engine: Engine<I>,
     rx: Receiver<Msg<I>>,
-    ingest: ShardIngest,
     metrics: ShardMetrics,
 ) -> Engine<I> {
     let mut aggregator = BatchAggregator::new();
@@ -496,10 +534,7 @@ fn shard_worker<I: EngineItem>(
                 // a dequeued-but-unapplied batch (free unless armed).
                 hh_fault::fault_point(hh_fault::sites::SHARD_BATCH);
                 metrics.queue_depth.sub(1);
-                match ingest {
-                    ShardIngest::Preserve => engine.update_batch(&batch),
-                    ShardIngest::Aggregate => aggregator.ingest(&mut engine, &batch),
-                }
+                aggregator.ingest(&mut engine, &batch);
                 metrics.items_ingested.add(batch.len() as u64);
                 metrics.batches_ingested.inc();
             }
@@ -525,20 +560,21 @@ fn shard_worker<I: EngineItem>(
 /// pipeline. `AssertUnwindSafe` is sound here: on panic the engine and
 /// aggregator are dropped with the closure — supervision rebuilds state
 /// from the shard's restore point and never observes the torn values.
+///
+/// The OS refusing a thread is a typed [`Error::Pipeline`], not a panic.
 fn spawn_worker<I: EngineItem>(
     engine: Engine<I>,
     queue: usize,
-    ingest: ShardIngest,
     metrics: ShardMetrics,
-) -> (SyncSender<Msg<I>>, JoinHandle<ShardOutcome<I>>) {
+) -> Result<Worker<I>, Error> {
     let (tx, rx) = std::sync::mpsc::sync_channel::<Msg<I>>(queue);
-    let handle = std::thread::spawn(move || {
-        std::panic::catch_unwind(AssertUnwindSafe(|| {
-            shard_worker(engine, rx, ingest, metrics)
-        }))
-        .map_err(|payload| panic_message(payload.as_ref()))
-    });
-    (tx, handle)
+    let handle = std::thread::Builder::new()
+        .spawn(move || {
+            std::panic::catch_unwind(AssertUnwindSafe(|| shard_worker(engine, rx, metrics)))
+                .map_err(|payload| panic_message(payload.as_ref()))
+        })
+        .map_err(|e| Error::pipeline(format!("cannot spawn a shard worker thread: {e}")))?;
+    Ok((tx, handle))
 }
 
 /// Best-effort text of a caught panic payload (`&str` and `String`
@@ -553,7 +589,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Per-batch multiset aggregation scratch for [`ShardIngest::Aggregate`]:
+/// Per-batch multiset aggregation scratch for the shard workers:
 /// an open-addressing table mapping items to a first-occurrence-ordered
 /// `(item, count)` list, cleared between batches.
 struct BatchAggregator<I> {
@@ -630,8 +666,7 @@ pub struct Pipeline<I: EngineItem> {
     config: PipelineConfig,
     senders: Vec<SyncSender<Msg<I>>>,
     workers: Vec<JoinHandle<ShardOutcome<I>>>,
-    /// Pending per-shard batches (`HashPartition`) or the single staging
-    /// batch (`RoundRobin`).
+    /// Pending per-shard batches, shipped at `batch_size` items.
     buffers: Vec<Vec<I>>,
     /// Supervision state: each shard's restore point — the snapshot of
     /// its fresh engine at spawn, then its last epoch-boundary snapshot.
@@ -644,7 +679,6 @@ pub struct Pipeline<I: EngineItem> {
     /// Total occurrences charged to dead shards; folded into every
     /// merged view via [`Engine::add_unobserved`].
     lost: u64,
-    rr_cursor: usize,
     routed: u64,
     epoch: u64,
     metrics: PipelineMetrics,
@@ -654,8 +688,6 @@ impl<I: EngineItem> std::fmt::Debug for Pipeline<I> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Pipeline")
             .field("shards", &self.senders.len())
-            .field("routing", &self.config.routing)
-            .field("ingest", &self.config.ingest)
             .field("routed", &self.routed)
             .field("epoch", &self.epoch)
             .finish()
@@ -779,61 +811,26 @@ impl<I: EngineItem> Pipeline<I> {
             .any(|m| m.queue_depth.get() >= cap)
     }
 
-    /// Routes one arrival. Blocks when the destination shard's queue is
-    /// full (backpressure). A dead shard worker is respawned from its
-    /// restore point; if that fails the call reports
-    /// [`Error::ShardDown`].
+    /// Routes one arrival to its [`hash_shard`]. Blocks when the
+    /// destination shard's queue is full (backpressure). A dead shard
+    /// worker is respawned from its restore point; if that fails the call
+    /// reports [`Error::ShardDown`].
     #[inline]
     pub fn send(&mut self, item: I) -> Result<(), Error> {
         self.routed += 1;
-        match self.config.routing {
-            Routing::HashPartition => {
-                let shard = hash_shard(self.senders.len(), &item);
-                self.buffers[shard].push(item);
-                if self.buffers[shard].len() >= self.config.batch {
-                    self.ship(shard)?;
-                }
-            }
-            Routing::RoundRobin => {
-                self.buffers[0].push(item);
-                if self.buffers[0].len() >= self.config.batch {
-                    self.ship_round_robin()?;
-                }
-            }
+        let shard = hash_shard(self.senders.len(), &item);
+        self.buffers[shard].push(item);
+        if self.buffers[shard].len() >= self.config.batch {
+            self.ship(shard)?;
         }
         Ok(())
     }
 
-    /// Routes a slice of arrivals in order (equivalent to
-    /// [`Pipeline::send`] per element, specialized per routing policy —
-    /// this is the service's ingest hot path).
+    /// Routes a slice of arrivals in order: [`Pipeline::send`] per
+    /// element.
     pub fn send_batch(&mut self, items: &[I]) -> Result<(), Error> {
-        match self.config.routing {
-            Routing::HashPartition => {
-                let shards = self.senders.len();
-                for item in items {
-                    let shard = hash_shard(shards, item);
-                    self.buffers[shard].push(item.clone());
-                    self.routed += 1;
-                    if self.buffers[shard].len() >= self.config.batch {
-                        self.ship(shard)?;
-                    }
-                }
-            }
-            Routing::RoundRobin => {
-                // whole sub-slices straight into the staging buffer
-                let mut rest = items;
-                while !rest.is_empty() {
-                    let room = self.config.batch - self.buffers[0].len();
-                    let take = room.min(rest.len());
-                    self.buffers[0].extend_from_slice(&rest[..take]);
-                    self.routed += take as u64;
-                    rest = &rest[take..];
-                    if self.buffers[0].len() >= self.config.batch {
-                        self.ship_round_robin()?;
-                    }
-                }
-            }
+        for item in items {
+            self.send(item.clone())?;
         }
         Ok(())
     }
@@ -841,42 +838,22 @@ impl<I: EngineItem> Pipeline<I> {
     /// Ships every buffered item to its shard, leaving the buffers empty.
     /// Called implicitly by the query methods and by [`Pipeline::finish`].
     pub fn flush(&mut self) -> Result<(), Error> {
-        match self.config.routing {
-            Routing::HashPartition => {
-                for shard in 0..self.buffers.len() {
-                    if !self.buffers[shard].is_empty() {
-                        self.ship(shard)?;
-                    }
-                }
-            }
-            Routing::RoundRobin => {
-                if !self.buffers[0].is_empty() {
-                    self.ship_round_robin()?;
-                }
+        for shard in 0..self.buffers.len() {
+            if !self.buffers[shard].is_empty() {
+                self.ship(shard)?;
             }
         }
         Ok(())
     }
 
+    /// The single shipping point: all telemetry is per *batch* here (a
+    /// counter add, a gauge bump, one timed send), so the per-item
+    /// [`Pipeline::send`] stays exactly as lean as before instrumentation.
     fn ship(&mut self, shard: usize) -> Result<(), Error> {
         let batch = std::mem::replace(
             &mut self.buffers[shard],
             Vec::with_capacity(self.config.batch),
         );
-        self.ship_to(shard, batch)
-    }
-
-    fn ship_round_robin(&mut self) -> Result<(), Error> {
-        let shard = self.rr_cursor;
-        self.rr_cursor = (self.rr_cursor + 1) % self.senders.len();
-        let batch = std::mem::replace(&mut self.buffers[0], Vec::with_capacity(self.config.batch));
-        self.ship_to(shard, batch)
-    }
-
-    /// The single shipping point: all telemetry is per *batch* here (a
-    /// counter add, a gauge bump, one timed send), so the per-item send
-    /// paths above stay exactly as lean as before instrumentation.
-    fn ship_to(&mut self, shard: usize, batch: Vec<I>) -> Result<(), Error> {
         let len = batch.len() as u64;
         self.metrics.shards[shard].routed_items.add(len);
         let start = Instant::now();
@@ -917,9 +894,8 @@ impl<I: EngineItem> Pipeline<I> {
         let (tx, handle) = spawn_worker(
             engine,
             self.config.queue,
-            self.config.ingest,
             self.metrics.shards[shard].clone(),
-        );
+        )?;
         drop(std::mem::replace(&mut self.senders[shard], tx));
         let dead = std::mem::replace(&mut self.workers[shard], handle);
         // The worker already exited (that is why we are here); reap its
@@ -1097,10 +1073,35 @@ mod tests {
 
     #[test]
     fn spawn_validates_config() {
-        assert!(ss_config(8).shards(0).spawn::<u64>().is_err());
-        assert!(ss_config(8).batch_size(0).spawn::<u64>().is_err());
-        assert!(ss_config(8).queue_depth(0).spawn::<u64>().is_err());
+        for bad in [
+            ss_config(8).shards(0),
+            ss_config(8).shards(MAX_SHARDS + 1),
+            ss_config(8).shards(100_000),
+            ss_config(8).batch_size(0),
+            ss_config(8).batch_size(MAX_BATCH + 1),
+            ss_config(8).batch_size(10_000_000_000),
+            ss_config(8).queue_depth(0),
+            ss_config(8).queue_depth(MAX_QUEUE + 1),
+            ss_config(8).queue_depth(10_000_000_000),
+        ] {
+            assert!(
+                matches!(bad.validate(), Err(Error::InvalidConfig(_))),
+                "{bad:?}"
+            );
+            assert!(
+                matches!(bad.spawn::<u64>(), Err(Error::InvalidConfig(_))),
+                "{bad:?}"
+            );
+        }
         assert!(ss_config(0).shards(2).spawn::<u64>().is_err()); // engine config error
+                                                                 // The maxima themselves are accepted.
+        assert!(ss_config(8).shards(MAX_SHARDS).validate().is_ok());
+        let edge = ss_config(8)
+            .shards(1)
+            .batch_size(MAX_BATCH)
+            .queue_depth(MAX_QUEUE);
+        assert!(edge.validate().is_ok());
+        edge.spawn::<u64>().unwrap().finish().unwrap();
     }
 
     #[test]
@@ -1123,20 +1124,20 @@ mod tests {
     #[test]
     fn merged_counts_the_whole_stream_for_every_mode() {
         let s = stream(20_000, 997);
-        for routing in [Routing::HashPartition, Routing::RoundRobin] {
-            for ingest in [ShardIngest::Preserve, ShardIngest::Aggregate] {
-                let mut p = ss_config(64)
-                    .shards(3)
-                    .routing(routing)
-                    .ingest(ingest)
-                    .batch_size(512)
-                    .spawn::<u64>()
-                    .unwrap();
-                p.send_batch(&s).unwrap();
-                let merged = p.finish().unwrap();
-                assert_eq!(merged.stream_len(), 20_000, "{routing:?}/{ingest:?}");
-                assert!(merged.stored_len() <= 64);
-            }
+        for (shards, batch) in [(1, 1), (3, 512), (4, 30_000)] {
+            let mut p = ss_config(64)
+                .shards(shards)
+                .batch_size(batch)
+                .spawn::<u64>()
+                .unwrap();
+            p.send_batch(&s).unwrap();
+            let merged = p.finish().unwrap();
+            assert_eq!(
+                merged.stream_len(),
+                20_000,
+                "{shards} shards, batch {batch}"
+            );
+            assert!(merged.stored_len() <= 64);
         }
     }
 
@@ -1219,29 +1220,11 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_deals_whole_batches_in_rotation() {
-        // batch=3, 2 shards: batches alternate 0, 1, 0, 1...
-        let mut p = ss_config(16)
-            .shards(2)
-            .routing(Routing::RoundRobin)
-            .batch_size(3)
-            .spawn::<u64>()
-            .unwrap();
-        p.send_batch(&[1, 1, 1, 2, 2, 2, 3, 3, 3]).unwrap();
-        let shards = p.finish_shards().unwrap();
-        assert_eq!(shards[0].estimate(&1), 3);
-        assert_eq!(shards[0].estimate(&3), 3);
-        assert_eq!(shards[1].estimate(&2), 3);
-        assert_eq!(shards[0].estimate(&2), 0);
-    }
-
-    #[test]
     fn aggregate_mode_is_deterministic_and_exact_below_capacity() {
         let s = stream(12_000, 61); // 61 distinct < m: summaries stay exact
         let run = || {
             let mut p = ss_config(128)
                 .shards(3)
-                .ingest(ShardIngest::Aggregate)
                 .batch_size(100)
                 .spawn::<u64>()
                 .unwrap();
@@ -1258,27 +1241,25 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_matches_preserve_on_commutative_backends() {
-        // Count-Min cell updates are linear, so batch aggregation is
-        // invisible to the sketch: point estimates must agree exactly.
+    fn count_min_shards_match_one_sequential_engine() {
+        // Count-Min cell updates are linear, so neither the hash partition
+        // nor batch aggregation is visible to the merged sketch: its point
+        // estimates equal one engine (same seed) fed the whole stream.
         let s = stream(9_000, 211);
-        let run = |ingest| {
-            let mut p =
-                PipelineConfig::new(EngineConfig::new(AlgoKind::CountMin).counters(256).seed(3))
-                    .shards(2)
-                    .ingest(ingest)
-                    .batch_size(128)
-                    .spawn::<u64>()
-                    .unwrap();
-            p.send_batch(&s).unwrap();
-            p.finish().unwrap()
-        };
-        let preserve = run(ShardIngest::Preserve);
-        let aggregate = run(ShardIngest::Aggregate);
+        let config = EngineConfig::new(AlgoKind::CountMin).counters(256).seed(3);
+        let mut p = PipelineConfig::new(config.clone())
+            .shards(2)
+            .batch_size(128)
+            .spawn::<u64>()
+            .unwrap();
+        p.send_batch(&s).unwrap();
+        let merged = p.finish().unwrap();
+        let mut sequential = config.build::<u64>().unwrap();
+        sequential.update_batch(&s);
         for item in 0..211u64 {
             assert_eq!(
-                preserve.estimate(&item),
-                aggregate.estimate(&item),
+                merged.estimate(&item),
+                sequential.estimate(&item),
                 "item {item}"
             );
         }
@@ -1341,26 +1322,6 @@ mod tests {
         assert!(stats.imbalance >= 1.0 && stats.imbalance <= 3.0);
         assert_eq!(stats.snapshot_ns.count, 1);
         assert_eq!(stats.merge_ns.count, 1);
-        p.finish().unwrap();
-    }
-
-    #[test]
-    fn round_robin_stats_are_balanced() {
-        let mut p = ss_config(16)
-            .shards(2)
-            .routing(Routing::RoundRobin)
-            .batch_size(10)
-            .spawn::<u64>()
-            .unwrap();
-        p.send_batch(&(0..1000).collect::<Vec<u64>>()).unwrap();
-        p.snapshots().unwrap();
-        let stats = p.stats();
-        // 100 batches dealt alternately: 50 per shard, perfectly balanced
-        assert!((stats.imbalance - 1.0).abs() < 1e-9, "{}", stats.imbalance);
-        for shard in &stats.shards {
-            assert_eq!(shard.routed_items, 500);
-            assert_eq!(shard.batches_ingested, 50);
-        }
         p.finish().unwrap();
     }
 

@@ -96,9 +96,7 @@ pub mod prelude {
     pub use hh_sketches::engine::{
         AlgoKind, CapacitySpec, Count, Engine, EngineConfig, Report, Snapshot, WeightedEngine,
     };
-    pub use hh_sketches::pipeline::{
-        Pipeline, PipelineConfig, PipelineStats, Routing, ShardIngest, ShardStats,
-    };
+    pub use hh_sketches::pipeline::{Pipeline, PipelineConfig, PipelineStats, ShardStats};
     pub use hh_sketches::{CountMin, CountSketch, SketchHeavyHitters, UpdateRule};
     pub use hh_streamgen::{ExactCounter, ExactWeightedCounter, Freqs, ZipfSampler};
 }

@@ -66,8 +66,6 @@ fn main() {
     let mut pipeline: Pipeline<u64> =
         PipelineConfig::new(EngineConfig::new(AlgoKind::SpaceSaving).counters(64))
             .shards(SHARDS)
-            .routing(Routing::HashPartition)
-            .ingest(ShardIngest::Aggregate)
             .batch_size(1_024)
             .spawn()
             .expect("valid pipeline config");

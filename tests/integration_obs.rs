@@ -6,8 +6,7 @@
 //! checkpoint protocol guarantees every queue is drained):
 //!
 //! 1. **conservation** — per-shard `items_ingested` counters sum to
-//!    exactly `routed()` for every routing × shard-ingest combination,
-//!    shard count and batch size;
+//!    exactly `routed()` for every shard count and batch size;
 //! 2. **report agreement** — the stats snapshot taken at an epoch
 //!    boundary matches the merged engine's own accounting: `routed ==
 //!    merged.stream_len()`, and the engine-level `IngestStats` of the
@@ -19,21 +18,14 @@
 
 use proptest::prelude::*;
 
-use hh::pipeline::{PipelineConfig, Routing, ShardIngest};
+use hh::pipeline::PipelineConfig;
 use hh::prelude::*;
 
 const M: usize = 64;
 
-fn ss_pipeline(
-    shards: usize,
-    routing: Routing,
-    ingest: ShardIngest,
-    batch: usize,
-) -> Pipeline<u64> {
+fn ss_pipeline(shards: usize, batch: usize) -> Pipeline<u64> {
     PipelineConfig::new(EngineConfig::new(AlgoKind::SpaceSaving).counters(M))
         .shards(shards)
-        .routing(routing)
-        .ingest(ingest)
         .batch_size(batch)
         .queue_depth(2)
         .spawn()
@@ -54,22 +46,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Property 1: after an epoch boundary, the per-shard worker counters
-    /// account for every routed item exactly — under every routing and
-    /// ingest mode, any shard count, any batch size (including batch=1,
-    /// which ships per item, and batches larger than the stream).
+    /// account for every routed item exactly — for any shard count and
+    /// any batch size (including batch=1, which ships per item, and
+    /// batches larger than the stream).
     #[test]
     fn shard_counters_conserve_routed_items(
         seed in 0u64..1000,
         shards in 1usize..6,
         batch in 1usize..500,
-        routing_hash in 0u8..2,
-        aggregate in 0u8..2,
     ) {
-        let routing = if routing_hash == 1 { Routing::HashPartition } else { Routing::RoundRobin };
-        let ingest = if aggregate == 1 { ShardIngest::Aggregate } else { ShardIngest::Preserve };
         let stream = skewed_stream(seed);
 
-        let mut p = ss_pipeline(shards, routing, ingest, batch);
+        let mut p = ss_pipeline(shards, batch);
         p.send_batch(&stream).expect("shards alive");
         p.snapshots().expect("epoch query");
 
@@ -79,8 +67,8 @@ proptest! {
         let ingested: u64 = stats.shards.iter().map(|s| s.items_ingested).sum();
         prop_assert_eq!(
             ingested, stats.routed,
-            "routing={:?} ingest={:?} shards={} batch={}",
-            routing, ingest, shards, batch
+            "shards={} batch={}",
+            shards, batch
         );
         for shard in &stats.shards {
             prop_assert_eq!(shard.queue_depth, 0, "shard {} drained", shard.shard);
@@ -100,13 +88,11 @@ proptest! {
         seed in 0u64..1000,
         shards in 1usize..5,
         batch in 1usize..300,
-        aggregate in 0u8..2,
     ) {
-        let ingest = if aggregate == 1 { ShardIngest::Aggregate } else { ShardIngest::Preserve };
         let stream = skewed_stream(seed);
         let cut = stream.len() / 3;
 
-        let mut p = ss_pipeline(shards, Routing::HashPartition, ingest, batch);
+        let mut p = ss_pipeline(shards, batch);
         p.send_batch(&stream[..cut]).expect("shards alive");
         let live = p.merged().expect("live query");
         let mid = p.stats();
@@ -123,9 +109,8 @@ proptest! {
         let engines = p.finish_shards().expect("clean shutdown");
         prop_assert_eq!(stats_routed, stream.len() as u64);
 
-        // Engine-level IngestStats: in Preserve mode every occurrence
-        // arrives via update_batch, in Aggregate mode via update_by — the
-        // occurrence totals must match the stream either way.
+        // Engine-level IngestStats: every occurrence arrives through the
+        // aggregator's update_by calls, and the totals match the stream.
         let occurrences: u64 = engines.iter().map(|e| e.ingest_stats().occurrences).sum();
         prop_assert_eq!(occurrences, stream.len() as u64);
         let stream_len: u64 = engines.iter().map(|e| e.stream_len()).sum();
@@ -138,7 +123,7 @@ proptest! {
 /// both carry every expected metric family.
 #[test]
 fn registry_exposition_is_wellformed() {
-    let mut p = ss_pipeline(3, Routing::HashPartition, ShardIngest::Aggregate, 64);
+    let mut p = ss_pipeline(3, 64);
     p.send_batch(&skewed_stream(5)).expect("shards alive");
     p.merged().expect("epoch query");
 
