@@ -241,9 +241,10 @@ fn save(path: &str, snapshot: Snapshot<Key>, unobserved: u64) -> Result<(), Erro
 /// configured through the same [`hh::net::ServeOptions`] the network
 /// server uses. N worker shards (default: available cores) each own an
 /// engine built from the same config; every `--report-every` items a live
-/// top-k report is written to `out` from the merged epoch snapshot while
-/// ingest continues. With `--snapshot-in`, the resumed summary is folded
-/// into every report. Returns the final merged report.
+/// top-k report is written to `out` from the shards' epoch view (each
+/// item's owner-shard interval) while ingest continues. With
+/// `--snapshot-in`, the resumed summary is added into every report.
+/// Returns the final merged report.
 fn run_serve(
     opts: &Options,
     mut reader: impl BufRead,
@@ -257,8 +258,9 @@ fn run_serve(
         // item N fires at item N, not at the end of a chunk containing it.
         let due = session.send(Key::from(item))?;
         if due.report {
-            let live = session.merged()?;
-            write_serve_report(out, &live, session.pipeline().epoch(), opts)?;
+            let live = session.view()?;
+            let record = serve_report(live.report(), Some(live.epoch()), opts)?;
+            writeln!(out, "{record}")?;
             out.flush()?;
         }
         if due.stats {
@@ -266,7 +268,7 @@ fn run_serve(
             // become exact) and the snapshot/merge histograms gain a
             // fresh sample, so the record carries live latency
             // quantiles even without --report-every.
-            session.merged()?;
+            session.view()?;
             let stats = session.stats();
             writeln!(out, "{}", stats_record(&stats, false, opts.json))?;
             out.flush()?;
@@ -278,7 +280,7 @@ fn run_serve(
 
     if opts.stats_every.is_some() {
         // Final stats record at one last epoch boundary, before teardown.
-        session.merged()?;
+        session.view()?;
         let stats = session.stats();
         writeln!(out, "{}", stats_record(&stats, true, opts.json))?;
         out.flush()?;
@@ -286,7 +288,7 @@ fn run_serve(
 
     // finish() folds the resume snapshot and writes --snapshot-out.
     let merged = session.finish()?;
-    serve_report(&merged, None, opts)
+    serve_report(merged.report(), None, opts)
 }
 
 /// `hh serve --listen`: the network server. Binds the configured
@@ -303,7 +305,7 @@ fn run_serve_net(opts: &Options, out: &mut impl std::io::Write) -> Result<String
     }
     hh::net::sys::install_drain_signal_handlers();
     let merged = server.run(out)?;
-    serve_report(&merged, None, opts)
+    serve_report(merged.report(), None, opts)
 }
 
 /// `hh client`: stream FILE/stdin to a `serve --listen` server, then send
@@ -533,30 +535,23 @@ fn run_stats(opts: &Options, reader: impl BufRead) -> Result<String, Error> {
 /// Renders one serve report; `epoch` is `Some` for periodic live reports
 /// and `None` for the final one. JSON reports come from `hh::net::proto`
 /// (versioned, identical to what the network server sends to clients).
-fn serve_report(engine: &Engine<Key>, epoch: Option<u64>, opts: &Options) -> Result<String, Error> {
+fn serve_report(
+    report: Report<'_, Key>,
+    epoch: Option<u64>,
+    opts: &Options,
+) -> Result<String, Error> {
     if opts.json {
-        proto::report_record(engine, epoch, opts.k)
+        proto::report_record(report, epoch, opts.k)
     } else {
-        let report = engine.report();
         let table = render_counts(&report.top_k(opts.k), report.total(), false);
         Ok(match epoch {
             Some(e) => format!(
                 "-- live report (epoch {e}, {} items) --\n{table}\n",
-                engine.stream_len()
+                report.total()
             ),
             None => table,
         })
     }
-}
-
-fn write_serve_report(
-    out: &mut impl std::io::Write,
-    engine: &Engine<Key>,
-    epoch: u64,
-    opts: &Options,
-) -> Result<(), Error> {
-    writeln!(out, "{}", serve_report(engine, Some(epoch), opts)?)?;
-    Ok(())
 }
 
 fn run_weighted(opts: Options, reader: impl BufRead) -> Result<String, Error> {

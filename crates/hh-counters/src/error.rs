@@ -47,16 +47,12 @@ pub enum Error {
     InvalidQuery(String),
     /// A sharded-pipeline worker failed (panicked shard, closed channel).
     Pipeline(String),
-    /// A pipeline shard worker died and could not be recovered past.
-    /// `recovered` reports whether the shard was rebuilt from its restore
-    /// point before this error was raised (`true`: the rebuilt worker died
-    /// again at once, so the attempted operation still failed; `false`:
-    /// the restore point failed to rehydrate, so the shard is gone).
+    /// A pipeline shard worker died, was rebuilt from its restore point,
+    /// and the rebuilt worker died again at once, so the attempted
+    /// operation still failed.
     ShardDown {
         /// Index of the dead shard.
         shard: usize,
-        /// Whether the shard was rebuilt from its restore point.
-        recovered: bool,
     },
     /// Malformed textual input (CLI stream lines, numeric arguments).
     Parse(String),
@@ -102,16 +98,10 @@ impl fmt::Display for Error {
             Error::Overflow(msg) => write!(f, "arithmetic overflow: {msg}"),
             Error::InvalidQuery(msg) => write!(f, "invalid query: {msg}"),
             Error::Pipeline(msg) => write!(f, "pipeline error: {msg}"),
-            Error::ShardDown { shard, recovered } => {
-                if *recovered {
-                    write!(
-                        f,
-                        "shard {shard} worker died (respawned from its restore point)"
-                    )
-                } else {
-                    write!(f, "shard {shard} worker died and was not recovered")
-                }
-            }
+            Error::ShardDown { shard } => write!(
+                f,
+                "shard {shard} worker died (respawned from its restore point)"
+            ),
             Error::Parse(msg) => write!(f, "parse error: {msg}"),
             Error::Io(e) => write!(f, "I/O error: {e}"),
             Error::Json(msg) => write!(f, "JSON error: {msg}"),
@@ -160,14 +150,7 @@ mod tests {
             Error::Overflow("merged stream length exceeds u64".into()),
             Error::InvalidQuery("phi must be in [0, 1)".into()),
             Error::pipeline("shard 3 disconnected"),
-            Error::ShardDown {
-                shard: 1,
-                recovered: true,
-            },
-            Error::ShardDown {
-                shard: 2,
-                recovered: false,
-            },
+            Error::ShardDown { shard: 1 },
             Error::parse("bad weight"),
             Error::Io(std::io::Error::new(std::io::ErrorKind::NotFound, "gone")),
             Error::Json("missing field".into()),

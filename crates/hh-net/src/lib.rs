@@ -4,10 +4,12 @@
 //! Theorem 11 (BCIS 2009) makes heavy-hitter summaries a *distributed*
 //! primitive: per-shard `(A, B)` summaries merge to a `(3A, A + B)`
 //! summary of the union stream regardless of how arrivals were
-//! partitioned. This crate carries that guarantee across the process
+//! partitioned. This crate carries summaries across the process
 //! boundary — many concurrent writers stream newline-delimited items
-//! over TCP or Unix-domain sockets into one bounded shard pipeline, and
-//! any client can ask, in-band, for the merged certified answer.
+//! over TCP or Unix-domain sockets into one bounded, hash-partitioned
+//! shard pipeline, and any client can ask, in-band, for the live
+//! certified answer (each item's owner-shard interval) or for the
+//! Theorem 11 merged snapshot.
 //!
 //! Three layers:
 //!

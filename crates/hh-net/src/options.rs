@@ -14,8 +14,8 @@
 use std::fmt::Display;
 
 use hh_counters::error::Error;
-use hh_sketches::engine::{Engine, EngineConfig, EngineItem, Snapshot};
-use hh_sketches::pipeline::{Pipeline, PipelineConfig, PipelineStats};
+use hh_sketches::engine::{Engine, EngineConfig, EngineItem};
+use hh_sketches::pipeline::{Pipeline, PipelineConfig, PipelineStats, ShardedView};
 use serde::{Deserialize, Serialize};
 
 use crate::checkpoint::{self, Checkpoint};
@@ -239,9 +239,15 @@ impl Due {
 }
 
 /// The running half of [`ServeOptions`], shared verbatim by the CLI's
-/// stdin loop and the network server: a spawned [`Pipeline`], the resume
-/// snapshot (folded into every merged view), and the report/stats
-/// cadence countdowns.
+/// stdin loop and the network server: a spawned [`Pipeline`], the resumed
+/// summary (added into every answer), and the report/stats cadence
+/// countdowns.
+///
+/// Live answers ([`ServeSession::view`]) give each item its owner
+/// shard's interval, plus the resumed prefix's interval, widened by the
+/// owner's own lost mass. [`ServeSession::merged`] and
+/// [`ServeSession::finish`] replay everything into one engine (Theorem
+/// 11) for snapshots and the final record.
 ///
 /// ```
 /// use hh_net::{ServeOptions, ServeSession};
@@ -260,10 +266,10 @@ impl Due {
 #[derive(Debug)]
 pub struct ServeSession<I: EngineItem> {
     pipeline: Pipeline<I>,
-    resume: Option<Snapshot<I>>,
-    /// Mass the resumed checkpoint had already charged as unobserved
-    /// (lost shards in the previous run); widens every merged view.
-    resume_unobserved: u64,
+    /// The resumed checkpoint folded into one engine, carrying the mass
+    /// that checkpoint had already charged as unobserved (lost shards in
+    /// the previous run). Built once, at spawn.
+    resume: Option<Engine<I>>,
     /// Whether the resume load fell back to the previous checkpoint
     /// generation because the current one was torn or corrupt.
     resumed_from_fallback: bool,
@@ -296,34 +302,40 @@ impl<I: EngineItem> ServeSession<I> {
         I: Deserialize,
     {
         opts.validate()?;
-        let mut resume_unobserved = 0u64;
         let mut resumed_from_fallback = false;
         let resume = match &opts.snapshot_in {
             Some(path) => {
                 let (ckpt, fell_back) = checkpoint::load_latest::<I>(path)?;
-                resume_unobserved = ckpt.unobserved;
                 resumed_from_fallback = fell_back;
-                checkpoint::merge_to_snapshot(ckpt.shards)?
+                let mut resume = match checkpoint::merge_to_snapshot(ckpt.shards)? {
+                    Some(snap) if snap.is_weighted() => {
+                        return Err(Error::Unsupported {
+                            algo: snap.algo().name().to_string(),
+                            operation: "resuming a serve session from a weighted snapshot",
+                        });
+                    }
+                    Some(snap) => {
+                        // Every answer adds the resumed summary in; a
+                        // checkpoint of another algorithm or shape must
+                        // fail here, before any item is accepted, not at
+                        // the first query. The summary itself is
+                        // rehydrated as written: merged into a fresh
+                        // engine it would carry its Δ as slack on every
+                        // upper bound.
+                        opts.engine.build::<I>()?.merge_snapshot(&snap)?;
+                        Engine::from_snapshot(snap)?
+                    }
+                    None => opts.engine.build()?,
+                };
+                resume.add_unobserved(ckpt.unobserved);
+                Some(resume)
             }
             None => None,
         };
-        if let Some(snap) = resume.as_ref().filter(|s| s.is_weighted()) {
-            return Err(Error::Unsupported {
-                algo: snap.algo().name().to_string(),
-                operation: "resuming a serve session from a weighted snapshot",
-            });
-        }
-        if let Some(snap) = &resume {
-            // Every merged view folds the resume snapshot in; a checkpoint
-            // of another algorithm or shape must fail here, before any item
-            // is accepted, not at the first query.
-            opts.engine.build::<I>()?.merge_snapshot(snap)?;
-        }
         let pipeline = opts.pipeline_config().spawn()?;
         Ok(ServeSession {
             pipeline,
             resume,
-            resume_unobserved,
             resumed_from_fallback,
             report_cadence: Cadence::new(opts.report_every),
             stats_cadence: Cadence::new(opts.stats_every.unwrap_or(0)),
@@ -391,21 +403,34 @@ impl<I: EngineItem> ServeSession<I> {
         Ok(due)
     }
 
-    /// The live merged view at an epoch boundary, with the resume
-    /// snapshot (and its unobserved mass) folded in, so reports always
-    /// cover the resumed stream too. See [`Pipeline::merged`].
+    /// The live answer at an epoch boundary: the pipeline's
+    /// [`ShardedView`] with the resumed summary added on top, so reports
+    /// cover the resumed stream too. Each item's interval is its owner
+    /// shard's interval plus the resumed prefix's, widened by the owner's
+    /// own lost mass. See [`Pipeline::view`].
+    pub fn view(&mut self) -> Result<ShardedView<'_, I>, Error> {
+        let view = self.pipeline.view()?;
+        Ok(match &self.resume {
+            Some(resume) => view.with_prefix(resume),
+            None => view,
+        })
+    }
+
+    /// One merged engine at an epoch boundary, with the resumed summary
+    /// (and its unobserved mass) folded in — the Theorem 11 replay that
+    /// `?snapshot` ships. Live answers read [`ServeSession::view`]
+    /// instead. See [`Pipeline::merged`].
     pub fn merged(&mut self) -> Result<Engine<I>, Error> {
         let mut merged = self.pipeline.merged()?;
         if let Some(resume) = &self.resume {
-            merged.merge_snapshot(resume)?;
+            merged.merge(resume)?;
         }
-        merged.add_unobserved(self.resume_unobserved);
         Ok(merged)
     }
 
     /// Writes a durable checkpoint of the current epoch boundary to the
-    /// `snapshot_out` path: every shard's snapshot plus the resume
-    /// snapshot, with the total unobserved mass in the envelope header
+    /// `snapshot_out` path: every shard's snapshot plus the resumed
+    /// summary's, with the total unobserved mass in the envelope header
     /// (see [`crate::checkpoint`] for the format and crash discipline).
     /// A no-op without a `snapshot_out` path.
     pub fn checkpoint(&mut self) -> Result<(), Error>
@@ -416,17 +441,15 @@ impl<I: EngineItem> ServeSession<I> {
             return Ok(());
         };
         let mut shards = self.pipeline.snapshots()?;
+        let mut unobserved = self.pipeline.lost_items();
         if let Some(resume) = &self.resume {
-            shards.push(resume.clone());
+            shards.push(resume.snapshot());
+            unobserved = unobserved.saturating_add(resume.unobserved());
         }
-        let unobserved = self
-            .pipeline
-            .lost_items()
-            .saturating_add(self.resume_unobserved);
         checkpoint::write(&path, &Checkpoint { shards, unobserved })
     }
 
-    /// Drains the pipeline, folds in the resume snapshot, writes the
+    /// Drains the pipeline, folds in the resumed summary, writes the
     /// final snapshot to the configured `snapshot_out` path (a one-shard
     /// checkpoint envelope, see [`checkpoint::write`]), and returns the
     /// final merged engine.
@@ -437,15 +460,13 @@ impl<I: EngineItem> ServeSession<I> {
         let ServeSession {
             pipeline,
             resume,
-            resume_unobserved,
             snapshot_out,
             ..
         } = self;
         let mut merged = pipeline.finish()?;
         if let Some(resume) = &resume {
-            merged.merge_snapshot(resume)?;
+            merged.merge(resume)?;
         }
-        merged.add_unobserved(resume_unobserved);
         if let Some(path) = &snapshot_out {
             let ckpt = Checkpoint {
                 shards: vec![merged.snapshot()],
@@ -689,12 +710,15 @@ mod tests {
         let merged = s.finish().unwrap();
         assert_eq!(merged.stream_len(), 3);
 
-        // Resume: live merged views and the final engine include the
-        // snapshot's stream.
+        // Resume: the live view, merged engines and the final engine
+        // include the snapshot's stream.
         let second = opts().shards(Some(2)).snapshot_in(Some(snap));
         let mut s: ServeSession<u64> = ServeSession::spawn(&second).unwrap();
         s.send(1).unwrap();
         s.send(3).unwrap();
+        let view = s.view().unwrap();
+        assert_eq!(view.report().total(), 5);
+        assert_eq!(view.report().entry(&1).estimate, 3);
         let live = s.merged().unwrap();
         assert_eq!(live.stream_len(), 5);
         assert_eq!(live.estimate(&1), 3);

@@ -13,7 +13,7 @@
 //! # Query lines (in-band, start with `?`)
 //!
 //! ```text
-//! ?topk [k]       # merged top-k report record
+//! ?topk [k]       # live top-k report record
 //! ?stats          # pipeline + net telemetry record
 //! ?snapshot       # full merged snapshot record (hh merge compatible)
 //! ?ping           # liveness record
@@ -31,7 +31,7 @@ use std::fmt::Write as _;
 
 use hh_counters::error::Error;
 use hh_obs::HistogramSnapshot;
-use hh_sketches::engine::Engine;
+use hh_sketches::engine::{Engine, Report};
 use hh_sketches::pipeline::PipelineStats;
 use serde::Serialize;
 
@@ -48,8 +48,8 @@ pub const MAX_LINE_COUNT: u64 = 1_000_000;
 /// An in-band query command.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Query {
-    /// `?topk [k]` — merged top-k report (`k` defaults to the serve
-    /// option).
+    /// `?topk [k]` — live top-k report (`k` defaults to the serve
+    /// option; any larger `k` returns every stored row).
     TopK(Option<usize>),
     /// `?stats` — pipeline + network telemetry.
     Stats,
@@ -128,14 +128,15 @@ fn hist_json(h: &HistogramSnapshot) -> String {
     )
 }
 
-/// Renders the top-k rows of a merged engine as the `"top"` array cell
-/// of a report record (`item`/`count`/`lower`/`upper` per row).
-pub fn top_json<I>(engine: &Engine<I>, k: usize) -> Result<String, Error>
+/// Renders the top-k rows of a report — a live view's or one engine's
+/// (`&Engine` converts) — as the `"top"` array cell of a report record
+/// (`item`/`count`/`lower`/`upper` per row).
+pub fn top_json<'a, I>(report: impl Into<Report<'a, I>>, k: usize) -> Result<String, Error>
 where
     I: ServeItem,
 {
     let mut cells = Vec::new();
-    for row in engine.report().top_k(k) {
+    for row in report.into().top_k(k) {
         cells.push(format!(
             "{{\"item\":{},\"count\":{},\"lower\":{},\"upper\":{}}}",
             serde_json::to_string(&row.item)?,
@@ -149,7 +150,11 @@ where
 
 /// Renders one top-k report record: `{"v":1,"epoch":E,...}` for live
 /// reports, `{"v":1,"final":true,...}` for the final one.
-pub fn report_record<I>(engine: &Engine<I>, epoch: Option<u64>, k: usize) -> Result<String, Error>
+pub fn report_record<I>(
+    report: Report<'_, I>,
+    epoch: Option<u64>,
+    k: usize,
+) -> Result<String, Error>
 where
     I: ServeItem,
 {
@@ -159,8 +164,8 @@ where
     };
     Ok(format!(
         "{{\"v\":{PROTOCOL_VERSION},{label},\"stream_len\":{},\"top\":{}}}",
-        engine.stream_len(),
-        top_json(engine, k)?
+        report.total(),
+        top_json(report, k)?
     ))
 }
 
@@ -349,8 +354,8 @@ mod tests {
             .unwrap();
         engine.update_batch(&[1, 1, 2]);
         for record in [
-            report_record(&engine, Some(3), 2).unwrap(),
-            report_record(&engine, None, 2).unwrap(),
+            report_record(engine.report(), Some(3), 2).unwrap(),
+            report_record(engine.report(), None, 2).unwrap(),
             snapshot_record(&engine).unwrap(),
             error_record("bad \"line\"", 9),
             pong_record(),
@@ -361,7 +366,7 @@ mod tests {
             check_version(&v).expect("versioned");
         }
         let v: serde_json::Value =
-            serde_json::from_str(&report_record(&engine, None, 2).unwrap()).unwrap();
+            serde_json::from_str(&report_record(engine.report(), None, 2).unwrap()).unwrap();
         assert_eq!(v["final"], true);
         assert_eq!(v["stream_len"], 3);
         assert_eq!(v["top"][0]["item"], 1);

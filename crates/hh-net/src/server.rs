@@ -7,7 +7,7 @@
 //! pipeline's shard workers): the loop waits for edge-triggered
 //! readiness, drains readable sockets into per-connection line buffers,
 //! routes each parsed item straight into [`ServeSession::send`], and
-//! answers in-band `?` queries from epoch-boundary merged engines.
+//! answers in-band `?` queries from epoch-boundary shard views.
 //! Backpressure is the point of the shape — when any shard queue is full
 //! ([`ServeSession::saturated`]), the loop simply *stops reading* client
 //! sockets; kernel receive buffers fill, TCP flow control pushes back on
@@ -856,13 +856,13 @@ impl<I: ServeItem> Server<I> {
         self.metrics.queries.inc();
         let record = match query {
             Query::TopK(k) => {
-                let merged = self.session.merged()?;
-                let epoch = self.session.pipeline().epoch();
-                proto::report_record(&merged, Some(epoch), k.unwrap_or(self.session.k()))?
+                let k = k.unwrap_or(self.session.k());
+                let view = self.session.view()?;
+                proto::report_record(view.report(), Some(view.epoch()), k)?
             }
             Query::Stats => {
                 // Epoch boundary first: queues drain, counters go exact.
-                self.session.merged()?;
+                self.session.view()?;
                 let sample = self.net_sample();
                 proto::stats_record(&self.session.stats(), Some(&sample), false)
             }
@@ -908,13 +908,13 @@ impl<I: ServeItem> Server<I> {
     #[cold]
     fn emit_due(&mut self, due: Due, out: &mut impl io::Write) -> Result<(), Error> {
         if due.report {
-            let merged = self.session.merged()?;
-            let epoch = self.session.pipeline().epoch();
             let k = self.session.k();
-            writeln!(out, "{}", proto::report_record(&merged, Some(epoch), k)?)?;
+            let view = self.session.view()?;
+            let record = proto::report_record(view.report(), Some(view.epoch()), k)?;
+            writeln!(out, "{record}")?;
         }
         if due.stats {
-            self.session.merged()?;
+            self.session.view()?;
             let sample = self.net_sample();
             let record = proto::stats_record(&self.session.stats(), Some(&sample), false);
             writeln!(out, "{record}")?;
@@ -940,7 +940,7 @@ impl<I: ServeItem> Server<I> {
     /// snapshot, return the merged engine.
     fn shutdown(mut self, out: &mut impl io::Write) -> Result<Engine<I>, Error> {
         if self.stats_final {
-            self.session.merged()?;
+            self.session.view()?;
             let sample = self.net_sample();
             let record = proto::stats_record(&self.session.stats(), Some(&sample), true);
             writeln!(out, "{record}")?;

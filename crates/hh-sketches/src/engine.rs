@@ -867,6 +867,7 @@ fn snapshot_tag(algo: AlgoKind, weighted: bool) -> &'static str {
 /// The closed set of backends an [`Engine`] runs. An enum rather than a
 /// trait object: every call is one `match`, which the compiler can
 /// inline into the caller.
+#[derive(Clone)]
 enum Backend<I: EngineItem> {
     SpaceSaving(SpaceSaving<I>),
     Frequent(Frequent<I>),
@@ -981,6 +982,7 @@ pub struct IngestStats {
 /// assert_eq!(e.estimate(&"the".to_string()), 2);
 /// assert_eq!(e.stored_len(), 1);
 /// ```
+#[derive(Clone)]
 pub struct Engine<I: EngineItem> {
     backend: Backend<I>,
     ingest: IngestStats,
@@ -1166,7 +1168,7 @@ impl<I: EngineItem> Engine<I> {
     /// assert_eq!(e.report().top_k(1)[0].item, 5);
     /// ```
     pub fn report(&self) -> Report<'_, I> {
-        Report { engine: self }
+        Report::over(self)
     }
 
     /// Captures the engine's full state as a portable [`Snapshot`].
@@ -1477,7 +1479,8 @@ mod sealed {
     impl Sealed for u64 {}
     impl Sealed for f64 {}
 
-    /// What a `Report` reads from an engine, in the engine's count type.
+    /// What a `Report` reads, in the count type: an engine, or a view
+    /// over several engines (`pipeline::ShardedView`).
     pub trait Source<I: EngineItem, C> {
         /// The stream total the report is over (`F1` or total weight).
         fn total(&self) -> C;
@@ -1488,12 +1491,19 @@ mod sealed {
         /// Stored `(item, estimate)` pairs, largest first, into `out`
         /// (cleared first).
         fn pairs_into(&self, out: &mut Vec<(I, C)>);
+        /// The first `k` of [`Source::pairs_into`]'s pairs, into `out`
+        /// (cleared first). Never allocates by `k`: any `usize` is a
+        /// valid request.
+        fn top_pairs_into(&self, k: usize, out: &mut Vec<(I, C)>) {
+            self.pairs_into(out);
+            out.truncate(k);
+        }
         /// The Theorem 6 residual estimate `F1^res(k)`.
         fn residual(&self, k: usize) -> C;
     }
 }
 
-use sealed::Source;
+pub(crate) use sealed::Source;
 
 /// The count type of a [`Report`]: `u64` occurrences for an [`Engine`],
 /// `f64` weights for a [`WeightedEngine`] (Section 6.1; Theorem 10 keeps
@@ -1512,24 +1522,17 @@ use sealed::Source;
 pub trait Count:
     sealed::Sealed + Copy + PartialOrd + fmt::Debug + fmt::Display + Send + Sync + 'static
 {
-    /// The engine whose reports count in this type.
-    type Engine<I: EngineItem>: Source<I, Self> + fmt::Debug;
-
     /// The count as an `f64` (heavy-hitter thresholds are `phi · F1`).
     fn to_f64(self) -> f64;
 }
 
 impl Count for u64 {
-    type Engine<I: EngineItem> = Engine<I>;
-
     fn to_f64(self) -> f64 {
         self as f64
     }
 }
 
 impl Count for f64 {
-    type Engine<I: EngineItem> = WeightedEngine<I>;
-
     fn to_f64(self) -> f64 {
         self
     }
@@ -1572,8 +1575,9 @@ pub struct HeavyHitterEntry<I, C = u64> {
 /// residual estimation, and per-item bound intervals — in `u64` counts
 /// for an [`Engine`] and `f64` weights for a [`WeightedEngine`].
 ///
-/// Borrowed from [`Engine::report`] or [`WeightedEngine::report`];
-/// queries never mutate the engine.
+/// Borrowed from [`Engine::report`], [`WeightedEngine::report`] or a
+/// pipeline's [`ShardedView::report`](crate::pipeline::ShardedView::report);
+/// queries never mutate what they read.
 ///
 /// ```
 /// use hh_sketches::engine::{AlgoKind, EngineConfig};
@@ -1599,12 +1603,37 @@ pub struct HeavyHitterEntry<I, C = u64> {
 /// assert_eq!(hh.len(), 1);
 /// assert_eq!((hh[0].item, hh[0].confidence), (1, Confidence::Guaranteed));
 /// ```
-#[derive(Debug, Clone, Copy)]
 pub struct Report<'a, I: EngineItem, C: Count = u64> {
-    engine: &'a C::Engine<I>,
+    source: &'a dyn Source<I, C>,
 }
 
-impl<I: EngineItem, C: Count> Report<'_, I, C> {
+impl<I: EngineItem, C: Count> Clone for Report<'_, I, C> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<I: EngineItem, C: Count> Copy for Report<'_, I, C> {}
+
+impl<I: EngineItem, C: Count> fmt::Debug for Report<'_, I, C> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Report")
+            .field("total", &self.total())
+            .finish_non_exhaustive()
+    }
+}
+
+impl<'a, I: EngineItem> From<&'a Engine<I>> for Report<'a, I> {
+    fn from(engine: &'a Engine<I>) -> Self {
+        engine.report()
+    }
+}
+
+impl<'a, I: EngineItem, C: Count> Report<'a, I, C> {
+    pub(crate) fn over(source: &'a dyn Source<I, C>) -> Self {
+        Report { source }
+    }
+
     /// The stream total the report is over: `F1` for counts, the total
     /// weight for weights.
     ///
@@ -1615,7 +1644,7 @@ impl<I: EngineItem, C: Count> Report<'_, I, C> {
     /// assert_eq!(e.report().total(), 3);
     /// ```
     pub fn total(&self) -> C {
-        self.engine.total()
+        self.source.total()
     }
 
     /// The certified `(lower, upper)` interval for any item, stored or
@@ -1628,7 +1657,7 @@ impl<I: EngineItem, C: Count> Report<'_, I, C> {
     /// assert_eq!(e.report().interval(&1), (2, 2)); // table not full: exact
     /// ```
     pub fn interval(&self, item: &I) -> (C, C) {
-        self.engine.interval(item)
+        self.source.interval(item)
     }
 
     /// The report row for any item, stored or not: its point estimate and
@@ -1642,10 +1671,15 @@ impl<I: EngineItem, C: Count> Report<'_, I, C> {
     /// assert_eq!((row.estimate, row.lower, row.upper), (2, 2, 2));
     /// ```
     pub fn entry(&self, item: &I) -> ReportEntry<I, C> {
-        let (lower, upper) = self.interval(item);
+        self.row(item.clone(), self.source.estimate(item))
+    }
+
+    /// One report row: `item` with its estimate and certified interval.
+    fn row(&self, item: I, estimate: C) -> ReportEntry<I, C> {
+        let (lower, upper) = self.interval(&item);
         ReportEntry {
-            item: item.clone(),
-            estimate: self.engine.estimate(item),
+            item,
+            estimate,
             lower,
             upper,
         }
@@ -1676,22 +1710,18 @@ impl<I: EngineItem, C: Count> Report<'_, I, C> {
     /// assert_eq!(rows[0].item, 5);
     /// ```
     pub fn entries_into(&self, pairs: &mut Vec<(I, C)>, out: &mut Vec<ReportEntry<I, C>>) {
-        self.engine.pairs_into(pairs);
+        self.source.pairs_into(pairs);
         out.clear();
-        out.reserve(pairs.len());
-        for (item, estimate) in pairs.drain(..) {
-            let (lower, upper) = self.interval(&item);
-            out.push(ReportEntry {
-                item,
-                estimate,
-                lower,
-                upper,
-            });
-        }
+        out.extend(
+            pairs
+                .drain(..)
+                .map(|(item, estimate)| self.row(item, estimate)),
+        );
     }
 
     /// The `k` largest entries, most frequent first (subsumes the free
-    /// `topk::top_k` helper).
+    /// `topk::top_k` helper). Intervals are computed for the returned
+    /// rows only, and `k` may exceed the stored rows (all are returned).
     ///
     /// ```
     /// use hh_sketches::engine::{AlgoKind, EngineConfig};
@@ -1701,9 +1731,12 @@ impl<I: EngineItem, C: Count> Report<'_, I, C> {
     /// assert_eq!(top, vec![1, 2]);
     /// ```
     pub fn top_k(&self, k: usize) -> Vec<ReportEntry<I, C>> {
-        let mut entries = self.entries();
-        entries.truncate(k);
-        entries
+        let mut pairs = Vec::new();
+        self.source.top_pairs_into(k, &mut pairs);
+        pairs
+            .into_iter()
+            .map(|(item, estimate)| self.row(item, estimate))
+            .collect()
     }
 
     /// The φ-heavy-hitters query, unified across bias directions: every
@@ -1755,7 +1788,7 @@ impl<I: EngineItem, C: Count> Report<'_, I, C> {
     /// The Theorem 6 estimator of the residual tail mass `F1^res(k)`: the
     /// total minus the mass of the k largest counters.
     pub fn residual(&self, k: usize) -> C {
-        self.engine.residual(k)
+        self.source.residual(k)
     }
 }
 
@@ -1838,7 +1871,7 @@ impl<I: EngineItem> WeightedEngine<I> {
 
     /// The unified query surface, in weights.
     pub fn report(&self) -> Report<'_, I, f64> {
-        Report { engine: self }
+        Report::over(self)
     }
 
     /// Captures the engine's full state as a portable [`Snapshot`].

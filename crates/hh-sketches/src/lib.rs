@@ -32,5 +32,5 @@ pub use engine::{
     AlgoKind, CapacitySpec, Count, Engine, EngineConfig, HeavyHitterEntry, IngestStats, Report,
     ReportEntry, Snapshot, WeightedEngine,
 };
-pub use pipeline::{Pipeline, PipelineConfig, PipelineStats, ShardStats};
+pub use pipeline::{Pipeline, PipelineConfig, PipelineStats, ShardStats, ShardedView};
 pub use topk_tracker::SketchHeavyHitters;

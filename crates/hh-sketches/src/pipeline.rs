@@ -5,16 +5,10 @@
 //! [`Pipeline`] owns `N` worker threads, each holding a private
 //! [`Engine`] built from one [`EngineConfig`], fed through bounded
 //! channels by a routing coordinator. Queries are **live**: at any point
-//! the coordinator collects per-shard [`Snapshot`]s at an epoch boundary
-//! and merges them through [`Engine::merge_snapshot`] (full counter
-//! replay with bound bookkeeping), so a merged report carries certified
-//! intervals while ingest keeps running.
+//! the coordinator collects a copy of every shard's engine at an epoch
+//! boundary and answers from them while ingest keeps running.
 //!
-//! Everything rests on the paper's Theorem 11 (Section 6.2): summaries
-//! of separate sub-streams merge with only a constant-factor loss —
-//! `(A, B)` per shard becomes `(3A, A+B)` merged — **regardless of how
-//! the stream was partitioned or ordered**. The pipeline runs one shard
-//! policy that leans on both halves of that:
+//! The pipeline runs one shard policy:
 //!
 //! * **hash partition** — every item goes to the shard [`hash_shard`]
 //!   picks, so all occurrences of an item live on one shard and each
@@ -26,6 +20,19 @@
 //!   consecutive `batch_size`-item chunks, each aggregated that way; an
 //!   epoch query's flush cuts every shard's open chunk short.
 //!
+//! Two query surfaces follow. The live one, [`Pipeline::view`], is a
+//! [`ShardedView`]: an item's certified interval is its owner shard's
+//! interval (the other shards hold none of it), plus a resumed prefix's
+//! interval if one is attached ([`ShardedView::with_prefix`]), widened
+//! only by the mass the owner shard lost — so each shard keeps its own
+//! `(A, B)` k-tail bound.
+//! [`Pipeline::merged`] and [`Pipeline::finish`] instead replay every
+//! shard's counters into one engine through [`Engine::merge_snapshot`]:
+//! the paper's Theorem 11 (Section 6.2) keeps a `(3A, A+B)` guarantee
+//! for that merge **regardless of how the stream was partitioned or
+//! ordered**, at the price of a wider certificate — the form to persist
+//! or ship when the partition is not known to the reader.
+//!
 //! Backpressure is part of the contract: channels hold at most
 //! `queue_depth` batches per shard, so a producer that outruns the
 //! workers blocks in [`Pipeline::send`] instead of queuing unboundedly.
@@ -34,17 +41,17 @@
 //! coordinator notices a dead shard at its next interaction with it (a
 //! ship, an epoch marker or the drain — detection is lazy, there is no
 //! watchdog thread). Every shard has a *restore point* from the moment
-//! it is spawned: the snapshot of its fresh engine, replaced by its
-//! snapshot at every epoch boundary. A dead shard is rebuilt from its
-//! restore point and the mass shipped to it since then is charged to the
-//! pipeline's *lost* account: merged views widen `stream_len`, upper
-//! estimates and error terms by the lost mass (see
-//! [`Engine::add_unobserved`]), so certified intervals and the
-//! `(3A, A+B)` guarantee stay sound — the true count of any item still
-//! lies inside its reported interval, because at most `lost` occurrences
-//! went unobserved. An operation reports the typed [`Error::ShardDown`]
-//! only when a restore point fails to rehydrate or a rebuilt worker dies
-//! again at once.
+//! it is spawned: a copy of its fresh engine, replaced by its copy at
+//! every epoch boundary (the same copies a [`ShardedView`] reads). A
+//! dead shard is rebuilt from its restore point and the mass shipped to
+//! it since then is charged to that shard's *lost* account. A view
+//! widens the upper bounds of the items the shard owns by it; merged
+//! engines widen `stream_len`, upper estimates and error terms by the
+//! total over shards (see [`Engine::add_unobserved`]). Either way the
+//! true count of any item still lies inside its reported interval,
+//! because at most that many of its occurrences went unobserved. An
+//! operation reports the typed [`Error::ShardDown`] only when a rebuilt
+//! worker dies again at once.
 //!
 //! ```
 //! use hh_sketches::engine::{AlgoKind, EngineConfig};
@@ -57,15 +64,18 @@
 //! for i in 0..1000u64 {
 //!     pipeline.send(i % 7).unwrap();
 //! }
-//! // live query: merged snapshot at an epoch boundary, ingest continues
-//! let live = pipeline.merged().unwrap();
-//! assert_eq!(live.stream_len(), 1000);
+//! // live query: a view of the shards at an epoch boundary, ingest continues
+//! let live = pipeline.view().unwrap();
+//! assert_eq!(live.report().total(), 1000);
+//! assert_eq!(live.report().top_k(usize::MAX).len(), 7);
 //! pipeline.send_batch(&[3, 3, 3]).unwrap();
 //! let merged = pipeline.finish().unwrap();
 //! assert_eq!(merged.stream_len(), 1003);
 //! assert_eq!(merged.report().top_k(1)[0].item, 3);
 //! ```
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::hash::{BuildHasher, Hash};
 use std::panic::AssertUnwindSafe;
 use std::sync::mpsc::{Receiver, SyncSender};
@@ -76,7 +86,7 @@ use hh_counters::error::Error;
 use hh_counters::fasthash::FxBuildHasher;
 use hh_obs::{Counter, Gauge, Histogram, HistogramSnapshot, Registry};
 
-use crate::engine::{Engine, EngineConfig, EngineItem, Snapshot};
+use crate::engine::{Engine, EngineConfig, EngineItem, Report, Snapshot, Source};
 
 // ---------------------------------------------------------------------------
 // Configuration
@@ -260,12 +270,12 @@ impl PipelineConfig {
         let metrics = PipelineMetrics::new(self.shards);
         let mut senders = Vec::with_capacity(self.shards);
         let mut workers = Vec::with_capacity(self.shards);
-        let mut last_snapshots = Vec::with_capacity(self.shards);
+        let mut restore = Vec::with_capacity(self.shards);
         for shard in 0..self.shards {
             // Engines are built on the coordinator thread so config errors
             // surface here, before any thread exists.
             let engine = self.engine.build::<I>()?;
-            last_snapshots.push(engine.snapshot());
+            restore.push(engine.clone());
             match spawn_worker(engine, self.queue, metrics.shards[shard].clone()) {
                 Ok((tx, handle)) => {
                     senders.push(tx);
@@ -290,9 +300,9 @@ impl PipelineConfig {
             buffers: (0..self.shards)
                 .map(|_| Vec::with_capacity(self.batch))
                 .collect(),
-            last_snapshots,
+            restore,
             shipped_since: vec![0; self.shards],
-            lost: 0,
+            lost: vec![0; self.shards],
             routed: 0,
             epoch: 0,
             metrics,
@@ -364,11 +374,11 @@ struct PipelineMetrics {
     shards: Vec<ShardMetrics>,
     /// Wall time of each epoch-boundary snapshot collection.
     snapshot_ns: Histogram,
-    /// Wall time of each snapshot-set merge ([`Pipeline::merged`]).
+    /// Wall time of each [`Pipeline::view`] assembly and each
+    /// snapshot-set merge ([`Pipeline::merged`]).
     merge_ns: Histogram,
     epochs: Counter,
-    /// Occurrences charged to dead shards across all restarts (the mass
-    /// merged views widen their intervals by).
+    /// Occurrences charged to dead shards across all restarts.
     lost_items: Counter,
 }
 
@@ -417,15 +427,17 @@ impl PipelineMetrics {
             "hh_pipeline_snapshot_ns",
             "epoch-boundary snapshot collection wall time",
         );
-        let merge_ns =
-            registry.histogram("hh_pipeline_merge_ns", "epoch snapshot-set merge wall time");
+        let merge_ns = registry.histogram(
+            "hh_pipeline_merge_ns",
+            "epoch view assembly or snapshot-set merge wall time",
+        );
         let epochs = registry.counter(
             "hh_pipeline_epochs_total",
             "completed epoch-boundary queries",
         );
         let lost_items = registry.counter(
             "hh_pipeline_lost_items_total",
-            "occurrences charged to dead shards (widens merged intervals)",
+            "occurrences charged to dead shards (widens their items' upper bounds)",
         );
         PipelineMetrics {
             registry,
@@ -479,13 +491,15 @@ pub struct PipelineStats {
     pub imbalance: f64,
     /// Distribution of epoch-boundary snapshot collection wall time.
     pub snapshot_ns: HistogramSnapshot,
-    /// Distribution of epoch snapshot-set merge wall time.
+    /// Distribution of epoch view assembly ([`Pipeline::view`]) and
+    /// snapshot-set merge ([`Pipeline::merged`]) wall time.
     pub merge_ns: HistogramSnapshot,
     /// Shard-worker respawns across all shards (`Σ shards[i].restarts`).
     pub restarts: u64,
-    /// Occurrences charged to dead shards so far — the mass every merged
-    /// view widens its `stream_len`, upper estimates and error terms by.
-    /// `0` on a pipeline that never lost a worker.
+    /// Occurrences charged to dead shards so far, summed over shards —
+    /// the mass a merged engine widens its `stream_len`, upper estimates
+    /// and error terms by (a [`ShardedView`] widens each item by its own
+    /// shard's share only). `0` on a pipeline that never lost a worker.
     pub lost_items: u64,
     /// Per-shard telemetry, in shard order.
     pub shards: Vec<ShardStats>,
@@ -504,13 +518,13 @@ impl PipelineStats {
 // Worker side
 // ---------------------------------------------------------------------------
 
-enum Msg<I> {
+enum Msg<I: EngineItem> {
     /// A routed batch of arrivals.
     Batch(Vec<I>),
-    /// Epoch marker: reply with the shard's current snapshot. FIFO
+    /// Epoch marker: reply with a copy of the shard's engine. FIFO
     /// channel order makes the reply reflect exactly the batches routed
     /// to this shard before the marker.
-    Checkpoint(SyncSender<Snapshot<I>>),
+    Checkpoint(SyncSender<Engine<I>>),
 }
 
 /// What a shard worker hands back through its join handle: the drained
@@ -545,7 +559,7 @@ fn shard_worker<I: EngineItem>(
                 // A dropped reply receiver means the coordinator gave up
                 // on this epoch; ingest continues regardless.
                 // lint:allow(error-swallow) send fails only when the coordinator dropped the receiver, and the shard must keep ingesting
-                let _ = reply.send(engine.snapshot());
+                let _ = reply.send(engine.clone());
             }
         }
     }
@@ -658,8 +672,8 @@ impl<I: EngineItem> BatchAggregator<I> {
 ///
 /// The handle is the single producer: [`Pipeline::send`] /
 /// [`Pipeline::send_batch`] route arrivals, the query methods
-/// ([`Pipeline::snapshots`], [`Pipeline::merged`]) collect an
-/// epoch-consistent view while ingest stays live, and
+/// ([`Pipeline::view`], [`Pipeline::snapshots`], [`Pipeline::merged`])
+/// collect an epoch-consistent view while ingest stays live, and
 /// [`Pipeline::finish`] drains everything and returns the final merged
 /// engine.
 pub struct Pipeline<I: EngineItem> {
@@ -668,17 +682,16 @@ pub struct Pipeline<I: EngineItem> {
     workers: Vec<JoinHandle<ShardOutcome<I>>>,
     /// Pending per-shard batches, shipped at `batch_size` items.
     buffers: Vec<Vec<I>>,
-    /// Supervision state: each shard's restore point — the snapshot of
-    /// its fresh engine at spawn, then its last epoch-boundary snapshot.
-    /// A dead shard is rebuilt from it.
-    last_snapshots: Vec<Snapshot<I>>,
-    /// Items shipped to each shard since its snapshot in
-    /// `last_snapshots` was taken — the mass charged as lost if the
-    /// worker dies before the next epoch.
+    /// Supervision state: each shard's restore point — a copy of its
+    /// fresh engine at spawn, then of its engine at the last epoch
+    /// boundary. A dead shard is rebuilt from it, and a [`ShardedView`]
+    /// reads it.
+    restore: Vec<Engine<I>>,
+    /// Items shipped to each shard since its restore point was taken —
+    /// the mass charged as lost if the worker dies before the next epoch.
     shipped_since: Vec<u64>,
-    /// Total occurrences charged to dead shards; folded into every
-    /// merged view via [`Engine::add_unobserved`].
-    lost: u64,
+    /// Occurrences charged to each shard's deaths so far.
+    lost: Vec<u64>,
     routed: u64,
     epoch: u64,
     metrics: PipelineMetrics,
@@ -712,11 +725,12 @@ impl<I: EngineItem> Pipeline<I> {
         self.epoch
     }
 
-    /// Occurrences charged to dead shards so far — the mass every merged
-    /// view is widened by ([`Engine::add_unobserved`]). `0` unless a
-    /// shard worker died and was rebuilt.
+    /// Occurrences charged to dead shards so far, summed over shards —
+    /// the mass every merged engine is widened by
+    /// ([`Engine::add_unobserved`]). `0` unless a shard worker died and
+    /// was rebuilt.
     pub fn lost_items(&self) -> u64 {
-        self.lost
+        self.lost.iter().fold(0, |sum, &l| sum.saturating_add(l))
     }
 
     /// A live telemetry sample: per-shard ingest counters, queue depths,
@@ -734,7 +748,7 @@ impl<I: EngineItem> Pipeline<I> {
     ///     .spawn::<u64>()
     ///     .unwrap();
     /// p.send_batch(&(0..100).collect::<Vec<u64>>()).unwrap();
-    /// p.merged().unwrap(); // epoch boundary: queues drained
+    /// p.view().unwrap(); // epoch boundary: queues drained
     /// let stats = p.stats();
     /// assert_eq!(stats.routed, 100);
     /// assert_eq!(stats.shards.iter().map(|s| s.items_ingested).sum::<u64>(), 100);
@@ -772,7 +786,7 @@ impl<I: EngineItem> Pipeline<I> {
             snapshot_ns: self.metrics.snapshot_ns.snapshot(),
             merge_ns: self.metrics.merge_ns.snapshot(),
             restarts: shards.iter().map(|s| s.restarts).sum(),
-            lost_items: self.lost,
+            lost_items: self.lost_items(),
             shards,
         }
     }
@@ -881,16 +895,13 @@ impl<I: EngineItem> Pipeline<I> {
         self.respawn(shard)?;
         self.senders[shard]
             .send(undelivered.0)
-            .map_err(|_| Error::ShardDown {
-                shard,
-                recovered: true,
-            })
+            .map_err(|_| Error::ShardDown { shard })
     }
 
     /// Replaces a dead shard worker with a new one running the
     /// [recovered](Self::recover) engine, and reaps the dead worker.
     fn respawn(&mut self, shard: usize) -> Result<(), Error> {
-        let engine = self.recover(shard)?;
+        let engine = self.recover(shard);
         let (tx, handle) = spawn_worker(
             engine,
             self.config.queue,
@@ -907,33 +918,28 @@ impl<I: EngineItem> Pipeline<I> {
 
     /// The one recovery step for a dead shard, whoever noticed the death:
     /// rebuilds its engine from the restore point and charges everything
-    /// shipped to it since then as lost. Batches queued at the crash died
-    /// with the channel, so the shard's in-flight gauge restarts at zero.
-    fn recover(&mut self, shard: usize) -> Result<Engine<I>, Error> {
-        let engine = Engine::from_snapshot(self.last_snapshots[shard].clone()).map_err(|_| {
-            Error::ShardDown {
-                shard,
-                recovered: false,
-            }
-        })?;
+    /// shipped to it since then as the shard's lost mass. Batches queued
+    /// at the crash died with the channel, so the shard's in-flight gauge
+    /// restarts at zero.
+    fn recover(&mut self, shard: usize) -> Engine<I> {
         let lost = std::mem::take(&mut self.shipped_since[shard]);
-        self.lost = self.lost.saturating_add(lost);
+        self.lost[shard] = self.lost[shard].saturating_add(lost);
         let metrics = &self.metrics.shards[shard];
         metrics.queue_depth.set(0);
         metrics.restarts.inc();
         self.metrics.lost_items.add(lost);
-        Ok(engine)
+        self.restore[shard].clone()
     }
 
-    /// Collects one snapshot per shard at an epoch boundary: every item
-    /// routed before this call is reflected, no item sent after is. The
-    /// pipeline keeps ingesting afterwards; the epoch counter increments.
+    /// Crosses an epoch boundary: every item routed before this call is
+    /// reflected in the shards' new restore points, no item sent after
+    /// is. The pipeline keeps ingesting afterwards; the epoch counter
+    /// increments.
     ///
     /// A shard found dead here is respawned and its restored engine
-    /// answers the epoch (sound: the lost mass is in the pipeline's lost
-    /// account, which merged views widen by). On success the collected
-    /// snapshots become the shards' new restore points.
-    pub fn snapshots(&mut self) -> Result<Vec<Snapshot<I>>, Error> {
+    /// answers the epoch (sound: the lost mass is in the shard's lost
+    /// account, which every query surface widens by).
+    fn epoch_boundary(&mut self) -> Result<(), Error> {
         let start = Instant::now();
         self.flush()?;
         // Phase 1: post a checkpoint marker to every shard...
@@ -943,10 +949,9 @@ impl<I: EngineItem> Pipeline<I> {
         }
         // ...then collect, so shards drain their queues concurrently
         // instead of one at a time.
-        let mut snaps = Vec::with_capacity(replies.len());
         for (shard, rx) in replies.into_iter().enumerate() {
-            match rx.recv() {
-                Ok(snap) => snaps.push(snap),
+            let engine = match rx.recv() {
+                Ok(engine) => engine,
                 Err(_) => {
                     // The shard died between the marker and its reply.
                     // Respawn it and ask the rebuilt worker: its state
@@ -954,49 +959,92 @@ impl<I: EngineItem> Pipeline<I> {
                     // still soundly report for the shard.
                     self.respawn(shard)?;
                     let retry = self.post_checkpoint(shard)?;
-                    snaps.push(retry.recv().map_err(|_| Error::ShardDown {
-                        shard,
-                        recovered: true,
-                    })?);
+                    retry.recv().map_err(|_| Error::ShardDown { shard })?
                 }
-            }
+            };
+            // The epoch is the new restore point for the shard.
+            self.restore[shard] = engine;
+            self.shipped_since[shard] = 0;
         }
-        // The epoch is the new restore point for every shard.
-        self.last_snapshots.clone_from(&snaps);
-        self.shipped_since.fill(0);
         self.epoch += 1;
         self.metrics.snapshot_ns.record_duration(start.elapsed());
         self.metrics.epochs.inc();
-        Ok(snaps)
+        Ok(())
     }
 
     /// Posts one epoch marker to `shard` and returns the receiver its
-    /// snapshot reply arrives on.
-    fn post_checkpoint(&mut self, shard: usize) -> Result<Receiver<Snapshot<I>>, Error> {
+    /// engine copy arrives on.
+    fn post_checkpoint(&mut self, shard: usize) -> Result<Receiver<Engine<I>>, Error> {
         let (reply_tx, reply_rx) = std::sync::mpsc::sync_channel(1);
         self.deliver(shard, Msg::Checkpoint(reply_tx))?;
         Ok(reply_rx)
     }
 
-    /// The live merged view: per-shard snapshots collected at an epoch
-    /// boundary and combined through [`Engine::merge_snapshot`] — full
-    /// counter replay with the donors' bound bookkeeping folded in, so
-    /// the returned engine's certified intervals and `stream_len` are
-    /// sound for the combined stream and its [`Engine::report`] is the
-    /// pipeline's live query surface. Carries the Theorem 11 `(3A, A+B)`
-    /// k-tail guarantee when shards carry `(A, B)`.
+    /// The live query surface: crosses an epoch boundary and returns a
+    /// [`ShardedView`] over the shards' engines there. Ingest continues
+    /// once the view is dropped.
+    ///
+    /// Each item's interval comes from its [`hash_shard`] owner, widened
+    /// only by that shard's lost mass, so the view is never wider than
+    /// [`Pipeline::merged`] and answers without a counter replay.
+    ///
+    /// ```
+    /// use hh_sketches::engine::{AlgoKind, EngineConfig};
+    /// use hh_sketches::pipeline::PipelineConfig;
+    ///
+    /// let mut p = PipelineConfig::new(EngineConfig::new(AlgoKind::SpaceSaving).counters(8))
+    ///     .shards(3)
+    ///     .spawn::<u64>()
+    ///     .unwrap();
+    /// p.send_batch(&[5, 5, 5, 9, 9, 1]).unwrap();
+    /// let view = p.view().unwrap();
+    /// let report = view.report();
+    /// assert_eq!(report.total(), 6);
+    /// assert_eq!(report.interval(&5), (3, 3)); // the owner shard is exact
+    /// let top: Vec<u64> = report.top_k(2).into_iter().map(|r| r.item).collect();
+    /// assert_eq!(top, vec![5, 9]);
+    /// ```
+    pub fn view(&mut self) -> Result<ShardedView<'_, I>, Error> {
+        self.epoch_boundary()?;
+        let start = Instant::now();
+        let view = ShardedView {
+            shards: &self.restore,
+            lost: &self.lost,
+            prefix: None,
+            epoch: self.epoch,
+        };
+        self.metrics.merge_ns.record_duration(start.elapsed());
+        Ok(view)
+    }
+
+    /// Collects one snapshot per shard at an epoch boundary (see
+    /// [`Pipeline::view`] for what the boundary reflects). A shard found
+    /// dead here answers with its restore point; its lost mass is not
+    /// part of any snapshot ([`Pipeline::lost_items`]).
+    pub fn snapshots(&mut self) -> Result<Vec<Snapshot<I>>, Error> {
+        self.epoch_boundary()?;
+        Ok(self.restore.iter().map(Engine::snapshot).collect())
+    }
+
+    /// The merged engine at an epoch boundary: per-shard snapshots
+    /// combined through [`Engine::merge_snapshot`] — full counter replay
+    /// with the donors' bound bookkeeping folded in, so the returned
+    /// engine's certified intervals and `stream_len` are sound for the
+    /// combined stream. Carries the Theorem 11 `(3A, A+B)` k-tail
+    /// guarantee when shards carry `(A, B)`; the form to persist or ship.
+    /// Live answers read [`Pipeline::view`] instead, which is never wider.
     ///
     /// If shards were lost and respawned, the result is widened by the
-    /// lost mass ([`Engine::add_unobserved`]): `stream_len` still counts
-    /// every routed item and certified intervals still contain the true
-    /// counts.
+    /// total lost mass ([`Engine::add_unobserved`]): `stream_len` still
+    /// counts every routed item and certified intervals still contain the
+    /// true counts.
     pub fn merged(&mut self) -> Result<Engine<I>, Error> {
         let snaps = self.snapshots()?;
         let start = Instant::now();
         let merged = merge_snapshots(snaps);
         self.metrics.merge_ns.record_duration(start.elapsed());
         let mut merged = merged?;
-        merged.add_unobserved(self.lost);
+        merged.add_unobserved(self.lost_items());
         Ok(merged)
     }
 
@@ -1010,7 +1058,7 @@ impl<I: EngineItem> Pipeline<I> {
         for engine in engines {
             merged.merge(&engine)?;
         }
-        merged.add_unobserved(self.lost);
+        merged.add_unobserved(self.lost_items());
         Ok(merged)
     }
 
@@ -1036,7 +1084,7 @@ impl<I: EngineItem> Pipeline<I> {
             let engine = match handle.join() {
                 Ok(Ok(engine)) => engine,
                 // The worker died somewhere before the drain.
-                _ => self.recover(shard)?,
+                _ => self.recover(shard),
             };
             engines.push(engine);
         }
@@ -1055,6 +1103,178 @@ fn merge_snapshots<I: EngineItem>(snaps: Vec<Snapshot<I>>) -> Result<Engine<I>, 
         merged.merge_snapshot(&snap)?;
     }
     Ok(merged)
+}
+
+// ---------------------------------------------------------------------------
+// The live view
+// ---------------------------------------------------------------------------
+
+/// A pipeline's live query surface over one epoch's shard engines,
+/// borrowed from [`Pipeline::view`]; read it through
+/// [`ShardedView::report`].
+///
+/// Hash partitioning sends every occurrence of an item to its
+/// [`hash_shard`] owner, so the owner's certified interval is the item's
+/// interval: the other shards hold none of it. The view therefore
+/// answers from the owner alone, with the owner backend's own bounds:
+///
+/// * `interval` and `estimate` come from the owner shard; only the upper
+///   bound is widened, by the mass that shard lost to worker deaths;
+/// * `top_k` merges the shards' descending stored lists (their items are
+///   disjoint) and stops at `k`, or at the last stored row;
+/// * `total` is every shard's `stream_len` plus the lost mass — the same
+///   `F1` a [`Pipeline::merged`] engine reports.
+///
+/// Each shard keeps its own `(A, B)` k-tail bound over its slice of the
+/// stream, instead of the Theorem 11 `(3A, A+B)` bound of a replay merge,
+/// and no interval is wider than the merged engine's.
+#[derive(Debug)]
+pub struct ShardedView<'a, I: EngineItem> {
+    shards: &'a [Engine<I>],
+    lost: &'a [u64],
+    prefix: Option<&'a Engine<I>>,
+    epoch: u64,
+}
+
+impl<'a, I: EngineItem> ShardedView<'a, I> {
+    /// Adds a summary of a stream prefix that precedes everything the
+    /// shards saw (a resumed checkpoint): its estimate and interval add
+    /// onto every item's, its `stream_len` (unobserved mass included)
+    /// onto the total, and its stored items join the top-k candidates.
+    ///
+    /// ```
+    /// use hh_sketches::engine::{AlgoKind, EngineConfig};
+    /// use hh_sketches::pipeline::PipelineConfig;
+    ///
+    /// let config = EngineConfig::new(AlgoKind::SpaceSaving).counters(8);
+    /// let mut prefix = config.build::<u64>().unwrap();
+    /// prefix.update_batch(&[4, 4, 4, 4]);
+    /// let mut p = PipelineConfig::new(config).shards(2).spawn::<u64>().unwrap();
+    /// p.send_batch(&[4, 7, 7]).unwrap();
+    /// let view = p.view().unwrap().with_prefix(&prefix);
+    /// assert_eq!(view.report().total(), 7);
+    /// assert_eq!(view.report().top_k(1)[0].estimate, 5);
+    /// ```
+    pub fn with_prefix(self, prefix: &'a Engine<I>) -> Self {
+        ShardedView {
+            prefix: Some(prefix),
+            ..self
+        }
+    }
+
+    /// The epoch boundary this view reflects ([`Pipeline::epoch`] when
+    /// it was taken).
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// The query surface over this view.
+    pub fn report(&self) -> Report<'_, I> {
+        Report::over(self)
+    }
+
+    /// Top-k with a prefix summary: the candidates are every stored item
+    /// of the shards and of the prefix, ranked by their combined
+    /// estimate (ties by item order).
+    fn top_with_prefix(&self, prefix: &Engine<I>, k: usize, out: &mut Vec<(I, u64)>) {
+        // An `entries()` estimate is its engine's `estimate`, so an item
+        // stored by both its owner shard and the prefix gets the same
+        // combined estimate from either list and sorts next to its twin.
+        for engine in self.shards {
+            out.extend(engine.entries().into_iter().map(|(item, c)| {
+                let p = prefix.estimate(&item);
+                (item, c.saturating_add(p))
+            }));
+        }
+        out.extend(prefix.entries().into_iter().map(|(item, p)| {
+            let owner = &self.shards[hash_shard(self.shards.len(), &item)];
+            let c = owner.estimate(&item);
+            (item, c.saturating_add(p))
+        }));
+        let by_rank = |a: &(I, u64), b: &(I, u64)| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0));
+        // Each item has at most two copies, so the first 2k candidates
+        // hold the k best distinct items; rank only those.
+        let keep = k.saturating_mul(2);
+        if out.len() > keep {
+            out.select_nth_unstable_by(keep, by_rank);
+            out.truncate(keep);
+        }
+        out.sort_unstable_by(by_rank);
+        out.dedup_by(|a, b| a.0 == b.0);
+        out.truncate(k);
+    }
+}
+
+impl<I: EngineItem> Source<I, u64> for ShardedView<'_, I> {
+    fn total(&self) -> u64 {
+        let shards = self.shards.iter().map(Engine::stream_len);
+        let prefix = self.prefix.map(Engine::stream_len);
+        shards
+            .chain(self.lost.iter().copied())
+            .chain(prefix)
+            .fold(0, u64::saturating_add)
+    }
+
+    fn estimate(&self, item: &I) -> u64 {
+        let owner = &self.shards[hash_shard(self.shards.len(), item)];
+        let prefix = self.prefix.map_or(0, |p| p.estimate(item));
+        owner.estimate(item).saturating_add(prefix)
+    }
+
+    fn interval(&self, item: &I) -> (u64, u64) {
+        let shard = hash_shard(self.shards.len(), item);
+        let (lower, upper) = Source::interval(&self.shards[shard], item);
+        let upper = upper.saturating_add(self.lost[shard]);
+        match self.prefix {
+            Some(prefix) => {
+                let (p_lower, p_upper) = Source::interval(prefix, item);
+                (lower.saturating_add(p_lower), upper.saturating_add(p_upper))
+            }
+            None => (lower, upper),
+        }
+    }
+
+    fn pairs_into(&self, out: &mut Vec<(I, u64)>) {
+        self.top_pairs_into(usize::MAX, out);
+    }
+
+    fn top_pairs_into(&self, k: usize, out: &mut Vec<(I, u64)>) {
+        out.clear();
+        if let Some(prefix) = self.prefix {
+            return self.top_with_prefix(prefix, k, out);
+        }
+        // A k-way merge of the shards' descending lists; the heap holds
+        // one head per shard, ties going to the lower shard index.
+        let mut lists: Vec<_> = self
+            .shards
+            .iter()
+            .map(|engine| engine.entries().into_iter().peekable())
+            .collect();
+        let mut heads: BinaryHeap<(u64, Reverse<usize>)> = lists
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(shard, list)| list.peek().map(|&(_, c)| (c, Reverse(shard))))
+            .collect();
+        while out.len() < k {
+            let Some((_, Reverse(shard))) = heads.pop() else {
+                break;
+            };
+            let list = &mut lists[shard];
+            out.extend(list.next());
+            if let Some(&(_, c)) = list.peek() {
+                heads.push((c, Reverse(shard)));
+            }
+        }
+    }
+
+    fn residual(&self, k: usize) -> u64 {
+        let mut top = Vec::new();
+        self.top_pairs_into(k, &mut top);
+        let head = top
+            .iter()
+            .fold(0, |sum: u64, &(_, c)| sum.saturating_add(c));
+        self.total().saturating_sub(head)
+    }
 }
 
 #[cfg(test)]
@@ -1161,6 +1381,52 @@ mod tests {
 
         let fin = p.finish().unwrap();
         assert_eq!(fin.stream_len(), 7_500);
+    }
+
+    #[test]
+    fn view_merges_the_shard_lists_and_adds_the_prefix() {
+        let s = stream(12_000, 61); // ≤ 61 distinct < m: every shard is exact
+        let exact = |item: u64| s.iter().filter(|&&x| x == item).count() as u64;
+        let distinct = (0..61).filter(|&x| exact(x) > 0).count();
+        let mut p = ss_config(64)
+            .shards(3)
+            .batch_size(100)
+            .spawn::<u64>()
+            .unwrap();
+        p.send_batch(&s).unwrap();
+        let view = p.view().unwrap();
+        assert_eq!(view.epoch(), 1);
+        let report = view.report();
+        assert_eq!(report.total(), 12_000);
+        let all = report.top_k(usize::MAX);
+        assert_eq!(all.len(), distinct);
+        assert!(all.windows(2).all(|w| w[0].estimate >= w[1].estimate));
+        for row in &all {
+            let f = exact(row.item);
+            assert_eq!((row.estimate, row.lower, row.upper), (f, f, f));
+        }
+        assert_eq!(report.top_k(5), all[..5]);
+        let head: u64 = all[..5].iter().map(|r| r.estimate).sum();
+        assert_eq!(report.residual(5), 12_000 - head);
+
+        // A prefix adds onto every item and brings its own items along.
+        let mut prefix = EngineConfig::new(AlgoKind::SpaceSaving)
+            .counters(8)
+            .build::<u64>()
+            .unwrap();
+        prefix.update_by(1_000, 50_000); // never in the stream
+        prefix.update_by(all[1].item, 7);
+        prefix.add_unobserved(3);
+        let view = view.with_prefix(&prefix);
+        let report = view.report();
+        assert_eq!(report.total(), 12_000 + 50_007 + 3);
+        let top = report.top_k(2);
+        assert_eq!(top[0].item, 1_000);
+        assert_eq!((top[0].lower, top[0].upper), (50_000, 50_003));
+        let f = exact(all[1].item) + 7;
+        assert_eq!(report.interval(&all[1].item), (f, f + 3));
+        assert_eq!(report.top_k(usize::MAX).len(), distinct + 1);
+        p.finish().unwrap();
     }
 
     #[test]

@@ -5,14 +5,15 @@
 //! worker shards each own a SPACESAVING engine and ingest a
 //! hash-partitioned Zipf stream through bounded channels. Every few
 //! thousand arrivals the coordinator takes an epoch-boundary query —
-//! per-shard snapshots merged through `Engine::merge_snapshot`, so the
-//! live top-5 carries certified `(lower, upper)` intervals — and watches
-//! a flash crowd burst into the ranking mid-stream. Next to each top-k
-//! line, `Pipeline::stats()` drives a per-shard operations panel: items
-//! ingested, ingest rate, queue depth, send-block and merge latency
-//! quantiles, and the routing imbalance ratio. At the end the pipeline
-//! is drained, the final merged engine is checkpointed to JSON and
-//! restored bit-identically (the machinery distributed deployments use).
+//! `Pipeline::view`, where each item's certified `(lower, upper)`
+//! interval comes from the shard that owns it — and watches a flash
+//! crowd burst into the ranking mid-stream. Next to each top-k line,
+//! `Pipeline::stats()` drives a per-shard operations panel: items
+//! ingested, ingest rate, queue depth, send-block and view-assembly
+//! latency quantiles, and the routing imbalance ratio. At the end the
+//! pipeline is drained, the shards are merged into one engine (Theorem
+//! 11), and that engine is checkpointed to JSON and restored
+//! bit-identically (the machinery distributed deployments use).
 //!
 //! Run with: `cargo run -p hh --example live_monitor`
 
@@ -36,7 +37,7 @@ fn print_shard_panel(stats: &PipelineStats, epoch_items: u64, epoch_secs: f64) {
         0.0
     };
     println!(
-        "    ops: {:>7.0} items/s | imbalance {:.2} | merge p50 {} ns | epochs {}",
+        "    ops: {:>7.0} items/s | imbalance {:.2} | view p50 {} ns | epochs {}",
         rate, stats.imbalance, stats.merge_ns.p50, stats.epochs
     );
     println!(
@@ -79,20 +80,17 @@ fn main() {
         let epoch_started = Instant::now();
         pipeline.send_batch(chunk).expect("shards alive");
 
-        // Epoch-boundary query: ingest keeps running, the merged view is
+        // Epoch-boundary query: ingest keeps running, the view is
         // consistent with everything routed so far.
-        let live = pipeline.merged().expect("merged epoch view");
-        let top = live.report().top_k(TOP_K);
-        print!(
-            "[epoch {:>2}, {:>6} items] top-{TOP_K}:",
-            pipeline.epoch(),
-            live.stream_len()
-        );
+        let live = pipeline.view().expect("epoch view");
+        let report = live.report();
+        let (top, seen) = (report.top_k(TOP_K), report.total());
+        print!("[epoch {:>2}, {seen:>6} items] top-{TOP_K}:", live.epoch());
         for entry in &top {
             print!(" {}({})", entry.item, entry.estimate);
         }
         if flash_seen_at.is_none() && top.iter().any(|e| e.item == flash_item()) {
-            flash_seen_at = Some(live.stream_len());
+            flash_seen_at = Some(seen);
             print!("   <-- FLASH CROWD detected");
         }
         println!();
@@ -101,11 +99,7 @@ fn main() {
         // exact, queues are drained, and the imbalance ratio reflects
         // the hash partition over everything routed so far.
         let stats = pipeline.stats();
-        assert_eq!(
-            stats.routed,
-            live.stream_len(),
-            "boundary counters are exact"
-        );
+        assert_eq!(stats.routed, seen, "boundary counters are exact");
         assert!(stats.shards.iter().all(|s| s.queue_depth == 0));
         print_shard_panel(
             &stats,

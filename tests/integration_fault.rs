@@ -9,12 +9,14 @@
 //!
 //! The soundness claim under test is the PR 9 loss-accounting rule: when
 //! a shard worker dies mid-epoch, the pipeline rebuilds it from its last
-//! epoch-boundary snapshot and charges every item shipped since then as
-//! *unobserved* mass, widening `stream_len` and every upper bound by
-//! exactly that mass. Lower bounds come from observed occurrences only,
-//! so for every reported item the certified interval must still bracket
-//! the true count — the merged `(3A, A + B)` certificate (Theorem 11)
-//! survives the crash.
+//! epoch-boundary restore point and charges every item shipped to it
+//! since then as that shard's lost mass. A merged engine widens
+//! `stream_len` and every upper bound by the total lost mass; the live
+//! `ShardedView` widens only the upper bounds of the dead shard's own
+//! items. Lower bounds come from observed occurrences only, so for every
+//! item the certified interval must still bracket the true count — both
+//! the merged `(3A, A + B)` certificate (Theorem 11) and the per-shard
+//! owner certificate survive the crash.
 
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
@@ -23,7 +25,7 @@ use proptest::prelude::*;
 
 use hh::fault::{sites, FaultPlan, RetryPolicy};
 use hh::net::{checkpoint, Checkpoint, ServeOptions, ServeSession};
-use hh::pipeline::PipelineConfig;
+use hh::pipeline::{hash_shard, PipelineConfig};
 use hh::prelude::*;
 use hh::streamgen::zipf::{stream_from_counts, StreamOrder};
 
@@ -64,6 +66,10 @@ impl Drop for Chaos {
 
 const M: usize = 64;
 const K: usize = 6;
+
+/// Items the view oracle asks about: the 200 the streams draw from, plus
+/// 40 that never occur.
+const UNIVERSE: u64 = 240;
 
 /// A skewed stream over 200 distinct items (more than `M`, so summaries
 /// genuinely truncate), deterministically shuffled per seed.
@@ -155,6 +161,140 @@ proptest! {
         prop_assert!(fell_back, "torn current generation must not verify");
         prop_assert_eq!(loaded, good);
         std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// Every epoch's view intervals over [`UNIVERSE`], and each shard's
+/// restart count.
+type ViewRun = (Vec<Vec<(u64, u64)>>, Vec<u64>);
+
+/// One serve session's live view, checked at every epoch against the
+/// exact counts and against the session's merged engine at the same
+/// boundary.
+fn view_oracle_run(
+    opts: &ServeOptions,
+    prefix: &[u64],
+    stream: &[u64],
+) -> Result<ViewRun, TestCaseError> {
+    let mut session: ServeSession<u64> = ServeSession::spawn(opts).expect("valid serve options");
+    let mut truth = vec![0u64; UNIVERSE as usize];
+    for &x in prefix {
+        truth[x as usize] += 1;
+    }
+    let mut epochs = Vec::new();
+    for chunk in stream.chunks(1_500) {
+        for &x in chunk {
+            session
+                .send(x)
+                .expect("supervised ingest survives the kill");
+            truth[x as usize] += 1;
+        }
+        let (intervals, total) = {
+            let view = session.view().expect("epoch view survives the kill");
+            let report = view.report();
+            let top = report.top_k(usize::MAX);
+            prop_assert!(top.windows(2).all(|w| w[0].estimate >= w[1].estimate));
+            prop_assert_eq!(&report.top_k(K)[..], &top[..K.min(top.len())]);
+            let intervals: Vec<(u64, u64)> = (0..UNIVERSE).map(|x| report.interval(&x)).collect();
+            (intervals, report.total())
+        };
+        // No item arrives in between, so the merge sees the same shards.
+        let merged = session.merged().expect("merged epoch");
+        prop_assert_eq!(total, merged.stream_len());
+        let merged = merged.report();
+        for (x, &(lower, upper)) in (0..UNIVERSE).zip(&intervals) {
+            let t = truth[x as usize];
+            prop_assert!(
+                lower <= t && t <= upper,
+                "item {}: view [{}, {}] misses true count {}",
+                x,
+                lower,
+                upper,
+                t
+            );
+            let (m_lower, m_upper) = merged.interval(&x);
+            prop_assert!(
+                upper - lower <= m_upper - m_lower,
+                "item {}: view [{}, {}] wider than merged [{}, {}]",
+                x,
+                lower,
+                upper,
+                m_lower,
+                m_upper
+            );
+        }
+        epochs.push(intervals);
+    }
+    let restarts = session.stats().shards.iter().map(|s| s.restarts).collect();
+    session.finish().expect("drain succeeds after recovery");
+    Ok((epochs, restarts))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The live `ShardedView` oracle, over 1–8 shards, every unweighted
+    /// backend, with and without a resumed prefix, in a run without and
+    /// a run with a seeded shard kill: at every epoch every view interval
+    /// contains the exact count and is no wider than the merged engine's,
+    /// and the view's total equals the merged `stream_len`. The run
+    /// without the kill pins the shards that survived it: their items'
+    /// intervals are exactly the no-kill intervals, untouched by the dead
+    /// shard's loss.
+    #[test]
+    fn sharded_view_is_sound_and_never_wider_than_the_merge(
+        seed in 0u64..500,
+        shards in 1usize..=8,
+        algo in 0usize..6,
+        resumed in 0u8..2,
+        kill_batch in 1u64..120,
+    ) {
+        let (algo, resumed) = (AlgoKind::ALL[algo], resumed == 1);
+        let config = EngineConfig::new(algo).counters(M).seed(seed);
+        let stream = skewed_stream(seed);
+        let mut opts = ServeOptions::new(config.clone())
+            .shards(Some(shards))
+            .batch_size(64)
+            .queue_depth(2);
+        let dir = std::env::temp_dir().join(format!(
+            "hh-fault-view-{}-{seed}-{shards}-{algo}",
+            std::process::id()
+        ));
+        let prefix: Vec<u64> = if resumed {
+            let prefix: Vec<u64> = skewed_stream(seed + 1).into_iter().take(4_000).collect();
+            let mut engine = config.build::<u64>().unwrap();
+            engine.update_batch(&prefix);
+            std::fs::create_dir_all(&dir).unwrap();
+            let path = dir.join("prefix.ckpt").to_str().unwrap().to_string();
+            let ckpt = Checkpoint { shards: vec![engine.snapshot()], unobserved: seed % 7 };
+            checkpoint::write(&path, &ckpt).unwrap();
+            opts = opts.snapshot_in(Some(path));
+            prefix
+        } else {
+            Vec::new()
+        };
+
+        let (clean, _) = {
+            let _chaos = Chaos::arm(FaultPlan::new(seed));
+            view_oracle_run(&opts, &prefix, &stream)?
+        };
+        let (killed, restarts) = {
+            let _chaos = Chaos::arm(FaultPlan::new(seed).panic_on(sites::SHARD_BATCH, kill_batch));
+            view_oracle_run(&opts, &prefix, &stream)?
+        };
+        std::fs::remove_dir_all(&dir).ok();
+
+        prop_assert_eq!(restarts.iter().sum::<u64>(), 1, "exactly one injected kill");
+        for (epoch, (clean, killed)) in clean.iter().zip(&killed).enumerate() {
+            for x in 0..UNIVERSE {
+                if restarts[hash_shard(shards, &x)] == 0 {
+                    prop_assert_eq!(
+                        clean[x as usize], killed[x as usize],
+                        "epoch {}: item {} on a surviving shard", epoch, x
+                    );
+                }
+            }
+        }
     }
 }
 

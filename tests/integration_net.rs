@@ -293,6 +293,48 @@ fn malformed_lines_are_rejected_without_killing_the_connection() {
     assert_eq!(engine.stream_len(), 3);
 }
 
+/// `?topk` accepts any positive `usize`; the largest returns every
+/// stored row, in descending order, without sizing anything by `k`, and
+/// the connection keeps being served.
+#[test]
+fn topk_with_the_largest_k_returns_every_stored_row() {
+    let _guard = SERVER_LOCK.lock().unwrap();
+    sys::reset_drain();
+
+    let serve = ServeOptions::new(config()).shards(Some(2));
+    let net = NetOptions::new().tcp("127.0.0.1:0").idle_timeout_ms(60_000);
+    let (addr, server) = spawn_server(serve, net);
+
+    let mut conn = TcpStream::connect(addr).expect("connect");
+    let mut reader = BufReader::new(conn.try_clone().unwrap());
+    for item in writer_items() {
+        writeln!(conn, "{item}").unwrap();
+    }
+    let top = query(&mut conn, &mut reader, &format!("?topk {}", usize::MAX));
+    assert_eq!(
+        top["stream_len"].as_u64(),
+        Some(PER_WRITER as u64),
+        "{top:?}"
+    );
+    let rows = top["top"].as_array().expect("top array");
+    assert_eq!(rows.len(), DISTINCT, "{top:?}");
+    let counts: Vec<u64> = rows.iter().map(|r| r["count"].as_u64().unwrap()).collect();
+    assert!(counts.windows(2).all(|w| w[0] >= w[1]), "{counts:?}");
+    assert_eq!(counts.iter().sum::<u64>(), PER_WRITER as u64);
+
+    assert_eq!(query(&mut conn, &mut reader, "?ping")["pong"], true);
+    let again = query(&mut conn, &mut reader, "?topk 2");
+    assert_eq!(
+        again["top"].as_array().map(|rows| rows.len()),
+        Some(2),
+        "{again:?}"
+    );
+
+    query(&mut conn, &mut reader, "?shutdown");
+    let engine = server.join().expect("server thread");
+    assert_eq!(engine.stream_len(), PER_WRITER as u64);
+}
+
 /// Writes `bytes` with no final newline, half-closes, and returns every
 /// response record the server sends before closing the connection.
 fn send_unterminated(addr: SocketAddr, bytes: &[u8]) -> Vec<serde_json::Value> {
