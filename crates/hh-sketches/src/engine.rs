@@ -1633,7 +1633,9 @@ impl<'a, I: EngineItem, C: Count> Report<'a, I, C> {
     pub(crate) fn over(source: &'a dyn Source<I, C>) -> Self {
         Report { source }
     }
+}
 
+impl<I: EngineItem, C: Count> Report<'_, I, C> {
     /// The stream total the report is over: `F1` for counts, the total
     /// weight for weights.
     ///
