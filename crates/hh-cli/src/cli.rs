@@ -45,14 +45,16 @@ options:
   --snapshot-out <F> write the engine snapshot to F after ingest (an hhckpt
                      envelope, the only snapshot file format)
   --snapshot-in <F>  resume from a snapshot written by --snapshot-out
-                     (for `serve`: folded into every report and the final
-                     snapshot — the drain -> resume cycle)
+                     (for `serve`: shard j resumes from snapshot j, so
+                     the shard counts must match; without --shards the
+                     checkpoint's count is used)
   --zipf <SPEC>      for `gen`: n,total,alpha[,seed] (e.g. 1000,50000,1.2)
 
 serve options (each maps 1:1 onto hh::net::ServeOptions; stdin/trace mode
 and --listen mode share the struct, so the two cannot drift; items are
 hash-partitioned across shards, and each record fires at its boundary item):
-  --shards <N>       worker shards (default: available cores)
+  --shards <N>       worker shards (default: available cores, or the
+                     --snapshot-in checkpoint's shard count)
   --batch-size <N>   router flush threshold in items (default 8192)
   --queue-depth <N>  bounded channel capacity in batches (default 4)
   --report-every <N> emit a live top-k report every N items
@@ -64,8 +66,9 @@ hash-partitioned across shards, and each record fires at its boundary item):
   --checkpoint-every <N>
                      write a durable checkpoint (CRC-framed envelope,
                      tmp+fsync+rename, two generations) to --snapshot-out
-                     every N items; --snapshot-in resumes from it, falling
-                     back to the previous generation on a torn file
+                     every N items, one snapshot per shard; --snapshot-in
+                     resumes shard j from snapshot j (counts must match),
+                     falling back to the previous generation on a torn file
                      (see docs/RELIABILITY.md)
 
 serve --listen options (hh::net::NetOptions; records are always NDJSON):
@@ -155,7 +158,8 @@ pub struct Options {
     pub snapshot_in: Option<String>,
     /// Zipf spec for `gen`.
     pub zipf: Option<ZipfSpec>,
-    /// Worker shards for `serve` (`None`: one per available core).
+    /// Worker shards for `serve` (`None`: one per available core, or the
+    /// `--snapshot-in` checkpoint's shard count).
     pub shards: Option<usize>,
     /// Report interval (items) for `serve`; 0 means only the final report.
     pub report_every: u64,

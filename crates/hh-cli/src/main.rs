@@ -243,7 +243,8 @@ fn save(path: &str, snapshot: Snapshot<Key>, unobserved: u64) -> Result<(), Erro
 /// engine built from the same config; every `--report-every` items a live
 /// top-k report is written to `out` from the shards' epoch view (each
 /// item's owner-shard interval) while ingest continues. With
-/// `--snapshot-in`, the resumed summary is added into every report.
+/// `--snapshot-in`, shard j resumes from checkpoint snapshot j, so the
+/// shard counts must match (an unset `--shards` takes the checkpoint's).
 /// Returns the final merged report.
 fn run_serve(
     opts: &Options,
@@ -286,7 +287,7 @@ fn run_serve(
         out.flush()?;
     }
 
-    // finish() folds the resume snapshot and writes --snapshot-out.
+    // finish() writes the per-shard --snapshot-out checkpoint.
     let merged = session.finish()?;
     serve_report(merged.report(), None, opts)
 }
@@ -296,8 +297,9 @@ fn run_serve(
 /// client connections onto the shard pipeline until a drain is requested
 /// (signal or in-band `?shutdown`). Cadence reports/stats and query
 /// responses go to the clients; the final merged report goes to stdout,
-/// and `--snapshot-out` captures the drained summary for `--snapshot-in`
-/// resume.
+/// and `--snapshot-out` captures the drained shards for a `--snapshot-in`
+/// resume, where shard j resumes from snapshot j and the shard counts
+/// must match.
 fn run_serve_net(opts: &Options, out: &mut impl std::io::Write) -> Result<String, Error> {
     let server: Server<Key> = Server::bind(opts.serve_options(), opts.net_options())?;
     if let Some(addr) = server.tcp_addr() {

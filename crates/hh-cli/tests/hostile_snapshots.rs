@@ -10,10 +10,16 @@ const HH: &str = env!("CARGO_BIN_EXE_hh");
 
 /// Writes a CRC-valid one-shard envelope around `payload`; returns its path.
 fn envelope(name: &str, payload: &str) -> String {
+    envelope_of(name, payload, 1)
+}
+
+/// Writes a CRC-valid envelope of `shards` shards around `payload`.
+fn envelope_of(name: &str, payload: &str, shards: usize) -> String {
     let path = std::env::temp_dir().join(format!("hh-hostile-{}-{name}", std::process::id()));
     let crc = crc32(payload.as_bytes());
     let len = payload.len();
-    let text = format!("{MAGIC} v1 crc={crc:08x} len={len} shards=1 unobserved=0\n{payload}");
+    let text =
+        format!("{MAGIC} v1 crc={crc:08x} len={len} shards={shards} unobserved=0\n{payload}");
     std::fs::write(&path, text).unwrap();
     path.to_str().unwrap().to_string()
 }
@@ -59,6 +65,21 @@ fn huge_declared_capacity_is_not_allocated() {
         String::from_utf8_lossy(&out.stdout),
         "[{\"item\":\"a\",\"count\":2,\"lower\":2,\"upper\":2}]\n"
     );
+    std::fs::remove_file(path).ok();
+}
+
+#[test]
+fn serve_rejects_an_item_stored_by_a_shard_that_does_not_own_it() {
+    // Both shards store "a", so one of them holds an item that the hash
+    // partition routes to the other: resuming it shard by shard would
+    // count "a" twice.
+    let shard = r#"{"algo":"space_saving","state":{"capacity":256,"stream_len":2,"absorbed_slack":0,"entries":[["a",2,0]]}}"#;
+    let path = envelope_of("stray", &format!("[{shard},{shard}]"), 2);
+    let out = hh(&["serve", "--snapshot-in", &path, "/dev/null"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.starts_with("error: "), "{stderr}");
+    assert!(stderr.contains("snapshot mismatch"), "{stderr}");
     std::fs::remove_file(path).ok();
 }
 

@@ -69,7 +69,7 @@ pub struct StickySampling<I: Eq + Hash + Clone> {
     max_table: usize,
 }
 
-impl<I: Eq + Hash + Clone> StickySampling<I> {
+impl<I: Eq + Hash + Ord + Clone> StickySampling<I> {
     /// Creates a summary with error `ε`, support `s`, failure probability
     /// `δ`, and a seed.
     pub fn new(epsilon: f64, support: f64, delta: f64, seed: u64) -> Self {
@@ -224,23 +224,27 @@ impl<I: Eq + Hash + Clone> StickySampling<I> {
         self.rate *= 2;
         // Re-thin: each stored entry repeatedly loses one count per
         // unsuccessful coin at the *new* rate; geometric thinning per [24].
-        let mut dead = Vec::new();
-        for (item, count) in self.table.iter_mut() {
+        // Entries take their coins in item order, not in the table's
+        // layout order, which a rehydrated table does not share: so a
+        // summary restored by `from_parts` thins exactly as the original.
+        let mut items: Vec<I> = self.table.keys().cloned().collect();
+        items.sort_unstable();
+        for item in items {
+            let Some(count) = self.table.get_mut(&item) else {
+                continue;
+            };
             // toss an unbiased coin until success; each failure decrements
             while *count > 0 && self.rng.flip(0.5) {
                 *count -= 1;
             }
             if *count == 0 {
-                dead.push(item.clone());
+                self.table.remove(&item);
             }
-        }
-        for d in dead {
-            self.table.remove(&d);
         }
     }
 }
 
-impl<I: Eq + Hash + Clone> FrequencyEstimator<I> for StickySampling<I> {
+impl<I: Eq + Hash + Ord + Clone> FrequencyEstimator<I> for StickySampling<I> {
     fn name(&self) -> &'static str {
         "StickySampling"
     }
@@ -373,10 +377,41 @@ mod tests {
     fn seeded_determinism() {
         let mut a: StickySampling<u64> = StickySampling::new(0.05, 0.05, 0.1, 42);
         let mut b: StickySampling<u64> = StickySampling::new(0.05, 0.05, 0.1, 42);
+        // `c` is `a` rehydrated mid-stream, before several rate doublings.
+        let mut c: Option<StickySampling<u64>> = None;
+        let mut rate_at_rehydration = 0;
         for i in 0..5_000u64 {
             a.update(i % 200);
             b.update(i % 200);
+            if let Some(c) = c.as_mut() {
+                c.update(i % 200);
+            }
+            if i == 400 {
+                rate_at_rehydration = a.rate();
+                let parts = StickySampling::from_parts(
+                    a.epsilon(),
+                    a.window(),
+                    a.rate(),
+                    a.until_double(),
+                    a.rng_state(),
+                    a.stream_len(),
+                    a.max_table_len(),
+                    a.entries_sorted(),
+                );
+                c = Some(parts.unwrap());
+            }
         }
         assert_eq!(a.entries(), b.entries());
+        let by_item = |s: &StickySampling<u64>| {
+            let mut entries = s.entries();
+            entries.sort_unstable();
+            entries
+        };
+        let c = c.unwrap();
+        assert!(
+            c.rate() > 2 * rate_at_rehydration,
+            "rate doublings after it"
+        );
+        assert_eq!(by_item(&a), by_item(&c));
     }
 }

@@ -48,13 +48,13 @@ pub const CHECKPOINT_VERSION: u64 = 1;
 /// mass already charged as unobserved (lost shards, prior resumes).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint<I: EngineItem> {
-    /// Per-shard snapshots from one epoch boundary, plus, for a resumed
-    /// session, its prefix summary as an extra entry. A loader folds
-    /// them all into one prefix summary with the Theorem 11 merge
-    /// ([`merge_to_snapshot`]), which holds for any partition, so it
-    /// need not tell the entries apart; the owner-shard intervals of a
-    /// live view hold only for the shards of the pipeline that is
-    /// running, not for a loaded checkpoint.
+    /// Per-shard snapshots from one epoch boundary, in shard order. `hh
+    /// serve` resumes shard j from snapshot j, so the shard counts must
+    /// match ([`PipelineConfig::resume`]). Other readers (`hh topk`, `hh
+    /// merge`) fold them into one summary with the Theorem 11 merge
+    /// ([`merge_to_snapshot`]), which holds for any partition.
+    ///
+    /// [`PipelineConfig::resume`]: hh_sketches::pipeline::PipelineConfig::resume
     pub shards: Vec<Snapshot<I>>,
     /// Occurrences that are part of `stream_len` but observed by no
     /// snapshot; a loader must widen the merged engine by this mass.

@@ -7,7 +7,8 @@
 //! batch size, queue depth, report/stats/checkpoint cadence, snapshot
 //! in/out — and `hh serve`'s flags map 1:1 onto it. The shard policy is
 //! fixed: hash-partition routing with per-batch aggregation (Theorem 11
-//! makes the merged guarantee hold for any partition and any order).
+//! makes the merged guarantee hold for any partition and any order), and
+//! a resumed session restores shard `j` from checkpoint snapshot `j`.
 //! [`NetOptions`] adds the listener-only knobs (addresses, connection
 //! limits, timeouts).
 
@@ -79,7 +80,9 @@ impl ServeOptions {
         }
     }
 
-    /// Sets the shard count (`1..=2^10`; `None` = one per core).
+    /// Sets the shard count (`1..=2^10`; `None` = one per core, or the
+    /// `snapshot_in` checkpoint's count). Shard `j` resumes from snapshot
+    /// `j`, so a set count must match the checkpoint's.
     pub fn shards(mut self, shards: Option<usize>) -> Self {
         self.shards = shards;
         self
@@ -120,16 +123,18 @@ impl ServeOptions {
         self
     }
 
-    /// Resumes from a snapshot file written by `--snapshot-out` (merged
-    /// into every report through the Theorem 11 snapshot merge). The file
-    /// is a checkpoint envelope, verified and falling back to the previous
-    /// generation if torn or missing.
+    /// Resumes from a checkpoint written by `snapshot_out`, verified and
+    /// falling back to the previous generation if torn or missing. Shard
+    /// `j` resumes from snapshot `j` ([`PipelineConfig::resume`]); counts
+    /// must match.
     pub fn snapshot_in(mut self, path: Option<String>) -> Self {
         self.snapshot_in = path;
         self
     }
 
-    /// Writes the final merged snapshot to this path on drain.
+    /// Writes checkpoints to this path: every `checkpoint_every` items
+    /// and at the drain, each one snapshot per shard, so shard `j`
+    /// resumes from snapshot `j` through `snapshot_in`.
     pub fn snapshot_out(mut self, path: Option<String>) -> Self {
         self.snapshot_out = path;
         self
@@ -239,15 +244,17 @@ impl Due {
 }
 
 /// The running half of [`ServeOptions`], shared verbatim by the CLI's
-/// stdin loop and the network server: a spawned [`Pipeline`], the resumed
-/// summary (added into every answer), and the report/stats cadence
-/// countdowns.
+/// stdin loop and the network server: a spawned [`Pipeline`] — resumed
+/// shard by shard from a checkpoint if one is configured — and the
+/// report/stats/checkpoint cadence countdowns.
 ///
 /// Live answers ([`ServeSession::view`]) give each item its owner
-/// shard's interval, plus the resumed prefix's interval, widened by the
-/// owner's own lost mass. [`ServeSession::merged`] and
+/// shard's interval, widened by the owner's own lost mass and by the
+/// resumed checkpoint's unobserved mass. [`ServeSession::merged`] and
 /// [`ServeSession::finish`] replay everything into one engine (Theorem
-/// 11) for snapshots and the final record.
+/// 11) for snapshots and the final record. Checkpoints, the drain's
+/// included, hold one snapshot per shard: shard `j` resumes from
+/// snapshot `j`, and the counts must match.
 ///
 /// ```
 /// use hh_net::{ServeOptions, ServeSession};
@@ -266,10 +273,6 @@ impl Due {
 #[derive(Debug)]
 pub struct ServeSession<I: EngineItem> {
     pipeline: Pipeline<I>,
-    /// The resumed checkpoint folded into one engine, carrying the mass
-    /// that checkpoint had already charged as unobserved (lost shards in
-    /// the previous run). Built once, at spawn.
-    resume: Option<Engine<I>>,
     /// Whether the resume load fell back to the previous checkpoint
     /// generation because the current one was torn or corrupt.
     resumed_from_fallback: bool,
@@ -284,8 +287,10 @@ pub struct ServeSession<I: EngineItem> {
 }
 
 impl<I: EngineItem> ServeSession<I> {
-    /// Validates `opts`, loads the resume snapshot (if configured) and
-    /// spawns the shard pipeline.
+    /// Validates `opts`, loads the resume checkpoint (if configured) and
+    /// spawns the shard pipeline: shard `j` resumes from snapshot `j`
+    /// ([`PipelineConfig::resume`]), at the checkpoint's shard count
+    /// when [`ServeOptions::shards`] is unset.
     ///
     /// A `snapshot_in` checkpoint envelope is CRC-verified and falls back
     /// to the previous generation when the current one is torn or missing
@@ -295,47 +300,29 @@ impl<I: EngineItem> ServeSession<I> {
     ///
     /// Everything [`ServeOptions::validate`] rejects, plus I/O,
     /// verification ([`Error::CorruptSnapshot`]) or deserialization
-    /// failures on the `snapshot_in` file, and [`Error::SnapshotMismatch`]
-    /// when that snapshot does not merge into the configured engine.
+    /// failures on the `snapshot_in` file, and, before any worker starts,
+    /// [`Error::SnapshotMismatch`] when the checkpoint's shard count
+    /// differs from a set [`ServeOptions::shards`], a snapshot comes from
+    /// another engine config, or a snapshot stores an item of another
+    /// shard.
     pub fn spawn(opts: &ServeOptions) -> Result<Self, Error>
     where
         I: Deserialize,
     {
         opts.validate()?;
-        let mut resumed_from_fallback = false;
-        let resume = match &opts.snapshot_in {
+        let mut config = opts.pipeline_config();
+        let (pipeline, resumed_from_fallback) = match &opts.snapshot_in {
             Some(path) => {
                 let (ckpt, fell_back) = checkpoint::load_latest::<I>(path)?;
-                resumed_from_fallback = fell_back;
-                let mut resume = match checkpoint::merge_to_snapshot(ckpt.shards)? {
-                    Some(snap) if snap.is_weighted() => {
-                        return Err(Error::Unsupported {
-                            algo: snap.algo().name().to_string(),
-                            operation: "resuming a serve session from a weighted snapshot",
-                        });
-                    }
-                    Some(snap) => {
-                        // Every answer adds the resumed summary in; a
-                        // checkpoint of another algorithm or shape must
-                        // fail here, before any item is accepted, not at
-                        // the first query. The summary itself is
-                        // rehydrated as written: merged into a fresh
-                        // engine it would carry its Δ as slack on every
-                        // upper bound.
-                        opts.engine.build::<I>()?.merge_snapshot(&snap)?;
-                        Engine::from_snapshot(snap)?
-                    }
-                    None => opts.engine.build()?,
-                };
-                resume.add_unobserved(ckpt.unobserved);
-                Some(resume)
+                if opts.shards.is_none() && !ckpt.shards.is_empty() {
+                    config = config.shards(ckpt.shards.len());
+                }
+                (config.resume(ckpt.shards, ckpt.unobserved)?, fell_back)
             }
-            None => None,
+            None => (config.spawn()?, false),
         };
-        let pipeline = opts.pipeline_config().spawn()?;
         Ok(ServeSession {
             pipeline,
-            resume,
             resumed_from_fallback,
             report_cadence: Cadence::new(opts.report_every),
             stats_cadence: Cadence::new(opts.stats_every.unwrap_or(0)),
@@ -363,7 +350,7 @@ impl<I: EngineItem> ServeSession<I> {
     }
 
     /// Items routed into the pipeline this session (excludes the resumed
-    /// snapshot's stream).
+    /// checkpoint's stream).
     pub fn routed(&self) -> u64 {
         self.pipeline.routed()
     }
@@ -403,78 +390,50 @@ impl<I: EngineItem> ServeSession<I> {
         Ok(due)
     }
 
-    /// The live answer at an epoch boundary: the pipeline's
-    /// [`ShardedView`] with the resumed summary added on top, so reports
-    /// cover the resumed stream too. Each item's interval is its owner
-    /// shard's interval plus the resumed prefix's, widened by the owner's
-    /// own lost mass. See [`Pipeline::view`].
+    /// The live answer at an epoch boundary (see [`Pipeline::view`]):
+    /// each item's interval is its owner shard's, which covers the
+    /// resumed stream too, widened by the owner's own lost mass and the
+    /// resumed checkpoint's unobserved mass.
     pub fn view(&mut self) -> Result<ShardedView<'_, I>, Error> {
-        let view = self.pipeline.view()?;
-        Ok(match &self.resume {
-            Some(resume) => view.with_prefix(resume),
-            None => view,
-        })
+        self.pipeline.view()
     }
 
-    /// One merged engine at an epoch boundary, with the resumed summary
-    /// (and its unobserved mass) folded in — the Theorem 11 replay that
-    /// `?snapshot` ships. Live answers read [`ServeSession::view`]
+    /// One merged engine at an epoch boundary — the Theorem 11 replay
+    /// that `?snapshot` ships. Live answers read [`ServeSession::view`]
     /// instead. See [`Pipeline::merged`].
     pub fn merged(&mut self) -> Result<Engine<I>, Error> {
-        let mut merged = self.pipeline.merged()?;
-        if let Some(resume) = &self.resume {
-            merged.merge(resume)?;
-        }
-        Ok(merged)
+        self.pipeline.merged()
     }
 
     /// Writes a durable checkpoint of the current epoch boundary to the
-    /// `snapshot_out` path: every shard's snapshot plus the resumed
-    /// summary's, with the total unobserved mass in the envelope header
-    /// (see [`crate::checkpoint`] for the format and crash discipline).
-    /// A no-op without a `snapshot_out` path.
+    /// `snapshot_out` path: every shard's snapshot, in shard order, with
+    /// the lost and resumed unobserved mass ([`Pipeline::lost_items`]) in
+    /// the envelope header (see [`crate::checkpoint`] for the format and
+    /// crash discipline). A no-op without a `snapshot_out` path.
     pub fn checkpoint(&mut self) -> Result<(), Error>
     where
         I: Serialize,
     {
-        let Some(path) = self.snapshot_out.clone() else {
+        let Some(path) = &self.snapshot_out else {
             return Ok(());
         };
-        let mut shards = self.pipeline.snapshots()?;
-        let mut unobserved = self.pipeline.lost_items();
-        if let Some(resume) = &self.resume {
-            shards.push(resume.snapshot());
-            unobserved = unobserved.saturating_add(resume.unobserved());
-        }
-        checkpoint::write(&path, &Checkpoint { shards, unobserved })
+        let ckpt = Checkpoint {
+            shards: self.pipeline.snapshots()?,
+            unobserved: self.pipeline.lost_items(),
+        };
+        checkpoint::write(path, &ckpt)
     }
 
-    /// Drains the pipeline, folds in the resumed summary, writes the
-    /// final snapshot to the configured `snapshot_out` path (a one-shard
-    /// checkpoint envelope, see [`checkpoint::write`]), and returns the
-    /// final merged engine.
-    pub fn finish(self) -> Result<Engine<I>, Error>
+    /// Writes a last [checkpoint](ServeSession::checkpoint) to the
+    /// configured `snapshot_out` path — one snapshot per shard, so a
+    /// drained session resumes exactly too — then drains the pipeline
+    /// and returns the final merged engine.
+    pub fn finish(mut self) -> Result<Engine<I>, Error>
     where
         I: Serialize,
     {
-        let ServeSession {
-            pipeline,
-            resume,
-            snapshot_out,
-            ..
-        } = self;
-        let mut merged = pipeline.finish()?;
-        if let Some(resume) = &resume {
-            merged.merge(resume)?;
-        }
-        if let Some(path) = &snapshot_out {
-            let ckpt = Checkpoint {
-                shards: vec![merged.snapshot()],
-                unobserved: merged.unobserved(),
-            };
-            checkpoint::write(path, &ckpt)?;
-        }
-        Ok(merged)
+        self.checkpoint()?;
+        self.pipeline.finish()
     }
 }
 
@@ -756,6 +715,10 @@ mod tests {
                 EngineConfig::new(AlgoKind::CountMin).counters(64),
                 EngineConfig::new(AlgoKind::CountMin).counters(128),
             ),
+            (
+                EngineConfig::new(AlgoKind::SpaceSaving).counters(64),
+                EngineConfig::new(AlgoKind::SpaceSaving).counters(128),
+            ),
         ] {
             match resume_under(written, served) {
                 Err(Error::SnapshotMismatch { .. }) => {}
@@ -764,6 +727,66 @@ mod tests {
         }
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(format!("{path}.prev")).ok();
+    }
+
+    #[test]
+    fn spawn_rejects_a_checkpoint_of_another_shard_layout() {
+        let path = std::env::temp_dir().join(format!("hh-net-layout-{}", std::process::id()));
+        let path = path.to_str().unwrap().to_string();
+        let mut p = opts()
+            .shards(Some(2))
+            .pipeline_config()
+            .spawn::<u64>()
+            .unwrap();
+        p.send_batch(&(0..200).map(|i| i % 40).collect::<Vec<u64>>())
+            .unwrap();
+        let shards = p.snapshots().unwrap();
+        // The previous layout of a resumed session: its shards, then the
+        // resumed summary folded into one extra snapshot.
+        let mut donor = p.finish().unwrap();
+        donor.update_batch(&[7, 7, 41]);
+        let mut old_layout = shards.clone();
+        old_layout.push(donor.snapshot());
+        for (written, served) in [
+            (shards, Some(3)),
+            (old_layout.clone(), Some(2)),
+            // Unset, the session runs the checkpoint's 3 shards, and the
+            // 2-shard partition is not the 3-shard one.
+            (old_layout, None),
+        ] {
+            let ckpt = Checkpoint {
+                shards: written,
+                unobserved: 0,
+            };
+            checkpoint::write(&path, &ckpt).unwrap();
+            let resumed = opts().shards(served).snapshot_in(Some(path.clone()));
+            match ServeSession::<u64>::spawn(&resumed) {
+                Err(Error::SnapshotMismatch { .. }) => {}
+                other => panic!("{served:?} shards: expected SnapshotMismatch, got {other:?}"),
+            }
+        }
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(format!("{path}.prev")).ok();
+    }
+
+    #[test]
+    fn a_checkpoint_of_no_shards_resumes_fresh_with_its_unobserved_mass() {
+        let path = std::env::temp_dir().join(format!("hh-net-empty-{}", std::process::id()));
+        let path = path.to_str().unwrap().to_string();
+        let ckpt = Checkpoint::<u64> {
+            shards: Vec::new(),
+            unobserved: 5,
+        };
+        checkpoint::write(&path, &ckpt).unwrap();
+        let resumed = opts().shards(Some(3)).snapshot_in(Some(path.clone()));
+        let mut s = ServeSession::<u64>::spawn(&resumed).unwrap();
+        assert_eq!(s.pipeline().shards(), 3);
+        s.send(1).unwrap();
+        let view = s.view().unwrap();
+        assert_eq!(view.report().total(), 1 + 5);
+        assert_eq!(view.report().interval(&1), (1, 1 + 5));
+        assert_eq!(s.finish().unwrap().stream_len(), 1 + 5);
+        std::fs::remove_file(&path).ok();
     }
 
     /// A fresh temp path whose `.prev` generation holds a one-shard
@@ -849,7 +872,7 @@ mod tests {
         // mid-stream checkpoint covering the first 4 items).
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::write(&path, &text[..text.len() / 2]).unwrap();
-        let third = opts().shards(Some(1)).snapshot_in(Some(path.clone()));
+        let third = opts().shards(Some(2)).snapshot_in(Some(path.clone()));
         let mut s: ServeSession<u64> = ServeSession::spawn(&third).unwrap();
         assert!(s.resumed_from_fallback());
         assert_eq!(s.merged().unwrap().stream_len(), 4);

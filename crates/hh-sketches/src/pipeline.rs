@@ -22,10 +22,11 @@
 //!
 //! Two query surfaces follow. The live one, [`Pipeline::view`], is a
 //! [`ShardedView`]: an item's certified interval is its owner shard's
-//! interval (the other shards hold none of it), plus a resumed prefix's
-//! interval if one is attached ([`ShardedView::with_prefix`]), widened
-//! only by the mass the owner shard lost — so each shard keeps its own
-//! `(A, B)` k-tail bound.
+//! interval (the other shards hold none of it), widened only by the mass
+//! the owner shard lost and by the unobserved mass a resumed checkpoint
+//! carried — so each shard keeps its own `(A, B)` k-tail bound. Resuming
+//! ([`PipelineConfig::resume`]) merges nothing either: shard `j` resumes
+//! from snapshot `j`; counts must match.
 //! [`Pipeline::merged`] and [`Pipeline::finish`] instead replay every
 //! shard's counters into one engine through [`Engine::merge_snapshot`]:
 //! the paper's Theorem 11 (Section 6.2) keeps a `(3A, A+B)` guarantee
@@ -256,27 +257,57 @@ impl PipelineConfig {
         Ok(())
     }
 
-    /// Validates the config and spawns the shard workers.
+    /// Validates the config and spawns the shard workers over fresh
+    /// engines: [`PipelineConfig::resume`] from no snapshots.
     ///
     /// # Errors
     ///
-    /// Everything [`PipelineConfig::validate`] rejects; the
-    /// [`Error::InvalidConfig`] a plain [`EngineConfig::build`] would
-    /// report for an invalid engine config; and [`Error::Pipeline`] when
-    /// the OS refuses a worker thread (the workers already started are
-    /// shut down and joined first).
+    /// As [`PipelineConfig::resume`].
     pub fn spawn<I: EngineItem>(&self) -> Result<Pipeline<I>, Error> {
+        self.resume(Vec::new(), 0)
+    }
+
+    /// Validates the config and spawns the shard workers, shard `j`
+    /// starting from `snapshots[j]` (a [`Pipeline::snapshots`]
+    /// checkpoint), which is also its restore point. `unobserved` is the
+    /// mass the checkpoint had charged to lost shards; every answer is
+    /// widened by it ([`Pipeline::lost_items`]). With no snapshots every
+    /// shard starts fresh.
+    ///
+    /// ```
+    /// use hh_sketches::engine::{AlgoKind, EngineConfig};
+    /// use hh_sketches::pipeline::PipelineConfig;
+    ///
+    /// let config = PipelineConfig::new(EngineConfig::new(AlgoKind::SpaceSaving).counters(8));
+    /// let mut first = config.clone().shards(2).spawn::<u64>().unwrap();
+    /// first.send_batch(&[4, 4, 7]).unwrap();
+    /// let mut resumed = config.shards(2).resume(first.snapshots().unwrap(), 5).unwrap();
+    /// assert_eq!(resumed.view().unwrap().report().interval(&4), (2, 2 + 5));
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// [`Error::SnapshotMismatch`], before any worker thread exists, when
+    /// `snapshots` is neither empty nor one per shard, or a snapshot comes
+    /// from another engine config or stores an item of another shard; the
+    /// errors of [`PipelineConfig::validate`], [`EngineConfig::build`] and
+    /// [`Engine::from_snapshot`]; and [`Error::Pipeline`] when the OS
+    /// refuses a worker thread (the started workers are joined first).
+    pub fn resume<I: EngineItem>(
+        &self,
+        snapshots: Vec<Snapshot<I>>,
+        unobserved: u64,
+    ) -> Result<Pipeline<I>, Error> {
         self.validate()?;
+        // Engines are built and checked on the coordinator thread so
+        // config and snapshot errors surface here, before any thread
+        // exists.
+        let restore = self.start_engines(snapshots)?;
         let metrics = PipelineMetrics::new(self.shards);
         let mut senders = Vec::with_capacity(self.shards);
         let mut workers = Vec::with_capacity(self.shards);
-        let mut restore = Vec::with_capacity(self.shards);
-        for shard in 0..self.shards {
-            // Engines are built on the coordinator thread so config errors
-            // surface here, before any thread exists.
-            let engine = self.engine.build::<I>()?;
-            restore.push(engine.clone());
-            match spawn_worker(engine, self.queue, metrics.shards[shard].clone()) {
+        for (shard, engine) in restore.iter().enumerate() {
+            match spawn_worker(engine.clone(), self.queue, metrics.shards[shard].clone()) {
                 Ok((tx, handle)) => {
                     senders.push(tx);
                     workers.push(handle);
@@ -303,11 +334,66 @@ impl PipelineConfig {
             restore,
             shipped_since: vec![0; self.shards],
             lost: vec![0; self.shards],
+            unobserved,
             routed: 0,
             epoch: 0,
             metrics,
         })
     }
+
+    /// Each shard's starting engine: a fresh one, or snapshot `j`
+    /// rehydrated for shard `j` once it is checked against the shard
+    /// count, the configured engine and the partition.
+    fn start_engines<I: EngineItem>(
+        &self,
+        snapshots: Vec<Snapshot<I>>,
+    ) -> Result<Vec<Engine<I>>, Error> {
+        let mismatch = |expected, found| Error::SnapshotMismatch { expected, found };
+        let fresh = self.engine.build::<I>()?;
+        if snapshots.is_empty() {
+            return Ok(vec![fresh; self.shards]);
+        } else if snapshots.len() != self.shards {
+            let (want, got) = (self.shards, snapshots.len());
+            return Err(mismatch(format!("{want} shards"), format!("{got} shards")));
+        }
+        let expected = shape(&fresh.snapshot());
+        let restore = |(shard, snap): (usize, Snapshot<I>)| {
+            if shape(&snap) != expected {
+                return Err(mismatch(expected.clone(), shape(&snap)));
+            }
+            let engine = Engine::from_snapshot(snap)?;
+            let mut owners = engine
+                .entries()
+                .into_iter()
+                .map(|(item, _)| hash_shard(self.shards, &item));
+            match owners.find(|&owner| owner != shard) {
+                Some(owner) => Err(mismatch(
+                    format!("shard {shard}'s items"),
+                    format!("an item of shard {owner}"),
+                )),
+                None => Ok(engine),
+            }
+        };
+        snapshots.into_iter().enumerate().map(restore).collect()
+    }
+}
+
+/// What an engine's config fixes in its snapshot — the algorithm, its
+/// sizing, and for sketches the shape, seed and update rule — so a
+/// snapshot can be checked against a config without a merge.
+fn shape<I>(snap: &Snapshot<I>) -> String {
+    let sizing = match snap {
+        Snapshot::SpaceSaving(s) => format!("m={}", s.capacity),
+        Snapshot::Frequent(s) => format!("m={}", s.capacity),
+        Snapshot::SpaceSavingR(s) => format!("m={}", s.capacity),
+        Snapshot::FrequentR(s) => format!("m={}", s.capacity),
+        Snapshot::LossyCounting(s) => format!("w={}", s.width),
+        Snapshot::StickySampling(s) => format!("eps={} w={}", s.epsilon, s.window),
+        Snapshot::CountMin(s) => format!("{:?}", (s.depth, s.width, s.seed, s.conservative, s.cap)),
+        Snapshot::CountSketch(s) => format!("{:?}", (s.depth, s.width, s.seed, s.cap)),
+    };
+    let weighted = if snap.is_weighted() { " weighted" } else { "" };
+    format!("{}{weighted} {sizing}", snap.algo())
 }
 
 /// The shard an item routes to:
@@ -498,8 +584,10 @@ pub struct PipelineStats {
     pub restarts: u64,
     /// Occurrences charged to dead shards so far, summed over shards —
     /// the mass a merged engine widens its `stream_len`, upper estimates
-    /// and error terms by (a [`ShardedView`] widens each item by its own
-    /// shard's share only). `0` on a pipeline that never lost a worker.
+    /// and error terms by, on top of a resumed checkpoint's unobserved
+    /// mass ([`Pipeline::lost_items`] counts both; a [`ShardedView`]
+    /// widens each item by its own shard's share only). `0` on a
+    /// pipeline that never lost a worker.
     pub lost_items: u64,
     /// Per-shard telemetry, in shard order.
     pub shards: Vec<ShardStats>,
@@ -683,7 +771,7 @@ pub struct Pipeline<I: EngineItem> {
     /// Pending per-shard batches, shipped at `batch_size` items.
     buffers: Vec<Vec<I>>,
     /// Supervision state: each shard's restore point — a copy of its
-    /// fresh engine at spawn, then of its engine at the last epoch
+    /// starting engine at spawn, then of its engine at the last epoch
     /// boundary. A dead shard is rebuilt from it, and a [`ShardedView`]
     /// reads it.
     restore: Vec<Engine<I>>,
@@ -692,6 +780,9 @@ pub struct Pipeline<I: EngineItem> {
     shipped_since: Vec<u64>,
     /// Occurrences charged to each shard's deaths so far.
     lost: Vec<u64>,
+    /// The unobserved mass of the checkpoint the pipeline resumed from
+    /// (0 for a fresh one): part of the stream, on no shard.
+    unobserved: u64,
     routed: u64,
     epoch: u64,
     metrics: PipelineMetrics,
@@ -725,12 +816,15 @@ impl<I: EngineItem> Pipeline<I> {
         self.epoch
     }
 
-    /// Occurrences charged to dead shards so far, summed over shards —
-    /// the mass every merged engine is widened by
+    /// Occurrences charged to dead shards so far, summed over shards,
+    /// plus the unobserved mass of the checkpoint the pipeline resumed
+    /// from — the mass every merged engine is widened by
     /// ([`Engine::add_unobserved`]). `0` unless a shard worker died and
-    /// was rebuilt.
+    /// was rebuilt, or the resumed checkpoint carried unobserved mass.
     pub fn lost_items(&self) -> u64 {
-        self.lost.iter().fold(0, |sum, &l| sum.saturating_add(l))
+        self.lost
+            .iter()
+            .fold(self.unobserved, |sum, &l| sum.saturating_add(l))
     }
 
     /// A live telemetry sample: per-shard ingest counters, queue depths,
@@ -786,7 +880,7 @@ impl<I: EngineItem> Pipeline<I> {
             snapshot_ns: self.metrics.snapshot_ns.snapshot(),
             merge_ns: self.metrics.merge_ns.snapshot(),
             restarts: shards.iter().map(|s| s.restarts).sum(),
-            lost_items: self.lost_items(),
+            lost_items: self.metrics.lost_items.get(),
             shards,
         }
     }
@@ -985,7 +1079,8 @@ impl<I: EngineItem> Pipeline<I> {
     /// once the view is dropped.
     ///
     /// Each item's interval comes from its [`hash_shard`] owner, widened
-    /// only by that shard's lost mass, so the view is never wider than
+    /// only by that shard's lost mass and a resumed checkpoint's
+    /// unobserved mass, so the view is never wider than
     /// [`Pipeline::merged`] and answers without a counter replay.
     ///
     /// ```
@@ -1010,7 +1105,7 @@ impl<I: EngineItem> Pipeline<I> {
         let view = ShardedView {
             shards: &self.restore,
             lost: &self.lost,
-            prefix: None,
+            unobserved: self.unobserved,
             epoch: self.epoch,
         };
         self.metrics.merge_ns.record_duration(start.elapsed());
@@ -1119,11 +1214,12 @@ fn merge_snapshots<I: EngineItem>(snaps: Vec<Snapshot<I>>) -> Result<Engine<I>, 
 /// answers from the owner alone, with the owner backend's own bounds:
 ///
 /// * `interval` and `estimate` come from the owner shard; only the upper
-///   bound is widened, by the mass that shard lost to worker deaths;
+///   bound is widened, by the mass that shard lost to worker deaths and
+///   by the unobserved mass of the checkpoint the pipeline resumed from;
 /// * `top_k` merges the shards' descending stored lists (their items are
 ///   disjoint) and stops at `k`, or at the last stored row;
-/// * `total` is every shard's `stream_len` plus the lost mass — the same
-///   `F1` a [`Pipeline::merged`] engine reports.
+/// * `total` is every shard's `stream_len` plus the lost and unobserved
+///   mass — the same `F1` a [`Pipeline::merged`] engine reports.
 ///
 /// Each shard keeps its own `(A, B)` k-tail bound over its slice of the
 /// stream, instead of the Theorem 11 `(3A, A+B)` bound of a replay merge,
@@ -1132,36 +1228,11 @@ fn merge_snapshots<I: EngineItem>(snaps: Vec<Snapshot<I>>) -> Result<Engine<I>, 
 pub struct ShardedView<'a, I: EngineItem> {
     shards: &'a [Engine<I>],
     lost: &'a [u64],
-    prefix: Option<&'a Engine<I>>,
+    unobserved: u64,
     epoch: u64,
 }
 
-impl<'a, I: EngineItem> ShardedView<'a, I> {
-    /// Adds a summary of a stream prefix that precedes everything the
-    /// shards saw (a resumed checkpoint): its estimate and interval add
-    /// onto every item's, its `stream_len` (unobserved mass included)
-    /// onto the total, and its stored items join the top-k candidates.
-    ///
-    /// ```
-    /// use hh_sketches::engine::{AlgoKind, EngineConfig};
-    /// use hh_sketches::pipeline::PipelineConfig;
-    ///
-    /// let config = EngineConfig::new(AlgoKind::SpaceSaving).counters(8);
-    /// let mut prefix = config.build::<u64>().unwrap();
-    /// prefix.update_batch(&[4, 4, 4, 4]);
-    /// let mut p = PipelineConfig::new(config).shards(2).spawn::<u64>().unwrap();
-    /// p.send_batch(&[4, 7, 7]).unwrap();
-    /// let view = p.view().unwrap().with_prefix(&prefix);
-    /// assert_eq!(view.report().total(), 7);
-    /// assert_eq!(view.report().top_k(1)[0].estimate, 5);
-    /// ```
-    pub fn with_prefix(self, prefix: &'a Engine<I>) -> Self {
-        ShardedView {
-            prefix: Some(prefix),
-            ..self
-        }
-    }
-
+impl<I: EngineItem> ShardedView<'_, I> {
     /// The epoch boundary this view reflects ([`Pipeline::epoch`] when
     /// it was taken).
     pub fn epoch(&self) -> u64 {
@@ -1172,66 +1243,25 @@ impl<'a, I: EngineItem> ShardedView<'a, I> {
     pub fn report(&self) -> Report<'_, I> {
         Report::over(self)
     }
-
-    /// Top-k with a prefix summary: the candidates are every stored item
-    /// of the shards and of the prefix, ranked by their combined
-    /// estimate (ties by item order).
-    fn top_with_prefix(&self, prefix: &Engine<I>, k: usize, out: &mut Vec<(I, u64)>) {
-        // An `entries()` estimate is its engine's `estimate`, so an item
-        // stored by both its owner shard and the prefix gets the same
-        // combined estimate from either list and sorts next to its twin.
-        for engine in self.shards {
-            out.extend(engine.entries().into_iter().map(|(item, c)| {
-                let p = prefix.estimate(&item);
-                (item, c.saturating_add(p))
-            }));
-        }
-        out.extend(prefix.entries().into_iter().map(|(item, p)| {
-            let owner = &self.shards[hash_shard(self.shards.len(), &item)];
-            let c = owner.estimate(&item);
-            (item, c.saturating_add(p))
-        }));
-        let by_rank = |a: &(I, u64), b: &(I, u64)| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0));
-        // Each item has at most two copies, so the first 2k candidates
-        // hold the k best distinct items; rank only those.
-        let keep = k.saturating_mul(2);
-        if out.len() > keep {
-            out.select_nth_unstable_by(keep, by_rank);
-            out.truncate(keep);
-        }
-        out.sort_unstable_by(by_rank);
-        out.dedup_by(|a, b| a.0 == b.0);
-        out.truncate(k);
-    }
 }
 
 impl<I: EngineItem> Source<I, u64> for ShardedView<'_, I> {
     fn total(&self) -> u64 {
         let shards = self.shards.iter().map(Engine::stream_len);
-        let prefix = self.prefix.map(Engine::stream_len);
         shards
             .chain(self.lost.iter().copied())
-            .chain(prefix)
-            .fold(0, u64::saturating_add)
+            .fold(self.unobserved, u64::saturating_add)
     }
 
     fn estimate(&self, item: &I) -> u64 {
-        let owner = &self.shards[hash_shard(self.shards.len(), item)];
-        let prefix = self.prefix.map_or(0, |p| p.estimate(item));
-        owner.estimate(item).saturating_add(prefix)
+        self.shards[hash_shard(self.shards.len(), item)].estimate(item)
     }
 
     fn interval(&self, item: &I) -> (u64, u64) {
         let shard = hash_shard(self.shards.len(), item);
         let (lower, upper) = Source::interval(&self.shards[shard], item);
-        let upper = upper.saturating_add(self.lost[shard]);
-        match self.prefix {
-            Some(prefix) => {
-                let (p_lower, p_upper) = Source::interval(prefix, item);
-                (lower.saturating_add(p_lower), upper.saturating_add(p_upper))
-            }
-            None => (lower, upper),
-        }
+        let widen = self.lost[shard].saturating_add(self.unobserved);
+        (lower, upper.saturating_add(widen))
     }
 
     fn pairs_into(&self, out: &mut Vec<(I, u64)>) {
@@ -1240,9 +1270,6 @@ impl<I: EngineItem> Source<I, u64> for ShardedView<'_, I> {
 
     fn top_pairs_into(&self, k: usize, out: &mut Vec<(I, u64)>) {
         out.clear();
-        if let Some(prefix) = self.prefix {
-            return self.top_with_prefix(prefix, k, out);
-        }
         // A k-way merge of the shards' descending lists; the heap holds
         // one head per shard, ties going to the lower shard index.
         let mut lists: Vec<_> = self
@@ -1384,7 +1411,7 @@ mod tests {
     }
 
     #[test]
-    fn view_merges_the_shard_lists_and_adds_the_prefix() {
+    fn view_merges_the_shard_lists() {
         let s = stream(12_000, 61); // ≤ 61 distinct < m: every shard is exact
         let exact = |item: u64| s.iter().filter(|&&x| x == item).count() as u64;
         let distinct = (0..61).filter(|&x| exact(x) > 0).count();
@@ -1408,24 +1435,6 @@ mod tests {
         assert_eq!(report.top_k(5), all[..5]);
         let head: u64 = all[..5].iter().map(|r| r.estimate).sum();
         assert_eq!(report.residual(5), 12_000 - head);
-
-        // A prefix adds onto every item and brings its own items along.
-        let mut prefix = EngineConfig::new(AlgoKind::SpaceSaving)
-            .counters(8)
-            .build::<u64>()
-            .unwrap();
-        prefix.update_by(1_000, 50_000); // never in the stream
-        prefix.update_by(all[1].item, 7);
-        prefix.add_unobserved(3);
-        let view = view.with_prefix(&prefix);
-        let report = view.report();
-        assert_eq!(report.total(), 12_000 + 50_007 + 3);
-        let top = report.top_k(2);
-        assert_eq!(top[0].item, 1_000);
-        assert_eq!((top[0].lower, top[0].upper), (50_000, 50_003));
-        let f = exact(all[1].item) + 7;
-        assert_eq!(report.interval(&all[1].item), (f, f + 3));
-        assert_eq!(report.top_k(usize::MAX).len(), distinct + 1);
         p.finish().unwrap();
     }
 

@@ -262,11 +262,16 @@ proptest! {
         ));
         let prefix: Vec<u64> = if resumed {
             let prefix: Vec<u64> = skewed_stream(seed + 1).into_iter().take(4_000).collect();
-            let mut engine = config.build::<u64>().unwrap();
-            engine.update_batch(&prefix);
+            let _chaos = Chaos::arm(FaultPlan::new(seed));
+            let mut pipeline = PipelineConfig::new(config.clone())
+                .shards(shards)
+                .spawn::<u64>()
+                .unwrap();
+            pipeline.send_batch(&prefix).unwrap();
             std::fs::create_dir_all(&dir).unwrap();
             let path = dir.join("prefix.ckpt").to_str().unwrap().to_string();
-            let ckpt = Checkpoint { shards: vec![engine.snapshot()], unobserved: seed % 7 };
+            let ckpt = Checkpoint { shards: pipeline.snapshots().unwrap(), unobserved: seed % 7 };
+            pipeline.finish().unwrap();
             checkpoint::write(&path, &ckpt).unwrap();
             opts = opts.snapshot_in(Some(path));
             prefix
@@ -296,6 +301,175 @@ proptest! {
             }
         }
     }
+}
+
+/// Router batch size of the exact-resume oracle.
+const BATCH: usize = 64;
+
+/// The exact-resume oracle's script: feed `s1` and cross an epoch, feed
+/// `killed` under `kill` (a plan for the sites it reaches, none if
+/// `None`) and cross the epoch at the cut, then feed `s2`. `reference`
+/// runs it through one pipeline; `resumed` through a serve session that
+/// checkpoints at the cut and is dropped without `finish` (a kill -9),
+/// then a second session resumed from that checkpoint.
+struct Script<'a> {
+    config: EngineConfig,
+    shards: usize,
+    s1: &'a [u64],
+    killed: &'a [u64],
+    kill: Option<FaultPlan>,
+    s2: &'a [u64],
+    dir: std::path::PathBuf,
+}
+
+impl Script<'_> {
+    /// Arms `kill` (or an empty plan) over the caller's [`Chaos`] guard.
+    fn arm_kill(&self) {
+        hh::fault::install(self.kill.clone().unwrap_or_else(|| FaultPlan::new(0)));
+    }
+
+    /// The uninterrupted pipeline's shards at the end, and its lost mass.
+    fn reference(&self) -> (Vec<Engine<u64>>, u64) {
+        let mut pipeline = PipelineConfig::new(self.config.clone())
+            .shards(self.shards)
+            .batch_size(BATCH)
+            .queue_depth(2)
+            .spawn::<u64>()
+            .unwrap();
+        pipeline.send_batch(self.s1).unwrap();
+        pipeline.snapshots().unwrap();
+        self.arm_kill();
+        pipeline.send_batch(self.killed).unwrap();
+        pipeline.snapshots().unwrap();
+        hh::fault::install(FaultPlan::new(0));
+        pipeline.send_batch(self.s2).unwrap();
+        let lost = pipeline.lost_items();
+        (pipeline.finish_shards().unwrap(), lost)
+    }
+
+    /// The checkpoint written at the cut, and the resumed session's
+    /// drain checkpoint.
+    fn resumed(&self) -> (Checkpoint<u64>, Checkpoint<u64>) {
+        std::fs::create_dir_all(&self.dir).unwrap();
+        let path = |name: &str| Some(self.dir.join(name).to_str().unwrap().to_string());
+        let opts = ServeOptions::new(self.config.clone())
+            .shards(Some(self.shards))
+            .batch_size(BATCH)
+            .queue_depth(2);
+        let mut session: ServeSession<u64> =
+            ServeSession::spawn(&opts.clone().snapshot_out(path("cut.ckpt"))).unwrap();
+        for &x in self.s1 {
+            session.send(x).unwrap();
+        }
+        session.view().unwrap();
+        self.arm_kill();
+        for &x in self.killed {
+            session.send(x).unwrap();
+        }
+        session.checkpoint().unwrap();
+        hh::fault::install(FaultPlan::new(0));
+        drop(session);
+
+        let opts = opts
+            .snapshot_in(path("cut.ckpt"))
+            .snapshot_out(path("drain.ckpt"));
+        let mut session: ServeSession<u64> = ServeSession::spawn(&opts).unwrap();
+        for &x in self.s2 {
+            session.send(x).unwrap();
+        }
+        session.finish().unwrap();
+        let cut = checkpoint::load(&path("cut.ckpt").unwrap()).unwrap();
+        let drain = checkpoint::load(&path("drain.ckpt").unwrap()).unwrap();
+        std::fs::remove_dir_all(&self.dir).ok();
+        (cut, drain)
+    }
+
+    /// Runs both and checks every resumed shard against the reference
+    /// shard: `stream_len`, and the estimate and interval of every item
+    /// of [`UNIVERSE`]. Entries are compared through those queries, not as
+    /// snapshots: rehydration may reorder LossyCounting's tied entries.
+    /// Returns the mass the cut's checkpoint carried as unobserved.
+    fn check(&self) -> u64 {
+        // Disarmed before the assertions, so a failing one reports its
+        // message.
+        let ((want, lost), (cut, drain)) = {
+            let _chaos = Chaos::arm(FaultPlan::new(0));
+            (self.reference(), self.resumed())
+        };
+        let case = format!("{} × {} shards", self.config.algo(), self.shards);
+        assert_eq!(cut.unobserved, lost, "{case}: lost mass at the cut");
+        assert_eq!(drain.unobserved, lost, "{case}: lost mass at the drain");
+        assert_eq!(drain.shards.len(), self.shards, "{case}");
+        for (shard, (want, snap)) in want.iter().zip(drain.shards).enumerate() {
+            let got = Engine::from_snapshot(snap).unwrap();
+            assert_eq!(got.stream_len(), want.stream_len(), "{case}: shard {shard}");
+            let (got, want) = (got.report(), want.report());
+            for x in 0..UNIVERSE {
+                assert_eq!(
+                    got.entry(&x),
+                    want.entry(&x),
+                    "{case}: shard {shard}, item {x}"
+                );
+            }
+        }
+        cut.unobserved
+    }
+}
+
+/// Exact resume: a session killed after a checkpoint and resumed from it
+/// holds, shard by shard, exactly what one uninterrupted pipeline holds
+/// after the same items with an epoch at the same cut — for every
+/// unweighted backend at 1–8 shards.
+#[test]
+fn resumed_shards_answer_exactly_like_an_uninterrupted_pipeline() {
+    for (a, algo) in AlgoKind::ALL.into_iter().enumerate() {
+        for shards in 1..=8usize {
+            let seed = (a * 8 + shards) as u64;
+            let stream = skewed_stream(seed);
+            let (s1, s2) = stream.split_at(5_000 + (seed as usize * 97) % 3_000);
+            let script = Script {
+                config: EngineConfig::new(algo).counters(M).seed(seed),
+                shards,
+                s1,
+                killed: &[],
+                kill: None,
+                s2,
+                dir: std::env::temp_dir()
+                    .join(format!("hh-fault-exact-{}-{seed}", std::process::id())),
+            };
+            assert_eq!(script.check(), 0);
+        }
+    }
+}
+
+/// The exact-resume oracle with a shard killed before the checkpoint:
+/// its lost mass rides in the envelope as unobserved mass, and the
+/// resumed shards still equal the uninterrupted pipeline's, which lost
+/// the same shard the same way.
+#[test]
+fn resume_after_a_shard_kill_carries_the_lost_mass_exactly() {
+    const SHARDS: usize = 3;
+    const KILLED_BATCHES: u64 = 5;
+    let stream = skewed_stream(17);
+    let (s1, s2) = stream.split_at(6_000);
+    // Only shard 0 is shipped batches between the two epochs, a whole
+    // number of them, so the kill hits its last one whatever the thread
+    // timing, and the epoch at the cut finds the shard dead.
+    let killed: Vec<u64> = skewed_stream(18)
+        .into_iter()
+        .filter(|x| hash_shard(SHARDS, x) == 0)
+        .take(BATCH * KILLED_BATCHES as usize)
+        .collect();
+    let script = Script {
+        config: EngineConfig::new(AlgoKind::SpaceSaving).counters(M),
+        shards: SHARDS,
+        s1,
+        killed: &killed,
+        kill: Some(FaultPlan::new(17).panic_on(sites::SHARD_BATCH, KILLED_BATCHES)),
+        s2,
+        dir: std::env::temp_dir().join(format!("hh-fault-exact-kill-{}", std::process::id())),
+    };
+    assert_eq!(script.check(), killed.len() as u64);
 }
 
 /// A shard killed by the last batch it is ever shipped is noticed only by
@@ -397,7 +571,7 @@ fn serve_session_resumes_from_previous_generation_after_torn_checkpoint() {
     }
 
     let resume = ServeOptions::new(config)
-        .shards(Some(1))
+        .shards(Some(2))
         .snapshot_in(Some(path.clone()));
     let mut session: ServeSession<u64> = ServeSession::spawn(&resume).unwrap();
     assert!(
