@@ -99,6 +99,8 @@ fn main() -> ExitCode {
     };
 
     match result {
+        // `serve --listen` writes every record itself, the final one too.
+        Ok(output) if output.is_empty() => ExitCode::SUCCESS,
         Ok(output) => {
             println!("{output}");
             ExitCode::SUCCESS
@@ -245,7 +247,7 @@ fn save(path: &str, snapshot: Snapshot<Key>, unobserved: u64) -> Result<(), Erro
 /// item's owner-shard interval) while ingest continues. With
 /// `--snapshot-in`, shard j resumes from checkpoint snapshot j, so the
 /// shard counts must match (an unset `--shards` takes the checkpoint's).
-/// Returns the final merged report.
+/// Returns the final report, read from the same view at the drain.
 fn run_serve(
     opts: &Options,
     mut reader: impl BufRead,
@@ -266,9 +268,9 @@ fn run_serve(
         }
         if due.stats {
             // An epoch-boundary query first: queues drain (counters
-            // become exact) and the snapshot/merge histograms gain a
-            // fresh sample, so the record carries live latency
-            // quantiles even without --report-every.
+            // become exact) and the snapshot histogram gains a fresh
+            // sample, so the record carries live latency quantiles even
+            // without --report-every.
             session.view()?;
             let stats = session.stats();
             writeln!(out, "{}", stats_record(&stats, false, opts.json))?;
@@ -279,35 +281,35 @@ fn run_serve(
         }
     }
 
+    // One last epoch boundary answers the final report and stats.
+    let view = session.view()?;
+    let report = serve_report(view.report(), None, opts)?;
     if opts.stats_every.is_some() {
-        // Final stats record at one last epoch boundary, before teardown.
-        session.view()?;
         let stats = session.stats();
         writeln!(out, "{}", stats_record(&stats, true, opts.json))?;
         out.flush()?;
     }
-
     // finish() writes the per-shard --snapshot-out checkpoint.
-    let merged = session.finish()?;
-    serve_report(merged.report(), None, opts)
+    session.finish()?;
+    Ok(report)
 }
 
 /// `hh serve --listen`: the network server. Binds the configured
 /// listeners, installs SIGTERM/SIGINT drain handlers, and multiplexes
 /// client connections onto the shard pipeline until a drain is requested
-/// (signal or in-band `?shutdown`). Cadence reports/stats and query
-/// responses go to the clients; the final merged report goes to stdout,
+/// (signal or in-band `?shutdown`). Query responses go to the clients;
+/// every other record, the final one included, goes to `out` as NDJSON,
 /// and `--snapshot-out` captures the drained shards for a `--snapshot-in`
 /// resume, where shard j resumes from snapshot j and the shard counts
-/// must match.
+/// must match. Returns nothing to print.
 fn run_serve_net(opts: &Options, out: &mut impl std::io::Write) -> Result<String, Error> {
     let server: Server<Key> = Server::bind(opts.serve_options(), opts.net_options())?;
     if let Some(addr) = server.tcp_addr() {
         eprintln!("listening on {addr}");
     }
     hh::net::sys::install_drain_signal_handlers();
-    let merged = server.run(out)?;
-    serve_report(merged.report(), None, opts)
+    server.run(out)?;
+    Ok(String::new())
 }
 
 /// `hh client`: stream FILE/stdin to a `serve --listen` server, then send
@@ -403,9 +405,8 @@ fn stats_record(stats: &PipelineStats, fin: bool, json: bool) -> String {
     } else {
         let label = if fin { "final stats" } else { "stats" };
         let mut out = format!(
-            "-- {label} (epoch {}, {} items, imbalance {:.2}, \
-             snapshot p50 {} ns, merge p50 {} ns) --\n",
-            stats.epochs, stats.routed, stats.imbalance, stats.snapshot_ns.p50, stats.merge_ns.p50
+            "-- {label} (epoch {}, {} items, imbalance {:.2}, snapshot p50 {} ns) --\n",
+            stats.epochs, stats.routed, stats.imbalance, stats.snapshot_ns.p50
         );
         let _ = writeln!(
             out,
@@ -1072,7 +1073,8 @@ mod tests {
             assert!(s["routed"].as_u64().unwrap() <= 12);
             assert!(s["imbalance"].as_f64().unwrap() >= 1.0);
             assert!(s["snapshot_ns"]["count"].as_u64().unwrap() >= 1, "{s:?}");
-            assert!(s["merge_ns"]["count"].as_u64().unwrap() >= 1, "{s:?}");
+            // Views do not replay, and no ?snapshot asked for one.
+            assert_eq!(s["merge_ns"]["count"].as_u64(), Some(0), "{s:?}");
             let shards = s["shards"].as_array().unwrap();
             assert_eq!(shards.len(), 3);
             let ingested: u64 = shards.iter().map(|sh| sh["items"].as_u64().unwrap()).sum();

@@ -248,13 +248,14 @@ impl Due {
 /// shard by shard from a checkpoint if one is configured — and the
 /// report/stats/checkpoint cadence countdowns.
 ///
-/// Live answers ([`ServeSession::view`]) give each item its owner
-/// shard's interval, widened by the owner's own lost mass and by the
-/// resumed checkpoint's unobserved mass. [`ServeSession::merged`] and
-/// [`ServeSession::finish`] replay everything into one engine (Theorem
-/// 11) for snapshots and the final record. Checkpoints, the drain's
-/// included, hold one snapshot per shard: shard `j` resumes from
-/// snapshot `j`, and the counts must match.
+/// Every answer, the final report included, reads [`ServeSession::view`]:
+/// each item gets its owner shard's interval, widened by the owner's own
+/// lost mass and by the resumed checkpoint's unobserved mass. Only
+/// shipped summaries replay everything into one engine (Theorem 11):
+/// [`ServeSession::merged`] for `?snapshot`, and the engine
+/// [`ServeSession::finish`] returns. Checkpoints, the drain's included,
+/// hold one snapshot per shard: shard `j` resumes from snapshot `j`, and
+/// the counts must match.
 ///
 /// ```
 /// use hh_net::{ServeOptions, ServeSession};
@@ -427,7 +428,8 @@ impl<I: EngineItem> ServeSession<I> {
     /// Writes a last [checkpoint](ServeSession::checkpoint) to the
     /// configured `snapshot_out` path — one snapshot per shard, so a
     /// drained session resumes exactly too — then drains the pipeline
-    /// and returns the final merged engine.
+    /// and returns the final merged engine ([`Pipeline::finish`]), the
+    /// form to ship; read the final report off [`ServeSession::view`].
     pub fn finish(mut self) -> Result<Engine<I>, Error>
     where
         I: Serialize,

@@ -15,7 +15,7 @@
 //! ```text
 //! ?topk [k]       # live top-k report record
 //! ?stats          # pipeline + net telemetry record
-//! ?snapshot       # full merged snapshot record (hh merge compatible)
+//! ?snapshot       # merged engine snapshot record
 //! ?ping           # liveness record
 //! ?shutdown       # graceful drain: flush, final records, exit
 //! ```
@@ -53,8 +53,8 @@ pub enum Query {
     TopK(Option<usize>),
     /// `?stats` — pipeline + network telemetry.
     Stats,
-    /// `?snapshot` — full merged snapshot (rehydrate with
-    /// `Engine::from_json`).
+    /// `?snapshot` — the merged engine's snapshot and unobserved mass
+    /// (rehydrate with `Engine::from_json`, then `add_unobserved`).
     Snapshot,
     /// `?ping` — liveness check.
     Ping,
@@ -274,16 +274,18 @@ pub fn shutdown_record(routed: u64) -> String {
     format!("{{\"v\":{PROTOCOL_VERSION},\"shutdown\":true,\"routed\":{routed}}}")
 }
 
-/// Renders the `?snapshot` response: the merged engine's snapshot wrapped
-/// in a versioned record. The `"snapshot"` cell is one shard of the
-/// checkpoint envelope `--snapshot-out` writes.
+/// Renders the `?snapshot` response: the merged engine's snapshot, in
+/// the format of one shard of the checkpoint envelope `--snapshot-out`
+/// writes, and its unobserved mass, which the snapshot does not carry
+/// (see [`Engine::add_unobserved`]).
 pub fn snapshot_record<I>(engine: &Engine<I>) -> Result<String, Error>
 where
     I: ServeItem + Serialize,
 {
     Ok(format!(
-        "{{\"v\":{PROTOCOL_VERSION},\"snapshot\":{}}}",
-        engine.to_json()?
+        "{{\"v\":{PROTOCOL_VERSION},\"snapshot\":{},\"unobserved\":{}}}",
+        engine.to_json()?,
+        engine.unobserved()
     ))
 }
 

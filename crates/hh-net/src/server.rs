@@ -16,8 +16,8 @@
 //! Robustness: malformed lines get an error record and a registry
 //! counter (the connection lives on), oversized lines are skipped to the
 //! next newline, idle connections are reaped, and SIGTERM / SIGINT /
-//! `?shutdown` trigger a graceful drain — emit final records, write
-//! `--snapshot-out`, return the merged engine.
+//! `?shutdown` trigger a graceful drain — emit the final stats and
+//! report records, write `--snapshot-out`, return the merged engine.
 
 use std::io::{self, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -367,9 +367,11 @@ impl<I: ServeItem> Server<I> {
 
     /// Runs the event loop until a drain is requested (SIGTERM/SIGINT
     /// via [`sys::install_drain_signal_handlers`], [`sys::request_drain`],
-    /// or an in-band `?shutdown`), then drains: final records stream to
-    /// `out`, pending client responses flush, the final snapshot is
-    /// written, and the merged engine is returned.
+    /// or an in-band `?shutdown`), then drains: the final stats record
+    /// (with stats enabled) and the final report, read from the view
+    /// like every live one, stream to `out`, pending client responses
+    /// flush, the final snapshot is written, and the merged engine (the
+    /// form to ship) is returned.
     pub fn run(mut self, out: &mut impl io::Write) -> Result<Engine<I>, Error> {
         let mut events: Vec<Event> = Vec::new();
         let mut last_sweep = Instant::now();
@@ -935,17 +937,20 @@ impl<I: ServeItem> Server<I> {
         self.metrics.sample()
     }
 
-    /// Graceful drain: emit the final stats record, give clients a
-    /// bounded window to accept pending responses, write the final
-    /// snapshot, return the merged engine.
+    /// Graceful drain: emit the final stats and report records, give
+    /// clients a bounded window to accept pending responses, write the
+    /// final snapshot, return the merged engine.
     fn shutdown(mut self, out: &mut impl io::Write) -> Result<Engine<I>, Error> {
+        let k = self.session.k();
+        let view = self.session.view()?;
+        let report = proto::report_record(view.report(), None, k)?;
         if self.stats_final {
-            self.session.view()?;
             let sample = self.net_sample();
             let record = proto::stats_record(&self.session.stats(), Some(&sample), true);
             writeln!(out, "{record}")?;
-            out.flush()?;
         }
+        writeln!(out, "{report}")?;
+        out.flush()?;
 
         let deadline = Instant::now() + DRAIN_FLUSH;
         loop {

@@ -20,19 +20,20 @@
 //!   consecutive `batch_size`-item chunks, each aggregated that way; an
 //!   epoch query's flush cuts every shard's open chunk short.
 //!
-//! Two query surfaces follow. The live one, [`Pipeline::view`], is a
-//! [`ShardedView`]: an item's certified interval is its owner shard's
-//! interval (the other shards hold none of it), widened only by the mass
+//! Two query surfaces follow. Answers read the live one,
+//! [`Pipeline::view`], a [`ShardedView`]: an item's certified interval
+//! is its owner shard's interval (the other shards hold none of it),
+//! widened only by the mass
 //! the owner shard lost and by the unobserved mass a resumed checkpoint
 //! carried — so each shard keeps its own `(A, B)` k-tail bound. Resuming
 //! ([`PipelineConfig::resume`]) merges nothing either: shard `j` resumes
 //! from snapshot `j`; counts must match.
-//! [`Pipeline::merged`] and [`Pipeline::finish`] instead replay every
-//! shard's counters into one engine through [`Engine::merge_snapshot`]:
-//! the paper's Theorem 11 (Section 6.2) keeps a `(3A, A+B)` guarantee
-//! for that merge **regardless of how the stream was partitioned or
-//! ordered**, at the price of a wider certificate — the form to persist
-//! or ship when the partition is not known to the reader.
+//! Only summaries that leave the pipeline replay: [`Pipeline::merged`]
+//! and [`Pipeline::finish`] fold every shard into one engine through
+//! [`Engine::merge`]. The paper's Theorem 11 (Section 6.2) keeps a
+//! `(3A, A+B)` guarantee for that merge **regardless of how the stream
+//! was partitioned or ordered**, at the price of a wider certificate —
+//! the form to ship when the partition is not known to the reader.
 //!
 //! Backpressure is part of the contract: channels hold at most
 //! `queue_depth` batches per shard, so a producer that outruns the
@@ -460,8 +461,7 @@ struct PipelineMetrics {
     shards: Vec<ShardMetrics>,
     /// Wall time of each epoch-boundary snapshot collection.
     snapshot_ns: Histogram,
-    /// Wall time of each [`Pipeline::view`] assembly and each
-    /// snapshot-set merge ([`Pipeline::merged`]).
+    /// Wall time of each [`Pipeline::merged`] replay.
     merge_ns: Histogram,
     epochs: Counter,
     /// Occurrences charged to dead shards across all restarts.
@@ -515,7 +515,7 @@ impl PipelineMetrics {
         );
         let merge_ns = registry.histogram(
             "hh_pipeline_merge_ns",
-            "epoch view assembly or snapshot-set merge wall time",
+            "merged-engine replay wall time (Pipeline::merged)",
         );
         let epochs = registry.counter(
             "hh_pipeline_epochs_total",
@@ -577,8 +577,8 @@ pub struct PipelineStats {
     pub imbalance: f64,
     /// Distribution of epoch-boundary snapshot collection wall time.
     pub snapshot_ns: HistogramSnapshot,
-    /// Distribution of epoch view assembly ([`Pipeline::view`]) and
-    /// snapshot-set merge ([`Pipeline::merged`]) wall time.
+    /// Distribution of [`Pipeline::merged`] replay wall time (a view's
+    /// cost is its epoch crossing, in `snapshot_ns`).
     pub merge_ns: HistogramSnapshot,
     /// Shard-worker respawns across all shards (`Σ shards[i].restarts`).
     pub restarts: u64,
@@ -1101,15 +1101,12 @@ impl<I: EngineItem> Pipeline<I> {
     /// ```
     pub fn view(&mut self) -> Result<ShardedView<'_, I>, Error> {
         self.epoch_boundary()?;
-        let start = Instant::now();
-        let view = ShardedView {
+        Ok(ShardedView {
             shards: &self.restore,
             lost: &self.lost,
             unobserved: self.unobserved,
             epoch: self.epoch,
-        };
-        self.metrics.merge_ns.record_duration(start.elapsed());
-        Ok(view)
+        })
     }
 
     /// Collects one snapshot per shard at an epoch boundary (see
@@ -1121,40 +1118,27 @@ impl<I: EngineItem> Pipeline<I> {
         Ok(self.restore.iter().map(Engine::snapshot).collect())
     }
 
-    /// The merged engine at an epoch boundary: per-shard snapshots
-    /// combined through [`Engine::merge_snapshot`] — full counter replay
-    /// with the donors' bound bookkeeping folded in, so the returned
-    /// engine's certified intervals and `stream_len` are sound for the
-    /// combined stream. Carries the Theorem 11 `(3A, A+B)` k-tail
-    /// guarantee when shards carry `(A, B)`; the form to persist or ship.
-    /// Live answers read [`Pipeline::view`] instead, which is never wider.
-    ///
-    /// If shards were lost and respawned, the result is widened by the
-    /// total lost mass ([`Engine::add_unobserved`]): `stream_len` still
-    /// counts every routed item and certified intervals still contain the
-    /// true counts.
+    /// The merged engine at an epoch boundary: the shards' engines there,
+    /// replayed into one (see [`Pipeline::finish`] for the replay). The
+    /// form to ship; answers read [`Pipeline::view`], which is never
+    /// wider.
     pub fn merged(&mut self) -> Result<Engine<I>, Error> {
-        let snaps = self.snapshots()?;
+        self.epoch_boundary()?;
         let start = Instant::now();
-        let merged = merge_snapshots(snaps);
+        let merged = self.replay(&self.restore);
         self.metrics.merge_ns.record_duration(start.elapsed());
-        let mut merged = merged?;
-        merged.add_unobserved(self.lost_items());
-        Ok(merged)
+        merged
     }
 
-    /// Drains every buffer, stops the workers, and returns the final
-    /// merged engine (same merge as [`Pipeline::merged`], including the
-    /// lost-mass widening if shards were ever respawned).
+    /// Drains every buffer, stops the workers, and replays the drained
+    /// engines into one: shard 0's copy absorbs the others through
+    /// [`Engine::merge`] (full counter replay with the donors' bound
+    /// bookkeeping), then is widened by [`Pipeline::lost_items`]. The
+    /// result is sound for the combined stream and carries the Theorem 11
+    /// `(3A, A+B)` k-tail guarantee when shards carry `(A, B)`.
     pub fn finish(mut self) -> Result<Engine<I>, Error> {
-        let mut engines = self.drain_shards()?.into_iter();
-        // lint:allow(panic-freedom) unreachable: PipelineConfig::spawn rejects shards == 0, and drain_shards returns exactly one engine per shard
-        let mut merged = engines.next().expect("spawn enforces at least one shard");
-        for engine in engines {
-            merged.merge(&engine)?;
-        }
-        merged.add_unobserved(self.lost_items());
-        Ok(merged)
+        let engines = self.drain_shards()?;
+        self.replay(&engines)
     }
 
     /// Drains every buffer, stops the workers, and returns the per-shard
@@ -1185,19 +1169,20 @@ impl<I: EngineItem> Pipeline<I> {
         }
         Ok(engines)
     }
-}
 
-/// Folds a snapshot set into one engine via the snapshot-merge path.
-fn merge_snapshots<I: EngineItem>(snaps: Vec<Snapshot<I>>) -> Result<Engine<I>, Error> {
-    let mut snaps = snaps.into_iter();
-    let first = snaps
-        .next()
-        .ok_or_else(|| Error::pipeline("no shard snapshots to merge"))?;
-    let mut merged = Engine::from_snapshot(first)?;
-    for snap in snaps {
-        merged.merge_snapshot(&snap)?;
+    /// The one Theorem 11 replay, behind [`Pipeline::merged`] and
+    /// [`Pipeline::finish`].
+    fn replay(&self, engines: &[Engine<I>]) -> Result<Engine<I>, Error> {
+        let Some((first, rest)) = engines.split_first() else {
+            return Err(Error::pipeline("no shard engines to merge"));
+        };
+        let mut merged = first.clone();
+        for engine in rest {
+            merged.merge(engine)?;
+        }
+        merged.add_unobserved(self.lost_items());
+        Ok(merged)
     }
-    Ok(merged)
 }
 
 // ---------------------------------------------------------------------------

@@ -37,8 +37,8 @@ fn print_shard_panel(stats: &PipelineStats, epoch_items: u64, epoch_secs: f64) {
         0.0
     };
     println!(
-        "    ops: {:>7.0} items/s | imbalance {:.2} | view p50 {} ns | epochs {}",
-        rate, stats.imbalance, stats.merge_ns.p50, stats.epochs
+        "    ops: {:>7.0} items/s | imbalance {:.2} | epoch p50 {} ns | epochs {}",
+        rate, stats.imbalance, stats.snapshot_ns.p50, stats.epochs
     );
     println!(
         "    {:>6} {:>9} {:>9} {:>6} {:>16}",

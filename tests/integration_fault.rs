@@ -24,7 +24,7 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use hh::fault::{sites, FaultPlan, RetryPolicy};
-use hh::net::{checkpoint, Checkpoint, ServeOptions, ServeSession};
+use hh::net::{checkpoint, sys, Checkpoint, NetOptions, ServeOptions, ServeSession, Server};
 use hh::pipeline::{hash_shard, PipelineConfig};
 use hh::prelude::*;
 use hh::streamgen::zipf::{stream_from_counts, StreamOrder};
@@ -538,6 +538,128 @@ fn shard_killed_by_its_last_batch_is_recovered_at_the_drain() {
             );
         }
     }
+}
+
+/// Serves `stream` through a network [`Server`] over one connection,
+/// ended by `?shutdown`, and returns the records the server wrote to its
+/// own output.
+fn served_records(opts: ServeOptions, stream: &[u64]) -> Vec<serde_json::Value> {
+    use std::io::{Read, Write};
+    use std::net::{Shutdown, TcpStream};
+
+    sys::reset_drain();
+    let server: Server<u64> = Server::bind(opts, NetOptions::new().tcp("127.0.0.1:0")).unwrap();
+    let addr = server.tcp_addr().expect("tcp listener");
+    let running = std::thread::spawn(move || {
+        let mut out = Vec::new();
+        server.run(&mut out).expect("server run");
+        String::from_utf8(out).expect("UTF-8 records")
+    });
+    let mut body: String = stream.iter().map(|x| format!("{x}\n")).collect();
+    body.push_str("?shutdown\n");
+    let mut conn = TcpStream::connect(addr).expect("connect");
+    conn.write_all(body.as_bytes()).expect("write");
+    conn.shutdown(Shutdown::Write).expect("half-close");
+    conn.read_to_end(&mut Vec::new()).expect("read until close");
+    let out = running.join().expect("server thread");
+    out.lines()
+        .map(|l| serde_json::from_str(l).expect("NDJSON record"))
+        .collect()
+}
+
+/// The drain's `"final"` report reads the same view as the live reports:
+/// served fresh, after a seeded shard kill, and resumed from a checkpoint
+/// with unobserved mass, with a report cadence that divides the stream
+/// length, the final record (written after the final stats record)
+/// equals the last `"epoch"` record in `stream_len` and `top`, and
+/// brackets the exact counts.
+#[test]
+fn server_final_record_equals_the_last_epoch_record() {
+    const EVERY: u64 = 3_000;
+    let stream: Vec<u64> = skewed_stream(29).into_iter().take(12_000).collect();
+    let prefix: Vec<u64> = skewed_stream(30).into_iter().take(2_000).collect();
+    let config = EngineConfig::new(AlgoKind::SpaceSaving).counters(M);
+    let dir = std::env::temp_dir().join(format!("hh-fault-final-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("prefix.ckpt").to_str().unwrap().to_string();
+    let opts = ServeOptions::new(config.clone())
+        .shards(Some(3))
+        .batch_size(64)
+        .queue_depth(2)
+        .report_every(EVERY)
+        .stats_every(Some(0))
+        .top_k(K);
+    let runs = [
+        ("fresh", None, opts.clone(), 0),
+        ("killed", Some(40), opts.clone(), 0),
+        ("resumed", None, opts.snapshot_in(Some(path.clone())), 3),
+    ];
+    for (case, kill, opts, unobserved) in runs {
+        let mut truth = ExactCounter::from_stream(&stream);
+        if unobserved > 0 {
+            let _chaos = Chaos::arm(FaultPlan::new(0));
+            let mut pipeline = PipelineConfig::new(config.clone())
+                .shards(3)
+                .spawn::<u64>()
+                .unwrap();
+            pipeline.send_batch(&prefix).unwrap();
+            let ckpt = Checkpoint {
+                shards: pipeline.snapshots().unwrap(),
+                unobserved,
+            };
+            pipeline.finish().unwrap();
+            checkpoint::write(&path, &ckpt).unwrap();
+            truth = ExactCounter::from_stream(&[&prefix[..], &stream[..]].concat());
+        }
+        let records = {
+            let plan = FaultPlan::new(29);
+            let _chaos = Chaos::arm(match kill {
+                Some(batch) => plan.panic_on(sites::SHARD_BATCH, batch),
+                None => plan,
+            });
+            served_records(opts, &stream)
+        };
+        let epochs: Vec<_> = records
+            .iter()
+            .filter(|r| r["epoch"].as_u64().is_some() && r["stats"] != true)
+            .collect();
+        assert_eq!(
+            epochs.len(),
+            (stream.len() as u64 / EVERY) as usize,
+            "{case}"
+        );
+        let [.., stats, last] = &records[..] else {
+            panic!("{case}: no final records in {records:?}");
+        };
+        assert_eq!(stats["stats"], true, "{case}: {stats:?}");
+        assert_eq!(stats["final"], true, "{case}: {stats:?}");
+        assert_eq!(
+            stats["restarts"].as_u64(),
+            Some(kill.map_or(0, |_| 1)),
+            "{case}"
+        );
+        assert_eq!(last["final"], true, "{case}: {last:?}");
+        let last_epoch = epochs.last().expect("epoch records");
+        assert_eq!(last["stream_len"], last_epoch["stream_len"], "{case}");
+        assert_eq!(last["top"], last_epoch["top"], "{case}");
+        let total = truth.total() + unobserved;
+        assert_eq!(last["stream_len"].as_u64(), Some(total), "{case}");
+        let rows = last["top"].as_array().expect("top rows");
+        assert_eq!(rows.len(), K, "{case}");
+        for row in rows {
+            let item = row["item"].as_u64().expect("u64 item");
+            let (lower, upper) = (
+                row["lower"].as_u64().unwrap(),
+                row["upper"].as_u64().unwrap(),
+            );
+            let t = truth.count(&item);
+            assert!(
+                lower <= t && t <= upper,
+                "{case}: item {item} [{lower}, {upper}] misses {t}"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The full durable-checkpoint cycle under injected torn writes: a serve

@@ -263,3 +263,72 @@ fn pipeline_serves_every_algo_kind() {
         assert!(!merged.report().top_k(5).is_empty(), "{algo}");
     }
 }
+
+/// The merged engine as it was built before `merged()` and `finish()`
+/// shared one fold, kept as the reference: every shard's snapshot
+/// rehydrated and folded through `Engine::merge_snapshot`, then widened
+/// by the lost and unobserved mass.
+fn snapshot_fold(snapshots: Vec<Snapshot<u64>>, lost: u64) -> Engine<u64> {
+    let mut snapshots = snapshots.into_iter();
+    let first = snapshots.next().expect("at least one shard");
+    let mut merged = Engine::from_snapshot(first).expect("valid snapshot");
+    for snap in snapshots {
+        merged.merge_snapshot(&snap).expect("same config");
+    }
+    merged.add_unobserved(lost);
+    merged
+}
+
+/// Asserts two engines hold the same summary: totals, the stored
+/// entries, and every item's estimate and interval. Entries compare as
+/// a set: rehydrating a snapshot may reorder LossyCounting's ties.
+fn assert_same_summary(got: &Engine<u64>, want: &Engine<u64>, case: &str) {
+    let stored = |engine: &Engine<u64>| {
+        let mut entries = engine.entries();
+        entries.sort_unstable();
+        entries
+    };
+    assert_eq!(got.stream_len(), want.stream_len(), "{case}");
+    assert_eq!(got.unobserved(), want.unobserved(), "{case}");
+    assert_eq!(stored(got), stored(want), "{case}");
+    let (got, want) = (got.report(), want.report());
+    for x in 0..240u64 {
+        assert_eq!(got.entry(&x), want.entry(&x), "{case}: item {x}");
+    }
+}
+
+/// `merged()` and `finish()` replay the shards into exactly the engine
+/// the snapshot fold builds, for every unweighted backend at 1–8
+/// shards; every other case resumes with unobserved mass, which both
+/// must carry.
+#[test]
+fn merged_and_finish_equal_the_snapshot_fold() {
+    for (a, algo) in AlgoKind::ALL.into_iter().enumerate() {
+        for shards in 1..=8usize {
+            let seed = (a * 8 + shards) as u64;
+            let config = PipelineConfig::new(EngineConfig::new(algo).counters(M).seed(seed))
+                .shards(shards)
+                .batch_size(256);
+            let stream = skewed_stream(seed);
+            let (head, tail) = stream.split_at(stream.len() / 3);
+            let mut p = if seed % 2 == 1 {
+                let mut first = config.spawn::<u64>().expect("valid config");
+                first.send_batch(head).expect("shards alive");
+                let snapshots = first.snapshots().expect("epoch");
+                first.finish().expect("clean shutdown");
+                config.resume(snapshots, seed % 7 + 1).expect("same config")
+            } else {
+                let mut p = config.spawn::<u64>().expect("valid config");
+                p.send_batch(head).expect("shards alive");
+                p
+            };
+            p.send_batch(tail).expect("shards alive");
+            let want = snapshot_fold(p.snapshots().expect("epoch"), p.lost_items());
+            let case = format!("{algo} × {shards} shards");
+            let merged = p.merged().expect("epoch");
+            assert_same_summary(&merged, &want, &format!("{case}: merged()"));
+            let finished = p.finish().expect("clean shutdown");
+            assert_same_summary(&finished, &want, &format!("{case}: finish()"));
+        }
+    }
+}
