@@ -33,8 +33,7 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::str::FromStr;
 
-use serde::json::Value;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Reader, Serialize};
 
 /// Longest text stored inline: a one-byte length plus this many bytes
 /// beside the enum tag keep a `Key` as small as a `String`.
@@ -148,16 +147,16 @@ impl fmt::Debug for Key {
 }
 
 impl Serialize for Key {
-    fn to_value(&self) -> Value {
-        Value::String(self.as_str().to_owned())
+    fn serialize(&self, out: &mut String) {
+        self.as_str().serialize(out);
     }
 }
 
 impl Deserialize for Key {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        v.as_str()
-            .map(Key::from)
-            .ok_or_else(|| serde::Error::custom(format!("expected string, got {v:?}")))
+    /// Reads the string in place when it holds no escape, so a short key
+    /// costs no allocation.
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, serde::Error> {
+        Ok(Key::from(&*r.string()?))
     }
 }
 
@@ -187,8 +186,8 @@ mod tests {
 
     #[test]
     fn deserialize_rejects_non_strings() {
-        assert!(Key::from_value(&Value::U64(7)).is_err());
-        let k = Key::from_value(&Value::String("w".into())).unwrap();
+        assert!(Key::deserialize(&mut Reader::new("7")).is_err());
+        let k = Key::deserialize(&mut Reader::new("\"w\"")).unwrap();
         assert_eq!(k, Key::from("w"));
     }
 }

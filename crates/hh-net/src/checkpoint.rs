@@ -61,18 +61,30 @@ pub struct Checkpoint<I: EngineItem> {
     pub unobserved: u64,
 }
 
-/// CRC-32 (IEEE 802.3, reflected, `0xEDB88320`), bitwise — checkpoint
-/// payloads are small enough that a table buys nothing.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
+/// The reflected CRC-32 of every byte value, built at compile time.
+const CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
             let mask = (crc & 1).wrapping_neg();
             crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            bit += 1;
         }
+        table[i] = crc;
+        i += 1;
     }
-    !crc
+    table
+};
+
+/// CRC-32 (IEEE 802.3, reflected, `0xEDB88320`), one table lookup per
+/// byte.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    !bytes.iter().fold(!0u32, |crc, &b| {
+        CRC_TABLE[usize::from(crc.to_le_bytes()[0] ^ b)] ^ (crc >> 8)
+    })
 }
 
 /// Renders a checkpoint into its envelope text.
@@ -307,7 +319,7 @@ pub fn merge_to_snapshot<I: EngineItem>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hh_sketches::engine::{AlgoKind, EngineConfig};
+    use hh_sketches::engine::{AlgoKind, EngineConfig, SpaceSavingState};
 
     fn snap_of(items: &[u64]) -> Snapshot<u64> {
         let mut e = EngineConfig::new(AlgoKind::SpaceSaving)
@@ -333,6 +345,36 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    /// The bit-at-a-time definition the table is built from.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn table_crc32_equals_the_bitwise_definition() {
+        // xorshift64: every length 0..=4096 over a fresh random buffer.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut buf = Vec::new();
+        for len in 0..=4096 {
+            buf.clear();
+            buf.extend((0..len).map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state.to_le_bytes()[0]
+            }));
+            assert_eq!(crc32(&buf), crc32_bitwise(&buf), "length {len}");
+        }
+    }
+
     #[test]
     fn encode_decode_round_trips() {
         let ckpt = Checkpoint {
@@ -343,6 +385,29 @@ mod tests {
         assert!(text.starts_with(MAGIC));
         let back: Checkpoint<u64> = decode(&text).unwrap();
         assert_eq!(back, ckpt);
+    }
+
+    #[test]
+    fn a_large_envelope_decodes_in_one_pass() {
+        // 2 × 50,000 entries (about 2.6 MB): a decoder that rescans the
+        // rest of the payload per character takes minutes here.
+        let shard = |s: usize| {
+            Snapshot::SpaceSaving(SpaceSavingState {
+                capacity: 50_000,
+                stream_len: 5_000_000,
+                absorbed_slack: 0,
+                entries: (0..50_000u64)
+                    .map(|i| (format!("shard {s} item \"{i}\" é"), 100_000 - i, i % 7))
+                    .collect(),
+            })
+        };
+        let ckpt = Checkpoint {
+            shards: vec![shard(0), shard(1)],
+            unobserved: 3,
+        };
+        let text = encode(&ckpt).unwrap();
+        assert!(text.len() > 2 << 20, "{}", text.len());
+        assert_eq!(decode::<String>(&text).unwrap(), ckpt);
     }
 
     #[test]

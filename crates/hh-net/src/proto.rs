@@ -135,17 +135,21 @@ pub fn top_json<'a, I>(report: impl Into<Report<'a, I>>, k: usize) -> Result<Str
 where
     I: ServeItem,
 {
-    let mut cells = Vec::new();
-    for row in report.into().top_k(k) {
-        cells.push(format!(
-            "{{\"item\":{},\"count\":{},\"lower\":{},\"upper\":{}}}",
-            serde_json::to_string(&row.item)?,
-            row.estimate,
-            row.lower,
-            row.upper
-        ));
+    let mut out = String::from("[");
+    for (i, row) in report.into().top_k(k).iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"item\":");
+        row.item.serialize(&mut out);
+        let _ = write!(
+            out,
+            ",\"count\":{},\"lower\":{},\"upper\":{}}}",
+            row.estimate, row.lower, row.upper
+        );
     }
-    Ok(format!("[{}]", cells.join(",")))
+    out.push(']');
+    Ok(out)
 }
 
 /// Renders one top-k report record: `{"v":1,"epoch":E,...}` for live
@@ -259,8 +263,10 @@ pub fn stats_record(stats: &PipelineStats, net: Option<&NetSample>, fin: bool) -
 /// Renders one error record (`line` is the connection's 1-based line
 /// number that was rejected).
 pub fn error_record(reason: &str, line: u64) -> String {
-    let reason = serde_json::to_string(reason).unwrap_or_else(|_| "\"malformed\"".into());
-    format!("{{\"v\":{PROTOCOL_VERSION},\"error\":{reason},\"line\":{line}}}")
+    let mut out = format!("{{\"v\":{PROTOCOL_VERSION},\"error\":");
+    reason.serialize(&mut out);
+    let _ = write!(out, ",\"line\":{line}}}");
+    out
 }
 
 /// Renders the `?ping` response.

@@ -40,8 +40,7 @@ use hh_counters::recovery;
 use hh_counters::topk::zipf_counters_for_topk;
 use hh_counters::traits::{Bias, FrequencyEstimator, TailConstants, WeightedFrequencyEstimator};
 use hh_counters::{Frequent, FrequentR, LossyCounting, SpaceSaving, SpaceSavingR, StickySampling};
-use serde::json::Value;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Reader, Serialize};
 
 use crate::count_min::{CountMin, UpdateRule};
 use crate::count_sketch::CountSketch;
@@ -795,46 +794,69 @@ impl<I> Snapshot<I> {
 // externally-tagged encoding ({"algo": tag, "state": {...}}) is written by
 // hand on top of the derived per-variant state impls.
 impl<I: Serialize> Serialize for Snapshot<I> {
-    fn to_value(&self) -> Value {
-        let state = match self {
-            Snapshot::SpaceSaving(s) => s.to_value(),
-            Snapshot::Frequent(s) => s.to_value(),
-            Snapshot::LossyCounting(s) => s.to_value(),
-            Snapshot::StickySampling(s) => s.to_value(),
-            Snapshot::CountMin(s) => s.to_value(),
-            Snapshot::CountSketch(s) => s.to_value(),
-            Snapshot::SpaceSavingR(s) => s.to_value(),
-            Snapshot::FrequentR(s) => s.to_value(),
-        };
-        Value::Object(vec![
-            ("algo".to_string(), Value::String(self.tag().to_string())),
-            ("state".to_string(), state),
-        ])
+    fn serialize(&self, out: &mut String) {
+        out.push_str("{\"algo\":");
+        self.tag().serialize(out);
+        out.push_str(",\"state\":");
+        match self {
+            Snapshot::SpaceSaving(s) => s.serialize(out),
+            Snapshot::Frequent(s) => s.serialize(out),
+            Snapshot::LossyCounting(s) => s.serialize(out),
+            Snapshot::StickySampling(s) => s.serialize(out),
+            Snapshot::CountMin(s) => s.serialize(out),
+            Snapshot::CountSketch(s) => s.serialize(out),
+            Snapshot::SpaceSavingR(s) => s.serialize(out),
+            Snapshot::FrequentR(s) => s.serialize(out),
+        }
+        out.push('}');
+    }
+}
+
+impl<I: Deserialize> Snapshot<I> {
+    /// Reads the `state` member of the snapshot tagged `tag`.
+    fn read_state(r: &mut Reader<'_>, tag: &str) -> Result<Self, serde::Error> {
+        match tag {
+            "space_saving" => Ok(Snapshot::SpaceSaving(Deserialize::deserialize(r)?)),
+            "frequent" => Ok(Snapshot::Frequent(Deserialize::deserialize(r)?)),
+            "lossy_counting" => Ok(Snapshot::LossyCounting(Deserialize::deserialize(r)?)),
+            "sticky_sampling" => Ok(Snapshot::StickySampling(Deserialize::deserialize(r)?)),
+            "count_min" => Ok(Snapshot::CountMin(Deserialize::deserialize(r)?)),
+            "count_sketch" => Ok(Snapshot::CountSketch(Deserialize::deserialize(r)?)),
+            "space_saving_r" => Ok(Snapshot::SpaceSavingR(Deserialize::deserialize(r)?)),
+            "frequent_r" => Ok(Snapshot::FrequentR(Deserialize::deserialize(r)?)),
+            other => Err(serde::Error::custom(format!(
+                "unknown snapshot algo tag {other:?}"
+            ))),
+        }
     }
 }
 
 impl<I: Deserialize> Deserialize for Snapshot<I> {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let entries = v
-            .as_object()
-            .ok_or_else(|| serde::Error::custom(format!("expected snapshot object, got {v:?}")))?;
-        let tag_value = serde::get_field(entries, "algo")?;
-        let tag = tag_value
-            .as_str()
-            .ok_or_else(|| serde::Error::custom("snapshot `algo` tag must be a string"))?;
-        let state = serde::get_field(entries, "state")?;
-        match tag {
-            "space_saving" => Ok(Snapshot::SpaceSaving(Deserialize::from_value(state)?)),
-            "frequent" => Ok(Snapshot::Frequent(Deserialize::from_value(state)?)),
-            "lossy_counting" => Ok(Snapshot::LossyCounting(Deserialize::from_value(state)?)),
-            "sticky_sampling" => Ok(Snapshot::StickySampling(Deserialize::from_value(state)?)),
-            "count_min" => Ok(Snapshot::CountMin(Deserialize::from_value(state)?)),
-            "count_sketch" => Ok(Snapshot::CountSketch(Deserialize::from_value(state)?)),
-            "space_saving_r" => Ok(Snapshot::SpaceSavingR(Deserialize::from_value(state)?)),
-            "frequent_r" => Ok(Snapshot::FrequentR(Deserialize::from_value(state)?)),
-            other => Err(serde::Error::custom(format!(
-                "unknown snapshot algo tag {other:?}"
-            ))),
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, serde::Error> {
+        let mut tag = None;
+        let mut snapshot = None;
+        // The text of a `state` that came before its tag, read once the
+        // tag is known.
+        let mut early_state = None;
+        r.begin_object()?;
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "algo" if tag.is_none() => tag = Some(r.string()?),
+                "state" if snapshot.is_none() && early_state.is_none() => match &tag {
+                    Some(tag) => snapshot = Some(Self::read_state(r, tag)?),
+                    None => early_state = Some(r.skip_value()?),
+                },
+                "algo" | "state" => return Err(serde::Error::duplicate_field(&key)),
+                _ => {
+                    r.skip_value()?;
+                }
+            }
+        }
+        let tag = tag.ok_or_else(|| serde::Error::missing_field("algo"))?;
+        match (snapshot, early_state) {
+            (Some(snapshot), _) => Ok(snapshot),
+            (None, Some(text)) => Self::read_state(&mut r.nested(text), &tag),
+            (None, None) => Err(serde::Error::missing_field("state")),
         }
     }
 }

@@ -10,7 +10,7 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -21,6 +21,13 @@ use hh::pipeline::PipelineConfig;
 /// The drain flag is process-global (it models SIGTERM), so server
 /// lifecycles in this binary must not overlap.
 static SERVER_LOCK: Mutex<()> = Mutex::new(());
+
+/// Takes [`SERVER_LOCK`]. A test that fails while holding it poisons it;
+/// every test resets the drain flag after taking the lock, so the poison
+/// is ignored and one failure does not fail the tests after it.
+fn server_lock() -> MutexGuard<'static, ()> {
+    SERVER_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn config() -> EngineConfig {
     // Plenty of headroom for the handful of distinct items below: every
@@ -81,7 +88,7 @@ fn writer_items() -> Vec<String> {
 
 #[test]
 fn loopback_ingest_matches_single_engine_and_resumes() {
-    let _guard = SERVER_LOCK.lock().unwrap();
+    let _guard = server_lock();
     sys::reset_drain();
 
     let dir = std::env::temp_dir().join(format!("hh-net-e2e-{}", std::process::id()));
@@ -202,7 +209,7 @@ fn loopback_ingest_matches_single_engine_and_resumes() {
 /// `"unobserved"`, counts the whole stream and brackets every true count.
 #[test]
 fn snapshot_record_carries_the_unobserved_mass() {
-    let _guard = SERVER_LOCK.lock().unwrap();
+    let _guard = server_lock();
     sys::reset_drain();
 
     const LOST: u64 = 5;
@@ -268,7 +275,7 @@ fn snapshot_record_carries_the_unobserved_mass() {
 /// checkpoint covers 6.
 #[test]
 fn cadence_records_fire_at_the_boundary_item_over_tcp() {
-    let _guard = SERVER_LOCK.lock().unwrap();
+    let _guard = server_lock();
     sys::reset_drain();
 
     let dir = std::env::temp_dir().join(format!("hh-net-cadence-{}", std::process::id()));
@@ -318,7 +325,7 @@ fn cadence_records_fire_at_the_boundary_item_over_tcp() {
 
 #[test]
 fn malformed_lines_are_rejected_without_killing_the_connection() {
-    let _guard = SERVER_LOCK.lock().unwrap();
+    let _guard = server_lock();
     sys::reset_drain();
 
     let serve = ServeOptions::new(config()).shards(Some(1));
@@ -365,7 +372,7 @@ fn malformed_lines_are_rejected_without_killing_the_connection() {
 /// the connection keeps being served.
 #[test]
 fn topk_with_the_largest_k_returns_every_stored_row() {
-    let _guard = SERVER_LOCK.lock().unwrap();
+    let _guard = server_lock();
     sys::reset_drain();
 
     let serve = ServeOptions::new(config()).shards(Some(2));
@@ -417,7 +424,7 @@ fn send_unterminated(addr: SocketAddr, bytes: &[u8]) -> Vec<serde_json::Value> {
 
 #[test]
 fn unterminated_final_line_is_processed_at_eof() {
-    let _guard = SERVER_LOCK.lock().unwrap();
+    let _guard = server_lock();
     sys::reset_drain();
 
     let serve = ServeOptions::new(config()).shards(Some(1));
@@ -452,7 +459,7 @@ fn unterminated_final_line_is_processed_at_eof() {
 
 #[test]
 fn unix_socket_listener_speaks_the_same_protocol() {
-    let _guard = SERVER_LOCK.lock().unwrap();
+    let _guard = server_lock();
     sys::reset_drain();
 
     let path = std::env::temp_dir().join(format!("hh-net-uds-{}.sock", std::process::id()));
@@ -486,7 +493,7 @@ fn unix_socket_listener_speaks_the_same_protocol() {
 
 #[test]
 fn idle_connections_are_reaped() {
-    let _guard = SERVER_LOCK.lock().unwrap();
+    let _guard = server_lock();
     sys::reset_drain();
 
     let serve = ServeOptions::new(config()).shards(Some(1));
