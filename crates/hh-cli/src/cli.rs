@@ -30,7 +30,12 @@ commands:
               `serve --stats-every` (records carry \"v\":1; unknown
               versions are rejected; reads FILE or stdin)
 
-options:
+Common options apply to every command. Serve, serve --listen and client
+options belong to the command in their heading: given to another command,
+such a flag is a usage error (exit 2), and so is a serve --listen option
+without --listen or --listen-unix, or a serve setting out of its range.
+
+common options:
   -m <N>             counters to use (default 256)
   --eps <F>          size the summary from the paper's Theorem 6/7 rule
                      m = Bk + Ak/eps instead of -m (uses -k)
@@ -50,8 +55,8 @@ options:
                      checkpoint's count is used)
   --zipf <SPEC>      for `gen`: n,total,alpha[,seed] (e.g. 1000,50000,1.2)
 
-serve options (each maps 1:1 onto hh::net::ServeOptions; stdin/trace mode
-and --listen mode share the struct, so the two cannot drift; items are
+serve options (serve only; parsed straight into hh::net::ServeOptions, which
+stdin/trace mode and --listen mode share, so the two cannot drift; items are
 hash-partitioned across shards, and each record fires at its boundary item):
   --shards <N>       worker shards (default: available cores, or the
                      --snapshot-in checkpoint's shard count)
@@ -71,14 +76,15 @@ hash-partitioned across shards, and each record fires at its boundary item):
                      falling back to the previous generation on a torn file
                      (see docs/RELIABILITY.md)
 
-serve --listen options (hh::net::NetOptions; records are always NDJSON):
+serve --listen options (serve only, with --listen or --listen-unix; parsed
+straight into hh::net::NetOptions; records are always NDJSON):
   --listen <H:P>     TCP listen address (port 0 = ephemeral)
   --listen-unix <F>  Unix-domain socket path
   --addr-file <F>    write the bound TCP address to F (for scripts)
   --idle-timeout <N> close connections idle for N ms (default 30000; 0 off)
   --max-conns <N>    concurrent connection cap (default 1024)
 
-client options:
+client options (client only):
   --connect <H:P>    server address (required)
   --query <Q>        in-band query after ingest, e.g. 'topk 5', 'stats',
                      'snapshot', 'ping' (repeatable)
@@ -158,30 +164,12 @@ pub struct Options {
     pub snapshot_in: Option<String>,
     /// Zipf spec for `gen`.
     pub zipf: Option<ZipfSpec>,
-    /// Worker shards for `serve` (`None`: one per available core, or the
-    /// `--snapshot-in` checkpoint's shard count).
-    pub shards: Option<usize>,
-    /// Report interval (items) for `serve`; 0 means only the final report.
-    pub report_every: u64,
-    /// Stats interval (items) for `serve`; 0 means only the final stats
-    /// record (and none at all unless `--stats-every` was given).
-    pub stats_every: Option<u64>,
-    /// Durable checkpoint interval (items) for `serve`; 0 disables.
-    pub checkpoint_every: u64,
-    /// Router flush threshold in items for `serve`.
-    pub batch_size: usize,
-    /// Bounded channel capacity (batches) for `serve`.
-    pub queue_depth: usize,
-    /// TCP listen address for `serve --listen`.
-    pub listen: Option<String>,
-    /// Unix-domain socket path for `serve --listen-unix`.
-    pub listen_unix: Option<String>,
-    /// File to write the bound TCP address to.
-    pub addr_file: Option<String>,
-    /// Idle connection timeout in milliseconds (0 disables).
-    pub idle_timeout_ms: u64,
-    /// Concurrent connection cap for `serve --listen`.
-    pub max_conns: usize,
+    /// `serve`'s settings: each serve flag as it is parsed, then the
+    /// engine config, `-k` and the snapshot paths once parsing ends.
+    pub serve: ServeOptions,
+    /// The listener of `serve --listen`/`--listen-unix` (`None`: `serve`
+    /// reads FILE/stdin).
+    pub net: Option<NetOptions>,
     /// Server address for `client --connect`.
     pub connect: Option<String>,
     /// In-band queries for `client` (e.g. `topk 5`, `stats`).
@@ -206,53 +194,16 @@ impl Options {
         match (self.eps, self.m) {
             (Some(eps), _) => config.capacity(CapacitySpec::ResidualEstimate { k: self.k, eps }),
             (None, Some(m)) => config.counters(m),
-            (None, None) => config.counters(256),
+            (None, None) => config,
         }
-    }
-
-    /// The [`ServeOptions`] these flags describe. Every serve knob maps
-    /// 1:1 onto the struct, so the stdin path and `--listen` path share
-    /// one configuration surface and cannot drift.
-    pub fn serve_options(&self) -> ServeOptions {
-        ServeOptions::new(self.engine_config())
-            .shards(self.shards)
-            .batch_size(self.batch_size)
-            .queue_depth(self.queue_depth)
-            .report_every(self.report_every)
-            .stats_every(self.stats_every)
-            .checkpoint_every(self.checkpoint_every)
-            .snapshot_in(self.snapshot_in.clone())
-            .snapshot_out(self.snapshot_out.clone())
-            .top_k(self.k)
-    }
-
-    /// The [`NetOptions`] these flags describe (only meaningful when a
-    /// listen flag was given).
-    pub fn net_options(&self) -> NetOptions {
-        let mut net = NetOptions::new()
-            .idle_timeout_ms(self.idle_timeout_ms)
-            .max_conns(self.max_conns)
-            .addr_file(self.addr_file.clone());
-        if let Some(addr) = &self.listen {
-            net = net.tcp(addr.clone());
-        }
-        if let Some(path) = &self.listen_unix {
-            net = net.unix(path.clone());
-        }
-        net
-    }
-
-    /// Whether `serve` should run the network server instead of reading
-    /// FILE/stdin.
-    pub fn listening(&self) -> bool {
-        self.listen.is_some() || self.listen_unix.is_some()
     }
 }
 
 /// Parses arguments (after the program name).
 pub fn parse_args(args: &[String]) -> Result<Options, Error> {
     let mut it = args.iter().peekable();
-    let command = match it.next().map(String::as_str) {
+    let word = it.next().map(String::as_str);
+    let command = match word {
         Some("topk") => Command::TopK,
         Some("heavy") => Command::Heavy,
         Some("estimate") => Command::Estimate,
@@ -280,17 +231,8 @@ pub fn parse_args(args: &[String]) -> Result<Options, Error> {
         snapshot_out: None,
         snapshot_in: None,
         zipf: None,
-        shards: None,
-        report_every: 0,
-        stats_every: None,
-        checkpoint_every: 0,
-        batch_size: 8192,
-        queue_depth: 4,
-        listen: None,
-        listen_unix: None,
-        addr_file: None,
-        idle_timeout_ms: 30_000,
-        max_conns: 1024,
+        serve: ServeOptions::new(EngineConfig::new(AlgoKind::SpaceSaving)),
+        net: None,
         connect: None,
         queries: Vec::new(),
         shutdown: false,
@@ -301,26 +243,30 @@ pub fn parse_args(args: &[String]) -> Result<Options, Error> {
     };
 
     while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "-m" => opts.m = Some(parse_num(next_value(&mut it, "-m")?, "-m")?),
+        let flag = arg.as_str();
+        if let Some(owner) = flag_owner(flag).filter(|&owner| Some(owner) != word) {
+            return Err(Error::parse(format!("{flag} only applies to {owner}")));
+        }
+        match flag {
+            "-m" => opts.m = Some(next_num(&mut it, flag)?),
             "--eps" => {
-                let eps: f64 = parse_num(next_value(&mut it, "--eps")?, "--eps")?;
+                let eps: f64 = next_num(&mut it, flag)?;
                 if !(eps > 0.0 && eps < 1.0) {
                     return Err(Error::parse("--eps must be in (0, 1)"));
                 }
                 opts.eps = Some(eps);
             }
-            "-k" => opts.k = parse_num(next_value(&mut it, "-k")?, "-k")?,
+            "-k" => opts.k = next_num(&mut it, flag)?,
             "--phi" => {
-                opts.phi = parse_num(next_value(&mut it, "--phi")?, "--phi")?;
+                opts.phi = next_num(&mut it, flag)?;
                 if !(0.0..1.0).contains(&opts.phi) {
                     return Err(Error::parse("--phi must be in [0, 1)"));
                 }
             }
-            "--algo" => opts.algo = next_value(&mut it, "--algo")?.parse()?,
-            "--seed" => opts.seed = parse_num(next_value(&mut it, "--seed")?, "--seed")?,
+            "--algo" => opts.algo = next_value(&mut it, flag)?.parse()?,
+            "--seed" => opts.seed = next_num(&mut it, flag)?,
             "--items" => {
-                opts.items = next_value(&mut it, "--items")?
+                opts.items = next_value(&mut it, flag)?
                     .split(',')
                     .filter(|s| !s.is_empty())
                     .map(Key::from)
@@ -328,67 +274,34 @@ pub fn parse_args(args: &[String]) -> Result<Options, Error> {
             }
             "--weighted" => opts.weighted = true,
             "--json" => opts.json = true,
-            "--snapshot-out" => {
-                opts.snapshot_out = Some(next_value(&mut it, "--snapshot-out")?.clone())
-            }
-            "--snapshot-in" => {
-                opts.snapshot_in = Some(next_value(&mut it, "--snapshot-in")?.clone())
-            }
-            "--zipf" => opts.zipf = Some(parse_zipf(next_value(&mut it, "--zipf")?)?),
-            "--shards" => {
-                opts.shards = Some(parse_num(next_value(&mut it, "--shards")?, "--shards")?)
-            }
-            "--report-every" => {
-                opts.report_every =
-                    parse_num(next_value(&mut it, "--report-every")?, "--report-every")?
-            }
-            "--stats-every" => {
-                opts.stats_every = Some(parse_num(
-                    next_value(&mut it, "--stats-every")?,
-                    "--stats-every",
-                )?)
-            }
+            "--snapshot-out" => opts.snapshot_out = Some(next_value(&mut it, flag)?.clone()),
+            "--snapshot-in" => opts.snapshot_in = Some(next_value(&mut it, flag)?.clone()),
+            "--zipf" => opts.zipf = Some(parse_zipf(next_value(&mut it, flag)?)?),
+            "--shards" => opts.serve = opts.serve.shards(Some(next_num(&mut it, flag)?)),
+            "--report-every" => opts.serve = opts.serve.report_every(next_num(&mut it, flag)?),
+            "--stats-every" => opts.serve = opts.serve.stats_every(Some(next_num(&mut it, flag)?)),
             "--checkpoint-every" => {
-                opts.checkpoint_every = parse_num(
-                    next_value(&mut it, "--checkpoint-every")?,
-                    "--checkpoint-every",
-                )?
+                opts.serve = opts.serve.checkpoint_every(next_num(&mut it, flag)?)
             }
-            "--batch-size" => {
-                opts.batch_size = parse_num(next_value(&mut it, "--batch-size")?, "--batch-size")?
+            "--batch-size" => opts.serve = opts.serve.batch_size(next_num(&mut it, flag)?),
+            "--queue-depth" => opts.serve = opts.serve.queue_depth(next_num(&mut it, flag)?),
+            "--listen" | "--listen-unix" | "--addr-file" | "--idle-timeout" | "--max-conns" => {
+                let net = opts.net.take().unwrap_or_default();
+                let value = next_value(&mut it, flag)?;
+                opts.net = Some(match flag {
+                    "--listen" => net.tcp(value),
+                    "--listen-unix" => net.unix(value),
+                    "--addr-file" => net.addr_file(Some(value.clone())),
+                    "--idle-timeout" => net.idle_timeout_ms(parse_num(value, flag)?),
+                    _ => net.max_conns(parse_num(value, flag)?),
+                })
             }
-            "--queue-depth" => {
-                opts.queue_depth =
-                    parse_num(next_value(&mut it, "--queue-depth")?, "--queue-depth")?
-            }
-            "--listen" => opts.listen = Some(next_value(&mut it, "--listen")?.clone()),
-            "--listen-unix" => {
-                opts.listen_unix = Some(next_value(&mut it, "--listen-unix")?.clone())
-            }
-            "--addr-file" => opts.addr_file = Some(next_value(&mut it, "--addr-file")?.clone()),
-            "--idle-timeout" => {
-                opts.idle_timeout_ms =
-                    parse_num(next_value(&mut it, "--idle-timeout")?, "--idle-timeout")?
-            }
-            "--max-conns" => {
-                opts.max_conns = parse_num(next_value(&mut it, "--max-conns")?, "--max-conns")?
-            }
-            "--connect" => opts.connect = Some(next_value(&mut it, "--connect")?.clone()),
-            "--query" => opts.queries.push(next_value(&mut it, "--query")?.clone()),
+            "--connect" => opts.connect = Some(next_value(&mut it, flag)?.clone()),
+            "--query" => opts.queries.push(next_value(&mut it, flag)?.clone()),
             "--shutdown" => opts.shutdown = true,
-            "--connect-timeout" => {
-                opts.connect_timeout_ms = parse_num(
-                    next_value(&mut it, "--connect-timeout")?,
-                    "--connect-timeout",
-                )?
-            }
-            "--read-timeout" => {
-                opts.read_timeout_ms =
-                    parse_num(next_value(&mut it, "--read-timeout")?, "--read-timeout")?
-            }
-            "--retries" => {
-                opts.retries = parse_num(next_value(&mut it, "--retries")?, "--retries")?
-            }
+            "--connect-timeout" => opts.connect_timeout_ms = next_num(&mut it, flag)?,
+            "--read-timeout" => opts.read_timeout_ms = next_num(&mut it, flag)?,
+            "--retries" => opts.retries = next_num(&mut it, flag)?,
             other if other.starts_with('-') => {
                 return Err(Error::parse(format!("unknown option {other:?}")))
             }
@@ -396,10 +309,34 @@ pub fn parse_args(args: &[String]) -> Result<Options, Error> {
         }
     }
 
+    // The engine flags may come in any order, so they reach the serve
+    // settings once parsing ends.
+    let engine = opts.engine_config();
+    opts.serve = opts
+        .serve
+        .engine(engine)
+        .top_k(opts.k)
+        .snapshot_in(opts.snapshot_in.clone())
+        .snapshot_out(opts.snapshot_out.clone());
     validate(&opts)?;
     Ok(opts)
 }
 
+/// The command a command-specific flag belongs to; every other flag is
+/// accepted by every command.
+fn flag_owner(flag: &str) -> Option<&'static str> {
+    match flag {
+        "--shards" | "--batch-size" | "--queue-depth" | "--report-every" | "--stats-every"
+        | "--checkpoint-every" | "--listen" | "--listen-unix" | "--addr-file"
+        | "--idle-timeout" | "--max-conns" => Some("serve"),
+        "--connect" | "--query" | "--shutdown" | "--connect-timeout" | "--read-timeout"
+        | "--retries" => Some("client"),
+        _ => None,
+    }
+}
+
+/// Checks the flags' combination; for `serve`, the library's own
+/// validators check every serve and listener setting.
 fn validate(opts: &Options) -> Result<(), Error> {
     if opts.m == Some(0) {
         return Err(Error::parse("-m must be at least 1"));
@@ -410,15 +347,11 @@ fn validate(opts: &Options) -> Result<(), Error> {
     if opts.k == 0 {
         return Err(Error::parse("-k must be at least 1"));
     }
-    if opts.command != Command::Serve && opts.listening() {
-        return Err(Error::parse("--listen/--listen-unix only apply to serve"));
-    }
-    if opts.command != Command::Client
-        && (opts.connect.is_some() || !opts.queries.is_empty() || opts.shutdown)
-    {
-        return Err(Error::parse(
-            "--connect/--query/--shutdown only apply to client",
-        ));
+    if opts.command == Command::Serve {
+        opts.serve.validate()?;
+        if let Some(net) = &opts.net {
+            net.validate()?;
+        }
     }
     match opts.command {
         Command::Estimate if opts.items.is_empty() => {
@@ -429,32 +362,14 @@ fn validate(opts: &Options) -> Result<(), Error> {
         }
         Command::Gen if opts.zipf.is_none() => Err(Error::parse("gen requires --zipf")),
         Command::Gen if opts.weighted => Err(Error::parse("gen emits unweighted traces")),
-        Command::Serve if opts.shards == Some(0) => {
-            Err(Error::parse("--shards must be at least 1"))
-        }
-        Command::Serve if opts.batch_size == 0 => {
-            Err(Error::parse("--batch-size must be at least 1"))
-        }
-        Command::Serve if opts.queue_depth == 0 => {
-            Err(Error::parse("--queue-depth must be at least 1"))
-        }
         Command::Serve if opts.weighted => Err(Error::parse("serve ingests unweighted streams")),
-        Command::Serve if opts.listening() && !opts.inputs.is_empty() => Err(Error::parse(
+        Command::Serve if opts.net.is_some() && !opts.inputs.is_empty() => Err(Error::parse(
             "serve --listen takes no FILE input; clients stream over the socket",
         )),
         Command::Client if opts.connect.is_none() => Err(Error::parse("client requires --connect")),
         Command::Stats if opts.weighted || opts.snapshot_in.is_some() => Err(Error::parse(
             "stats reads an NDJSON stats stream; only --json and FILE apply",
         )),
-        Command::Serve if opts.checkpoint_every > 0 && opts.snapshot_out.is_none() => Err(
-            Error::parse("--checkpoint-every needs --snapshot-out to write to"),
-        ),
-        _ if opts.stats_every.is_some() && opts.command != Command::Serve => {
-            Err(Error::parse("--stats-every only applies to serve"))
-        }
-        _ if opts.checkpoint_every > 0 && opts.command != Command::Serve => {
-            Err(Error::parse("--checkpoint-every only applies to serve"))
-        }
         _ if opts.command != Command::Merge && opts.inputs.len() > 1 => {
             Err(Error::parse("more than one input file given"))
         }
@@ -500,6 +415,17 @@ fn next_value<'a>(
 ) -> Result<&'a String, Error> {
     it.next()
         .ok_or_else(|| Error::parse(format!("{flag} needs a value")))
+}
+
+/// The value after `flag`, parsed as a number.
+fn next_num<T: std::str::FromStr>(
+    it: &mut std::iter::Peekable<std::slice::Iter<'_, String>>,
+    flag: &str,
+) -> Result<T, Error>
+where
+    T::Err: std::fmt::Display,
+{
+    parse_num(next_value(it, flag)?, flag)
 }
 
 #[cfg(test)]
@@ -600,6 +526,11 @@ mod tests {
         assert_eq!(o.snapshot_in.as_deref(), Some("r.json"));
     }
 
+    /// The library's serve settings over the CLI's default engine.
+    fn library_serve() -> ServeOptions {
+        ServeOptions::new(EngineConfig::new(AlgoKind::SpaceSaving))
+    }
+
     #[test]
     fn serve_parses_and_validates() {
         let o = p(&[
@@ -613,22 +544,52 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(o.command, Command::Serve);
-        assert_eq!(o.shards, Some(4));
-        assert_eq!(o.report_every, 1000);
-        assert_eq!(o.k, 3);
-        // shards default to auto, reports default to final-only
-        let o = p(&["serve"]).unwrap();
-        assert_eq!(o.shards, None);
-        assert_eq!(o.report_every, 0);
-        assert!(p(&["serve", "--shards", "0"]).is_err());
-        assert!(p(&["serve", "--weighted"]).is_err());
-        assert!(p(&["serve", "--batch-size", "0"]).is_err());
-        assert!(p(&["serve", "--queue-depth", "0"]).is_err());
+        assert_eq!(
+            o.serve,
+            library_serve().shards(Some(4)).report_every(1000).top_k(3)
+        );
+        // Every serve flag left out keeps the library's default.
+        assert_eq!(p(&["serve"]).unwrap().serve, library_serve());
+        // The engine flags reach the serve settings in any order.
+        let o = p(&[
+            "serve",
+            "--batch-size",
+            "512",
+            "--queue-depth",
+            "2",
+            "--algo",
+            "frequent",
+            "-m",
+            "64",
+            "--seed",
+            "9",
+        ])
+        .unwrap();
+        let engine = EngineConfig::new(AlgoKind::Frequent).counters(64).seed(9);
+        assert_eq!(
+            o.serve,
+            library_serve()
+                .batch_size(512)
+                .queue_depth(2)
+                .engine(engine)
+        );
         // Resume is supported: drain writes --snapshot-out, restart folds
         // it back in via --snapshot-in.
         let o = p(&["serve", "--snapshot-in", "x.json"]).unwrap();
-        assert_eq!(o.snapshot_in.as_deref(), Some("x.json"));
-        o.serve_options().validate().unwrap();
+        assert_eq!(o.serve, library_serve().snapshot_in(Some("x.json".into())));
+        // The library's validators run at parse time: zero and over the
+        // maximum fail alike.
+        for (flag, value) in [
+            ("--shards", "0"),
+            ("--shards", "5000"),
+            ("--batch-size", "0"),
+            ("--batch-size", "2000000"),
+            ("--queue-depth", "0"),
+            ("--queue-depth", "5000"),
+        ] {
+            assert!(p(&["serve", flag, value]).is_err(), "{flag} {value}");
+        }
+        assert!(p(&["serve", "--weighted"]).is_err());
     }
 
     #[test]
@@ -643,22 +604,25 @@ mod tests {
             "5000",
             "--max-conns",
             "16",
-            "--batch-size",
-            "512",
-            "--queue-depth",
-            "2",
         ])
         .unwrap();
-        assert!(o.listening());
-        assert_eq!(o.listen.as_deref(), Some("127.0.0.1:0"));
-        assert_eq!(o.addr_file.as_deref(), Some("addr.txt"));
-        assert_eq!(o.idle_timeout_ms, 5000);
-        assert_eq!(o.max_conns, 16);
-        assert_eq!((o.batch_size, o.queue_depth), (512, 2));
-        o.serve_options().validate().unwrap();
-        o.net_options().validate().unwrap();
+        let net = NetOptions::new()
+            .tcp("127.0.0.1:0")
+            .addr_file(Some("addr.txt".into()))
+            .idle_timeout_ms(5000)
+            .max_conns(16);
+        assert_eq!(o.net, Some(net));
+        assert_eq!(
+            p(&["serve", "--listen-unix", "hh.sock"]).unwrap().net,
+            Some(NetOptions::new().unix("hh.sock"))
+        );
+        assert_eq!(p(&["serve"]).unwrap().net, None);
+        // A listener setting needs a listener, and the cap must be >= 1.
+        assert!(p(&["serve", "--max-conns", "16"]).is_err());
+        assert!(p(&["serve", "--listen", "127.0.0.1:0", "--max-conns", "0"]).is_err());
         // listen flags belong to serve; FILE input conflicts with --listen
         assert!(p(&["topk", "--listen", "127.0.0.1:0"]).is_err());
+        assert!(p(&["topk", "--addr-file", "addr.txt"]).is_err());
         assert!(p(&["serve", "--listen", "127.0.0.1:0", "in.txt"]).is_err());
         // One shard policy: the policy flags are unknown, not defaulted.
         assert!(p(&["serve", "--routing", "hash"]).is_err());
@@ -694,12 +658,15 @@ mod tests {
     #[test]
     fn stats_flags_parse_and_validate() {
         let o = p(&["serve", "--stats-every", "500"]).unwrap();
-        assert_eq!(o.stats_every, Some(500));
+        assert_eq!(o.serve.stats_cadence(), Some(500));
         // default: no stats records at all
-        assert_eq!(p(&["serve"]).unwrap().stats_every, None);
+        assert_eq!(p(&["serve"]).unwrap().serve.stats_cadence(), None);
         // 0 = only the final stats record
         assert_eq!(
-            p(&["serve", "--stats-every", "0"]).unwrap().stats_every,
+            p(&["serve", "--stats-every", "0"])
+                .unwrap()
+                .serve
+                .stats_cadence(),
             Some(0)
         );
         // --stats-every belongs to serve alone
@@ -723,8 +690,12 @@ mod tests {
             "state.ckpt",
         ])
         .unwrap();
-        assert_eq!(o.checkpoint_every, 5000);
-        o.serve_options().validate().unwrap();
+        assert_eq!(
+            o.serve,
+            library_serve()
+                .checkpoint_every(5000)
+                .snapshot_out(Some("state.ckpt".into()))
+        );
         // needs somewhere to write, and belongs to serve
         assert!(p(&["serve", "--checkpoint-every", "5000"]).is_err());
         assert!(p(&["topk", "--checkpoint-every", "5000"]).is_err());

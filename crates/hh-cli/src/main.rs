@@ -39,7 +39,7 @@ use cli::{parse_args, Command, Options};
 use hh::counters::{Confidence, Key};
 use hh::engine::{Count, Engine, HeavyHitterEntry, Report, ReportEntry, Snapshot, WeightedEngine};
 use hh::net::checkpoint::{self, Checkpoint};
-use hh::net::{proto, ServeSession, Server};
+use hh::net::{proto, NetOptions, ServeOptions, ServeSession, Server};
 use hh::pipeline::PipelineStats;
 use hh::Error;
 
@@ -61,14 +61,14 @@ fn main() -> ExitCode {
         }
     };
 
-    let result = match opts.command {
-        Command::Gen => run_gen(&opts),
-        Command::Merge => run_merge(&opts),
+    let result = match (opts.command, &opts.net) {
+        (Command::Gen, _) => run_gen(&opts),
+        (Command::Merge, _) => run_merge(&opts),
         // The network server never opens FILE/stdin: all ingest arrives
         // over the socket.
-        Command::Serve if opts.listening() => {
+        (Command::Serve, Some(net)) => {
             let stdout = std::io::stdout();
-            run_serve_net(&opts, &mut stdout.lock())
+            run_serve_net(&opts.serve, net, &mut stdout.lock())
         }
         _ => {
             let reader: Box<dyn Read> = match opts.inputs.first() {
@@ -253,7 +253,7 @@ fn run_serve(
     mut reader: impl BufRead,
     out: &mut impl std::io::Write,
 ) -> Result<String, Error> {
-    let mut session: ServeSession<Key> = ServeSession::spawn(&opts.serve_options())?;
+    let mut session: ServeSession<Key> = ServeSession::spawn(&opts.serve)?;
 
     let mut line = String::new();
     while let Some(item) = next_item(&mut reader, &mut line)? {
@@ -262,7 +262,7 @@ fn run_serve(
         let due = session.send(Key::from(item))?;
         if due.report {
             let live = session.view()?;
-            let record = serve_report(live.report(), Some(live.epoch()), opts)?;
+            let record = serve_report(live.report(), Some(live.epoch()), opts);
             writeln!(out, "{record}")?;
             out.flush()?;
         }
@@ -283,8 +283,8 @@ fn run_serve(
 
     // One last epoch boundary answers the final report and stats.
     let view = session.view()?;
-    let report = serve_report(view.report(), None, opts)?;
-    if opts.stats_every.is_some() {
+    let report = serve_report(view.report(), None, opts);
+    if opts.serve.stats_cadence().is_some() {
         let stats = session.stats();
         writeln!(out, "{}", stats_record(&stats, true, opts.json))?;
         out.flush()?;
@@ -302,8 +302,12 @@ fn run_serve(
 /// and `--snapshot-out` captures the drained shards for a `--snapshot-in`
 /// resume, where shard j resumes from snapshot j and the shard counts
 /// must match. Returns nothing to print.
-fn run_serve_net(opts: &Options, out: &mut impl std::io::Write) -> Result<String, Error> {
-    let server: Server<Key> = Server::bind(opts.serve_options(), opts.net_options())?;
+fn run_serve_net(
+    serve: &ServeOptions,
+    net: &NetOptions,
+    out: &mut impl std::io::Write,
+) -> Result<String, Error> {
+    let server: Server<Key> = Server::bind(serve.clone(), net.clone())?;
     if let Some(addr) = server.tcp_addr() {
         eprintln!("listening on {addr}");
     }
@@ -538,22 +542,18 @@ fn run_stats(opts: &Options, reader: impl BufRead) -> Result<String, Error> {
 /// Renders one serve report; `epoch` is `Some` for periodic live reports
 /// and `None` for the final one. JSON reports come from `hh::net::proto`
 /// (versioned, identical to what the network server sends to clients).
-fn serve_report(
-    report: Report<'_, Key>,
-    epoch: Option<u64>,
-    opts: &Options,
-) -> Result<String, Error> {
+fn serve_report(report: Report<'_, Key>, epoch: Option<u64>, opts: &Options) -> String {
     if opts.json {
         proto::report_record(report, epoch, opts.k)
     } else {
         let table = render_counts(&report.top_k(opts.k), report.total(), false);
-        Ok(match epoch {
+        match epoch {
             Some(e) => format!(
                 "-- live report (epoch {e}, {} items) --\n{table}\n",
                 report.total()
             ),
             None => table,
-        })
+        }
     }
 }
 

@@ -106,7 +106,8 @@ fn merging_past_u64_is_an_error() {
 #[test]
 fn out_of_range_pipeline_sizing_is_an_error() {
     // Each would ask for hundreds of GB (a 10^10-item shard buffer, a
-    // 10^10-slot channel) or for 10^5 worker threads.
+    // 10^10-slot channel) or for 10^5 worker threads. Parsing runs the
+    // pipeline's validator, so each is a usage error (exit 2).
     for args in [
         ["serve", "--batch-size", "10000000000", "/dev/null"],
         ["serve", "--queue-depth", "10000000000", "/dev/null"],
@@ -114,7 +115,7 @@ fn out_of_range_pipeline_sizing_is_an_error() {
     ] {
         let out = hh(&args);
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }

@@ -2,9 +2,9 @@
 //!
 //! The paper states its guarantees with floors over integer quantities
 //! (Definitions 1 and 2); these helpers evaluate them exactly in `u64`
-//! so tests can assert `δ ≤ bound` without floating-point slack.
-
-use crate::traits::TailConstants;
+//! so tests can assert `δ ≤ bound` without floating-point slack. The
+//! floating-point bound for any constants is
+//! [`TailConstants::bound`](crate::traits::TailConstants::bound).
 
 /// Definition 1 with `A = 1`: the heavy-hitter bound `⌊F1/m⌋`.
 pub fn heavy_hitter_bound(f1: u64, m: usize) -> u64 {
@@ -33,12 +33,6 @@ pub fn tail_bound_one_one(m: usize, k: usize, res1_k: u64) -> Option<u64> {
 /// `⌊F1^res(k) / (m − 2k)⌋`.
 pub fn tail_bound_generic(m: usize, k: usize, res1_k: u64) -> Option<u64> {
     tail_bound_floor(1, 2, m, k, res1_k)
-}
-
-/// Floating-point evaluation via [`TailConstants`] for non-integer
-/// constants (e.g. the merged `(3A, A+B)` guarantee).
-pub fn tail_bound_float(constants: TailConstants, m: usize, k: usize, res1_k: u64) -> Option<f64> {
-    constants.bound(m, k, res1_k)
 }
 
 /// The Appendix A lower bound: any deterministic m-counter algorithm has a

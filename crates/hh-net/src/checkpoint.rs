@@ -88,6 +88,9 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 }
 
 /// Renders a checkpoint into its envelope text.
+///
+/// Rendering cannot fail; the `Result` stays only because the repo
+/// benchmark (`perfbench/`) calls this signature.
 pub fn encode<I>(ckpt: &Checkpoint<I>) -> Result<String, Error>
 where
     I: EngineItem + Serialize,

@@ -3,9 +3,10 @@
 //! the two ingest modes cannot drift apart, plus the [`ServeSession`]
 //! runtime that both loops tick.
 //!
-//! `ServeOptions` owns every knob the two modes share — shard count,
-//! batch size, queue depth, report/stats/checkpoint cadence, snapshot
-//! in/out — and `hh serve`'s flags map 1:1 onto it. The shard policy is
+//! `ServeOptions` owns every knob the two modes share — the pipeline
+//! sizing (held in its [`PipelineConfig`]: engine, batch size, queue
+//! depth), shard count, report/stats/checkpoint cadence, snapshot in/out
+//! — and `hh serve` parses its flags straight into it. The shard policy is
 //! fixed: hash-partition routing with per-batch aggregation (Theorem 11
 //! makes the merged guarantee hold for any partition and any order), and
 //! a resumed session restores shard `j` from checkpoint snapshot `j`.
@@ -25,13 +26,17 @@ use crate::checkpoint::{self, Checkpoint};
 /// in common. Build one from an [`EngineConfig`], tune it with the
 /// builder methods, then [`ServeSession::spawn`] it.
 ///
+/// The pipeline sizing (engine, batch size, queue depth) lives in the
+/// embedded [`PipelineConfig`], its one home; the builder methods forward
+/// to it.
+///
 /// # Invariants
 ///
 /// [`ServeOptions::validate`] (called by `spawn`) returns
 /// [`Error::InvalidConfig`] — never panics, never silently clamps — when
 /// `shards`, `batch_size` or `queue_depth` is out of the range
-/// [`PipelineConfig::validate`] accepts, or when the embedded engine
-/// config itself cannot build.
+/// [`PipelineConfig::validate`] accepts, or when the engine config's
+/// counter budget does not resolve.
 ///
 /// ```
 /// use hh_net::ServeOptions;
@@ -47,12 +52,12 @@ use crate::checkpoint::{self, Checkpoint};
 ///     .validate()
 ///     .is_err());
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeOptions {
-    engine: EngineConfig,
+    pipeline: PipelineConfig,
+    /// `None`: the pipeline's default count, or the `snapshot_in`
+    /// checkpoint's.
     shards: Option<usize>,
-    batch_size: usize,
-    queue_depth: usize,
     report_every: u64,
     stats_every: Option<u64>,
     checkpoint_every: u64,
@@ -62,15 +67,13 @@ pub struct ServeOptions {
 }
 
 impl ServeOptions {
-    /// Serving defaults over `engine`: auto shard count (one per
-    /// available core), 8192-item batches, 4-deep queues, final-only
-    /// reports, no stats records, no snapshots, `k = 10`.
+    /// Serving defaults over `engine`: [`PipelineConfig::new`]'s sizing
+    /// (one shard per available core), final-only reports, no stats
+    /// records, no snapshots, `k = 10`.
     pub fn new(engine: EngineConfig) -> Self {
         ServeOptions {
-            engine,
+            pipeline: PipelineConfig::new(engine),
             shards: None,
-            batch_size: 8192,
-            queue_depth: 4,
             report_every: 0,
             stats_every: None,
             checkpoint_every: 0,
@@ -78,6 +81,12 @@ impl ServeOptions {
             snapshot_out: None,
             k: 10,
         }
+    }
+
+    /// Replaces the per-shard engine config ([`PipelineConfig::engine`]).
+    pub fn engine(mut self, engine: EngineConfig) -> Self {
+        self.pipeline = self.pipeline.engine(engine);
+        self
     }
 
     /// Sets the shard count (`1..=2^10`; `None` = one per core, or the
@@ -88,15 +97,15 @@ impl ServeOptions {
         self
     }
 
-    /// Sets the router batch size (`1..=2^20` items).
+    /// Sets the router batch size ([`PipelineConfig::batch_size`]).
     pub fn batch_size(mut self, batch_size: usize) -> Self {
-        self.batch_size = batch_size;
+        self.pipeline = self.pipeline.batch_size(batch_size);
         self
     }
 
-    /// Sets the per-shard queue depth (`1..=2^10` batches).
+    /// Sets the per-shard queue depth ([`PipelineConfig::queue_depth`]).
     pub fn queue_depth(mut self, queue_depth: usize) -> Self {
-        self.queue_depth = queue_depth;
+        self.pipeline = self.pipeline.queue_depth(queue_depth);
         self
     }
 
@@ -146,11 +155,6 @@ impl ServeOptions {
         self
     }
 
-    /// The embedded engine config.
-    pub fn engine_config(&self) -> &EngineConfig {
-        &self.engine
-    }
-
     /// The stats cadence in items (`None`: no stats records).
     pub fn stats_cadence(&self) -> Option<u64> {
         self.stats_every
@@ -161,26 +165,28 @@ impl ServeOptions {
         self.k
     }
 
-    /// The pipeline configuration these options describe (the pipeline
-    /// always hash-partitions and aggregates per batch).
+    /// The pipeline configuration these options describe, with a set
+    /// shard count applied (the pipeline always hash-partitions and
+    /// aggregates per batch).
     pub fn pipeline_config(&self) -> PipelineConfig {
-        let mut config = PipelineConfig::new(self.engine.clone())
-            .batch_size(self.batch_size)
-            .queue_depth(self.queue_depth);
-        if let Some(shards) = self.shards {
-            config = config.shards(shards);
+        match self.shards {
+            Some(shards) => self.pipeline.clone().shards(shards),
+            None => self.pipeline.clone(),
         }
-        config
     }
 
-    /// Checks the serving invariants without spawning anything.
+    /// Checks the serving invariants without spawning or allocating an
+    /// engine.
     ///
     /// # Errors
     ///
     /// [`Error::InvalidConfig`] on pipeline sizing that
     /// [`PipelineConfig::validate`] rejects (`shards`, `batch_size` or
-    /// `queue_depth` out of range), a zero report `k`, or an unbuildable
-    /// engine config.
+    /// `queue_depth` out of range), a zero report `k`, a
+    /// `checkpoint_every` without a `snapshot_out` path, or a counter
+    /// budget that does not resolve (0 counters, bad eps, …). A sketch
+    /// budget too small to split is reported by the engine build in
+    /// [`PipelineConfig::resume`].
     pub fn validate(&self) -> Result<(), Error> {
         self.pipeline_config().validate()?;
         if self.k == 0 {
@@ -191,9 +197,7 @@ impl ServeOptions {
                 "checkpoint-every needs a snapshot-out path to write to",
             ));
         }
-        // Surfaces engine-config errors (0 counters, bad eps, …) here
-        // instead of at first use.
-        self.engine.build::<u64>()?;
+        self.pipeline.engine_config().resolved_counters()?;
         Ok(())
     }
 }
@@ -440,21 +444,21 @@ impl<I: EngineItem> ServeSession<I> {
 }
 
 /// Listener-side options for the network server: where to listen and the
-/// per-connection robustness knobs.
+/// per-connection robustness knobs. The server reads the fields directly.
 ///
 /// # Invariants
 ///
 /// [`NetOptions::validate`] (called by [`crate::Server::bind`]) returns
 /// [`Error::InvalidConfig`] — never panics — when no listener address is
-/// configured, `max_conns` is zero, or `max_line_bytes` is under 2.
-#[derive(Debug, Clone)]
+/// configured or `max_conns` is zero.
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetOptions {
-    tcp: Option<String>,
-    unix: Option<String>,
-    idle_timeout_ms: u64,
-    max_conns: usize,
-    max_line_bytes: usize,
-    addr_file: Option<String>,
+    pub(crate) tcp: Option<String>,
+    pub(crate) unix: Option<String>,
+    /// 0 disables the idle sweep.
+    pub(crate) idle_timeout_ms: u64,
+    pub(crate) max_conns: usize,
+    pub(crate) addr_file: Option<String>,
 }
 
 impl Default for NetOptions {
@@ -464,15 +468,14 @@ impl Default for NetOptions {
             unix: None,
             idle_timeout_ms: 30_000,
             max_conns: 1024,
-            max_line_bytes: 64 * 1024,
             addr_file: None,
         }
     }
 }
 
 impl NetOptions {
-    /// No listeners, 30 s idle timeout, ≤ 1024 connections, 64 KiB line
-    /// limit. Configure at least one listener before binding.
+    /// No listeners, 30 s idle timeout, ≤ 1024 connections. Configure at
+    /// least one listener before binding.
     pub fn new() -> Self {
         NetOptions::default()
     }
@@ -505,13 +508,6 @@ impl NetOptions {
         self
     }
 
-    /// Caps a single protocol line (must be ≥ 2); longer lines are
-    /// rejected as malformed and skipped to the next newline.
-    pub fn max_line_bytes(mut self, n: usize) -> Self {
-        self.max_line_bytes = n;
-        self
-    }
-
     /// After binding, writes the actual listening TCP address
     /// (`host:port`, one line) to this path — how scripts find an
     /// ephemeral port.
@@ -520,36 +516,12 @@ impl NetOptions {
         self
     }
 
-    pub(crate) fn tcp_addr_spec(&self) -> Option<&str> {
-        self.tcp.as_deref()
-    }
-
-    pub(crate) fn unix_path_spec(&self) -> Option<&str> {
-        self.unix.as_deref()
-    }
-
-    pub(crate) fn idle_timeout(&self) -> Option<std::time::Duration> {
-        (self.idle_timeout_ms > 0).then(|| std::time::Duration::from_millis(self.idle_timeout_ms))
-    }
-
-    pub(crate) fn max_conns_cap(&self) -> usize {
-        self.max_conns
-    }
-
-    pub(crate) fn max_line_cap(&self) -> usize {
-        self.max_line_bytes
-    }
-
-    pub(crate) fn addr_file_path(&self) -> Option<&str> {
-        self.addr_file.as_deref()
-    }
-
     /// Checks the listener invariants.
     ///
     /// # Errors
     ///
-    /// [`Error::InvalidConfig`] when no listener is configured,
-    /// `max_conns == 0`, or `max_line_bytes < 2`.
+    /// [`Error::InvalidConfig`] when no listener is configured or
+    /// `max_conns == 0`.
     pub fn validate(&self) -> Result<(), Error> {
         if self.tcp.is_none() && self.unix.is_none() {
             return Err(Error::invalid_config(
@@ -558,11 +530,6 @@ impl NetOptions {
         }
         if self.max_conns == 0 {
             return Err(Error::invalid_config("max_conns must be at least 1"));
-        }
-        if self.max_line_bytes < 2 {
-            return Err(Error::invalid_config(
-                "max_line_bytes must be at least 2 (item + newline)",
-            ));
         }
         Ok(())
     }
@@ -595,6 +562,7 @@ mod tests {
             opts().queue_depth(10_000_000_000),
             opts().top_k(0),
             ServeOptions::new(EngineConfig::new(AlgoKind::SpaceSaving).counters(0)),
+            opts().engine(EngineConfig::new(AlgoKind::SpaceSaving).counters(0)),
         ] {
             match bad.validate() {
                 Err(Error::InvalidConfig(_)) => {}
@@ -612,13 +580,6 @@ mod tests {
         ));
         assert!(matches!(
             NetOptions::new().tcp("127.0.0.1:0").max_conns(0).validate(),
-            Err(Error::InvalidConfig(_))
-        ));
-        assert!(matches!(
-            NetOptions::new()
-                .tcp("127.0.0.1:0")
-                .max_line_bytes(1)
-                .validate(),
             Err(Error::InvalidConfig(_))
         ));
         assert!(NetOptions::new().tcp("127.0.0.1:0").validate().is_ok());

@@ -131,7 +131,18 @@ fn hist_json(h: &HistogramSnapshot) -> String {
 /// Renders the top-k rows of a report — a live view's or one engine's
 /// (`&Engine` converts) — as the `"top"` array cell of a report record
 /// (`item`/`count`/`lower`/`upper` per row).
+///
+/// Rendering cannot fail; the `Result` stays only because the repo
+/// benchmark (`perfbench/`) calls this signature.
 pub fn top_json<'a, I>(report: impl Into<Report<'a, I>>, k: usize) -> Result<String, Error>
+where
+    I: ServeItem,
+{
+    Ok(top_rows(report, k))
+}
+
+/// The body of [`top_json`].
+fn top_rows<'a, I>(report: impl Into<Report<'a, I>>, k: usize) -> String
 where
     I: ServeItem,
 {
@@ -149,16 +160,12 @@ where
         );
     }
     out.push(']');
-    Ok(out)
+    out
 }
 
 /// Renders one top-k report record: `{"v":1,"epoch":E,...}` for live
 /// reports, `{"v":1,"final":true,...}` for the final one.
-pub fn report_record<I>(
-    report: Report<'_, I>,
-    epoch: Option<u64>,
-    k: usize,
-) -> Result<String, Error>
+pub fn report_record<I>(report: Report<'_, I>, epoch: Option<u64>, k: usize) -> String
 where
     I: ServeItem,
 {
@@ -166,11 +173,11 @@ where
         Some(e) => format!("\"epoch\":{e}"),
         None => "\"final\":true".to_string(),
     };
-    Ok(format!(
+    format!(
         "{{\"v\":{PROTOCOL_VERSION},{label},\"stream_len\":{},\"top\":{}}}",
         report.total(),
-        top_json(report, k)?
-    ))
+        top_rows(report, k)
+    )
 }
 
 /// A point-in-time sample of the network server's own counters, rendered
@@ -284,15 +291,15 @@ pub fn shutdown_record(routed: u64) -> String {
 /// the format of one shard of the checkpoint envelope `--snapshot-out`
 /// writes, and its unobserved mass, which the snapshot does not carry
 /// (see [`Engine::add_unobserved`]).
-pub fn snapshot_record<I>(engine: &Engine<I>) -> Result<String, Error>
+pub fn snapshot_record<I>(engine: &Engine<I>) -> String
 where
     I: ServeItem + Serialize,
 {
-    Ok(format!(
+    format!(
         "{{\"v\":{PROTOCOL_VERSION},\"snapshot\":{},\"unobserved\":{}}}",
-        engine.to_json()?,
+        engine.to_json(),
         engine.unobserved()
-    ))
+    )
 }
 
 /// Validates the `"v"` field of a parsed record: absent or a different
@@ -362,9 +369,9 @@ mod tests {
             .unwrap();
         engine.update_batch(&[1, 1, 2]);
         for record in [
-            report_record(engine.report(), Some(3), 2).unwrap(),
-            report_record(engine.report(), None, 2).unwrap(),
-            snapshot_record(&engine).unwrap(),
+            report_record(engine.report(), Some(3), 2),
+            report_record(engine.report(), None, 2),
+            snapshot_record(&engine),
             error_record("bad \"line\"", 9),
             pong_record(),
             shutdown_record(42),
@@ -374,7 +381,7 @@ mod tests {
             check_version(&v).expect("versioned");
         }
         let v: serde_json::Value =
-            serde_json::from_str(&report_record(engine.report(), None, 2).unwrap()).unwrap();
+            serde_json::from_str(&report_record(engine.report(), None, 2)).unwrap();
         assert_eq!(v["final"], true);
         assert_eq!(v["stream_len"], 3);
         assert_eq!(v["top"][0]["item"], 1);

@@ -50,6 +50,9 @@ const SOCK_BUF: usize = 4 * 1024 * 1024;
 const MAX_WBUF: usize = 8 * 1024 * 1024;
 /// How long the drain waits for clients to accept final responses.
 const DRAIN_FLUSH: Duration = Duration::from_secs(1);
+/// Longest protocol line: a longer one gets a `line exceeds
+/// max_line_bytes` error record and is skipped to the next newline.
+const MAX_LINE_BYTES: usize = 64 * 1024;
 
 /// Connection-layer counters, registered into the pipeline's
 /// [`Registry`] (so `to_prometheus`/`to_json` and `?stats` all see them).
@@ -317,7 +320,7 @@ impl<I: ServeItem> Server<I> {
 
         let mut tcp = None;
         let mut tcp_addr = None;
-        if let Some(spec) = net.tcp_addr_spec() {
+        if let Some(spec) = &net.tcp {
             let listener = TcpListener::bind(spec)?;
             listener.set_nonblocking(true)?;
             poller.add(listener.as_raw_fd(), TCP_TOKEN, Interest::READ)?;
@@ -327,18 +330,18 @@ impl<I: ServeItem> Server<I> {
 
         let mut unix = None;
         let mut unix_path = None;
-        if let Some(path) = net.unix_path_spec() {
+        if let Some(path) = &net.unix {
             // A dead socket file from a previous run would fail the bind.
             // lint:allow(error-swallow) the file may simply not exist; a real problem resurfaces as a bind error on the next line
             let _ = std::fs::remove_file(path);
             let listener = UnixListener::bind(path)?;
             listener.set_nonblocking(true)?;
             poller.add(listener.as_raw_fd(), UNIX_TOKEN, Interest::READ)?;
-            unix_path = Some(path.to_string());
+            unix_path = Some(path.clone());
             unix = Some(listener);
         }
 
-        if let (Some(path), Some(addr)) = (net.addr_file_path(), tcp_addr) {
+        if let (Some(path), Some(addr)) = (&net.addr_file, tcp_addr) {
             std::fs::write(path, format!("{addr}\n"))?;
         }
 
@@ -397,7 +400,8 @@ impl<I: ServeItem> Server<I> {
             self.flush_pending_writers();
             self.pump(out, now)?;
 
-            if let Some(idle) = self.net.idle_timeout() {
+            if self.net.idle_timeout_ms > 0 {
+                let idle = Duration::from_millis(self.net.idle_timeout_ms);
                 let cadence = idle.min(Duration::from_millis(250));
                 if now.duration_since(last_sweep) >= cadence {
                     last_sweep = now;
@@ -446,7 +450,7 @@ impl<I: ServeItem> Server<I> {
 
     fn install(&mut self, stream: ConnStream, now: Instant) {
         let open = self.conns.iter().flatten().count();
-        if open >= self.net.max_conns_cap() {
+        if open >= self.net.max_conns {
             self.metrics.rejected.inc();
             // Best-effort notice; the socket drops either way.
             let mut stream = stream;
@@ -459,7 +463,7 @@ impl<I: ServeItem> Server<I> {
         // pipeline means the existing connections already can't be
         // drained — admitting more only grows the paused set. Shed with
         // an in-band reason so well-behaved clients back off and retry.
-        let high_water = (self.net.max_conns_cap().saturating_mul(3) / 4).max(1);
+        let high_water = (self.net.max_conns.saturating_mul(3) / 4).max(1);
         if open >= high_water && self.session.saturated() {
             self.metrics.shed.inc();
             let mut stream = stream;
@@ -662,7 +666,6 @@ impl<I: ServeItem> Server<I> {
         mut bytes: &[u8],
         out: &mut impl io::Write,
     ) -> Result<(), Error> {
-        let max_line = self.net.max_line_cap();
         if !conn.rbuf.is_empty() {
             // The previous read ended mid-line. Stitch exactly one line:
             // carry + bytes through the first newline (rbuf never holds
@@ -672,7 +675,13 @@ impl<I: ServeItem> Server<I> {
                     let mut carry = std::mem::take(&mut conn.rbuf);
                     carry.extend_from_slice(&bytes[..=i]);
                     bytes = &bytes[i + 1..];
-                    self.ingest_slice(conn, token, &carry, out)?;
+                    // The carry passed the cap, but the line it ends may not.
+                    if carry.len() > MAX_LINE_BYTES + 1 {
+                        conn.lines += 1;
+                        self.reject(conn, token, "line exceeds max_line_bytes");
+                    } else {
+                        self.ingest_slice(conn, token, &carry, out)?;
+                    }
                     if conn.broken {
                         return Ok(());
                     }
@@ -692,7 +701,7 @@ impl<I: ServeItem> Server<I> {
         }
         if conn.skip_line {
             conn.rbuf.clear();
-        } else if conn.rbuf.len() > max_line {
+        } else if conn.rbuf.len() > MAX_LINE_BYTES {
             conn.lines += 1;
             self.reject(conn, token, "line exceeds max_line_bytes");
             conn.skip_line = true;
@@ -860,7 +869,7 @@ impl<I: ServeItem> Server<I> {
             Query::TopK(k) => {
                 let k = k.unwrap_or(self.session.k());
                 let view = self.session.view()?;
-                proto::report_record(view.report(), Some(view.epoch()), k)?
+                proto::report_record(view.report(), Some(view.epoch()), k)
             }
             Query::Stats => {
                 // Epoch boundary first: queues drain, counters go exact.
@@ -870,7 +879,7 @@ impl<I: ServeItem> Server<I> {
             }
             Query::Snapshot => {
                 let merged = self.session.merged()?;
-                proto::snapshot_record(&merged)?
+                proto::snapshot_record(&merged)
             }
             Query::Ping => proto::pong_record(),
             Query::Shutdown => {
@@ -912,7 +921,7 @@ impl<I: ServeItem> Server<I> {
         if due.report {
             let k = self.session.k();
             let view = self.session.view()?;
-            let record = proto::report_record(view.report(), Some(view.epoch()), k)?;
+            let record = proto::report_record(view.report(), Some(view.epoch()), k);
             writeln!(out, "{record}")?;
         }
         if due.stats {
@@ -943,7 +952,7 @@ impl<I: ServeItem> Server<I> {
     fn shutdown(mut self, out: &mut impl io::Write) -> Result<Engine<I>, Error> {
         let k = self.session.k();
         let view = self.session.view()?;
-        let report = proto::report_record(view.report(), None, k)?;
+        let report = proto::report_record(view.report(), None, k);
         if self.stats_final {
             let sample = self.net_sample();
             let record = proto::stats_record(&self.session.stats(), Some(&sample), true);

@@ -343,7 +343,7 @@ const STICKY_DELTA: f64 = 0.1;
 /// assert_eq!(engine.capacity(), 168); // Bk + Ak/eps = 8 + 160
 /// assert_eq!(engine.algo(), AlgoKind::Frequent);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
     algo: AlgoKind,
     capacity: CapacitySpec,
@@ -1388,13 +1388,15 @@ impl<I: EngineItem> Engine<I> {
     /// ```
     /// use hh_sketches::engine::{AlgoKind, EngineConfig};
     /// let e = EngineConfig::new(AlgoKind::SpaceSaving).counters(4).build::<u64>().unwrap();
-    /// assert!(e.to_json().unwrap().contains("space_saving"));
+    /// assert!(e.to_json().contains("space_saving"));
     /// ```
-    pub fn to_json(&self) -> Result<String, Error>
+    pub fn to_json(&self) -> String
     where
         I: Serialize,
     {
-        Ok(serde_json::to_string(&self.snapshot())?)
+        let mut out = String::new();
+        self.snapshot().serialize(&mut out);
+        out
     }
 
     /// Rehydrates an engine from [`Engine::to_json`] output.
@@ -1403,7 +1405,7 @@ impl<I: EngineItem> Engine<I> {
     /// use hh_sketches::engine::{AlgoKind, Engine, EngineConfig};
     /// let mut e = EngineConfig::new(AlgoKind::Frequent).counters(4).build::<u64>().unwrap();
     /// e.update_batch(&[1, 1, 2]);
-    /// let back: Engine<u64> = Engine::from_json(&e.to_json().unwrap()).unwrap();
+    /// let back: Engine<u64> = Engine::from_json(&e.to_json()).unwrap();
     /// assert_eq!(back.estimate(&1), e.estimate(&1));
     /// ```
     pub fn from_json(json: &str) -> Result<Self, Error>
@@ -1971,11 +1973,13 @@ impl<I: EngineItem> WeightedEngine<I> {
     }
 
     /// Serializes the engine's snapshot to JSON.
-    pub fn to_json(&self) -> Result<String, Error>
+    pub fn to_json(&self) -> String
     where
         I: Serialize,
     {
-        Ok(serde_json::to_string(&self.snapshot())?)
+        let mut out = String::new();
+        self.snapshot().serialize(&mut out);
+        out
     }
 
     /// Rehydrates a weighted engine from [`WeightedEngine::to_json`]
@@ -2158,7 +2162,7 @@ mod tests {
                 .build::<u64>()
                 .unwrap();
             e.update_batch(&stream());
-            let json = e.to_json().expect("serialize");
+            let json = e.to_json();
             let mut back: Engine<u64> = Engine::from_json(&json).expect("deserialize");
             assert_eq!(back.algo(), algo);
             assert_eq!(back.stream_len(), e.stream_len());
@@ -2229,7 +2233,7 @@ mod tests {
             let mut a = config.build_weighted::<u64>().unwrap();
             a.update(1, 5.0);
             a.update(2, 2.5);
-            let back = WeightedEngine::from_json(&a.to_json().unwrap()).unwrap();
+            let back = WeightedEngine::from_json(&a.to_json()).unwrap();
             assert!((back.estimate(&1) - a.estimate(&1)).abs() < 1e-12, "{algo}");
             let mut b = config.build_weighted::<u64>().unwrap();
             b.update(1, 3.0);
@@ -2477,7 +2481,7 @@ mod tests {
         for w in ["the", "cat", "the", "hat", "the"] {
             e.update(w.to_string());
         }
-        let back: Engine<String> = Engine::from_json(&e.to_json().unwrap()).unwrap();
+        let back: Engine<String> = Engine::from_json(&e.to_json()).unwrap();
         assert_eq!(back.estimate(&"the".to_string()), 3);
     }
 }

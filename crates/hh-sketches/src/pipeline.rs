@@ -154,7 +154,7 @@ pub enum ShardIngest {
 /// assert_eq!(pipeline.shards(), 4);
 /// pipeline.finish().unwrap();
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipelineConfig {
     engine: EngineConfig,
     shards: usize,
@@ -184,6 +184,13 @@ impl PipelineConfig {
             batch: 8192,
             queue: 4,
         }
+    }
+
+    /// Replaces the per-shard [`EngineConfig`], keeping the concurrency
+    /// knobs.
+    pub fn engine(mut self, engine: EngineConfig) -> Self {
+        self.engine = engine;
+        self
     }
 
     /// Sets the number of worker shards (`1..=2^10`).

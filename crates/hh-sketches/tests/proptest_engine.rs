@@ -130,7 +130,7 @@ proptest! {
                 .expect("engine builds");
             engine.update_batch(&stream);
 
-            let json = engine.to_json().expect("serialize");
+            let json = engine.to_json();
             let mut back: Engine<u64> = Engine::from_json(&json).expect("deserialize");
 
             prop_assert_eq!(back.algo(), algo);

@@ -104,22 +104,6 @@ impl Freqs {
     }
 }
 
-/// `‖x − y‖_p` for two sparse non-negative vectors given as sorted-by-key
-/// pairs is provided by `hh-analysis`; this module only handles the
-/// *marginal* statistics of a single vector.
-///
-/// Computes the tail bound `A · F1^res(k) / (m − B·k)` from Definition 2 of
-/// the paper. Returns `None` when the denominator is not positive (the
-/// guarantee is vacuous there — the theorems require `k < m/B`).
-pub fn tail_bound(a: f64, b: f64, m: usize, k: usize, res1_k: u64) -> Option<f64> {
-    let denom = m as f64 - b * k as f64;
-    if denom <= 0.0 {
-        None
-    } else {
-        Some(a * res1_k as f64 / denom)
-    }
-}
-
 /// The Theorem 5 k-sparse recovery bound:
 /// `ε · F1^res(k) / k^{1−1/p} + (F_p^res(k))^{1/p}`.
 pub fn sparse_recovery_bound(eps: f64, k: usize, p: f64, res1_k: u64, res_p_k: f64) -> f64 {
@@ -200,15 +184,6 @@ mod tests {
         assert_eq!(f.coverage(0.5), 1);
         assert_eq!(f.coverage(0.8), 2);
         assert_eq!(f.coverage(1.0), 4);
-    }
-
-    #[test]
-    fn tail_bound_matches_hand_computation() {
-        // A=1, B=1, m=10, k=2, F1res(2)=40 -> 40/8 = 5
-        assert_eq!(tail_bound(1.0, 1.0, 10, 2, 40), Some(5.0));
-        // vacuous when m <= B*k
-        assert_eq!(tail_bound(1.0, 1.0, 2, 2, 40), None);
-        assert_eq!(tail_bound(1.0, 2.0, 4, 2, 40), None);
     }
 
     #[test]

@@ -60,7 +60,7 @@
 //! assert!(!heavy.is_empty());
 //!
 //! // Snapshots round-trip through JSON and merge across processes.
-//! let json = engine.to_json().expect("serializes");
+//! let json = engine.to_json();
 //! let restored: Engine<u64> = Engine::from_json(&json).expect("rehydrates");
 //! assert_eq!(restored.estimate(&1), engine.estimate(&1));
 //!

@@ -25,7 +25,7 @@ fn main() {
     for (i, part) in parts.iter().enumerate() {
         let mut site = config.build::<u64>().expect("valid config");
         site.update_batch(part);
-        let json = site.to_json().expect("snapshot serializes");
+        let json = site.to_json();
         println!(
             "site {i}: {} items summarized into {} counters ({} bytes of JSON shipped)",
             site.stream_len(),

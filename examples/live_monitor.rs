@@ -145,7 +145,7 @@ fn main() {
     );
 
     // Checkpoint the merged engine and restore it — estimates identical.
-    let json = merged.to_json().expect("serialize");
+    let json = merged.to_json();
     println!("\ncheckpoint: {} bytes of JSON", json.len());
     let restored: Engine<u64> = Engine::from_json(&json).expect("parse");
     for entry in merged.report().top_k(TOP_K) {

@@ -206,7 +206,7 @@ fn proto_records() -> String {
     [
         proto::top_json(&e, 6).unwrap(),
         proto::error_record("bad \"count\"\tnear \\ é", 12),
-        proto::snapshot_record(&e).unwrap(),
+        proto::snapshot_record(&e),
     ]
     .join("\n")
 }

@@ -30,7 +30,7 @@ fn full_distributed_lifecycle() {
         .map(|shard| {
             let mut e = config.build::<u64>().expect("engine builds");
             e.update_batch(shard);
-            e.to_json().expect("serialize")
+            e.to_json()
         })
         .collect();
 

@@ -367,6 +367,53 @@ fn malformed_lines_are_rejected_without_killing_the_connection() {
     assert_eq!(engine.stream_len(), 3);
 }
 
+/// A line over the 64 KiB cap gets one error record naming its line and
+/// is skipped through its newline, however the reads split it; a line of
+/// exactly 64 KiB is an item.
+#[test]
+fn lines_over_the_64_kib_cap_are_rejected_and_skipped() {
+    let _guard = server_lock();
+    sys::reset_drain();
+
+    let serve = ServeOptions::new(config()).shards(Some(1));
+    let net = NetOptions::new().tcp("127.0.0.1:0").idle_timeout_ms(60_000);
+    let (addr, server) = spawn_server(serve, net);
+
+    let mut conn = TcpStream::connect(addr).expect("connect");
+    let mut reader = BufReader::new(conn.try_clone().unwrap());
+    const CAP: usize = 64 * 1024;
+    for len in [CAP, CAP + 1, 70_000, 3 * CAP] {
+        let mut line = vec![b'x'; len];
+        line.push(b'\n');
+        conn.write_all(&line).unwrap();
+    }
+    conn.write_all(b"good\n").unwrap();
+
+    // The error records were queued before the pong.
+    writeln!(conn, "?ping").unwrap();
+    let mut errors = Vec::new();
+    loop {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        let record: serde_json::Value = serde_json::from_str(line.trim()).unwrap();
+        if record["pong"] == true {
+            break;
+        }
+        errors.push((
+            record["error"].as_str().map(String::from),
+            record["line"].as_u64(),
+        ));
+    }
+    let reason = Some("line exceeds max_line_bytes".to_string());
+    let expected: Vec<_> = (2..=4).map(|line| (reason.clone(), Some(line))).collect();
+    assert_eq!(errors, expected);
+
+    let top = query(&mut conn, &mut reader, "?topk 2");
+    assert_eq!(top["stream_len"], 2, "the 64 KiB line and `good`");
+    query(&mut conn, &mut reader, "?shutdown");
+    assert_eq!(server.join().expect("server thread").stream_len(), 2);
+}
+
 /// `?topk` accepts any positive `usize`; the largest returns every
 /// stored row, in descending order, without sizing anything by `k`, and
 /// the connection keeps being served.
