@@ -10,6 +10,7 @@
 //! directly visible in the output.
 
 use hh_analysis::{error_stats, fnum, fok, Algo, Table};
+use hh_counters::TailConstants;
 use hh_streamgen::zipf::{stream_from_counts, StreamOrder};
 use hh_streamgen::{exact_zipf_counts, ExactCounter};
 
@@ -54,11 +55,12 @@ pub fn run(scale: Scale) -> Report {
         let stats = error_stats(est.as_ref(), &oracle);
         let space = est.capacity().max(budget);
         let f1_bound = f1 as f64 / space as f64;
-        let tail_bound = res_k as f64 / (space as f64 - K as f64);
+        // `None` when `space <= K`: no tail bound to check.
+        let tail_bound = TailConstants::ONE_ONE.bound(space, K, res_k);
         let (paper_col, check_bound) = match algo {
             // Appendix B/C: F1^res(k)/(m−k)
             Algo::Frequent | Algo::SpaceSaving | Algo::HeapSpaceSaving => {
-                ("eps/k * F1res(k)  [this paper]", Some(tail_bound))
+                ("eps/k * F1res(k)  [this paper]", tail_bound)
             }
             // Table 1: eps*F1 with eps = 1/width
             Algo::LossyCounting => ("eps * F1", Some(f1 as f64 / budget as f64)),
@@ -84,7 +86,7 @@ pub fn run(scale: Scale) -> Report {
             stats.max.to_string(),
             fnum(stats.mean),
             fnum(f1_bound),
-            fnum(tail_bound),
+            tail_bound.map_or_else(|| "-".to_string(), fnum),
             paper_col.to_string(),
             fok(ok),
         ]);

@@ -102,8 +102,15 @@ fn main() -> ExitCode {
         // `serve --listen` writes every record itself, the final one too.
         Ok(output) if output.is_empty() => ExitCode::SUCCESS,
         Ok(output) => {
-            println!("{output}");
-            ExitCode::SUCCESS
+            let mut stdout = std::io::stdout().lock();
+            match writeln!(stdout, "{output}").and_then(|()| stdout.flush()) {
+                // A reader that stopped early (`| head`) took all it wanted.
+                Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+                    eprintln!("error: cannot write output: {e}");
+                    ExitCode::from(1)
+                }
+                _ => ExitCode::SUCCESS,
+            }
         }
         Err(e) => {
             eprintln!("error: {e}");

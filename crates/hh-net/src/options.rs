@@ -395,6 +395,18 @@ impl<I: EngineItem> ServeSession<I> {
         Ok(due)
     }
 
+    /// Ships the buffered items of every shard with an empty queue (see
+    /// [`Pipeline::ship_idle`]), so a later query waits only for what
+    /// arrives after this call. The network server calls it whenever its
+    /// read loop drains.
+    ///
+    /// # Errors
+    ///
+    /// As [`ServeSession::send`].
+    pub fn ship_idle(&mut self) -> Result<(), Error> {
+        self.pipeline.ship_idle()
+    }
+
     /// The live answer at an epoch boundary (see [`Pipeline::view`]):
     /// each item's interval is its owner shard's, which covers the
     /// resumed stream too, widened by the owner's own lost mass and the

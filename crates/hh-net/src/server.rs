@@ -11,7 +11,10 @@
 //! Backpressure is the point of the shape — when any shard queue is full
 //! ([`ServeSession::saturated`]), the loop simply *stops reading* client
 //! sockets; kernel receive buffers fill, TCP flow control pushes back on
-//! writers, and nothing is dropped or buffered unboundedly.
+//! writers, and nothing is dropped or buffered unboundedly. When a pass
+//! leaves no socket readable, the loop ships the routed-but-buffered
+//! items to idle shards ([`ServeSession::ship_idle`]), so a query's epoch
+//! waits only for what arrived since, not for a full batch backlog.
 //!
 //! Robustness: malformed lines get an error record and a registry
 //! counter (the connection lives on), oversized lines are skipped to the
@@ -399,6 +402,11 @@ impl<I: ServeItem> Server<I> {
 
             self.flush_pending_writers();
             self.pump(out, now)?;
+            if !self.reads_pending() {
+                // Input drained (not paused by backpressure): let idle
+                // shards apply what is buffered before the next query.
+                self.session.ship_idle()?;
+            }
 
             if self.net.idle_timeout_ms > 0 {
                 let idle = Duration::from_millis(self.net.idle_timeout_ms);
@@ -416,12 +424,17 @@ impl<I: ServeItem> Server<I> {
     /// coarse tick otherwise (the loop must still wake to notice signals
     /// and idle connections).
     fn poll_timeout(&self) -> i32 {
-        let paused = self.conns.iter().flatten().any(|c| c.readable && !c.broken);
-        if paused {
+        if self.reads_pending() {
             1
         } else {
             250
         }
+    }
+
+    /// Whether a connection still has bytes to read — after a
+    /// [`Self::pump`], only when backpressure paused it.
+    fn reads_pending(&self) -> bool {
+        self.conns.iter().flatten().any(|c| c.readable && !c.broken)
     }
 
     /// Accepts every pending connection on the listener behind `token`

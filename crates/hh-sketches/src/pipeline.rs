@@ -15,10 +15,12 @@
 //!   shard summarizes a disjoint slice of the universe;
 //! * **per-batch aggregation** — a shard feeds each delivered batch to
 //!   its engine as one `update_by` per distinct item, in first-occurrence
-//!   order (a large constant-factor win on hot-set traffic). Shard `j`
-//!   therefore equals a sequential engine fed partition `j` in
-//!   consecutive `batch_size`-item chunks, each aggregated that way; an
-//!   epoch query's flush cuts every shard's open chunk short.
+//!   order (a large constant-factor win on hot-set traffic). Driven
+//!   through [`Pipeline::send`] alone, shard `j` therefore equals a
+//!   sequential engine fed partition `j` in consecutive
+//!   `batch_size`-item chunks, each aggregated that way; an epoch
+//!   query's flush cuts every shard's open chunk short, and so does
+//!   [`Pipeline::ship_idle`] for the shards it ships.
 //!
 //! Two query surfaces follow. Answers read the live one,
 //! [`Pipeline::view`], a [`ShardedView`]: an item's certified interval
@@ -312,10 +314,14 @@ impl PipelineConfig {
         // exists.
         let restore = self.start_engines(snapshots)?;
         let metrics = PipelineMetrics::new(self.shards);
+        // Enough slots for every batch buffer that can exist outside the
+        // router: `queue` queued per shard plus one being applied.
+        let (pool_tx, pool) = std::sync::mpsc::sync_channel(self.shards * (self.queue + 1));
         let mut senders = Vec::with_capacity(self.shards);
         let mut workers = Vec::with_capacity(self.shards);
         for (shard, engine) in restore.iter().enumerate() {
-            match spawn_worker(engine.clone(), self.queue, metrics.shards[shard].clone()) {
+            let shard_metrics = metrics.shards[shard].clone();
+            match spawn_worker(engine.clone(), self.queue, shard_metrics, pool_tx.clone()) {
                 Ok((tx, handle)) => {
                     senders.push(tx);
                     workers.push(handle);
@@ -339,6 +345,8 @@ impl PipelineConfig {
             buffers: (0..self.shards)
                 .map(|_| Vec::with_capacity(self.batch))
                 .collect(),
+            pool,
+            pool_tx,
             restore,
             shipped_since: vec![0; self.shards],
             lost: vec![0; self.shards],
@@ -451,7 +459,10 @@ struct ShardMetrics {
     /// distribution; feeds the imbalance ratio).
     routed_items: Counter,
     /// Batches in flight on the shard's channel: `+1` at ship, `−1` when
-    /// the worker dequeues — a live sample of backpressure.
+    /// the worker dequeues — a live sample of backpressure. Between the
+    /// router's own calls it never reads below the channel's length
+    /// (the router adds after each send completes), so `≤ 0` means the
+    /// channel is empty.
     queue_depth: Gauge,
     /// Nanoseconds the producer spent inside `send` per shipped batch —
     /// grows when the bounded channel is full (backpressure blocking).
@@ -634,11 +645,12 @@ fn shard_worker<I: EngineItem>(
     mut engine: Engine<I>,
     rx: Receiver<Msg<I>>,
     metrics: ShardMetrics,
+    pool: SyncSender<Vec<I>>,
 ) -> Engine<I> {
     let mut aggregator = BatchAggregator::new();
     while let Ok(msg) = rx.recv() {
         match msg {
-            Msg::Batch(batch) => {
+            Msg::Batch(mut batch) => {
                 // Injection site: a crash here models a worker dying with
                 // a dequeued-but-unapplied batch (free unless armed).
                 hh_fault::fault_point(hh_fault::sites::SHARD_BATCH);
@@ -646,6 +658,11 @@ fn shard_worker<I: EngineItem>(
                 aggregator.ingest(&mut engine, &batch);
                 metrics.items_ingested.add(batch.len() as u64);
                 metrics.batches_ingested.inc();
+                // Hand the emptied buffer back for the router's next
+                // batch.
+                batch.clear();
+                // lint:allow(error-swallow) the error hands the buffer back when the pool is full or the router is gone; dropping it is the intended fallback
+                let _ = pool.try_send(batch);
             }
             Msg::Checkpoint(reply) => {
                 // Injection site: a crash between marker receipt and the
@@ -675,11 +692,12 @@ fn spawn_worker<I: EngineItem>(
     engine: Engine<I>,
     queue: usize,
     metrics: ShardMetrics,
+    pool: SyncSender<Vec<I>>,
 ) -> Result<Worker<I>, Error> {
     let (tx, rx) = std::sync::mpsc::sync_channel::<Msg<I>>(queue);
     let handle = std::thread::Builder::new()
         .spawn(move || {
-            std::panic::catch_unwind(AssertUnwindSafe(|| shard_worker(engine, rx, metrics)))
+            std::panic::catch_unwind(AssertUnwindSafe(|| shard_worker(engine, rx, metrics, pool)))
                 .map_err(|payload| panic_message(payload.as_ref()))
         })
         .map_err(|e| Error::pipeline(format!("cannot spawn a shard worker thread: {e}")))?;
@@ -726,14 +744,15 @@ impl<I: EngineItem> BatchAggregator<I> {
         if batch.is_empty() {
             return;
         }
-        // ≤ 1/2 load even if every batch item is distinct.
+        // ≤ 1/2 load even if every batch item is distinct. Only the
+        // prefix this batch probes is cleared, so a small batch after a
+        // full one costs its own size, not the table's.
         let want = (batch.len() * 2).next_power_of_two().max(16);
         if self.table.len() < want {
-            self.table = vec![0u32; want];
-            self.mask = want - 1;
-        } else {
-            self.table.fill(0);
+            self.table.resize(want, 0);
         }
+        self.table[..want].fill(0);
+        self.mask = want - 1;
         for item in batch {
             // probe with the well-mixed high half of the hash (the low
             // bits of an unmixed Fx product cluster on strided keys)
@@ -775,8 +794,14 @@ pub struct Pipeline<I: EngineItem> {
     config: PipelineConfig,
     senders: Vec<SyncSender<Msg<I>>>,
     workers: Vec<JoinHandle<ShardOutcome<I>>>,
-    /// Pending per-shard batches, shipped at `batch_size` items.
+    /// Pending per-shard batches, shipped at `batch_size` items (or
+    /// earlier by [`Pipeline::ship_idle`]).
     buffers: Vec<Vec<I>>,
+    /// Emptied batch buffers the workers handed back, reused by
+    /// [`Pipeline::ship`] instead of allocating a fresh one per batch.
+    pool: Receiver<Vec<I>>,
+    /// The workers' end of `pool`, cloned into every (re)spawned worker.
+    pool_tx: SyncSender<Vec<I>>,
     /// Supervision state: each shard's restore point — a copy of its
     /// starting engine at spawn, then of its engine at the last epoch
     /// boundary. A dead shard is rebuilt from it, and a [`ShardedView`]
@@ -961,14 +986,54 @@ impl<I: EngineItem> Pipeline<I> {
         Ok(())
     }
 
+    /// Ships the buffer of every shard whose channel is empty, so its
+    /// idle worker applies the items now instead of when the buffer
+    /// fills or the next epoch marker flushes it. Never blocks: a shard
+    /// with a batch in flight keeps its buffer. Sound at any point,
+    /// since each shard's k-tail bound holds for any split of its stream
+    /// into batches; the cost is smaller, less aggregated batches.
+    ///
+    /// For producers that know when their input has gone quiet — the
+    /// network server calls it each time its read loop drains. A
+    /// pipeline fed through [`Pipeline::send`] alone keeps full batches.
+    ///
+    /// ```
+    /// use hh_sketches::engine::{AlgoKind, EngineConfig};
+    /// use hh_sketches::pipeline::PipelineConfig;
+    ///
+    /// let mut p = PipelineConfig::new(EngineConfig::new(AlgoKind::SpaceSaving).counters(8))
+    ///     .shards(1)
+    ///     .spawn::<u64>()
+    ///     .unwrap();
+    /// p.send_batch(&[1, 2, 2]).unwrap();
+    /// assert_eq!(p.stats().shipped(), 0); // buffered below batch_size
+    /// p.ship_idle().unwrap();
+    /// assert_eq!(p.stats().shipped(), 3);
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// As [`Pipeline::send`]: [`Error::ShardDown`] when a dead shard's
+    /// rebuilt worker dies again at once.
+    pub fn ship_idle(&mut self) -> Result<(), Error> {
+        for shard in 0..self.buffers.len() {
+            let idle = self.metrics.shards[shard].queue_depth.get() <= 0;
+            if idle && !self.buffers[shard].is_empty() {
+                self.ship(shard)?;
+            }
+        }
+        Ok(())
+    }
+
     /// The single shipping point: all telemetry is per *batch* here (a
     /// counter add, a gauge bump, one timed send), so the per-item
     /// [`Pipeline::send`] stays exactly as lean as before instrumentation.
     fn ship(&mut self, shard: usize) -> Result<(), Error> {
-        let batch = std::mem::replace(
-            &mut self.buffers[shard],
-            Vec::with_capacity(self.config.batch),
-        );
+        let spare = self
+            .pool
+            .try_recv()
+            .unwrap_or_else(|_| Vec::with_capacity(self.config.batch));
+        let batch = std::mem::replace(&mut self.buffers[shard], spare);
         let len = batch.len() as u64;
         self.metrics.shards[shard].routed_items.add(len);
         let start = Instant::now();
@@ -1007,6 +1072,7 @@ impl<I: EngineItem> Pipeline<I> {
             engine,
             self.config.queue,
             self.metrics.shards[shard].clone(),
+            self.pool_tx.clone(),
         )?;
         drop(std::mem::replace(&mut self.senders[shard], tx));
         let dead = std::mem::replace(&mut self.workers[shard], handle);
@@ -1616,6 +1682,73 @@ mod tests {
         let json = p.registry().to_json();
         assert!(json.contains("\"hh_pipeline_epochs_total\""));
         p.finish().unwrap();
+    }
+
+    #[test]
+    fn ship_idle_ships_only_shards_with_an_empty_queue() {
+        let s = stream(3_000, 61); // 61 distinct < m: every shard is exact
+        let mut p = ss_config(64)
+            .shards(2)
+            .batch_size(4_096) // above the stream: nothing ships by size
+            .spawn::<u64>()
+            .unwrap();
+        let ships = |p: &Pipeline<u64>| -> Vec<u64> {
+            let stats = p.stats();
+            stats.shards.iter().map(|s| s.send_block_ns.count).collect()
+        };
+        p.ship_idle().unwrap();
+        assert_eq!(ships(&p), [0, 0], "empty buffers ship nothing");
+
+        p.send_batch(&s).unwrap();
+        let on_1 = s.iter().filter(|&&x| hash_shard(2, &x) == 1).count() as u64;
+        // Shard 0 looks busy: one batch in flight on its channel.
+        p.metrics.shards[0].queue_depth.add(1);
+        p.ship_idle().unwrap();
+        p.metrics.shards[0].queue_depth.sub(1);
+        let stats = p.stats();
+        assert_eq!(ships(&p), [0, 1]);
+        assert_eq!(stats.shards[0].routed_items, 0);
+        assert_eq!(stats.shards[1].routed_items, on_1);
+
+        p.ship_idle().unwrap();
+        assert_eq!(ships(&p), [1, 1]);
+        assert_eq!(p.stats().shipped(), p.routed());
+        p.ship_idle().unwrap();
+        assert_eq!(ships(&p), [1, 1], "shipped buffers are empty");
+
+        // The epoch after idle shipping still sees every item, exactly.
+        let view = p.view().unwrap();
+        let report = view.report();
+        assert_eq!(report.total(), 3_000);
+        for item in 0..61u64 {
+            let f = s.iter().filter(|&&x| x == item).count() as u64;
+            assert_eq!(report.interval(&item), (f, f), "item {item}");
+        }
+        let stats = p.stats();
+        assert_eq!(stats.shipped(), 3_000);
+        for shard in &stats.shards {
+            assert_eq!(shard.batches_ingested, 1, "the flush had nothing left");
+            assert_eq!(shard.items_ingested, shard.routed_items);
+        }
+        p.finish().unwrap();
+    }
+
+    #[test]
+    fn aggregator_reused_after_a_full_batch_matches_a_fresh_one() {
+        // More distinct items than counters, so the update order matters.
+        let config = EngineConfig::new(AlgoKind::SpaceSaving).counters(16);
+        let mut reused_engine = config.build::<u64>().unwrap();
+        let mut fresh_engine = config.build::<u64>().unwrap();
+        let mut reused = BatchAggregator::new();
+        let mut batches = vec![stream(8_192, 1_009)];
+        batches.extend((0..6).map(|i| stream(20 + 40 * i, 37 + 2 * i)));
+        for batch in &batches {
+            reused.ingest(&mut reused_engine, batch);
+            BatchAggregator::new().ingest(&mut fresh_engine, batch);
+            assert_eq!(reused_engine.entries(), fresh_engine.entries());
+        }
+        // The last batch (220 items) sized the probe, not the full one.
+        assert_eq!(reused.mask, 512 - 1);
     }
 
     #[test]

@@ -456,6 +456,61 @@ fn topk_with_the_largest_k_returns_every_stored_row() {
     assert_eq!(engine.stream_len(), PER_WRITER as u64);
 }
 
+/// Items routed between queries reach the shards whenever the read loop
+/// drains, not only at the next epoch: three 100-item chunks about 50 ms
+/// apart, with no epoch query between them, give every shard at least
+/// three batches by the first `?stats` (the epoch's own flush finds the
+/// buffers empty), and every interval still brackets the exact count.
+#[test]
+fn idle_read_loop_ships_buffered_items_to_the_shards() {
+    let _guard = server_lock();
+    sys::reset_drain();
+
+    // Fewer counters than distinct items, so intervals are not all exact.
+    let engine = EngineConfig::new(AlgoKind::SpaceSaving).counters(8);
+    let serve = ServeOptions::new(engine).shards(Some(2)).top_k(64);
+    let net = NetOptions::new().tcp("127.0.0.1:0").idle_timeout_ms(60_000);
+    let (addr, server) = spawn_server(serve, net);
+
+    let mut conn = TcpStream::connect(addr).expect("connect");
+    let mut reader = BufReader::new(conn.try_clone().unwrap());
+    let chunk: Vec<String> = (0..100u64)
+        .map(|i| format!("i{}", (i * i + 11 * i) % 31 % (1 + i % 7)))
+        .collect();
+    for _ in 0..3 {
+        let mut text = chunk.join("\n");
+        text.push('\n');
+        conn.write_all(text.as_bytes()).expect("write chunk");
+        // `?ping` crosses no epoch; its reply shows the chunk was read.
+        assert_eq!(query(&mut conn, &mut reader, "?ping")["pong"], true);
+        thread::sleep(Duration::from_millis(50));
+    }
+
+    let stats = query(&mut conn, &mut reader, "?stats");
+    assert_eq!(stats["routed"].as_u64(), Some(300), "{stats:?}");
+    for shard in stats["shards"].as_array().expect("shards array") {
+        assert!(shard["batches"].as_u64().unwrap() >= 3, "{stats:?}");
+    }
+
+    let top = query(&mut conn, &mut reader, "?topk 64");
+    assert_eq!(top["stream_len"].as_u64(), Some(300), "{top:?}");
+    let rows = top["top"].as_array().expect("top array");
+    assert!(!rows.is_empty(), "{top:?}");
+    for row in rows {
+        let item = row["item"].as_str().unwrap();
+        let exact = 3 * chunk.iter().filter(|x| *x == item).count() as u64;
+        let (lower, upper) = (
+            row["lower"].as_u64().unwrap(),
+            row["upper"].as_u64().unwrap(),
+        );
+        assert!(lower <= exact && exact <= upper, "{row:?} vs {exact}");
+    }
+
+    query(&mut conn, &mut reader, "?shutdown");
+    let engine = server.join().expect("server thread");
+    assert_eq!(engine.stream_len(), 300);
+}
+
 /// Writes `bytes` with no final newline, half-closes, and returns every
 /// response record the server sends before closing the connection.
 fn send_unterminated(addr: SocketAddr, bytes: &[u8]) -> Vec<serde_json::Value> {
