@@ -19,7 +19,7 @@ commands:
   heavy       report items above phi*F1 with confidence labels
   estimate    report estimates for the items given via --items
   residual    estimate the residual tail mass F1^res(k)
-  merge       merge two or more snapshot FILEs and report the top-k
+  merge       merge two or more snapshot FILEs shard by shard; report top-k
   gen         emit a synthetic Zipf trace (requires --zipf)
   serve       sharded streaming ingest with periodic live top-k reports;
               with --listen / --listen-unix, a network server speaking the
@@ -47,12 +47,13 @@ common options:
   --items <a,b,c>    comma-separated items for `estimate`
   --weighted         lines are `item weight` (SPACESAVINGR / FREQUENTR)
   --json             machine-readable output
-  --snapshot-out <F> write the engine snapshot to F after ingest (an hhckpt
-                     envelope, the only snapshot file format)
-  --snapshot-in <F>  resume from a snapshot written by --snapshot-out
-                     (for `serve`: shard j resumes from snapshot j, so
-                     the shard counts must match; without --shards the
-                     checkpoint's count is used)
+  --snapshot-out <F> write the shards' snapshots to F after ingest (an
+                     hhckpt envelope, the only snapshot file format)
+  --snapshot-in <F>  resume from a snapshot written by --snapshot-out:
+                     shard j resumes from snapshot j (for `serve` the
+                     counts must match; without --shards the checkpoint's
+                     count is used); shards that are not one hash
+                     partition fold into one summary
   --zipf <SPEC>      for `gen`: n,total,alpha[,seed] (e.g. 1000,50000,1.2)
 
 serve options (serve only; parsed straight into hh::net::ServeOptions, which

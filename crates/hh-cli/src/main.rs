@@ -40,7 +40,7 @@ use hh::counters::{Confidence, Key};
 use hh::engine::{Count, Engine, HeavyHitterEntry, Report, ReportEntry, Snapshot, WeightedEngine};
 use hh::net::checkpoint::{self, Checkpoint};
 use hh::net::{proto, NetOptions, ServeOptions, ServeSession, Server};
-use hh::pipeline::PipelineStats;
+use hh::pipeline::{hash_shard, PipelineStats, ShardedView};
 use hh::Error;
 
 fn main() -> ExitCode {
@@ -63,7 +63,8 @@ fn main() -> ExitCode {
 
     let result = match (opts.command, &opts.net) {
         (Command::Gen, _) => run_gen(&opts),
-        (Command::Merge, _) => run_merge(&opts),
+        // `merge` reads its FILEs as snapshots and ingests nothing.
+        (Command::Merge, _) => run(opts, std::io::empty()),
         // The network server never opens FILE/stdin: all ingest arrives
         // over the socket.
         (Command::Serve, Some(net)) => {
@@ -119,11 +120,26 @@ fn main() -> ExitCode {
     }
 }
 
+/// The offline commands: load the snapshot files (`merge`'s FILEs or
+/// `--snapshot-in`) through [`checkpoint::load_shards`], ingest `reader`,
+/// answer, and write `--snapshot-out`.
 fn run(opts: Options, reader: impl BufRead) -> Result<String, Error> {
-    if opts.weighted {
-        run_weighted(opts, reader)
+    let paths = match opts.command {
+        Command::Merge => opts.inputs.as_slice(),
+        _ => opts.snapshot_in.as_slice(),
+    };
+    let ckpt = checkpoint::load_shards(paths)?;
+    let weighted = match opts.command {
+        Command::Merge if ckpt.shards.is_empty() => {
+            return Err(Error::parse("the snapshot files hold no snapshots"))
+        }
+        Command::Merge => ckpt.shards.iter().any(Snapshot::is_weighted),
+        _ => opts.weighted,
+    };
+    if weighted {
+        run_weighted(&opts, ckpt, reader)
     } else {
-        run_unweighted(opts, reader)
+        run_unweighted(&opts, ckpt, reader)
     }
 }
 
@@ -132,34 +148,55 @@ fn run(opts: Options, reader: impl BufRead) -> Result<String, Error> {
 /// to stay cache-resident.
 const INGEST_CHUNK: usize = 8192;
 
-fn run_unweighted(opts: Options, mut reader: impl BufRead) -> Result<String, Error> {
-    let (resume, unobserved) = read_snapshots(opts.snapshot_in.as_slice())?;
-    let mut engine: Engine<Key> = match resume {
-        Some(snap) => Engine::from_snapshot(snap)?,
-        None => opts.engine_config().build()?,
-    };
-    engine.add_unobserved(unobserved);
+/// Counts: the loaded shards (or one fresh engine) take each item at its
+/// [`hash_shard`], stay one hash partition and answer through a
+/// [`ShardedView`], as `hh serve` does.
+fn run_unweighted(
+    opts: &Options,
+    ckpt: Checkpoint<Key>,
+    mut reader: impl BufRead,
+) -> Result<String, Error> {
+    let mut shards = ckpt
+        .shards
+        .into_iter()
+        .map(Engine::from_snapshot)
+        .collect::<Result<Vec<Engine<Key>>, Error>>()?;
+    if shards.is_empty() {
+        shards.push(opts.engine_config().build()?);
+    }
 
-    // Chunked ingest (one `Engine::update_batch` per chunk as the reader
-    // fills it): each buffer goes through the engine's batched fast path
-    // — run-length / pre-aggregated per backend — instead of one dispatch
-    // per line.
-    let mut chunk: Vec<Key> = Vec::with_capacity(INGEST_CHUNK);
+    // Chunked ingest (one `Engine::update_batch` per shard chunk as the
+    // reader fills it): each buffer goes through the engine's batched fast
+    // path — run-length / pre-aggregated per backend — instead of one
+    // dispatch per line.
+    let mut chunks: Vec<Vec<Key>> = vec![Vec::new(); shards.len()];
     let mut line = String::new();
     while let Some(item) = next_item(&mut reader, &mut line)? {
-        chunk.push(Key::from(item));
-        if chunk.len() == INGEST_CHUNK {
-            engine.update_batch(&chunk);
-            chunk.clear();
+        let item = Key::from(item);
+        let shard = hash_shard(shards.len(), &item);
+        chunks[shard].push(item);
+        if chunks[shard].len() == INGEST_CHUNK {
+            shards[shard].update_batch(&chunks[shard]);
+            chunks[shard].clear();
         }
     }
-    if !chunk.is_empty() {
-        engine.update_batch(&chunk);
+    for (engine, chunk) in shards.iter_mut().zip(&chunks) {
+        if !chunk.is_empty() {
+            engine.update_batch(chunk);
+        }
     }
 
-    let out = answer(&opts, &engine.report())?;
+    let lost = vec![0; shards.len()];
+    let out = answer(
+        opts,
+        &ShardedView::new(&shards, &lost, ckpt.unobserved)?.report(),
+    )?;
     if let Some(path) = &opts.snapshot_out {
-        save(path, engine.snapshot(), engine.unobserved())?;
+        let ckpt = Checkpoint {
+            shards: shards.iter().map(Engine::snapshot).collect(),
+            unobserved: ckpt.unobserved,
+        };
+        checkpoint::write(path, &ckpt)?;
     }
     Ok(out)
 }
@@ -216,34 +253,6 @@ fn answer<C: Shown>(opts: &Options, report: &Report<'_, Key, C>) -> Result<Strin
             unreachable!("handled in main")
         }
     })
-}
-
-/// Reads snapshot files — `hhckpt` envelopes, each falling back to its
-/// previous generation when torn or missing — and folds every shard they
-/// hold into one snapshot (Theorem 11), returned with the unobserved mass
-/// the files carry.
-fn read_snapshots(paths: &[String]) -> Result<(Option<Snapshot<Key>>, u64), Error> {
-    let mut shards = Vec::new();
-    let mut unobserved = 0u64;
-    for path in paths {
-        let (ckpt, _) = checkpoint::load_latest(path)?;
-        shards.extend(ckpt.shards);
-        unobserved = unobserved.saturating_add(ckpt.unobserved);
-    }
-    let merged = checkpoint::merge_to_snapshot(shards)?;
-    if unobserved > 0 && merged.as_ref().is_some_and(Snapshot::is_weighted) {
-        return Err(Error::corrupt_snapshot(
-            "a weighted snapshot cannot carry unobserved mass",
-        ));
-    }
-    Ok((merged, unobserved))
-}
-
-/// Writes `snapshot` to `path` as a one-shard checkpoint envelope, the
-/// only snapshot file format.
-fn save(path: &str, snapshot: Snapshot<Key>, unobserved: u64) -> Result<(), Error> {
-    let shards = vec![snapshot];
-    checkpoint::write(path, &Checkpoint { shards, unobserved })
 }
 
 /// `hh serve`: long-lived sharded ingest over the `hh::pipeline` service,
@@ -564,10 +573,20 @@ fn serve_report(report: Report<'_, Key>, epoch: Option<u64>, opts: &Options) -> 
     }
 }
 
-fn run_weighted(opts: Options, reader: impl BufRead) -> Result<String, Error> {
-    let mut engine: WeightedEngine<Key> = match read_snapshots(opts.snapshot_in.as_slice())? {
-        (Some(snap), _) => WeightedEngine::from_snapshot(snap)?,
-        (None, _) => opts.engine_config().build_weighted()?,
+/// Weights: one engine, the folded snapshot or a fresh one.
+fn run_weighted(
+    opts: &Options,
+    mut ckpt: Checkpoint<Key>,
+    reader: impl BufRead,
+) -> Result<String, Error> {
+    if ckpt.unobserved > 0 {
+        return Err(Error::corrupt_snapshot(
+            "a weighted snapshot cannot carry unobserved mass",
+        ));
+    }
+    let mut engine: WeightedEngine<Key> = match ckpt.shards.pop() {
+        Some(snap) => WeightedEngine::from_snapshot(snap)?,
+        None => opts.engine_config().build_weighted()?,
     };
 
     for line in reader.lines() {
@@ -591,32 +610,12 @@ fn run_weighted(opts: Options, reader: impl BufRead) -> Result<String, Error> {
         engine.update(Key::from(item), w);
     }
 
-    let out = answer(&opts, &engine.report())?;
+    let out = answer(opts, &engine.report())?;
     if let Some(path) = &opts.snapshot_out {
-        save(path, engine.snapshot(), 0)?;
+        let (shards, unobserved) = (vec![engine.snapshot()], 0);
+        checkpoint::write(path, &Checkpoint { shards, unobserved })?;
     }
     Ok(out)
-}
-
-/// `hh merge`: combine two or more snapshot files (Theorem 11's merge with
-/// full counter replay; cell-wise for sketches) and report the top-k.
-fn run_merge(opts: &Options) -> Result<String, Error> {
-    let (merged, unobserved) = read_snapshots(&opts.inputs)?;
-    let merged = merged.ok_or_else(|| Error::parse("the snapshot files hold no snapshots"))?;
-    if merged.is_weighted() {
-        let engine = WeightedEngine::from_snapshot(merged)?;
-        if let Some(path) = &opts.snapshot_out {
-            save(path, engine.snapshot(), 0)?;
-        }
-        answer(opts, &engine.report())
-    } else {
-        let mut engine = Engine::from_snapshot(merged)?;
-        engine.add_unobserved(unobserved);
-        if let Some(path) = &opts.snapshot_out {
-            save(path, engine.snapshot(), engine.unobserved())?;
-        }
-        answer(opts, &engine.report())
-    }
 }
 
 /// `hh gen`: emit a shuffled Zipf trace, one item per line.
@@ -895,7 +894,7 @@ mod tests {
             s1s,
             s2s,
         ]);
-        let out = run_merge(&o).unwrap();
+        let out = run(o, std::io::empty()).unwrap();
         assert!(out.lines().nth(1).unwrap().starts_with('a'), "{out}");
 
         // resume from the merged snapshot without any new input
@@ -1000,10 +999,10 @@ mod tests {
         ]);
         let mut sink = Vec::new();
         run_serve(&o, "a\na\nb\n".as_bytes(), &mut sink).unwrap();
-        let (restored, _) = read_snapshots(&[snap.to_str().unwrap().to_string()]).unwrap();
-        let restored = Engine::from_snapshot(restored.unwrap()).unwrap();
-        assert_eq!(restored.estimate(&Key::from("a")), 2);
-        assert_eq!(restored.stream_len(), 3);
+        let snap = snap.to_str().unwrap();
+        let o = opts(&["residual", "-k", "1", "--json", "--snapshot-in", snap]);
+        let out = run(o, std::io::empty()).unwrap();
+        assert_eq!(out, r#"{"k":1,"residual_estimate":1,"stream_len":3}"#);
         std::fs::remove_dir_all(&dir).ok();
     }
 

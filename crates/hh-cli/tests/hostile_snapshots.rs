@@ -2,9 +2,12 @@
 //! hostile payloads, and flag values far outside any sane range — must
 //! end `hh` with an error or a normal answer, never an abort.
 
+use std::collections::HashMap;
 use std::process::{Command, Output};
 
-use hh::net::checkpoint::{crc32, MAGIC};
+use hh::engine::{AlgoKind, EngineConfig};
+use hh::net::checkpoint::{self, crc32, Checkpoint, MAGIC};
+use hh::pipeline::PipelineConfig;
 
 const HH: &str = env!("CARGO_BIN_EXE_hh");
 
@@ -80,6 +83,79 @@ fn serve_rejects_an_item_stored_by_a_shard_that_does_not_own_it() {
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(stderr.starts_with("error: "), "{stderr}");
     assert!(stderr.contains("snapshot mismatch"), "{stderr}");
+    std::fs::remove_file(path).ok();
+}
+
+/// Runs `hh topk` over `path` and `hh merge` of `path` with itself and
+/// checks that both exit 0 and that every interval they report brackets
+/// the true count: `truth` for the file, twice that for the merge.
+fn assert_offline_reads_bracket(path: &str, truth: &HashMap<String, u64>) {
+    let topk = [
+        "topk",
+        "-k",
+        "100",
+        "--json",
+        "--snapshot-in",
+        path,
+        "/dev/null",
+    ];
+    let merge = ["merge", "-k", "100", "--json", path, path];
+    for (args, times) in [(&topk[..], 1), (&merge[..], 2)] {
+        let out = hh(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {stderr}");
+        let rows: serde_json::Value =
+            serde_json::from_str(&String::from_utf8_lossy(&out.stdout)).unwrap();
+        let rows = rows.as_array().unwrap();
+        assert!(!rows.is_empty(), "{args:?}");
+        for row in rows {
+            let item = row["item"].as_str().unwrap();
+            let f = times * truth.get(item).copied().unwrap_or(0);
+            let (lower, upper) = (
+                row["lower"].as_u64().unwrap(),
+                row["upper"].as_u64().unwrap(),
+            );
+            assert!(
+                lower <= f && f <= upper,
+                "{args:?}: {item} = {f} outside [{lower}, {upper}]"
+            );
+        }
+    }
+}
+
+#[test]
+fn layouts_that_are_not_one_partition_fold_soundly() {
+    // Both shards store "a": read shard by shard, "a" would count 2, not 4.
+    let shard = r#"{"algo":"space_saving","state":{"capacity":256,"stream_len":2,"absorbed_slack":0,"entries":[["a",2,0]]}}"#;
+    let stray = envelope_of("stray-read", &format!("[{shard},{shard}]"), 2);
+    assert_offline_reads_bracket(&stray, &HashMap::from([("a".to_string(), 4)]));
+    std::fs::remove_file(stray).ok();
+
+    // The earlier release's layout of a resumed session: two hash shards
+    // of the new stream, then a donor shard holding the resumed summary,
+    // which stores items every shard owns.
+    let config = EngineConfig::new(AlgoKind::SpaceSaving).counters(64);
+    let fresh: Vec<String> = (0..3_000).map(|i| format!("k{}", (i * i) % 97)).collect();
+    let resumed: Vec<String> = (0..2_000).map(|i| format!("k{}", i % 41)).collect();
+    let mut p = PipelineConfig::new(config.clone())
+        .shards(2)
+        .spawn::<String>()
+        .unwrap();
+    p.send_batch(&fresh).unwrap();
+    let mut shards = p.snapshots().unwrap();
+    p.finish().unwrap();
+    let mut donor = config.build::<String>().unwrap();
+    donor.update_batch(&resumed);
+    shards.push(donor.snapshot());
+    let path = std::env::temp_dir().join(format!("hh-hostile-{}-donor", std::process::id()));
+    let path = path.to_str().unwrap();
+    let unobserved = 0;
+    checkpoint::write(path, &Checkpoint { shards, unobserved }).unwrap();
+    let mut truth = HashMap::new();
+    for item in fresh.iter().chain(&resumed) {
+        *truth.entry(item.clone()).or_insert(0) += 1;
+    }
+    assert_offline_reads_bracket(path, &truth);
     std::fs::remove_file(path).ok();
 }
 

@@ -36,6 +36,7 @@ use std::path::Path;
 
 use hh_counters::error::Error;
 use hh_sketches::engine::{Engine, EngineItem, Snapshot, WeightedEngine};
+use hh_sketches::pipeline::check_partition;
 use serde::{Deserialize, Serialize};
 
 /// First token of every checkpoint envelope.
@@ -50,9 +51,8 @@ pub const CHECKPOINT_VERSION: u64 = 1;
 pub struct Checkpoint<I: EngineItem> {
     /// Per-shard snapshots from one epoch boundary, in shard order. `hh
     /// serve` resumes shard j from snapshot j, so the shard counts must
-    /// match ([`PipelineConfig::resume`]). Other readers (`hh topk`, `hh
-    /// merge`) fold them into one summary with the Theorem 11 merge
-    /// ([`merge_to_snapshot`]), which holds for any partition.
+    /// match ([`PipelineConfig::resume`]). Offline readers (`hh topk`,
+    /// `hh merge`) read them shard by shard too ([`load_shards`]).
     ///
     /// [`PipelineConfig::resume`]: hh_sketches::pipeline::PipelineConfig::resume
     pub shards: Vec<Snapshot<I>>,
@@ -295,9 +295,45 @@ where
     }
 }
 
-/// Folds a checkpoint's snapshots into one snapshot (Theorem 11 snapshot
-/// merge; weighted shards fold through a [`WeightedEngine`]). `None` for
-/// an empty shard list.
+/// Reads snapshot files ([`load_latest`] each) into the shards an offline
+/// reader answers from, with their summed unobserved mass. Files of the
+/// same N unweighted shards that pass [`check_partition`] merge shard `j`
+/// into shard `j` (Theorem 11 per shard), staying one hash partition; any
+/// other input folds into one snapshot, sound for any partition.
+pub fn load_shards<I>(paths: &[String]) -> Result<Checkpoint<I>, Error>
+where
+    I: EngineItem + Deserialize,
+{
+    let mut files = Vec::with_capacity(paths.len());
+    let mut unobserved = 0u64;
+    for path in paths {
+        let (ckpt, _) = load_latest(path)?;
+        files.push(ckpt.shards);
+        unobserved = unobserved.saturating_add(ckpt.unobserved);
+    }
+    let n = files.first().map_or(0, Vec::len);
+    let like = files.first().and_then(|file| file.first());
+    let aligned = like.is_some_and(|like| {
+        !like.is_weighted()
+            && (files.iter()).all(|file| file.len() == n && check_partition(file, like).is_ok())
+    });
+    let mut columns = vec![Vec::new(); if aligned { n } else { 1 }];
+    for file in files {
+        for (j, snap) in file.into_iter().enumerate() {
+            columns[if aligned { j } else { 0 }].push(snap);
+        }
+    }
+    let shards = columns
+        .into_iter()
+        .map(merge_to_snapshot)
+        .filter_map(Result::transpose)
+        .collect::<Result<_, _>>()?;
+    Ok(Checkpoint { shards, unobserved })
+}
+
+/// Folds snapshots into one snapshot (Theorem 11 snapshot merge; weighted
+/// shards fold through a [`WeightedEngine`]), sound for any partition.
+/// `None` for an empty list.
 pub fn merge_to_snapshot<I: EngineItem>(
     shards: Vec<Snapshot<I>>,
 ) -> Result<Option<Snapshot<I>>, Error> {

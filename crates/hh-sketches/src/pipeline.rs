@@ -29,13 +29,14 @@
 //! the owner shard lost and by the unobserved mass a resumed checkpoint
 //! carried — so each shard keeps its own `(A, B)` k-tail bound. Resuming
 //! ([`PipelineConfig::resume`]) merges nothing either: shard `j` resumes
-//! from snapshot `j`; counts must match.
-//! Only summaries that leave the pipeline replay: [`Pipeline::merged`]
-//! and [`Pipeline::finish`] fold every shard into one engine through
+//! from snapshot `j` once [`check_partition`] passes, and offline
+//! readers answer a checkpoint that passes through [`ShardedView::new`].
+//! Only one-engine summaries replay: [`Pipeline::merged`] and
+//! [`Pipeline::finish`] fold every shard into one engine through
 //! [`Engine::merge`]. The paper's Theorem 11 (Section 6.2) keeps a
 //! `(3A, A+B)` guarantee for that merge **regardless of how the stream
 //! was partitioned or ordered**, at the price of a wider certificate —
-//! the form to ship when the partition is not known to the reader.
+//! the form for shards that are not known to be one partition.
 //!
 //! Backpressure is part of the contract: channels hold at most
 //! `queue_depth` batches per shard, so a producer that outruns the
@@ -372,26 +373,40 @@ impl PipelineConfig {
             let (want, got) = (self.shards, snapshots.len());
             return Err(mismatch(format!("{want} shards"), format!("{got} shards")));
         }
-        let expected = shape(&fresh.snapshot());
-        let restore = |(shard, snap): (usize, Snapshot<I>)| {
-            if shape(&snap) != expected {
-                return Err(mismatch(expected.clone(), shape(&snap)));
-            }
-            let engine = Engine::from_snapshot(snap)?;
-            let mut owners = engine
-                .entries()
-                .into_iter()
-                .map(|(item, _)| hash_shard(self.shards, &item));
-            match owners.find(|&owner| owner != shard) {
-                Some(owner) => Err(mismatch(
-                    format!("shard {shard}'s items"),
-                    format!("an item of shard {owner}"),
-                )),
-                None => Ok(engine),
-            }
-        };
-        snapshots.into_iter().enumerate().map(restore).collect()
+        check_partition(&snapshots, &fresh.snapshot())?;
+        snapshots.into_iter().map(Engine::from_snapshot).collect()
     }
+}
+
+/// Checks that `snapshots` are one hash partition in shard order: each has
+/// the shape of `like`, and snapshot `j` stores only items [`hash_shard`]
+/// routes to shard `j`; if not, only the Theorem 11 fold is sound.
+///
+/// # Errors
+///
+/// [`Error::SnapshotMismatch`] naming the first snapshot of another
+/// shape, or the first item a shard stores that another shard owns.
+pub fn check_partition<I: EngineItem>(
+    snapshots: &[Snapshot<I>],
+    like: &Snapshot<I>,
+) -> Result<(), Error> {
+    let mismatch = |expected, found| Err(Error::SnapshotMismatch { expected, found });
+    let expected = shape(like);
+    for (shard, snap) in snapshots.iter().enumerate() {
+        if shape(snap) != expected {
+            return mismatch(expected, shape(snap));
+        }
+        let mut owners = stored_items(snap)
+            .into_iter()
+            .map(|item| hash_shard(snapshots.len(), item));
+        if let Some(owner) = owners.find(|&owner| owner != shard) {
+            return mismatch(
+                format!("shard {shard}'s items"),
+                format!("an item of shard {owner}"),
+            );
+        }
+    }
+    Ok(())
 }
 
 /// What an engine's config fixes in its snapshot — the algorithm, its
@@ -410,6 +425,21 @@ fn shape<I>(snap: &Snapshot<I>) -> String {
     };
     let weighted = if snap.is_weighted() { " weighted" } else { "" };
     format!("{}{weighted} {sizing}", snap.algo())
+}
+
+/// The items a snapshot stores: a counter backend's entries, a sketch's
+/// candidates.
+fn stored_items<I>(snap: &Snapshot<I>) -> Vec<&I> {
+    match snap {
+        Snapshot::SpaceSaving(s) => s.entries.iter().map(|e| &e.0).collect(),
+        Snapshot::Frequent(s) => s.entries.iter().map(|e| &e.0).collect(),
+        Snapshot::LossyCounting(s) => s.entries.iter().map(|e| &e.0).collect(),
+        Snapshot::StickySampling(s) => s.entries.iter().map(|e| &e.0).collect(),
+        Snapshot::SpaceSavingR(s) => s.entries.iter().map(|e| &e.0).collect(),
+        Snapshot::FrequentR(s) => s.entries.iter().map(|e| &e.0).collect(),
+        Snapshot::CountMin(s) => s.candidates.iter().collect(),
+        Snapshot::CountSketch(s) => s.candidates.iter().collect(),
+    }
 }
 
 /// The shard an item routes to:
@@ -1174,11 +1204,10 @@ impl<I: EngineItem> Pipeline<I> {
     /// ```
     pub fn view(&mut self) -> Result<ShardedView<'_, I>, Error> {
         self.epoch_boundary()?;
+        let view = ShardedView::new(&self.restore, &self.lost, self.unobserved)?;
         Ok(ShardedView {
-            shards: &self.restore,
-            lost: &self.lost,
-            unobserved: self.unobserved,
             epoch: self.epoch,
+            ..view
         })
     }
 
@@ -1262,9 +1291,9 @@ impl<I: EngineItem> Pipeline<I> {
 // The live view
 // ---------------------------------------------------------------------------
 
-/// A pipeline's live query surface over one epoch's shard engines,
-/// borrowed from [`Pipeline::view`]; read it through
-/// [`ShardedView::report`].
+/// The query surface over one hash partition's shard engines, borrowed
+/// from [`Pipeline::view`] or built by [`ShardedView::new`]; read it
+/// through [`ShardedView::report`].
 ///
 /// Hash partitioning sends every occurrence of an item to its
 /// [`hash_shard`] owner, so the owner's certified interval is the item's
@@ -1290,9 +1319,30 @@ pub struct ShardedView<'a, I: EngineItem> {
     epoch: u64,
 }
 
-impl<I: EngineItem> ShardedView<'_, I> {
+impl<'a, I: EngineItem> ShardedView<'a, I> {
+    /// A view over `shards`, one hash partition in shard order, where
+    /// shard `j` lost `lost[j]` occurrences and `unobserved` are on none.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::InvalidConfig`] when `shards` is empty or `lost` does not
+    /// hold one mass per shard.
+    pub fn new(shards: &'a [Engine<I>], lost: &'a [u64], unobserved: u64) -> Result<Self, Error> {
+        if shards.is_empty() || lost.len() != shards.len() {
+            let (n, m) = (shards.len(), lost.len());
+            let msg = format!("a view needs shards and one lost mass each: {n} shards, {m} masses");
+            return Err(Error::invalid_config(msg));
+        }
+        Ok(ShardedView {
+            shards,
+            lost,
+            unobserved,
+            epoch: 0,
+        })
+    }
+
     /// The epoch boundary this view reflects ([`Pipeline::epoch`] when
-    /// it was taken).
+    /// it was taken; 0 from [`ShardedView::new`]).
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -1494,6 +1544,9 @@ mod tests {
         let head: u64 = all[..5].iter().map(|r| r.estimate).sum();
         assert_eq!(report.residual(5), 12_000 - head);
         p.finish().unwrap();
+        assert!(ShardedView::<u64>::new(&[], &[], 0).is_err());
+        let one = [ss_config(8).engine_config().build::<u64>().unwrap()];
+        assert!(ShardedView::new(&one, &[0, 0], 0).is_err());
     }
 
     #[test]

@@ -18,7 +18,9 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use hh::pipeline::{hash_shard, PipelineConfig};
+use hh::engine::ReportEntry;
+use hh::net::checkpoint::{self, Checkpoint};
+use hh::pipeline::{hash_shard, PipelineConfig, ShardedView};
 use hh::prelude::*;
 use hh::streamgen::exact_zipf_counts;
 use hh::streamgen::zipf::{stream_from_counts, StreamOrder};
@@ -331,4 +333,145 @@ fn merged_and_finish_equal_the_snapshot_fold() {
             assert_same_summary(&finished, &want, &format!("{case}: finish()"));
         }
     }
+}
+
+/// A fresh scratch directory for one test.
+fn scratch(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("hh-pipeline-{}-{name}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    dir
+}
+
+fn path_in(dir: &std::path::Path, name: &str) -> String {
+    dir.join(name)
+        .to_str()
+        .expect("UTF-8 temp path")
+        .to_string()
+}
+
+/// What a report answers: the total and every stored row with its
+/// interval, largest first.
+fn answers(report: Report<'_, u64>) -> (u64, Vec<ReportEntry<u64>>) {
+    (report.total(), report.top_k(usize::MAX))
+}
+
+/// `answers` with tied rows in item order: LossyCounting and
+/// StickySampling order ties by their hash table's layout, which
+/// rehydrating a snapshot changes.
+fn canonical((total, mut rows): (u64, Vec<ReportEntry<u64>>)) -> (u64, Vec<ReportEntry<u64>>) {
+    rows.sort_unstable_by_key(|row| (std::cmp::Reverse(row.estimate), row.item));
+    (total, rows)
+}
+
+/// The answers an offline reader (`hh topk --snapshot-in`, `hh merge`)
+/// gives for `paths`: the shards `checkpoint::load_shards` reads, through
+/// a `ShardedView` with no lost mass.
+fn offline_answers(paths: &[String]) -> (usize, (u64, Vec<ReportEntry<u64>>)) {
+    let ckpt = checkpoint::load_shards::<u64>(paths).expect("readable checkpoints");
+    let shards: Vec<Engine<u64>> = ckpt
+        .shards
+        .into_iter()
+        .map(|snap| Engine::from_snapshot(snap).expect("valid snapshot"))
+        .collect();
+    let lost = vec![0; shards.len()];
+    let view = ShardedView::new(&shards, &lost, ckpt.unobserved).expect("one mass per shard");
+    (shards.len(), answers(view.report()))
+}
+
+/// Serves `stream` through a `ServeSession` under `opts` (which must set
+/// a `snapshot_out`), and returns the final record's answers, read from
+/// the session's view at the drain as `hh serve` reads them.
+fn served_answers(opts: &ServeOptions, stream: &[u64]) -> (u64, Vec<ReportEntry<u64>>) {
+    let mut session = ServeSession::<u64>::spawn(opts).expect("valid options");
+    for &x in stream {
+        session.send(x).expect("shards alive");
+    }
+    let served = answers(session.view().expect("epoch").report());
+    session.finish().expect("clean drain");
+    served
+}
+
+/// An offline read of a drain checkpoint answers as the session did: for
+/// every backend at 1–8 shards, with no shard lost, the shards read back
+/// give the served final record's `stream_len`, rows and intervals (tied
+/// rows in item order, see [`canonical`]).
+/// Every third case first resumes from a checkpoint of no shards that
+/// carries unobserved mass, which both answers charge.
+#[test]
+fn an_offline_read_of_a_drain_equals_the_served_final_record() {
+    let dir = scratch("drain");
+    let empty = path_in(&dir, "empty.ckpt");
+    let unobserved = 5;
+    let shards = Vec::new();
+    checkpoint::write(&empty, &Checkpoint::<u64> { shards, unobserved }).expect("write");
+    let loaded = checkpoint::load_shards::<u64>(std::slice::from_ref(&empty)).expect("load");
+    assert_eq!((loaded.shards.len(), loaded.unobserved), (0, unobserved));
+    for (a, algo) in AlgoKind::ALL.into_iter().enumerate() {
+        for shards in 1..=8usize {
+            let seed = (a * 8 + shards) as u64;
+            let case = format!("{algo} × {shards} shards");
+            let drain = path_in(&dir, &format!("{algo}-{shards}.ckpt"));
+            let opts = ServeOptions::new(EngineConfig::new(algo).counters(M).seed(seed))
+                .shards(Some(shards))
+                .batch_size(256)
+                .snapshot_in(seed.is_multiple_of(3).then(|| empty.clone()))
+                .snapshot_out(Some(drain.clone()));
+            let served = served_answers(&opts, &skewed_stream(seed));
+            let (read, offline) = offline_answers(&[drain]);
+            assert_eq!(read, shards, "{case}: the drain reads back shard by shard");
+            assert_eq!(canonical(offline), canonical(served), "{case}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `hh merge` of two runs' N-shard drains merges shard j into shard j:
+/// the N shards it reads bracket the exact counts of both streams
+/// together, and a session resumes them at N shards with the summed
+/// `stream_len`.
+#[test]
+fn a_merge_of_two_drains_brackets_the_exact_counts_and_resumes() {
+    let dir = scratch("merge");
+    for (a, algo) in AlgoKind::ALL.into_iter().enumerate() {
+        for shards in 1..=8usize {
+            let seed = (a * 8 + shards) as u64;
+            let case = format!("{algo} × {shards} shards");
+            let config = EngineConfig::new(algo).counters(M).seed(seed);
+            let runs = [skewed_stream(seed), skewed_stream(seed + 100)];
+            let drains = runs.each_ref().map(|stream| {
+                let drain = path_in(&dir, &format!("{algo}-{shards}-{}.ckpt", stream.len()));
+                let opts = ServeOptions::new(config.clone())
+                    .shards(Some(shards))
+                    .snapshot_out(Some(drain.clone()));
+                served_answers(&opts, stream);
+                drain
+            });
+            let truth = ExactCounter::from_stream(&runs.concat());
+            let (read, (total, rows)) = offline_answers(&drains);
+            assert_eq!(read, shards, "{case}: merged shard by shard");
+            assert_eq!(total, truth.total(), "{case}");
+            assert!(!rows.is_empty(), "{case}");
+            for row in rows {
+                let f = truth.count(&row.item);
+                assert!(
+                    row.lower <= f && f <= row.upper,
+                    "{case}: item {} [{}, {}] misses {f}",
+                    row.item,
+                    row.lower,
+                    row.upper
+                );
+            }
+
+            let merged = path_in(&dir, &format!("{algo}-{shards}-merged.ckpt"));
+            let ckpt = checkpoint::load_shards::<u64>(&drains).expect("drains");
+            checkpoint::write(&merged, &ckpt).expect("write");
+            let resumed = ServeOptions::new(config).snapshot_in(Some(merged));
+            let mut session = ServeSession::<u64>::spawn(&resumed).expect("resumes exactly");
+            assert_eq!(session.pipeline().shards(), shards, "{case}");
+            let total = session.view().expect("epoch").report().total();
+            assert_eq!(total, truth.total(), "{case}");
+            session.finish().expect("clean drain");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
