@@ -283,10 +283,19 @@ impl<I: Eq + Hash + Clone> FrequencyEstimator<I> for Frequent<I> {
     /// Allocation-free snapshot straight out of the bucket list, with raw
     /// counts translated to logical values on the way out.
     fn entries_into(&self, out: &mut Vec<(I, u64)>) {
+        self.top_entries_into(usize::MAX, out);
+    }
+
+    fn top_entries_into(&self, k: usize, out: &mut Vec<(I, u64)>) {
         out.clear();
-        out.reserve(self.summary.len());
-        self.summary
-            .for_each_desc(|item, raw, _| out.push((item.clone(), self.logical(raw))));
+        if k == 0 {
+            return;
+        }
+        out.reserve(self.summary.len().min(k));
+        self.summary.while_desc(|item, raw, _| {
+            out.push((item.clone(), self.logical(raw)));
+            out.len() < k
+        });
     }
 
     fn stream_len(&self) -> u64 {

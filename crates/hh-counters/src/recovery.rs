@@ -31,8 +31,8 @@ where
     I: Eq + Hash + Clone,
     E: FrequencyEstimator<I> + ?Sized,
 {
-    let mut entries = summary.entries();
-    entries.truncate(k);
+    let mut entries = Vec::new();
+    summary.top_entries_into(k, &mut entries);
     entries.retain(|&(_, c)| c > 0);
     entries
 }

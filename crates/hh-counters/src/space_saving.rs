@@ -306,12 +306,21 @@ impl<I: Eq + Hash + Clone> FrequencyEstimator<I> for SpaceSaving<I> {
     }
 
     /// Allocation-free snapshot straight out of the bucket list
-    /// ([`StreamSummary::for_each_desc`]).
+    /// ([`StreamSummary::while_desc`]).
     fn entries_into(&self, out: &mut Vec<(I, u64)>) {
+        self.top_entries_into(usize::MAX, out);
+    }
+
+    fn top_entries_into(&self, k: usize, out: &mut Vec<(I, u64)>) {
         out.clear();
-        out.reserve(self.summary.len());
-        self.summary
-            .for_each_desc(|item, count, _| out.push((item.clone(), count)));
+        if k == 0 {
+            return;
+        }
+        out.reserve(self.summary.len().min(k));
+        self.summary.while_desc(|item, count, _| {
+            out.push((item.clone(), count));
+            out.len() < k
+        });
     }
 
     fn stream_len(&self) -> u64 {

@@ -575,24 +575,32 @@ impl<I: Eq + Hash + Clone> StreamSummary<I> {
     pub fn snapshot_desc_into(&self, out: &mut Vec<SummaryEntry<I>>) {
         out.clear();
         out.reserve(self.len);
-        self.for_each_desc(|item, count, err| out.push((item.clone(), count, err)));
+        self.while_desc(|item, count, err| {
+            out.push((item.clone(), count, err));
+            true
+        });
     }
 
-    /// Visits every entry in descending count order (the
+    /// Visits entries in descending count order (the
     /// [`StreamSummary::snapshot_desc`] order) without cloning items or
-    /// allocating — the primitive behind the `entries_into` reuse variants.
-    pub fn for_each_desc(&self, mut f: impl FnMut(&I, u64, u64)) {
+    /// allocating, until `f` returns `false` — so reading the `k` largest
+    /// entries walks `k` entries, not the whole summary. The primitive
+    /// behind the `entries_into` reuse variants.
+    pub fn while_desc(&self, mut f: impl FnMut(&I, u64, u64) -> bool) {
         let mut b = self.tail;
         while b != NIL {
             let count = self.bcount[b as usize];
             let mut e = self.bmeta[b as usize].front;
             while e != NIL {
-                f(
+                let more = f(
                     // lint:allow(panic-freedom) unreachable: the walk follows live bucket links, and linked entries always hold their item (SoA invariant)
                     self.items[e as usize].as_ref().expect("live entry"),
                     count,
                     self.eerr[e as usize],
                 );
+                if !more {
+                    return;
+                }
                 e = self.elink[e as usize].next;
             }
             b = self.bmeta[b as usize].prev;

@@ -198,6 +198,16 @@ pub trait FrequencyEstimator<I: Eq + Hash + Clone> {
         out.append(&mut self.entries());
     }
 
+    /// The first `k` pairs of [`FrequencyEstimator::entries_into`], into
+    /// `out` (cleared first); any `k` is valid. The default lists every
+    /// pair and truncates; implementations backed by
+    /// [`crate::stream_summary::StreamSummary`] walk down from the largest
+    /// counter and stop after `k`.
+    fn top_entries_into(&self, k: usize, out: &mut Vec<(I, u64)>) {
+        self.entries_into(out);
+        out.truncate(k);
+    }
+
     /// Total weight processed so far (`F1` of the consumed stream).
     fn stream_len(&self) -> u64;
 

@@ -51,7 +51,8 @@ pub mod sites {
     /// worker crash mid-stream; `stall` models a wedged shard (queues
     /// fill, `saturated()` engages, the server sheds load).
     pub const SHARD_BATCH: &str = "pipeline::shard::batch";
-    /// Shard worker, before answering an epoch checkpoint marker.
+    /// Shard worker, before acknowledging an epoch checkpoint marker —
+    /// posted only to a shard the epoch finds behind on its batches.
     pub const SHARD_CHECKPOINT: &str = "pipeline::shard::checkpoint";
     /// Server event loop, before a connection read. `eintr` and
     /// `shortread` exercise the partial-read retry path.

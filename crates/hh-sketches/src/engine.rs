@@ -1122,8 +1122,13 @@ impl<I: EngineItem> Engine<I> {
     }
 
     /// Stored `(item, estimate)` pairs, sorted by decreasing estimate.
+    /// Ties keep SpaceSaving's and Frequent's bucket order; every other
+    /// backend lists them by item, so an engine rebuilt from its snapshot
+    /// lists the same rows in the same order.
     pub fn entries(&self) -> Vec<(I, u64)> {
-        each_backend!(&self.backend, b => b.entries())
+        let mut out = Vec::new();
+        self.top_entries_into(usize::MAX, &mut out);
+        out
     }
 
     /// Total stream length accounted for so far (`F1`): occurrences the
@@ -1459,7 +1464,21 @@ impl<I: EngineItem> FrequencyEstimator<I> for Engine<I> {
     }
 
     fn entries_into(&self, out: &mut Vec<(I, u64)>) {
-        each_backend!(&self.backend, b => b.entries_into(out))
+        self.top_entries_into(usize::MAX, out);
+    }
+
+    /// The walk down SpaceSaving's and Frequent's buckets stops after `k`
+    /// rows; the hash-table and candidate backends list every row and
+    /// keep the first `k` by a bounded selection.
+    fn top_entries_into(&self, k: usize, out: &mut Vec<(I, u64)>) {
+        match &self.backend {
+            Backend::SpaceSaving(b) => b.top_entries_into(k, out),
+            Backend::Frequent(b) => b.top_entries_into(k, out),
+            Backend::LossyCounting(b) => first_by_count_then_item(b, k, out),
+            Backend::StickySampling(b) => first_by_count_then_item(b, k, out),
+            Backend::CountMin(b) => first_by_count_then_item(b, k, out),
+            Backend::CountSketch(b) => first_by_count_then_item(b, k, out),
+        }
     }
 
     fn stream_len(&self) -> u64 {
@@ -1489,6 +1508,23 @@ impl<I: EngineItem> FrequencyEstimator<I> for Engine<I> {
     fn tail_constants(&self) -> Option<TailConstants> {
         Engine::tail_constants(self)
     }
+}
+
+/// The first `k` of `backend`'s rows by count descending, then item
+/// ascending, into `out` (cleared first): a total order, since items are
+/// distinct, so ties no longer follow the backend's hash-table layout.
+fn first_by_count_then_item<I, E>(backend: &E, k: usize, out: &mut Vec<(I, u64)>)
+where
+    I: EngineItem,
+    E: FrequencyEstimator<I>,
+{
+    let order = |a: &(I, u64), b: &(I, u64)| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0));
+    backend.entries_into(out);
+    if k < out.len() {
+        out.select_nth_unstable_by(k, order);
+        out.truncate(k);
+    }
+    out.sort_unstable_by(order);
 }
 
 // ---------------------------------------------------------------------------
@@ -1833,6 +1869,10 @@ impl<I: EngineItem> Source<I, u64> for Engine<I> {
 
     fn pairs_into(&self, out: &mut Vec<(I, u64)>) {
         self.entries_into(out)
+    }
+
+    fn top_pairs_into(&self, k: usize, out: &mut Vec<(I, u64)>) {
+        self.top_entries_into(k, out)
     }
 
     fn residual(&self, k: usize) -> u64 {

@@ -2,11 +2,11 @@
 //!
 //! [`crate::engine`] turned the paper's algorithms into one serving
 //! surface; this module turns that surface into a *concurrent* one. A
-//! [`Pipeline`] owns `N` worker threads, each holding a private
-//! [`Engine`] built from one [`EngineConfig`], fed through bounded
+//! [`Pipeline`] owns `N` worker threads, each applying its batches to
+//! its own [`Engine`] built from one [`EngineConfig`], fed through bounded
 //! channels by a routing coordinator. Queries are **live**: at any point
-//! the coordinator collects a copy of every shard's engine at an epoch
-//! boundary and answers from them while ingest keeps running.
+//! the coordinator copies every shard's engine at an epoch boundary and
+//! answers from the copies while ingest keeps running.
 //!
 //! The pipeline runs one shard policy:
 //!
@@ -42,14 +42,25 @@
 //! `queue_depth` batches per shard, so a producer that outruns the
 //! workers blocks in [`Pipeline::send`] instead of queuing unboundedly.
 //!
-//! **Supervision.** Shard workers run under `catch_unwind`, and the
-//! coordinator notices a dead shard at its next interaction with it (a
-//! ship, an epoch marker or the drain — detection is lazy, there is no
-//! watchdog thread). Every shard has a *restore point* from the moment
-//! it is spawned: a copy of its fresh engine, replaced by its copy at
-//! every epoch boundary (the same copies a [`ShardedView`] reads). A
-//! dead shard is rebuilt from its restore point and the mass shipped to
-//! it since then is charged to that shard's *lost* account. A view
+//! **Epochs.** Each shard's engine sits behind a mutex shared by its
+//! worker, which applies every batch under the lock and then counts it
+//! as applied, and the coordinator, which counts the batches it ships.
+//! An epoch boundary flushes the router, posts a marker only to the
+//! shards that have not applied every shipped batch and waits for their
+//! acknowledgements (FIFO order puts every earlier batch ahead of the
+//! marker), then locks each shard and copies its engine. A caught-up
+//! shard — on an idle pipeline, all of them — costs no worker round
+//! trip.
+//!
+//! **Supervision.** A panic ends a shard worker's thread, and the
+//! coordinator notices the dead shard at its next interaction with it (a
+//! ship, an epoch marker's dropped acknowledgement, a poisoned engine
+//! lock or the drain — detection is lazy, there is no watchdog thread).
+//! Every shard has a *restore point* from the moment it is spawned: a
+//! copy of its fresh engine, replaced by the coordinator's copy at every
+//! epoch boundary (the same copies a [`ShardedView`] reads). A dead
+//! shard is rebuilt from its restore point and the mass shipped to it
+//! since then is charged to that shard's *lost* account. A view
 //! widens the upper bounds of the items the shard owns by it; merged
 //! engines widen `stream_len`, upper estimates and error terms by the
 //! total over shards (see [`Engine::add_unobserved`]). Either way the
@@ -82,8 +93,9 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::hash::{BuildHasher, Hash};
-use std::panic::AssertUnwindSafe;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -318,20 +330,16 @@ impl PipelineConfig {
         // Enough slots for every batch buffer that can exist outside the
         // router: `queue` queued per shard plus one being applied.
         let (pool_tx, pool) = std::sync::mpsc::sync_channel(self.shards * (self.queue + 1));
-        let mut senders = Vec::with_capacity(self.shards);
         let mut workers = Vec::with_capacity(self.shards);
         for (shard, engine) in restore.iter().enumerate() {
             let shard_metrics = metrics.shards[shard].clone();
             match spawn_worker(engine.clone(), self.queue, shard_metrics, pool_tx.clone()) {
-                Ok((tx, handle)) => {
-                    senders.push(tx);
-                    workers.push(handle);
-                }
+                Ok(worker) => workers.push(worker),
                 Err(e) => {
                     // Disconnect the started workers' channels, then reap
                     // them: each sees an empty, closed queue and returns.
-                    drop(senders);
-                    for handle in workers {
+                    let handles: Vec<_> = workers.into_iter().map(|w| w.handle).collect();
+                    for handle in handles {
                         // lint:allow(error-swallow) a fresh worker that received nothing has nothing to report; the spawn error is what the caller needs
                         let _ = handle.join();
                     }
@@ -341,7 +349,6 @@ impl PipelineConfig {
         }
         Ok(Pipeline {
             config: self.clone(),
-            senders,
             workers,
             buffers: (0..self.shards)
                 .map(|_| Vec::with_capacity(self.batch))
@@ -657,26 +664,58 @@ impl PipelineStats {
 enum Msg<I: EngineItem> {
     /// A routed batch of arrivals.
     Batch(Vec<I>),
-    /// Epoch marker: reply with a copy of the shard's engine. FIFO
-    /// channel order makes the reply reflect exactly the batches routed
-    /// to this shard before the marker.
-    Checkpoint(SyncSender<Engine<I>>),
+    /// Epoch marker, posted only to a shard that has not yet applied
+    /// every batch shipped to it: acknowledge once dequeued. FIFO channel
+    /// order makes the acknowledgement mean that every batch routed to
+    /// this shard before the marker is in its engine.
+    Checkpoint(SyncSender<()>),
 }
 
-/// What a shard worker hands back through its join handle: the drained
-/// engine on a clean shutdown, or the panic message when the worker died.
-type ShardOutcome<I> = Result<Engine<I>, String>;
+/// One shard's engine, shared by its worker and the coordinator. The
+/// worker applies each batch under the lock; the coordinator locks it
+/// only at an epoch boundary, once `applied` shows the shard caught up,
+/// so the lock is uncontended.
+struct ShardState<I: EngineItem> {
+    engine: Mutex<Engine<I>>,
+    /// Batches applied to `engine`, bumped as the worker's last step for
+    /// each batch.
+    applied: AtomicU64,
+}
 
-/// A running shard worker: the sending end of its channel and its join
-/// handle.
-type Worker<I> = (SyncSender<Msg<I>>, JoinHandle<ShardOutcome<I>>);
+/// A running shard worker: its channel, its thread, the state it shares
+/// with the coordinator, and the batches shipped to it so far (set back
+/// to 0 with a fresh `state` when the shard is respawned).
+struct Worker<I: EngineItem> {
+    tx: SyncSender<Msg<I>>,
+    handle: JoinHandle<()>,
+    state: Arc<ShardState<I>>,
+    shipped: u64,
+}
+
+impl<I: EngineItem> Worker<I> {
+    /// Whether the worker has applied every batch shipped to it, so its
+    /// engine already holds the shard's state at this epoch.
+    fn caught_up(&self) -> bool {
+        // lint:allow(atomic-ordering) pairs with the worker's Release bump: the applied batches and their ingest counters are visible once it reads `shipped`
+        self.state.applied.load(Ordering::Acquire) >= self.shipped
+    }
+
+    /// A copy of the worker's engine, or `None` when its lock is
+    /// poisoned: the worker died applying a batch.
+    fn copy_engine(&self) -> Option<Engine<I>> {
+        match self.state.engine.lock() {
+            Ok(engine) => Some(engine.clone()),
+            Err(_) => None,
+        }
+    }
+}
 
 fn shard_worker<I: EngineItem>(
-    mut engine: Engine<I>,
+    state: &ShardState<I>,
     rx: Receiver<Msg<I>>,
     metrics: ShardMetrics,
     pool: SyncSender<Vec<I>>,
-) -> Engine<I> {
+) {
     let mut aggregator = BatchAggregator::new();
     while let Ok(msg) = rx.recv() {
         match msg {
@@ -685,7 +724,13 @@ fn shard_worker<I: EngineItem>(
                 // a dequeued-but-unapplied batch (free unless armed).
                 hh_fault::fault_point(hh_fault::sites::SHARD_BATCH);
                 metrics.queue_depth.sub(1);
+                // Only this worker's own panic, which ends it, can poison
+                // the lock; the coordinator then rebuilds the shard.
+                let Ok(mut engine) = state.engine.lock() else {
+                    return;
+                };
                 aggregator.ingest(&mut engine, &batch);
+                drop(engine);
                 metrics.items_ingested.add(batch.len() as u64);
                 metrics.batches_ingested.inc();
                 // Hand the emptied buffer back for the router's next
@@ -693,29 +738,27 @@ fn shard_worker<I: EngineItem>(
                 batch.clear();
                 // lint:allow(error-swallow) the error hands the buffer back when the pool is full or the router is gone; dropping it is the intended fallback
                 let _ = pool.try_send(batch);
+                // lint:allow(atomic-ordering) publishes the batch and the ingest counters above to the coordinator's Acquire load in `Worker::caught_up`
+                state.applied.fetch_add(1, Ordering::Release);
             }
-            Msg::Checkpoint(reply) => {
+            Msg::Checkpoint(ack) => {
                 // Injection site: a crash between marker receipt and the
-                // reply exercises the coordinator's phase-2 recovery.
+                // acknowledgement exercises the epoch's recovery.
                 hh_fault::fault_point(hh_fault::sites::SHARD_CHECKPOINT);
-                // A dropped reply receiver means the coordinator gave up
-                // on this epoch; ingest continues regardless.
                 // lint:allow(error-swallow) send fails only when the coordinator dropped the receiver, and the shard must keep ingesting
-                let _ = reply.send(engine.clone());
+                let _ = ack.send(());
             }
         }
     }
     // Channel disconnected: the coordinator is finishing (or dropped the
-    // pipeline). Hand the engine back through the join handle.
-    engine
+    // pipeline) and takes the engine back out of the shared state.
 }
 
-/// Spawns one shard worker under `catch_unwind`, so a panic in a worker
-/// (a backend bug, or an injected fault) is reported through the join
-/// handle as an `Err(panic message)` instead of silently poisoning the
-/// pipeline. `AssertUnwindSafe` is sound here: on panic the engine and
-/// aggregator are dropped with the closure — supervision rebuilds state
-/// from the shard's restore point and never observes the torn values.
+/// Spawns one shard worker over `engine`. A panic in a worker (a backend
+/// bug, or an injected fault) ends its thread: the coordinator sees the
+/// closed channel, the dropped acknowledgement, the poisoned lock or the
+/// failed join, and rebuilds the shard from its restore point, never
+/// reading the torn engine.
 ///
 /// The OS refusing a thread is a typed [`Error::Pipeline`], not a panic.
 fn spawn_worker<I: EngineItem>(
@@ -725,25 +768,20 @@ fn spawn_worker<I: EngineItem>(
     pool: SyncSender<Vec<I>>,
 ) -> Result<Worker<I>, Error> {
     let (tx, rx) = std::sync::mpsc::sync_channel::<Msg<I>>(queue);
+    let state = Arc::new(ShardState {
+        engine: Mutex::new(engine),
+        applied: AtomicU64::new(0),
+    });
+    let shared = Arc::clone(&state);
     let handle = std::thread::Builder::new()
-        .spawn(move || {
-            std::panic::catch_unwind(AssertUnwindSafe(|| shard_worker(engine, rx, metrics, pool)))
-                .map_err(|payload| panic_message(payload.as_ref()))
-        })
+        .spawn(move || shard_worker(&shared, rx, metrics, pool))
         .map_err(|e| Error::pipeline(format!("cannot spawn a shard worker thread: {e}")))?;
-    Ok((tx, handle))
-}
-
-/// Best-effort text of a caught panic payload (`&str` and `String`
-/// payloads cover `panic!`; anything else gets a fixed marker).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
+    Ok(Worker {
+        tx,
+        handle,
+        state,
+        shipped: 0,
+    })
 }
 
 /// Per-batch multiset aggregation scratch for the shard workers:
@@ -822,8 +860,7 @@ impl<I: EngineItem> BatchAggregator<I> {
 /// engine.
 pub struct Pipeline<I: EngineItem> {
     config: PipelineConfig,
-    senders: Vec<SyncSender<Msg<I>>>,
-    workers: Vec<JoinHandle<ShardOutcome<I>>>,
+    workers: Vec<Worker<I>>,
     /// Pending per-shard batches, shipped at `batch_size` items (or
     /// earlier by [`Pipeline::ship_idle`]).
     buffers: Vec<Vec<I>>,
@@ -833,9 +870,9 @@ pub struct Pipeline<I: EngineItem> {
     /// The workers' end of `pool`, cloned into every (re)spawned worker.
     pool_tx: SyncSender<Vec<I>>,
     /// Supervision state: each shard's restore point — a copy of its
-    /// starting engine at spawn, then of its engine at the last epoch
-    /// boundary. A dead shard is rebuilt from it, and a [`ShardedView`]
-    /// reads it.
+    /// starting engine at spawn, then the coordinator's copy of its engine
+    /// at the last epoch boundary. A dead shard is rebuilt from it, and a
+    /// [`ShardedView`] reads it.
     restore: Vec<Engine<I>>,
     /// Items shipped to each shard since its restore point was taken —
     /// the mass charged as lost if the worker dies before the next epoch.
@@ -853,7 +890,7 @@ pub struct Pipeline<I: EngineItem> {
 impl<I: EngineItem> std::fmt::Debug for Pipeline<I> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Pipeline")
-            .field("shards", &self.senders.len())
+            .field("shards", &self.workers.len())
             .field("routed", &self.routed)
             .field("epoch", &self.epoch)
             .finish()
@@ -863,7 +900,7 @@ impl<I: EngineItem> std::fmt::Debug for Pipeline<I> {
 impl<I: EngineItem> Pipeline<I> {
     /// Number of worker shards.
     pub fn shards(&self) -> usize {
-        self.senders.len()
+        self.workers.len()
     }
 
     /// Items accepted by the router so far (buffered or shipped). After
@@ -988,7 +1025,7 @@ impl<I: EngineItem> Pipeline<I> {
     #[inline]
     pub fn send(&mut self, item: I) -> Result<(), Error> {
         self.routed += 1;
-        let shard = hash_shard(self.senders.len(), &item);
+        let shard = hash_shard(self.workers.len(), &item);
         self.buffers[shard].push(item);
         if self.buffers[shard].len() >= self.config.batch {
             self.ship(shard)?;
@@ -1075,6 +1112,7 @@ impl<I: EngineItem> Pipeline<I> {
         // never in flight, and a recovery resets the gauge.
         metrics.queue_depth.add(1);
         self.shipped_since[shard] += len;
+        self.workers[shard].shipped += 1;
         Ok(())
     }
 
@@ -1085,11 +1123,12 @@ impl<I: EngineItem> Pipeline<I> {
     /// is already dead again (e.g. a persistent injected fault) surfaces
     /// as [`Error::ShardDown`].
     fn deliver(&mut self, shard: usize, msg: Msg<I>) -> Result<(), Error> {
-        let Err(undelivered) = self.senders[shard].send(msg) else {
+        let Err(undelivered) = self.workers[shard].tx.send(msg) else {
             return Ok(());
         };
         self.respawn(shard)?;
-        self.senders[shard]
+        self.workers[shard]
+            .tx
             .send(undelivered.0)
             .map_err(|_| Error::ShardDown { shard })
     }
@@ -1098,18 +1137,18 @@ impl<I: EngineItem> Pipeline<I> {
     /// [recovered](Self::recover) engine, and reaps the dead worker.
     fn respawn(&mut self, shard: usize) -> Result<(), Error> {
         let engine = self.recover(shard);
-        let (tx, handle) = spawn_worker(
+        let fresh = spawn_worker(
             engine,
             self.config.queue,
             self.metrics.shards[shard].clone(),
             self.pool_tx.clone(),
         )?;
-        drop(std::mem::replace(&mut self.senders[shard], tx));
-        let dead = std::mem::replace(&mut self.workers[shard], handle);
+        let dead = std::mem::replace(&mut self.workers[shard], fresh);
+        drop(dead.tx);
         // The worker already exited (that is why we are here); reap its
-        // panic payload so the thread is not leaked.
+        // thread so it is not leaked.
         // lint:allow(error-swallow) the Err payload is the panic we are recovering from; recover already recorded the restart
-        let _ = dead.join();
+        let _ = dead.handle.join();
         Ok(())
     }
 
@@ -1133,35 +1172,41 @@ impl<I: EngineItem> Pipeline<I> {
     /// is. The pipeline keeps ingesting afterwards; the epoch counter
     /// increments.
     ///
-    /// A shard found dead here is respawned and its restored engine
-    /// answers the epoch (sound: the lost mass is in the shard's lost
-    /// account, which every query surface widens by).
+    /// Only a shard still applying shipped batches gets an epoch marker
+    /// and is waited for; a caught-up shard's engine is read in place, so
+    /// a query on an idle pipeline makes no worker round trip. A shard
+    /// found dead here is respawned and its restored engine answers the
+    /// epoch (sound: the lost mass is in the shard's lost account, which
+    /// every query surface widens by).
     fn epoch_boundary(&mut self) -> Result<(), Error> {
         let start = Instant::now();
         self.flush()?;
-        // Phase 1: post a checkpoint marker to every shard...
-        let mut replies = Vec::with_capacity(self.senders.len());
-        for shard in 0..self.senders.len() {
-            replies.push(self.post_checkpoint(shard)?);
+        // Phase 1: post a marker to every shard that is behind...
+        let mut acks = Vec::new();
+        for shard in 0..self.workers.len() {
+            if !self.workers[shard].caught_up() {
+                acks.push((shard, self.post_checkpoint(shard)?));
+            }
         }
-        // ...then collect, so shards drain their queues concurrently
-        // instead of one at a time.
-        for (shard, rx) in replies.into_iter().enumerate() {
-            let engine = match rx.recv() {
-                Ok(engine) => engine,
-                Err(_) => {
-                    // The shard died between the marker and its reply.
-                    // Respawn it and ask the rebuilt worker: its state
-                    // *is* the restore point, exactly what this epoch can
-                    // still soundly report for the shard.
-                    self.respawn(shard)?;
-                    let retry = self.post_checkpoint(shard)?;
-                    retry.recv().map_err(|_| Error::ShardDown { shard })?
+        // ...then wait, so shards drain their queues concurrently instead
+        // of one at a time. A dropped acknowledgement means the shard died
+        // first: its rebuilt worker holds the restore point, which is what
+        // this epoch can still soundly report for it.
+        for (shard, ack) in acks {
+            if ack.recv().is_err() {
+                self.respawn(shard)?;
+            }
+        }
+        // Phase 2: every shard is caught up and idle; its engine is the
+        // shard's new restore point.
+        for shard in 0..self.workers.len() {
+            match self.workers[shard].copy_engine() {
+                Some(engine) => {
+                    self.restore[shard] = engine;
+                    self.shipped_since[shard] = 0;
                 }
-            };
-            // The epoch is the new restore point for the shard.
-            self.restore[shard] = engine;
-            self.shipped_since[shard] = 0;
+                None => self.respawn(shard)?,
+            }
         }
         self.epoch += 1;
         self.metrics.snapshot_ns.record_duration(start.elapsed());
@@ -1170,11 +1215,11 @@ impl<I: EngineItem> Pipeline<I> {
     }
 
     /// Posts one epoch marker to `shard` and returns the receiver its
-    /// engine copy arrives on.
-    fn post_checkpoint(&mut self, shard: usize) -> Result<Receiver<Engine<I>>, Error> {
-        let (reply_tx, reply_rx) = std::sync::mpsc::sync_channel(1);
-        self.deliver(shard, Msg::Checkpoint(reply_tx))?;
-        Ok(reply_rx)
+    /// acknowledgement arrives on.
+    fn post_checkpoint(&mut self, shard: usize) -> Result<Receiver<()>, Error> {
+        let (ack_tx, ack_rx) = std::sync::mpsc::sync_channel(1);
+        self.deliver(shard, Msg::Checkpoint(ack_tx))?;
+        Ok(ack_rx)
     }
 
     /// The live query surface: crosses an epoch boundary and returns a
@@ -1252,22 +1297,27 @@ impl<I: EngineItem> Pipeline<I> {
         self.drain_shards()
     }
 
-    /// The common drain: disconnect every channel, join every worker, and
-    /// [recover](Self::recover) the shards whose workers died.
+    /// The common drain: disconnect every channel, join every worker, take
+    /// each engine back, and [recover](Self::recover) the shards whose
+    /// workers died.
     fn drain_shards(&mut self) -> Result<Vec<Engine<I>>, Error> {
         self.flush()?;
         // Dropping the senders disconnects the channels; workers drain
-        // what is queued and return their engines.
-        self.senders.clear();
-        let workers = std::mem::take(&mut self.workers);
-        let mut engines = Vec::with_capacity(workers.len());
-        for (shard, handle) in workers.into_iter().enumerate() {
-            let engine = match handle.join() {
-                Ok(Ok(engine)) => engine,
-                // The worker died somewhere before the drain.
-                _ => self.recover(shard),
-            };
-            engines.push(engine);
+        // what is queued and exit.
+        let running: Vec<_> = std::mem::take(&mut self.workers)
+            .into_iter()
+            .map(|worker| (worker.handle, worker.state))
+            .collect();
+        let mut engines = Vec::with_capacity(running.len());
+        for (shard, (handle, state)) in running.into_iter().enumerate() {
+            // A joined worker has dropped its handle on the state.
+            let engine = handle
+                .join()
+                .ok()
+                .and_then(|()| Arc::into_inner(state))
+                .and_then(|state| state.engine.into_inner().ok());
+            // `None`: the worker died somewhere before the drain.
+            engines.push(engine.unwrap_or_else(|| self.recover(shard)));
         }
         Ok(engines)
     }
@@ -1303,8 +1353,8 @@ impl<I: EngineItem> Pipeline<I> {
 /// * `interval` and `estimate` come from the owner shard; only the upper
 ///   bound is widened, by the mass that shard lost to worker deaths and
 ///   by the unobserved mass of the checkpoint the pipeline resumed from;
-/// * `top_k` merges the shards' descending stored lists (their items are
-///   disjoint) and stops at `k`, or at the last stored row;
+/// * `top_k` merges each shard's first `k` stored rows, largest first
+///   (their items are disjoint), and stops at `k`, or at the last row;
 /// * `total` is every shard's `stream_len` plus the lost and unobserved
 ///   mass — the same `F1` a [`Pipeline::merged`] engine reports.
 ///
@@ -1378,12 +1428,17 @@ impl<I: EngineItem> Source<I, u64> for ShardedView<'_, I> {
 
     fn top_pairs_into(&self, k: usize, out: &mut Vec<(I, u64)>) {
         out.clear();
-        // A k-way merge of the shards' descending lists; the heap holds
-        // one head per shard, ties going to the lower shard index.
+        // A k-way merge of each shard's first `k` rows, largest first; the
+        // heap holds one head per shard, ties going to the lower shard
+        // index.
         let mut lists: Vec<_> = self
             .shards
             .iter()
-            .map(|engine| engine.entries().into_iter().peekable())
+            .map(|engine| {
+                let mut top = Vec::new();
+                engine.top_pairs_into(k, &mut top);
+                top.into_iter().peekable()
+            })
             .collect();
         let mut heads: BinaryHeap<(u64, Reverse<usize>)> = lists
             .iter_mut()

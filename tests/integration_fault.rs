@@ -23,9 +23,10 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
+use hh::engine::ReportEntry;
 use hh::fault::{sites, FaultPlan, RetryPolicy};
 use hh::net::{checkpoint, sys, Checkpoint, NetOptions, ServeOptions, ServeSession, Server};
-use hh::pipeline::{hash_shard, PipelineConfig};
+use hh::pipeline::{hash_shard, PipelineConfig, ShardedView};
 use hh::prelude::*;
 use hh::streamgen::zipf::{stream_from_counts, StreamOrder};
 
@@ -537,6 +538,108 @@ fn shard_killed_by_its_last_batch_is_recovered_at_the_drain() {
                 entry.upper
             );
         }
+    }
+}
+
+/// What a report answers: its total, every item's interval over
+/// [`UNIVERSE`] and its stored rows.
+fn answers(report: Report<'_, u64>) -> (u64, Vec<(u64, u64)>, Vec<ReportEntry<u64>>) {
+    let intervals = (0..UNIVERSE).map(|x| report.interval(&x)).collect();
+    (report.total(), intervals, report.top_k(usize::MAX))
+}
+
+/// An epoch that finds every shard caught up reads the engines in place
+/// and posts no marker: with a checkpoint panic armed after one view,
+/// a second view and a snapshot with nothing routed in between restart
+/// no shard and answer exactly as the first view did.
+#[test]
+fn a_caught_up_epoch_posts_no_marker() {
+    let stream = skewed_stream(9);
+    let (first, again, resnapped, stats) = {
+        let _chaos = Chaos::arm(FaultPlan::new(9));
+        let mut pipeline =
+            PipelineConfig::new(EngineConfig::new(AlgoKind::SpaceSaving).counters(M))
+                .shards(3)
+                .batch_size(64)
+                .queue_depth(2)
+                .spawn::<u64>()
+                .unwrap();
+        pipeline.send_batch(&stream).unwrap();
+        let first = answers(pipeline.view().expect("epoch").report());
+        hh::fault::install(FaultPlan::new(9).panic_on(sites::SHARD_CHECKPOINT, 1));
+        let again = answers(pipeline.view().expect("epoch").report());
+        let snapshots = pipeline.snapshots().expect("epoch snapshots");
+        let stats = pipeline.stats();
+        pipeline.finish().unwrap();
+        let shards: Vec<Engine<u64>> = snapshots
+            .into_iter()
+            .map(|snap| Engine::from_snapshot(snap).unwrap())
+            .collect();
+        let view = ShardedView::new(&shards, &[0; 3], 0).unwrap();
+        (first, again, answers(view.report()), stats)
+    };
+    assert_eq!(
+        stats.restarts, 0,
+        "a caught-up epoch must not post a marker"
+    );
+    assert_eq!(stats.lost_items, 0);
+    assert_eq!(stats.epochs, 3);
+    assert_eq!(first.0, stream.len() as u64);
+    assert_eq!(again, first);
+    assert_eq!(resnapped, first);
+}
+
+/// A shard that is behind still gets a marker, and the epoch waits for
+/// it: with shard 0's next batch stalled in its worker and the first
+/// marker armed to panic, the view rebuilds shard 0 from the restore
+/// point of the epoch before, charges it exactly the items shipped to it
+/// since then, leaves shard 1 (caught up, so sent no marker) alone, and
+/// every interval still brackets the exact count.
+#[test]
+fn a_shard_behind_gets_a_marker_and_the_epoch_waits_for_it() {
+    const SHARDS: usize = 2;
+    let prefix = skewed_stream(21);
+    let behind: Vec<u64> = skewed_stream(22)
+        .into_iter()
+        .filter(|x| hash_shard(SHARDS, x) == 0)
+        .take(3 * 64 + 17)
+        .collect();
+    let mut truth = vec![0u64; UNIVERSE as usize];
+    for &x in prefix.iter().chain(&behind) {
+        truth[x as usize] += 1;
+    }
+    let ((total, intervals, _), stats) = {
+        let _chaos = Chaos::arm(FaultPlan::new(21));
+        let mut pipeline =
+            PipelineConfig::new(EngineConfig::new(AlgoKind::SpaceSaving).counters(M))
+                .shards(SHARDS)
+                .batch_size(64)
+                .queue_depth(8)
+                .spawn::<u64>()
+                .unwrap();
+        pipeline.send_batch(&prefix).unwrap();
+        pipeline.view().expect("epoch");
+        hh::fault::install(
+            FaultPlan::new(21)
+                .stall_on(sites::SHARD_BATCH, 1, 300)
+                .panic_on(sites::SHARD_CHECKPOINT, 1),
+        );
+        pipeline.send_batch(&behind).unwrap();
+        let behind_view = answers(pipeline.view().expect("epoch").report());
+        let stats = pipeline.stats();
+        pipeline.finish().unwrap();
+        (behind_view, stats)
+    };
+    let restarts: Vec<u64> = stats.shards.iter().map(|s| s.restarts).collect();
+    assert_eq!(restarts, [1, 0], "the marker reached shard 0 only");
+    assert_eq!(stats.lost_items, behind.len() as u64);
+    assert_eq!(total, (prefix.len() + behind.len()) as u64);
+    for (x, &(lower, upper)) in (0..UNIVERSE).zip(&intervals) {
+        let t = truth[x as usize];
+        assert!(
+            lower <= t && t <= upper,
+            "item {x}: [{lower}, {upper}] misses true count {t}"
+        );
     }
 }
 

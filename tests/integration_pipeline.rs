@@ -355,14 +355,6 @@ fn answers(report: Report<'_, u64>) -> (u64, Vec<ReportEntry<u64>>) {
     (report.total(), report.top_k(usize::MAX))
 }
 
-/// `answers` with tied rows in item order: LossyCounting and
-/// StickySampling order ties by their hash table's layout, which
-/// rehydrating a snapshot changes.
-fn canonical((total, mut rows): (u64, Vec<ReportEntry<u64>>)) -> (u64, Vec<ReportEntry<u64>>) {
-    rows.sort_unstable_by_key(|row| (std::cmp::Reverse(row.estimate), row.item));
-    (total, rows)
-}
-
 /// The answers an offline reader (`hh topk --snapshot-in`, `hh merge`)
 /// gives for `paths`: the shards `checkpoint::load_shards` reads, through
 /// a `ShardedView` with no lost mass.
@@ -393,8 +385,8 @@ fn served_answers(opts: &ServeOptions, stream: &[u64]) -> (u64, Vec<ReportEntry<
 
 /// An offline read of a drain checkpoint answers as the session did: for
 /// every backend at 1–8 shards, with no shard lost, the shards read back
-/// give the served final record's `stream_len`, rows and intervals (tied
-/// rows in item order, see [`canonical`]).
+/// give the served final record's `stream_len`, rows and intervals, tied
+/// rows in the same order.
 /// Every third case first resumes from a checkpoint of no shards that
 /// carries unobserved mass, which both answers charge.
 #[test]
@@ -419,7 +411,7 @@ fn an_offline_read_of_a_drain_equals_the_served_final_record() {
             let served = served_answers(&opts, &skewed_stream(seed));
             let (read, offline) = offline_answers(&[drain]);
             assert_eq!(read, shards, "{case}: the drain reads back shard by shard");
-            assert_eq!(canonical(offline), canonical(served), "{case}");
+            assert_eq!(offline, served, "{case}");
         }
     }
     std::fs::remove_dir_all(&dir).ok();
