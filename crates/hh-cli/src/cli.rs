@@ -658,18 +658,14 @@ mod tests {
 
     #[test]
     fn stats_flags_parse_and_validate() {
-        let o = p(&["serve", "--stats-every", "500"]).unwrap();
-        assert_eq!(o.serve.stats_cadence(), Some(500));
+        let serve = |args: &[&str]| p(args).unwrap().serve;
+        let default = serve(&["serve"]);
+        let with = |n| default.clone().stats_every(n);
+        assert_eq!(serve(&["serve", "--stats-every", "500"]), with(Some(500)));
         // default: no stats records at all
-        assert_eq!(p(&["serve"]).unwrap().serve.stats_cadence(), None);
+        assert_eq!(default, with(None));
         // 0 = only the final stats record
-        assert_eq!(
-            p(&["serve", "--stats-every", "0"])
-                .unwrap()
-                .serve
-                .stats_cadence(),
-            Some(0)
-        );
+        assert_eq!(serve(&["serve", "--stats-every", "0"]), with(Some(0)));
         // --stats-every belongs to serve alone
         assert!(p(&["topk", "--stats-every", "10"]).is_err());
 

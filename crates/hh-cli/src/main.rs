@@ -39,8 +39,8 @@ use cli::{parse_args, Command, Options};
 use hh::counters::{Confidence, Key};
 use hh::engine::{Count, Engine, HeavyHitterEntry, Report, ReportEntry, Snapshot, WeightedEngine};
 use hh::net::checkpoint::{self, Checkpoint};
-use hh::net::{proto, NetOptions, ServeOptions, ServeSession, Server};
-use hh::pipeline::{hash_shard, PipelineStats, ShardedView};
+use hh::net::{proto, NetOptions, Record, ServeOptions, ServeSession, Server};
+use hh::pipeline::{hash_shard, ShardedView};
 use hh::Error;
 
 fn main() -> ExitCode {
@@ -91,6 +91,7 @@ fn main() -> ExitCode {
                 Command::Serve => {
                     let stdout = std::io::stdout();
                     run_serve(&opts, BufReader::new(reader), &mut stdout.lock())
+                        .map(|()| String::new())
                 }
                 Command::Client => run_client(&opts, BufReader::new(reader)),
                 Command::Stats => run_stats(&opts, BufReader::new(reader)),
@@ -100,7 +101,7 @@ fn main() -> ExitCode {
     };
 
     match result {
-        // `serve --listen` writes every record itself, the final one too.
+        // `serve` writes every record itself, the final one too.
         Ok(output) if output.is_empty() => ExitCode::SUCCESS,
         Ok(output) => {
             let mut stdout = std::io::stdout().lock();
@@ -258,56 +259,35 @@ fn answer<C: Shown>(opts: &Options, report: &Report<'_, Key, C>) -> Result<Strin
 /// `hh serve`: long-lived sharded ingest over the `hh::pipeline` service,
 /// configured through the same [`hh::net::ServeOptions`] the network
 /// server uses. N worker shards (default: available cores) each own an
-/// engine built from the same config; every `--report-every` items a live
-/// top-k report is written to `out` from the shards' epoch view (each
-/// item's owner-shard interval) while ingest continues. With
-/// `--snapshot-in`, shard j resumes from checkpoint snapshot j, so the
-/// shard counts must match (an unset `--shards` takes the checkpoint's).
-/// Returns the final report, read from the same view at the drain.
+/// engine built from the same config; the session writes every record to
+/// `out` in the order it shares with `--listen` (see [`ServeSession`]):
+/// live top-k reports from the shards' epoch view (each item's
+/// owner-shard interval) while ingest continues, then the final report
+/// before `--snapshot-out`. With `--snapshot-in`, shard j resumes from
+/// checkpoint snapshot j, so the shard counts must match (an unset
+/// `--shards` takes the checkpoint's).
 fn run_serve(
     opts: &Options,
     mut reader: impl BufRead,
     out: &mut impl std::io::Write,
-) -> Result<String, Error> {
+) -> Result<(), Error> {
     let mut session: ServeSession<Key> = ServeSession::spawn(&opts.serve)?;
-
+    let mut render = |record: Record<'_, Key>| serve_record(record, opts.json);
     let mut line = String::new();
     while let Some(item) = next_item(&mut reader, &mut line)? {
         // Per-item sends keep cadence boundaries exact: a report due at
         // item N fires at item N, not at the end of a chunk containing it.
         let due = session.send(Key::from(item))?;
-        if due.report {
-            let live = session.view()?;
-            let record = serve_report(live.report(), Some(live.epoch()), opts);
-            writeln!(out, "{record}")?;
-            out.flush()?;
-        }
-        if due.stats {
-            // An epoch-boundary query first: queues drain (counters
-            // become exact) and the snapshot histogram gains a fresh
-            // sample, so the record carries live latency quantiles even
-            // without --report-every.
-            session.view()?;
-            let stats = session.stats();
-            writeln!(out, "{}", stats_record(&stats, false, opts.json))?;
-            out.flush()?;
-        }
-        if due.checkpoint {
-            session.checkpoint()?;
+        if due.any() {
+            session.emit(due, out, &mut render)?;
         }
     }
-
-    // One last epoch boundary answers the final report and stats.
-    let view = session.view()?;
-    let report = serve_report(view.report(), None, opts);
-    if opts.serve.stats_cadence().is_some() {
-        let stats = session.stats();
-        writeln!(out, "{}", stats_record(&stats, true, opts.json))?;
-        out.flush()?;
+    match session.drain(out, &mut render) {
+        // A reader that stopped early took all it wanted; the drain still
+        // wrote the checkpoint.
+        Err(Error::Io(e)) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(()),
+        drained => drained.map(drop),
     }
-    // finish() writes the per-shard --snapshot-out checkpoint.
-    session.finish()?;
-    Ok(report)
 }
 
 /// `hh serve --listen`: the network server. Binds the configured
@@ -414,38 +394,53 @@ fn connect_with_retry(opts: &Options) -> Result<std::net::TcpStream, Error> {
     }
 }
 
-/// Renders one pipeline telemetry record. JSON records come from
-/// `hh::net::proto` — the same versioned (`"v":1`) NDJSON objects the
-/// network server emits, tagged `"stats":true` so consumers (and
-/// `hh stats`) can separate them from the `"epoch"`/`"final"` top-k
-/// reports sharing the stream; text records are a small per-shard table.
-fn stats_record(stats: &PipelineStats, fin: bool, json: bool) -> String {
-    if json {
-        proto::stats_record(stats, None, fin)
-    } else {
-        let label = if fin { "final stats" } else { "stats" };
-        let mut out = format!(
-            "-- {label} (epoch {}, {} items, imbalance {:.2}, snapshot p50 {} ns) --\n",
-            stats.epochs, stats.routed, stats.imbalance, stats.snapshot_ns.p50
-        );
-        let _ = writeln!(
-            out,
-            "{:>5} {:>12} {:>10} {:>12} {:>7} {:>16}",
-            "shard", "items", "batches", "routed", "queue", "send p99 (ns)"
-        );
-        for s in &stats.shards {
+/// Renders one `hh serve` record. JSON records come from `hh::net::proto`:
+/// the same versioned (`"v":1`) NDJSON objects the network server writes,
+/// without its `net` section. Stats records are tagged `"stats":true`, so
+/// consumers (and `hh stats`) can separate them from the
+/// `"epoch"`/`"final"` top-k reports sharing the stream. In text, a report
+/// is a table (a live one under a header line) and a stats record is a
+/// small per-shard table.
+fn serve_record(record: Record<'_, Key>, json: bool) -> String {
+    match record {
+        Record::Report(view, epoch, k) if json => proto::report_record(view.report(), epoch, k),
+        Record::Report(view, epoch, k) => {
+            let report = view.report();
+            let table = render_counts(&report.top_k(k), report.total(), false);
+            match epoch {
+                Some(e) => format!(
+                    "-- live report (epoch {e}, {} items) --\n{table}\n",
+                    report.total()
+                ),
+                None => table,
+            }
+        }
+        Record::Stats(stats, fin) if json => proto::stats_record(stats, None, fin),
+        Record::Stats(stats, fin) => {
+            let label = if fin { "final stats" } else { "stats" };
+            let mut out = format!(
+                "-- {label} (epoch {}, {} items, imbalance {:.2}, snapshot p50 {} ns) --\n",
+                stats.epochs, stats.routed, stats.imbalance, stats.snapshot_ns.p50
+            );
             let _ = writeln!(
                 out,
                 "{:>5} {:>12} {:>10} {:>12} {:>7} {:>16}",
-                s.shard,
-                s.items_ingested,
-                s.batches_ingested,
-                s.routed_items,
-                s.queue_depth,
-                s.send_block_ns.p99
+                "shard", "items", "batches", "routed", "queue", "send p99 (ns)"
             );
+            for s in &stats.shards {
+                let _ = writeln!(
+                    out,
+                    "{:>5} {:>12} {:>10} {:>12} {:>7} {:>16}",
+                    s.shard,
+                    s.items_ingested,
+                    s.batches_ingested,
+                    s.routed_items,
+                    s.queue_depth,
+                    s.send_block_ns.p99
+                );
+            }
+            out.trim_end().to_string()
         }
-        out.trim_end().to_string()
     }
 }
 
@@ -552,24 +547,6 @@ fn run_stats(opts: &Options, reader: impl BufRead) -> Result<String, Error> {
             );
         }
         Ok(out.trim_end().to_string())
-    }
-}
-
-/// Renders one serve report; `epoch` is `Some` for periodic live reports
-/// and `None` for the final one. JSON reports come from `hh::net::proto`
-/// (versioned, identical to what the network server sends to clients).
-fn serve_report(report: Report<'_, Key>, epoch: Option<u64>, opts: &Options) -> String {
-    if opts.json {
-        proto::report_record(report, epoch, opts.k)
-    } else {
-        let table = render_counts(&report.top_k(opts.k), report.total(), false);
-        match epoch {
-            Some(e) => format!(
-                "-- live report (epoch {e}, {} items) --\n{table}\n",
-                report.total()
-            ),
-            None => table,
-        }
     }
 }
 
@@ -913,6 +890,13 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Runs `hh serve` over `input` and returns everything it wrote.
+    fn serve(o: &Options, input: &str) -> String {
+        let mut out = Vec::new();
+        run_serve(o, input.as_bytes(), &mut out).unwrap();
+        String::from_utf8(out).unwrap()
+    }
+
     #[test]
     fn serve_reports_live_and_final() {
         let o = opts(&[
@@ -926,11 +910,10 @@ mod tests {
             "-m",
             "16",
         ]);
-        let input = "a\nb\na\nc\na\nb\na\n";
-        let mut live = Vec::new();
-        let final_report = run_serve(&o, input.as_bytes(), &mut live).unwrap();
-        let live = String::from_utf8(live).unwrap();
-        // 7 items at --report-every 4: exactly one live report (epoch 1)
+        let out = serve(&o, "a\nb\na\nc\na\nb\na\n");
+        // 7 items at --report-every 4: exactly one live report (epoch 1),
+        // then a blank line and the final table.
+        let (live, final_report) = out.rsplit_once("\n\n").unwrap();
         assert!(live.contains("live report (epoch 1, 4 items)"), "{live}");
         let lines: Vec<&str> = final_report.lines().collect();
         assert!(lines[0].contains("stream length 7"), "{final_report}");
@@ -949,14 +932,13 @@ mod tests {
             "1",
             "--json",
         ]);
-        let mut live = Vec::new();
-        let final_report = run_serve(&o, "x\nx\ny\nx\n".as_bytes(), &mut live).unwrap();
-        let live = String::from_utf8(live).unwrap();
+        let out = serve(&o, "x\nx\ny\nx\n");
+        let (live, final_report) = out.trim_end().rsplit_once('\n').unwrap();
         for line in live.lines().filter(|l| !l.is_empty()) {
             let v: serde_json::Value = serde_json::from_str(line).expect("live line parses");
             assert!(v["epoch"].as_f64().is_some(), "{line}");
         }
-        let v: serde_json::Value = serde_json::from_str(&final_report).expect("final parses");
+        let v: serde_json::Value = serde_json::from_str(final_report).expect("final parses");
         assert_eq!(v["final"], true);
         assert_eq!(v["stream_len"], 4);
         assert_eq!(v["top"][0]["item"], "x");
@@ -969,8 +951,7 @@ mod tests {
         // the table has headroom
         let input: String = (0..200).map(|i| format!("w{}\n", i % 7)).collect();
         let o = opts(&["serve", "--shards", "4", "-k", "7", "-m", "64", "--json"]);
-        let mut sink = Vec::new();
-        let served = run_serve(&o, input.as_bytes(), &mut sink).unwrap();
+        let served = serve(&o, &input);
         let v: serde_json::Value = serde_json::from_str(&served).unwrap();
         let top = v["top"].as_array().unwrap();
         assert_eq!(top.len(), 7);
@@ -981,6 +962,115 @@ mod tests {
             let c = entry["count"].as_f64().unwrap();
             assert!(c == 28.0 || c == 29.0, "{entry:?}");
         }
+    }
+
+    /// What a record sequence must agree on across the two transports:
+    /// each record's kind, `epoch`, `stream_len`, `routed` and top rows
+    /// (sorted, since tie order follows batch boundaries, which `--listen`
+    /// does not fix). Timing and the listener's `net` section are left out.
+    fn record_keys(ndjson: &str) -> Vec<String> {
+        ndjson
+            .lines()
+            .map(|line| {
+                let v: serde_json::Value = serde_json::from_str(line).expect("NDJSON line");
+                let kind = match (v["stats"] == true, v["final"] == true) {
+                    (true, false) => "stats",
+                    (true, true) => "final stats",
+                    (false, false) => "report",
+                    (false, true) => "final report",
+                };
+                let mut top: Vec<String> = v["top"]
+                    .as_array()
+                    .map(|rows| {
+                        rows.iter()
+                            .map(|r| serde_json::to_string(r).unwrap())
+                            .collect()
+                    })
+                    .unwrap_or_default();
+                top.sort();
+                format!(
+                    "{kind} epoch={:?} stream_len={:?} routed={:?} top={top:?}",
+                    v["epoch"].as_u64(),
+                    v["stream_len"].as_u64(),
+                    v["routed"].as_u64()
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn stdin_and_listen_serve_write_the_same_records() {
+        let o = opts(&[
+            "serve",
+            "--json",
+            "--shards",
+            "2",
+            "-k",
+            "20",
+            "-m",
+            "64",
+            "--report-every",
+            "25",
+            "--stats-every",
+            "40",
+        ]);
+        // 17 distinct items: every shard counts exactly.
+        let input: String = (0..200u64).map(|i| format!("w{}\n", i * i % 17)).collect();
+        let stdin = serve(&o, &input);
+
+        let net = NetOptions::new().tcp("127.0.0.1:0");
+        let server: Server<Key> = Server::bind(o.serve.clone(), net).unwrap();
+        let addr = server.tcp_addr().unwrap();
+        let client = std::thread::spawn(move || {
+            let mut conn = std::net::TcpStream::connect(addr).unwrap();
+            conn.write_all(input.as_bytes()).unwrap();
+            conn.write_all(b"?shutdown\n").unwrap();
+            conn.shutdown(std::net::Shutdown::Write).unwrap();
+            let mut replies = String::new();
+            conn.read_to_string(&mut replies).unwrap();
+            replies
+        });
+        let mut listen = Vec::new();
+        server.run(&mut listen).unwrap();
+        let replies = client.join().unwrap();
+        assert!(
+            replies.contains("\"shutdown\":true,\"routed\":200"),
+            "{replies}"
+        );
+
+        let want = record_keys(&stdin);
+        // 8 reports, 5 stats records, final stats, final report.
+        assert_eq!(want.len(), 8 + 5 + 2, "{stdin}");
+        assert_eq!(record_keys(&String::from_utf8(listen).unwrap()), want);
+    }
+
+    #[test]
+    fn serve_writes_the_final_report_before_a_failed_snapshot_out() {
+        let dir = std::env::temp_dir().join(format!("hh-no-such-dir-{}", std::process::id()));
+        let snap = dir.join("x.ckpt");
+        let o = opts(&[
+            "serve",
+            "--json",
+            "--shards",
+            "1",
+            "--stats-every",
+            "2",
+            "--snapshot-out",
+            snap.to_str().unwrap(),
+        ]);
+        let mut out = Vec::new();
+        assert!(run_serve(&o, "1\n2\n2\n".as_bytes(), &mut out).is_err());
+        let keys = record_keys(&String::from_utf8(out).unwrap());
+        assert_eq!(keys.len(), 3, "{keys:?}");
+        assert!(keys[0].starts_with("stats epoch=Some(1) "), "{keys:?}");
+        assert!(
+            keys[1].starts_with("final stats epoch=Some(2) "),
+            "{keys:?}"
+        );
+        assert!(
+            keys[2].starts_with("final report epoch=None stream_len=Some(3) "),
+            "{keys:?}"
+        );
     }
 
     #[test]
@@ -997,8 +1087,7 @@ mod tests {
             "--snapshot-out",
             snap.to_str().unwrap(),
         ]);
-        let mut sink = Vec::new();
-        run_serve(&o, "a\na\nb\n".as_bytes(), &mut sink).unwrap();
+        serve(&o, "a\na\nb\n");
         let snap = snap.to_str().unwrap();
         let o = opts(&["residual", "-k", "1", "--json", "--snapshot-in", snap]);
         let out = run(o, std::io::empty()).unwrap();
@@ -1026,9 +1115,9 @@ mod tests {
             "--snapshot-out",
             snap,
         ]);
-        let served = run_serve(&o, input.as_bytes(), &mut Vec::new()).unwrap();
+        let served = serve(&o, input);
         let o = opts(&["topk", "-k", "3", "--snapshot-in", snap]);
-        assert_eq!(run(o, "".as_bytes()).unwrap(), served);
+        assert_eq!(run(o, "".as_bytes()).unwrap() + "\n", served);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1055,9 +1144,8 @@ mod tests {
             "--json",
         ]);
         let input: String = (0..12).map(|i| format!("s{}\n", i % 4)).collect();
-        let mut live = Vec::new();
-        run_serve(&o, input.as_bytes(), &mut live).unwrap();
-        let live = String::from_utf8(live).unwrap();
+        let out = serve(&o, &input);
+        let (live, _final_report) = out.trim_end().rsplit_once('\n').unwrap();
 
         let mut stats = Vec::new();
         let mut reports = 0;
@@ -1096,9 +1184,7 @@ mod tests {
     #[test]
     fn serve_stats_text_mode_renders_table() {
         let o = opts(&["serve", "--shards", "2", "--stats-every", "3", "-m", "16"]);
-        let mut live = Vec::new();
-        run_serve(&o, "a\nb\nc\nd\n".as_bytes(), &mut live).unwrap();
-        let live = String::from_utf8(live).unwrap();
+        let live = serve(&o, "a\nb\nc\nd\n");
         assert!(live.contains("-- stats (epoch"), "{live}");
         assert!(live.contains("-- final stats (epoch"), "{live}");
         assert!(live.contains("send p99"), "{live}");
@@ -1120,11 +1206,7 @@ mod tests {
             "1",
             "--json",
         ]);
-        let mut live = Vec::new();
-        let final_report = run_serve(&o, "x\ny\nx\nz\nx\n".as_bytes(), &mut live).unwrap();
-        let mut stream = String::from_utf8(live).unwrap();
-        stream.push_str(&final_report);
-        stream.push('\n');
+        let stream = serve(&o, "x\ny\nx\nz\nx\n");
 
         let so = opts(&["stats"]);
         let summary = run_stats(&so, stream.as_bytes()).unwrap();

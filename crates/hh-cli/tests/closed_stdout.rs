@@ -46,3 +46,25 @@ fn a_stdout_closed_before_the_report_ends_topk_cleanly() {
     drop(stdin);
     assert_clean_exit(child, "topk --json > closed pipe");
 }
+
+#[test]
+fn a_stdout_closed_before_the_final_report_still_gets_serve_its_checkpoint() {
+    let snap = std::env::temp_dir().join(format!("hh-closed-stdout-{}.ckpt", std::process::id()));
+    let path = snap.to_str().unwrap();
+    let mut child = spawn(&["serve", "--shards", "1", "--json", "--snapshot-out", path]);
+    drop(child.stdout.take());
+    let mut stdin = child.stdin.take().unwrap();
+    stdin.write_all(b"a\nb\na\n").unwrap();
+    drop(stdin);
+    assert_clean_exit(child, "serve --json > closed pipe");
+    let out = Command::new(HH)
+        .args(["topk", "--json", "-k", "1", "--snapshot-in", path])
+        .output()
+        .unwrap();
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout).trim(),
+        r#"[{"item":"a","count":2,"lower":2,"upper":2}]"#
+    );
+    std::fs::remove_file(&snap).ok();
+    std::fs::remove_file(format!("{path}.prev")).ok();
+}

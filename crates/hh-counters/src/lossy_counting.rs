@@ -81,6 +81,12 @@ impl<I: Eq + Hash + Clone> LossyCounting<I> {
         self.window
     }
 
+    /// Stored `(item, count)` pairs in table order, unsorted, for a
+    /// caller that orders or selects them itself.
+    pub fn unsorted_entries(&self) -> impl Iterator<Item = (I, u64)> + '_ {
+        self.table.iter().map(|(i, &(c, _))| (i.clone(), c))
+    }
+
     /// Stored `(item, count, delta)` triples, sorted by decreasing count —
     /// the full per-entry state (snapshot capture).
     pub fn entries_with_delta(&self) -> Vec<(I, u64, u64)> {
@@ -279,11 +285,7 @@ impl<I: Eq + Hash + Clone> FrequencyEstimator<I> for LossyCounting<I> {
     }
 
     fn entries(&self) -> Vec<(I, u64)> {
-        let mut v: Vec<(I, u64)> = self
-            .table
-            .iter()
-            .map(|(i, &(c, _))| (i.clone(), c))
-            .collect();
+        let mut v: Vec<(I, u64)> = self.unsorted_entries().collect();
         v.sort_unstable_by_key(|e| std::cmp::Reverse(e.1));
         v
     }

@@ -123,10 +123,10 @@ impl<I: Eq + Hash + Ord + Clone> StickySampling<I> {
         self.rng.state
     }
 
-    /// Stored `(item, count)` pairs sorted by decreasing count — the full
-    /// table state (snapshot capture).
-    pub fn entries_sorted(&self) -> Vec<(I, u64)> {
-        self.entries()
+    /// Stored `(item, count)` pairs in table order, unsorted, for a
+    /// caller that orders or selects them itself.
+    pub fn unsorted_entries(&self) -> impl Iterator<Item = (I, u64)> + '_ {
+        self.table.iter().map(|(i, &c)| (i.clone(), c))
     }
 
     /// Rebuilds a summary from snapshot parts (the table is unordered, so
@@ -287,7 +287,7 @@ impl<I: Eq + Hash + Ord + Clone> FrequencyEstimator<I> for StickySampling<I> {
     }
 
     fn entries(&self) -> Vec<(I, u64)> {
-        let mut v: Vec<(I, u64)> = self.table.iter().map(|(i, &c)| (i.clone(), c)).collect();
+        let mut v: Vec<(I, u64)> = self.unsorted_entries().collect();
         v.sort_unstable_by_key(|e| std::cmp::Reverse(e.1));
         v
     }
@@ -396,7 +396,7 @@ mod tests {
                     a.rng_state(),
                     a.stream_len(),
                     a.max_table_len(),
-                    a.entries_sorted(),
+                    a.entries(),
                 );
                 c = Some(parts.unwrap());
             }

@@ -17,7 +17,8 @@
 //!   (shards, batch/queue sizing, report/stats/checkpoint cadence,
 //!   snapshot in/out; always hash-partitioned) driven identically by
 //!   `hh serve` reading stdin and by the network server, one
-//!   [`ServeSession::send`] per item, so the two modes cannot drift;
+//!   [`ServeSession::send`] per item and one record policy that both
+//!   only render, so the two modes cannot drift;
 //! * [`proto`] — the wire protocol: `item` / `item\tcount` ingest lines,
 //!   `?topk` / `?stats` / `?snapshot` / `?ping` / `?shutdown` queries,
 //!   and the versioned (`"v":1`) NDJSON record renderers;
@@ -59,6 +60,6 @@ pub mod server;
 pub mod sys;
 
 pub use checkpoint::Checkpoint;
-pub use options::{Due, NetOptions, ServeItem, ServeOptions, ServeSession};
+pub use options::{Due, NetOptions, Record, ServeItem, ServeOptions, ServeSession};
 pub use proto::{Query, PROTOCOL_VERSION};
 pub use server::Server;

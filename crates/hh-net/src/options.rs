@@ -1,7 +1,7 @@
 //! The shared serving configuration: one [`ServeOptions`] drives both the
 //! CLI's stdin/trace `serve` loop and the network [`crate::Server`], so
 //! the two ingest modes cannot drift apart, plus the [`ServeSession`]
-//! runtime that both loops tick.
+//! runtime that both loops tick and whose record policy both only render.
 //!
 //! `ServeOptions` owns every knob the two modes share — the pipeline
 //! sizing (held in its [`PipelineConfig`]: engine, batch size, queue
@@ -14,6 +14,7 @@
 //! limits, timeouts).
 
 use std::fmt::Display;
+use std::io::Write;
 
 use hh_counters::error::Error;
 use hh_sketches::engine::{Engine, EngineConfig, EngineItem};
@@ -155,11 +156,6 @@ impl ServeOptions {
         self
     }
 
-    /// The stats cadence in items (`None`: no stats records).
-    pub fn stats_cadence(&self) -> Option<u64> {
-        self.stats_every
-    }
-
     /// `k` for report records.
     pub fn k(&self) -> usize {
         self.k
@@ -235,8 +231,7 @@ pub struct Due {
     pub report: bool,
     /// A telemetry stats record is due.
     pub stats: bool,
-    /// A durable checkpoint write is due
-    /// (call [`ServeSession::checkpoint`]).
+    /// A durable checkpoint write is due.
     pub checkpoint: bool,
 }
 
@@ -247,10 +242,24 @@ impl Due {
     }
 }
 
+/// One record a [`ServeSession`] writes; the caller renders it to a line.
+#[derive(Debug)]
+pub enum Record<'a, I: EngineItem> {
+    /// A top-k report: the view, its epoch (`None`: the final report), `k`.
+    Report(&'a ShardedView<'a, I>, Option<u64>, usize),
+    /// A [`ServeSession::fresh_stats`] sample, and whether it is the final one.
+    Stats(&'a PipelineStats, bool),
+}
+
 /// The running half of [`ServeOptions`], shared verbatim by the CLI's
 /// stdin loop and the network server: a spawned [`Pipeline`] — resumed
-/// shard by shard from a checkpoint if one is configured — and the
-/// report/stats/checkpoint cadence countdowns.
+/// shard by shard from a checkpoint if one is configured — the
+/// report/stats/checkpoint cadence countdowns, and the record policy.
+///
+/// The record policy lives here alone: [`ServeSession::emit`] writes a
+/// boundary item's live report, then its stats, then its checkpoint;
+/// [`ServeSession::drain`] writes the final stats (with a stats cadence),
+/// then the final report, then the `snapshot_out` checkpoint.
 ///
 /// Every answer, the final report included, reads [`ServeSession::view`]:
 /// each item gets its owner shard's interval, widened by the owner's own
@@ -287,6 +296,8 @@ pub struct ServeSession<I: EngineItem> {
     /// The earliest `next` of the three cadences, so an item that is no
     /// boundary costs one compare (0 until the first item sets it).
     next_due: u64,
+    /// Whether the drain writes a final stats record (any stats cadence).
+    stats_final: bool,
     snapshot_out: Option<String>,
     k: usize,
 }
@@ -333,6 +344,7 @@ impl<I: EngineItem> ServeSession<I> {
             stats_cadence: Cadence::new(opts.stats_every.unwrap_or(0)),
             checkpoint_cadence: Cadence::new(opts.checkpoint_every),
             next_due: 0,
+            stats_final: opts.stats_every.is_some(),
             snapshot_out: opts.snapshot_out.clone(),
             k: opts.k,
         })
@@ -367,14 +379,16 @@ impl<I: EngineItem> ServeSession<I> {
         self.pipeline.saturated()
     }
 
-    /// A live telemetry sample (see [`Pipeline::stats`]).
-    pub fn stats(&self) -> PipelineStats {
-        self.pipeline.stats()
+    /// A telemetry sample ([`Pipeline::stats`]) after a fresh epoch, so
+    /// its counters are exact: what every stats record and `?stats` read.
+    pub fn fresh_stats(&mut self) -> Result<PipelineStats, Error> {
+        self.pipeline.view()?;
+        Ok(self.pipeline.stats())
     }
 
     /// Routes one item — the only way items enter a session — and
-    /// returns which cadence boundaries it landed on, so every record
-    /// fires at its boundary item.
+    /// returns which cadence boundaries it landed on, for
+    /// [`ServeSession::emit`], so every record fires at its boundary item.
     #[inline]
     pub fn send(&mut self, item: I) -> Result<Due, Error> {
         self.pipeline.send(item)?;
@@ -421,16 +435,39 @@ impl<I: EngineItem> ServeSession<I> {
     pub fn merged(&mut self) -> Result<Engine<I>, Error> {
         self.pipeline.merged()
     }
+}
+
+/// Records and checkpoints serialize items.
+impl<I: EngineItem + Serialize> ServeSession<I> {
+    /// Writes the records `due` calls for, in the record order (see
+    /// [`ServeSession`]), then its checkpoint.
+    #[cold]
+    pub fn emit<R>(&mut self, due: Due, out: &mut impl Write, render: &mut R) -> Result<(), Error>
+    where
+        R: FnMut(Record<'_, I>) -> String,
+    {
+        if due.report {
+            let view = self.pipeline.view()?;
+            let line = render(Record::Report(&view, Some(view.epoch()), self.k));
+            writeln!(out, "{line}")?;
+        }
+        if due.stats {
+            let line = render(Record::Stats(&self.fresh_stats()?, false));
+            writeln!(out, "{line}")?;
+        }
+        out.flush()?;
+        if due.checkpoint {
+            self.checkpoint()?;
+        }
+        Ok(())
+    }
 
     /// Writes a durable checkpoint of the current epoch boundary to the
     /// `snapshot_out` path: every shard's snapshot, in shard order, with
     /// the lost and resumed unobserved mass ([`Pipeline::lost_items`]) in
     /// the envelope header (see [`crate::checkpoint`] for the format and
     /// crash discipline). A no-op without a `snapshot_out` path.
-    pub fn checkpoint(&mut self) -> Result<(), Error>
-    where
-        I: Serialize,
-    {
+    pub fn checkpoint(&mut self) -> Result<(), Error> {
         let Some(path) = &self.snapshot_out else {
             return Ok(());
         };
@@ -445,13 +482,30 @@ impl<I: EngineItem> ServeSession<I> {
     /// configured `snapshot_out` path — one snapshot per shard, so a
     /// drained session resumes exactly too — then drains the pipeline
     /// and returns the final merged engine ([`Pipeline::finish`]), the
-    /// form to ship; read the final report off [`ServeSession::view`].
-    pub fn finish(mut self) -> Result<Engine<I>, Error>
-    where
-        I: Serialize,
-    {
+    /// form to ship; [`ServeSession::drain`] writes the records first.
+    pub fn finish(mut self) -> Result<Engine<I>, Error> {
         self.checkpoint()?;
         self.pipeline.finish()
+    }
+
+    /// The drain: the final stats (with a stats cadence), the final
+    /// report, then [`ServeSession::finish`], even when `out` fails.
+    /// Returns the `finish` error first, else the records' error.
+    pub fn drain<R>(mut self, out: &mut impl Write, render: &mut R) -> Result<Engine<I>, Error>
+    where
+        R: FnMut(Record<'_, I>) -> String,
+    {
+        let mut write = || -> Result<(), Error> {
+            if self.stats_final {
+                writeln!(out, "{}", render(Record::Stats(&self.fresh_stats()?, true)))?;
+            }
+            let view = self.pipeline.view()?;
+            writeln!(out, "{}", render(Record::Report(&view, None, self.k)))?;
+            Ok(out.flush()?)
+        };
+        let written = write();
+        let merged = self.finish()?;
+        written.map(|()| merged)
     }
 }
 

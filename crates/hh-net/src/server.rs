@@ -19,8 +19,8 @@
 //! Robustness: malformed lines get an error record and a registry
 //! counter (the connection lives on), oversized lines are skipped to the
 //! next newline, idle connections are reaped, and SIGTERM / SIGINT /
-//! `?shutdown` trigger a graceful drain — emit the final stats and
-//! report records, write `--snapshot-out`, return the merged engine.
+//! `?shutdown` trigger a graceful drain ([`ServeSession::drain`]), then
+//! a short grace for pending responses; the merged engine is returned.
 
 use std::io::{self, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -32,7 +32,7 @@ use hh_counters::error::Error;
 use hh_obs::{Counter, Gauge, Registry};
 use hh_sketches::engine::Engine;
 
-use crate::options::{Due, NetOptions, ServeItem, ServeOptions, ServeSession};
+use crate::options::{NetOptions, Record, ServeItem, ServeOptions, ServeSession};
 use crate::poll::{Event, Interest, Poller};
 use crate::proto::{self, Line, NetSample, Query};
 use crate::sys;
@@ -71,6 +71,10 @@ struct NetMetrics {
     malformed: Counter,
     bytes_in: Counter,
     bytes_out: Counter,
+    /// Accepted item lines not yet flushed into `lines` (a relaxed
+    /// fetch_add per line is measurable at line-rate, so the hot path
+    /// accumulates here and [`Self::sample`] reconciles).
+    pending_lines: u64,
 }
 
 impl NetMetrics {
@@ -98,10 +102,14 @@ impl NetMetrics {
             ),
             bytes_in: registry.counter("hh_net_bytes_in_total", "bytes read from clients"),
             bytes_out: registry.counter("hh_net_bytes_out_total", "bytes written to clients"),
+            pending_lines: 0,
         }
     }
 
-    fn sample(&self) -> NetSample {
+    /// Flushes the batched line count into the registry and samples the
+    /// network metrics — the only way a [`NetSample`] should be taken.
+    fn sample(&mut self) -> NetSample {
+        self.lines.add(std::mem::take(&mut self.pending_lines));
         NetSample {
             accepted: self.accepted.get(),
             open: self.open.get(),
@@ -280,6 +288,17 @@ fn int_item<I: ServeItem>(value: u64) -> Option<I> {
     (&value as &dyn std::any::Any).downcast_ref::<I>().cloned()
 }
 
+/// Renders a session record as the server writes it: NDJSON, with the
+/// `net` sample in stats records.
+// lint:cold-path epoch-boundary records and query answers; the cost is amortized over the whole epoch's items
+#[cold]
+fn render<I: ServeItem>(record: Record<'_, I>, metrics: &mut NetMetrics) -> String {
+    match record {
+        Record::Report(view, epoch, k) => proto::report_record(view.report(), epoch, k),
+        Record::Stats(stats, fin) => proto::stats_record(stats, Some(&metrics.sample()), fin),
+    }
+}
+
 /// The ingest/query server. Construct with [`Server::bind`], then
 /// [`Server::run`] the event loop to completion (drain); periodic
 /// report/stats records stream to the writer passed to `run`, exactly as
@@ -296,12 +315,6 @@ pub struct Server<I: ServeItem> {
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
     metrics: NetMetrics,
-    /// Accepted item lines not yet flushed into the `lines` counter (a
-    /// relaxed fetch_add per line is measurable at line-rate, so the hot
-    /// path accumulates here and [`Self::net_sample`] reconciles).
-    pending_lines: u64,
-    /// Final stats record on drain (mirrors `--stats-every` being set).
-    stats_final: bool,
     drain: bool,
 }
 
@@ -317,7 +330,6 @@ impl<I: ServeItem> Server<I> {
     /// I/O errors from binding.
     pub fn bind(serve: ServeOptions, net: NetOptions) -> Result<Self, Error> {
         net.validate()?;
-        let stats_final = serve.stats_cadence().is_some();
         let session = ServeSession::spawn(&serve)?;
         let poller = Poller::new(128)?;
 
@@ -360,8 +372,6 @@ impl<I: ServeItem> Server<I> {
             conns: Vec::new(),
             free: Vec::new(),
             metrics,
-            pending_lines: 0,
-            stats_final,
             drain: false,
         })
     }
@@ -373,11 +383,9 @@ impl<I: ServeItem> Server<I> {
 
     /// Runs the event loop until a drain is requested (SIGTERM/SIGINT
     /// via [`sys::install_drain_signal_handlers`], [`sys::request_drain`],
-    /// or an in-band `?shutdown`), then drains: the final stats record
-    /// (with stats enabled) and the final report, read from the view
-    /// like every live one, stream to `out`, pending client responses
-    /// flush, the final snapshot is written, and the merged engine (the
-    /// form to ship) is returned.
+    /// or an in-band `?shutdown`), then drains ([`ServeSession::drain`])
+    /// into `out`, lets pending client responses flush, and returns the
+    /// merged engine (the form to ship).
     pub fn run(mut self, out: &mut impl io::Write) -> Result<Engine<I>, Error> {
         let mut events: Vec<Event> = Vec::new();
         let mut last_sweep = Instant::now();
@@ -799,7 +807,7 @@ impl<I: ServeItem> Server<I> {
                 match fast {
                     Some(item) => {
                         conn.lines += 1;
-                        self.pending_lines += 1;
+                        self.metrics.pending_lines += 1;
                         self.route(item, out)?;
                     }
                     None => self.handle_text(conn, token, line, out)?,
@@ -850,7 +858,7 @@ impl<I: ServeItem> Server<I> {
                     // Batched into the registry at the next sample point;
                     // a relaxed fetch_add per line is measurable at
                     // line-rate.
-                    self.pending_lines += 1;
+                    self.metrics.pending_lines += 1;
                     for _ in 0..count {
                         self.route(item.clone(), out)?;
                     }
@@ -885,10 +893,8 @@ impl<I: ServeItem> Server<I> {
                 proto::report_record(view.report(), Some(view.epoch()), k)
             }
             Query::Stats => {
-                // Epoch boundary first: queues drain, counters go exact.
-                self.session.view()?;
-                let sample = self.net_sample();
-                proto::stats_record(&self.session.stats(), Some(&sample), false)
+                let stats = self.session.fresh_stats()?;
+                proto::stats_record(&stats, Some(&self.metrics.sample()), false)
             }
             Query::Snapshot => {
                 let merged = self.session.merged()?;
@@ -916,63 +922,22 @@ impl<I: ServeItem> Server<I> {
         flush_conn(conn, token, &self.poller, &self.metrics);
     }
 
-    /// Routes one parsed item into the session and streams the records
+    /// Routes one parsed item into the session, which writes the records
     /// whose cadence boundary it is.
     fn route(&mut self, item: I, out: &mut impl io::Write) -> Result<(), Error> {
         let due = self.session.send(item)?;
         if due.any() {
-            self.emit_due(due, out)?;
+            let metrics = &mut self.metrics;
+            self.session.emit(due, out, &mut |r| render(r, metrics))?;
         }
         Ok(())
     }
 
-    /// Streams cadence-due report/stats records to the server's own
-    /// output, exactly like stdin serve mode.
-    // lint:cold-path epoch-boundary records; the cost is amortized over the whole epoch's items
-    #[cold]
-    fn emit_due(&mut self, due: Due, out: &mut impl io::Write) -> Result<(), Error> {
-        if due.report {
-            let k = self.session.k();
-            let view = self.session.view()?;
-            let record = proto::report_record(view.report(), Some(view.epoch()), k);
-            writeln!(out, "{record}")?;
-        }
-        if due.stats {
-            self.session.view()?;
-            let sample = self.net_sample();
-            let record = proto::stats_record(&self.session.stats(), Some(&sample), false);
-            writeln!(out, "{record}")?;
-        }
-        if due.checkpoint {
-            self.session.checkpoint()?;
-        }
-        out.flush()?;
-        Ok(())
-    }
-
-    /// Flushes batched hot-path counts into the registry and samples the
-    /// network metrics — the only way a [`NetSample`] should be taken.
-    fn net_sample(&mut self) -> NetSample {
-        self.metrics
-            .lines
-            .add(std::mem::take(&mut self.pending_lines));
-        self.metrics.sample()
-    }
-
-    /// Graceful drain: emit the final stats and report records, give
-    /// clients a bounded window to accept pending responses, write the
-    /// final snapshot, return the merged engine.
+    /// Graceful drain: the session's final records and snapshot, then a
+    /// bounded window for clients to accept pending responses.
     fn shutdown(mut self, out: &mut impl io::Write) -> Result<Engine<I>, Error> {
-        let k = self.session.k();
-        let view = self.session.view()?;
-        let report = proto::report_record(view.report(), None, k);
-        if self.stats_final {
-            let sample = self.net_sample();
-            let record = proto::stats_record(&self.session.stats(), Some(&sample), true);
-            writeln!(out, "{record}")?;
-        }
-        writeln!(out, "{report}")?;
-        out.flush()?;
+        let metrics = &mut self.metrics;
+        let drained = self.session.drain(out, &mut |r| render(r, metrics));
 
         let deadline = Instant::now() + DRAIN_FLUSH;
         loop {
@@ -996,14 +961,11 @@ impl<I: ServeItem> Server<I> {
             }
             std::thread::sleep(Duration::from_millis(5));
         }
-        for slot in 0..self.conns.len() {
-            self.close(slot);
-        }
         if let Some(path) = &self.unix_path {
             // lint:allow(error-swallow) shutdown cleanup of our own socket file; nothing to do if it is already gone
             let _ = std::fs::remove_file(path);
         }
-        self.session.finish()
+        drained
     }
 }
 

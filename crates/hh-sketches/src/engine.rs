@@ -134,19 +134,6 @@ impl AlgoKind {
         !matches!(self, AlgoKind::CountMin | AlgoKind::CountSketch)
     }
 
-    /// Whether [`EngineConfig::build_weighted`] supports this algorithm
-    /// (only the two Section 6.1 counter algorithms have real-weighted
-    /// variants).
-    ///
-    /// ```
-    /// use hh_sketches::engine::AlgoKind;
-    /// assert!(AlgoKind::SpaceSaving.supports_weighted());
-    /// assert!(!AlgoKind::StickySampling.supports_weighted());
-    /// ```
-    pub fn supports_weighted(self) -> bool {
-        matches!(self, AlgoKind::SpaceSaving | AlgoKind::Frequent)
-    }
-
     /// The `(A, B)` tail constants proved for the algorithm, if any.
     ///
     /// ```
@@ -1228,7 +1215,7 @@ impl<I: EngineItem> Engine<I> {
                 rng_state: b.rng_state(),
                 stream_len: b.stream_len(),
                 max_table: b.max_table_len(),
-                entries: b.entries_sorted(),
+                entries: b.entries(),
             }),
             Backend::CountMin(b) => {
                 let sketch = b.sketch();
@@ -1468,16 +1455,17 @@ impl<I: EngineItem> FrequencyEstimator<I> for Engine<I> {
     }
 
     /// The walk down SpaceSaving's and Frequent's buckets stops after `k`
-    /// rows; the hash-table and candidate backends list every row and
-    /// keep the first `k` by a bounded selection.
+    /// rows; the hash-table and candidate backends list every row
+    /// unsorted and keep the first `k` by a bounded selection, so either
+    /// way a top-k sorts once.
     fn top_entries_into(&self, k: usize, out: &mut Vec<(I, u64)>) {
         match &self.backend {
             Backend::SpaceSaving(b) => b.top_entries_into(k, out),
             Backend::Frequent(b) => b.top_entries_into(k, out),
-            Backend::LossyCounting(b) => first_by_count_then_item(b, k, out),
-            Backend::StickySampling(b) => first_by_count_then_item(b, k, out),
-            Backend::CountMin(b) => first_by_count_then_item(b, k, out),
-            Backend::CountSketch(b) => first_by_count_then_item(b, k, out),
+            Backend::LossyCounting(b) => first_by_count_then_item(b.unsorted_entries(), k, out),
+            Backend::StickySampling(b) => first_by_count_then_item(b.unsorted_entries(), k, out),
+            Backend::CountMin(b) => first_by_count_then_item(b.unsorted_entries(), k, out),
+            Backend::CountSketch(b) => first_by_count_then_item(b.unsorted_entries(), k, out),
         }
     }
 
@@ -1510,16 +1498,17 @@ impl<I: EngineItem> FrequencyEstimator<I> for Engine<I> {
     }
 }
 
-/// The first `k` of `backend`'s rows by count descending, then item
+/// The first `k` of the unsorted `rows` by count descending, then item
 /// ascending, into `out` (cleared first): a total order, since items are
 /// distinct, so ties no longer follow the backend's hash-table layout.
-fn first_by_count_then_item<I, E>(backend: &E, k: usize, out: &mut Vec<(I, u64)>)
-where
-    I: EngineItem,
-    E: FrequencyEstimator<I>,
-{
+fn first_by_count_then_item<I: EngineItem>(
+    rows: impl Iterator<Item = (I, u64)>,
+    k: usize,
+    out: &mut Vec<(I, u64)>,
+) {
     let order = |a: &(I, u64), b: &(I, u64)| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0));
-    backend.entries_into(out);
+    out.clear();
+    out.extend(rows);
     if k < out.len() {
         out.select_nth_unstable_by(k, order);
         out.truncate(k);

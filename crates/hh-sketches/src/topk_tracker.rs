@@ -49,6 +49,14 @@ impl<I: Eq + Hash + Clone + Ord, S: FrequencyEstimator<I>> SketchHeavyHitters<I,
         self.cap
     }
 
+    /// The candidates with their sketch estimates, in table order,
+    /// unsorted, for a caller that orders or selects them itself.
+    pub fn unsorted_entries(&self) -> impl Iterator<Item = (I, u64)> + '_ {
+        self.candidates
+            .keys()
+            .map(|i| (i.clone(), self.sketch.estimate(i)))
+    }
+
     /// The candidate items currently tracked, in descending-estimate order
     /// (snapshot capture; the cached estimates are re-derived from the
     /// sketch on restore).
@@ -233,12 +241,7 @@ impl<I: Eq + Hash + Clone + Ord, S: FrequencyEstimator<I>> FrequencyEstimator<I>
     /// caller's buffer.
     fn entries_into(&self, out: &mut Vec<(I, u64)>) {
         out.clear();
-        out.reserve(self.candidates.len());
-        out.extend(
-            self.candidates
-                .keys()
-                .map(|i| (i.clone(), self.sketch.estimate(i))),
-        );
+        out.extend(self.unsorted_entries());
         out.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     }
 

@@ -226,7 +226,13 @@ fn view_oracle_run(
         }
         epochs.push(intervals);
     }
-    let restarts = session.stats().shards.iter().map(|s| s.restarts).collect();
+    let restarts = session
+        .pipeline()
+        .stats()
+        .shards
+        .iter()
+        .map(|s| s.restarts)
+        .collect();
     session.finish().expect("drain succeeds after recovery");
     Ok((epochs, restarts))
 }
