@@ -45,7 +45,11 @@ common options:
                      stickysampling, countmin or countsketch
   --seed <N>         seed for randomized backends (default 0)
   --items <a,b,c>    comma-separated items for `estimate`
-  --weighted         lines are `item weight` (SPACESAVINGR / FREQUENTR)
+  --weighted         lines are `item weight`; a weight is counted exactly
+                     in thousandths (at most 3 decimals, total at most
+                     ~1.8e16 = 18446744073709551.615), SpaceSaving and
+                     Frequent only; printed with 3 decimals (--json: the
+                     shortest exact decimal)
   --json             machine-readable output
   --snapshot-out <F> write the shards' snapshots to F after ingest (an
                      hhckpt envelope, the only snapshot file format)

@@ -1,7 +1,8 @@
 //! `hh` — command-line heavy hitters over the unified `hh::engine` API.
 //!
 //! Reads a stream of items (one per line; with `--weighted`, lines are
-//! `item weight`) from stdin or a file and reports heavy hitters with the
+//! `item weight`, the weight counted in thousandths) from stdin or a file
+//! and reports heavy hitters with the
 //! PODS 2009 residual guarantees. Engine state round-trips through
 //! `--snapshot-out`/`--snapshot-in`, and `hh merge` combines snapshots
 //! produced on different machines (Theorem 11).
@@ -34,10 +35,11 @@ use std::io::{BufRead, BufReader, Read, Write as _};
 use std::process::ExitCode;
 
 mod cli;
+mod weight;
 
 use cli::{parse_args, Command, Options};
 use hh::counters::{Confidence, Key};
-use hh::engine::{Count, Engine, HeavyHitterEntry, Report, ReportEntry, Snapshot, WeightedEngine};
+use hh::engine::{Engine, HeavyHitterEntry, Report, ReportEntry, Snapshot};
 use hh::net::checkpoint::{self, Checkpoint};
 use hh::net::{proto, NetOptions, Record, ServeOptions, ServeSession, Server};
 use hh::pipeline::{hash_shard, ShardedView};
@@ -123,8 +125,12 @@ fn main() -> ExitCode {
 
 /// The offline commands: load the snapshot files (`merge`'s FILEs or
 /// `--snapshot-in`) through [`checkpoint::load_shards`], ingest `reader`,
-/// answer, and write `--snapshot-out`.
-fn run(opts: Options, reader: impl BufRead) -> Result<String, Error> {
+/// answer, and write `--snapshot-out`. The loaded shards (or one fresh
+/// engine) take each item at its [`hash_shard`], stay one hash partition
+/// and answer through a [`ShardedView`], as `hh serve` does. With
+/// `--weighted` (or for `merge`, weighted files) every line carries a
+/// weight, added in thousandths to a weighted engine.
+fn run(opts: Options, mut reader: impl BufRead) -> Result<String, Error> {
     let paths = match opts.command {
         Command::Merge => opts.inputs.as_slice(),
         _ => opts.snapshot_in.as_slice(),
@@ -137,44 +143,59 @@ fn run(opts: Options, reader: impl BufRead) -> Result<String, Error> {
         Command::Merge => ckpt.shards.iter().any(Snapshot::is_weighted),
         _ => opts.weighted,
     };
-    if weighted {
-        run_weighted(&opts, ckpt, reader)
-    } else {
-        run_unweighted(&opts, ckpt, reader)
-    }
-}
-
-/// Lines buffered per [`Engine::update_batch`] chunk: large enough that the
-/// per-chunk dispatch and pre-aggregation setup are noise, small enough
-/// to stay cache-resident.
-const INGEST_CHUNK: usize = 8192;
-
-/// Counts: the loaded shards (or one fresh engine) take each item at its
-/// [`hash_shard`], stay one hash partition and answer through a
-/// [`ShardedView`], as `hh serve` does.
-fn run_unweighted(
-    opts: &Options,
-    ckpt: Checkpoint<Key>,
-    mut reader: impl BufRead,
-) -> Result<String, Error> {
     let mut shards = ckpt
         .shards
         .into_iter()
         .map(Engine::from_snapshot)
         .collect::<Result<Vec<Engine<Key>>, Error>>()?;
     if shards.is_empty() {
-        shards.push(opts.engine_config().build()?);
+        let engine = opts.engine_config().build()?;
+        shards.push(if weighted {
+            engine.into_weighted()?
+        } else {
+            engine
+        });
+    }
+    if shards.iter().any(|engine| engine.is_weighted() != weighted) {
+        let kind = |weighted| {
+            if weighted {
+                "weighted snapshots (--weighted)"
+            } else {
+                "count snapshots"
+            }
+        };
+        let (expected, found) = (kind(weighted).to_string(), kind(!weighted).to_string());
+        return Err(Error::SnapshotMismatch { expected, found });
     }
 
+    // Items route to their shard only when there is more than one.
+    let shard_count = shards.len();
+    let owner = |item: &Key| match shard_count {
+        1 => 0,
+        n => hash_shard(n, item),
+    };
     // Chunked ingest (one `Engine::update_batch` per shard chunk as the
     // reader fills it): each buffer goes through the engine's batched fast
     // path — run-length / pre-aggregated per backend — instead of one
-    // dispatch per line.
-    let mut chunks: Vec<Vec<Key>> = vec![Vec::new(); shards.len()];
-    let mut line = String::new();
-    while let Some(item) = next_item(&mut reader, &mut line)? {
-        let item = Key::from(item);
-        let shard = hash_shard(shards.len(), &item);
+    // dispatch per line. A weighted line is one `update_by`.
+    let mut chunks: Vec<Vec<Key>> = vec![Vec::new(); shard_count];
+    let shard_totals = shards.iter().map(Engine::stream_len);
+    let mut total = shard_totals.fold(ckpt.unobserved, u64::saturating_add);
+    let (mut line, mut lineno) = (String::new(), 0);
+    while let Some(text) = next_item(&mut reader, &mut line, &mut lineno)? {
+        if weighted {
+            let (item, units) = weighted_line(text, lineno)?;
+            total = total.checked_add(units).ok_or_else(|| {
+                let largest = weight::text(u64::MAX);
+                Error::Overflow(format!(
+                    "line {lineno}: the total weight would pass {largest}"
+                ))
+            })?;
+            shards[owner(&item)].update_by(item, units);
+            continue;
+        }
+        let item = Key::from(text);
+        let shard = owner(&item);
         chunks[shard].push(item);
         if chunks[shard].len() == INGEST_CHUNK {
             shards[shard].update_batch(&chunks[shard]);
@@ -187,11 +208,10 @@ fn run_unweighted(
         }
     }
 
-    let lost = vec![0; shards.len()];
-    let out = answer(
-        opts,
-        &ShardedView::new(&shards, &lost, ckpt.unobserved)?.report(),
-    )?;
+    let lost = vec![0; shard_count];
+    let view = ShardedView::new(&shards, &lost, ckpt.unobserved)?;
+    let unit = if weighted { &WEIGHTS } else { &COUNTS };
+    let out = answer(&opts, &view.report(), unit)?;
     if let Some(path) = &opts.snapshot_out {
         let ckpt = Checkpoint {
             shards: shards.iter().map(Engine::snapshot).collect(),
@@ -202,15 +222,40 @@ fn run_unweighted(
     Ok(out)
 }
 
+/// Lines buffered per [`Engine::update_batch`] chunk: large enough that the
+/// per-chunk dispatch and pre-aggregation setup are noise, small enough
+/// to stay cache-resident.
+const INGEST_CHUNK: usize = 8192;
+
+/// An `item weight` line's item and weight in thousandths; `lineno` names
+/// the line in errors.
+fn weighted_line(text: &str, lineno: u64) -> Result<(Key, u64), Error> {
+    let mut parts = text.split_whitespace();
+    let (Some(item), Some(w)) = (parts.next(), parts.next()) else {
+        return Err(Error::parse(format!(
+            "line {lineno}: weighted mode needs 'item weight' lines, got {text:?}"
+        )));
+    };
+    let units = weight::parse(w)
+        .map_err(|why| Error::parse(format!("line {lineno}: weight {w:?} {why}")))?;
+    Ok((Key::from(item), units))
+}
+
 /// Reads the next non-blank line into `buf` and returns it trimmed, or
-/// `None` at the end of the input. `buf` is reused, so with [`Key`] items
-/// an input line costs no allocation.
-fn next_item<'b>(reader: &mut impl BufRead, buf: &'b mut String) -> Result<Option<&'b str>, Error> {
+/// `None` at the end of the input; `lineno` counts the lines read, blank
+/// ones included. `buf` is reused, so with [`Key`] items an input line
+/// costs no allocation.
+fn next_item<'b>(
+    reader: &mut impl BufRead,
+    buf: &'b mut String,
+    lineno: &mut u64,
+) -> Result<Option<&'b str>, Error> {
     loop {
         buf.clear();
         if reader.read_line(buf)? == 0 {
             return Ok(None);
         }
+        *lineno += 1;
         if !buf.trim().is_empty() {
             return Ok(Some(buf.trim()));
         }
@@ -219,34 +264,37 @@ fn next_item<'b>(reader: &mut impl BufRead, buf: &'b mut String) -> Result<Optio
 
 /// The one TopK/Heavy/Estimate/Residual dispatch (`merge` reports its
 /// top-k), over counts or weights.
-fn answer<C: Shown>(opts: &Options, report: &Report<'_, Key, C>) -> Result<String, Error> {
+fn answer(opts: &Options, report: &Report<'_, Key>, unit: &Unit) -> Result<String, Error> {
     let total = report.total();
     Ok(match opts.command {
-        Command::TopK | Command::Merge => render_counts(&report.top_k(opts.k), total, opts.json),
+        Command::TopK | Command::Merge => {
+            render_counts(&report.top_k(opts.k), total, unit, opts.json)
+        }
         Command::Heavy => {
             let hits = report.heavy_hitters(opts.phi)?;
-            render_heavy(&hits, opts.phi, total, opts.json)
+            render_heavy(&hits, opts.phi, total, unit, opts.json)
         }
         Command::Estimate => {
-            let rows: Vec<ReportEntry<Key, C>> =
-                opts.items.iter().map(|i| report.entry(i)).collect();
-            render_counts(&rows, total, opts.json)
+            let rows: Vec<ReportEntry<Key>> = opts.items.iter().map(|i| report.entry(i)).collect();
+            render_counts(&rows, total, unit, opts.json)
         }
         Command::Residual => {
             let res = report.residual(opts.k);
             if opts.json {
                 format!(
-                    "{{\"k\":{},\"residual_estimate\":{res},\"{}\":{total}}}",
+                    "{{\"k\":{},\"residual_estimate\":{},\"{}\":{}}}",
                     opts.k,
-                    C::TOTAL_KEY
+                    (unit.json)(res),
+                    unit.total_key,
+                    (unit.json)(total)
                 )
             } else {
                 format!(
                     "F1^res({}) ~= {}   ({} {})",
                     opts.k,
-                    res.text(),
-                    C::TOTAL,
-                    total.text()
+                    (unit.text)(res),
+                    unit.total,
+                    (unit.text)(total)
                 )
             }
         }
@@ -273,20 +321,27 @@ fn run_serve(
 ) -> Result<(), Error> {
     let mut session: ServeSession<Key> = ServeSession::spawn(&opts.serve)?;
     let mut render = |record: Record<'_, Key>| serve_record(record, opts.json);
-    let mut line = String::new();
-    while let Some(item) = next_item(&mut reader, &mut line)? {
+    let (mut line, mut lineno) = (String::new(), 0);
+    // A failed record write stops the reading; the drain still runs, so
+    // `--snapshot-out` holds everything sent so far.
+    let mut written = Ok(());
+    while let Some(item) = next_item(&mut reader, &mut line, &mut lineno)? {
         // Per-item sends keep cadence boundaries exact: a report due at
         // item N fires at item N, not at the end of a chunk containing it.
         let due = session.send(Key::from(item))?;
         if due.any() {
-            session.emit(due, out, &mut render)?;
+            written = session.emit(due, out, &mut render);
+            if written.is_err() {
+                break;
+            }
         }
     }
-    match session.drain(out, &mut render) {
+    let drained = session.drain(out, &mut render).map(drop);
+    match drained.and(written) {
         // A reader that stopped early took all it wanted; the drain still
         // wrote the checkpoint.
         Err(Error::Io(e)) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(()),
-        drained => drained.map(drop),
+        result => result,
     }
 }
 
@@ -406,7 +461,7 @@ fn serve_record(record: Record<'_, Key>, json: bool) -> String {
         Record::Report(view, epoch, k) if json => proto::report_record(view.report(), epoch, k),
         Record::Report(view, epoch, k) => {
             let report = view.report();
-            let table = render_counts(&report.top_k(k), report.total(), false);
+            let table = render_counts(&report.top_k(k), report.total(), &COUNTS, false);
             match epoch {
                 Some(e) => format!(
                     "-- live report (epoch {e}, {} items) --\n{table}\n",
@@ -550,51 +605,6 @@ fn run_stats(opts: &Options, reader: impl BufRead) -> Result<String, Error> {
     }
 }
 
-/// Weights: one engine, the folded snapshot or a fresh one.
-fn run_weighted(
-    opts: &Options,
-    mut ckpt: Checkpoint<Key>,
-    reader: impl BufRead,
-) -> Result<String, Error> {
-    if ckpt.unobserved > 0 {
-        return Err(Error::corrupt_snapshot(
-            "a weighted snapshot cannot carry unobserved mass",
-        ));
-    }
-    let mut engine: WeightedEngine<Key> = match ckpt.shards.pop() {
-        Some(snap) => WeightedEngine::from_snapshot(snap)?,
-        None => opts.engine_config().build_weighted()?,
-    };
-
-    for line in reader.lines() {
-        let line = line?;
-        let mut parts = line.split_whitespace();
-        let Some(item) = parts.next() else { continue };
-        let w: f64 = parts
-            .next()
-            .ok_or_else(|| {
-                Error::parse(format!(
-                    "weighted mode needs 'item weight' lines, got {line:?}"
-                ))
-            })?
-            .parse()
-            .map_err(|e| Error::parse(format!("bad weight in {line:?}: {e}")))?;
-        if w < 0.0 || !w.is_finite() {
-            return Err(Error::parse(format!(
-                "negative or non-finite weight in {line:?}"
-            )));
-        }
-        engine.update(Key::from(item), w);
-    }
-
-    let out = answer(opts, &engine.report())?;
-    if let Some(path) = &opts.snapshot_out {
-        let (shards, unobserved) = (vec![engine.snapshot()], 0);
-        checkpoint::write(path, &Checkpoint { shards, unobserved })?;
-    }
-    Ok(out)
-}
-
 /// `hh gen`: emit a shuffled Zipf trace, one item per line.
 fn run_gen(opts: &Options) -> Result<String, Error> {
     use hh::streamgen::zipf::{stream_from_counts, StreamOrder};
@@ -619,52 +629,55 @@ fn json_str(s: &str) -> String {
     serde_json::to_string(s).expect("string serializes")
 }
 
-/// How the CLI prints a count type: occurrences as integers under
-/// `count`, weights to three decimals under `weight`.
-trait Shown: Count {
+/// How the CLI prints a count: occurrences as integers under `count`,
+/// or a weighted engine's thousandths as weights under `weight` (three
+/// decimals in text, the shortest exact decimal in JSON).
+struct Unit {
     /// JSON key and text column header of a row's estimate.
-    const KEY: &'static str;
+    key: &'static str,
     /// JSON key of the stream total.
-    const TOTAL_KEY: &'static str;
+    total_key: &'static str,
     /// The stream total in text headers.
-    const TOTAL: &'static str;
+    total: &'static str,
     /// The stream in the heavy-hitter text header.
-    const STREAM: &'static str;
+    stream: &'static str,
     /// Text column width of an estimate.
-    const WIDTH: usize;
+    width: usize,
     /// Decimals of the heavy-hitter threshold in text output.
-    const THRESHOLD_DECIMALS: usize;
+    threshold_decimals: usize,
     /// One count in text output.
-    fn text(self) -> String;
+    text: fn(u64) -> String,
+    /// One count in JSON output.
+    json: fn(u64) -> String,
+    /// One count as the number a threshold scales.
+    value: fn(u64) -> f64,
 }
 
-impl Shown for u64 {
-    const KEY: &'static str = "count";
-    const TOTAL_KEY: &'static str = "stream_len";
-    const TOTAL: &'static str = "stream length";
-    const STREAM: &'static str = "stream";
-    const WIDTH: usize = 12;
-    const THRESHOLD_DECIMALS: usize = 1;
+const COUNTS: Unit = Unit {
+    key: "count",
+    total_key: "stream_len",
+    total: "stream length",
+    stream: "stream",
+    width: 12,
+    threshold_decimals: 1,
+    text: |n| n.to_string(),
+    json: |n| n.to_string(),
+    value: |n| n as f64,
+};
 
-    fn text(self) -> String {
-        self.to_string()
-    }
-}
+const WEIGHTS: Unit = Unit {
+    key: "weight",
+    total_key: "total_weight",
+    total: "total weight",
+    stream: "total weight",
+    width: 14,
+    threshold_decimals: 3,
+    text: weight::text,
+    json: weight::json,
+    value: weight::value,
+};
 
-impl Shown for f64 {
-    const KEY: &'static str = "weight";
-    const TOTAL_KEY: &'static str = "total_weight";
-    const TOTAL: &'static str = "total weight";
-    const STREAM: &'static str = "total weight";
-    const WIDTH: usize = 14;
-    const THRESHOLD_DECIMALS: usize = 3;
-
-    fn text(self) -> String {
-        format!("{self:.3}")
-    }
-}
-
-fn render_counts<C: Shown>(rows: &[ReportEntry<Key, C>], total: C, json: bool) -> String {
+fn render_counts(rows: &[ReportEntry<Key>], total: u64, unit: &Unit, json: bool) -> String {
     if json {
         let cells: Vec<String> = rows
             .iter()
@@ -672,10 +685,10 @@ fn render_counts<C: Shown>(rows: &[ReportEntry<Key, C>], total: C, json: bool) -
                 format!(
                     "{{\"item\":{},\"{}\":{},\"lower\":{},\"upper\":{}}}",
                     json_str(r.item.as_str()),
-                    C::KEY,
-                    r.estimate,
-                    r.lower,
-                    r.upper
+                    unit.key,
+                    (unit.json)(r.estimate),
+                    (unit.json)(r.lower),
+                    (unit.json)(r.upper)
                 )
             })
             .collect();
@@ -684,29 +697,30 @@ fn render_counts<C: Shown>(rows: &[ReportEntry<Key, C>], total: C, json: bool) -
         let mut out = format!(
             "{:<24} {:>w$} {:>18}   ({} {})\n",
             "item",
-            C::KEY,
+            unit.key,
             "certified range",
-            C::TOTAL,
-            total.text(),
-            w = C::WIDTH
+            unit.total,
+            (unit.text)(total),
+            w = unit.width
         );
         for r in rows {
             out.push_str(&format!(
                 "{:<24} {:>w$} {:>18}\n",
                 r.item,
-                r.estimate.text(),
-                format!("[{}..={}]", r.lower.text(), r.upper.text()),
-                w = C::WIDTH
+                (unit.text)(r.estimate),
+                format!("[{}..={}]", (unit.text)(r.lower), (unit.text)(r.upper)),
+                w = unit.width
             ));
         }
         out.trim_end().to_string()
     }
 }
 
-fn render_heavy<C: Shown>(
-    rows: &[HeavyHitterEntry<Key, C>],
+fn render_heavy(
+    rows: &[HeavyHitterEntry<Key>],
     phi: f64,
-    total: C,
+    total: u64,
+    unit: &Unit,
     json: bool,
 ) -> String {
     if json {
@@ -716,8 +730,8 @@ fn render_heavy<C: Shown>(
                 format!(
                     "{{\"item\":{},\"{}\":{},\"confidence\":\"{}\"}}",
                     json_str(r.item.as_str()),
-                    C::KEY,
-                    r.estimate,
+                    unit.key,
+                    (unit.json)(r.estimate),
                     confidence_str(r.confidence)
                 )
             })
@@ -726,17 +740,17 @@ fn render_heavy<C: Shown>(
     } else {
         let mut out = format!(
             "items above phi={phi} of {} (threshold {:.p$}):\n",
-            C::STREAM,
-            phi * total.to_f64(),
-            p = C::THRESHOLD_DECIMALS
+            unit.stream,
+            phi * (unit.value)(total),
+            p = unit.threshold_decimals
         );
         for r in rows {
             out.push_str(&format!(
                 "{:<24} {:>w$}  {}\n",
                 r.item,
-                r.estimate.text(),
+                (unit.text)(r.estimate),
                 confidence_str(r.confidence),
-                w = C::WIDTH
+                w = unit.width
             ));
         }
         out.trim_end().to_string()
@@ -1071,6 +1085,64 @@ mod tests {
             keys[2].starts_with("final report epoch=None stream_len=Some(3) "),
             "{keys:?}"
         );
+    }
+
+    /// A stdout that takes `room` bytes and then refuses every write.
+    struct FailingOut {
+        room: usize,
+        kind: std::io::ErrorKind,
+    }
+
+    impl std::io::Write for FailingOut {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.room == 0 {
+                return Err(self.kind.into());
+            }
+            let n = buf.len().min(self.room);
+            self.room -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_failed_record_write_still_gets_serve_its_checkpoint() {
+        use std::io::ErrorKind;
+        let dir = std::env::temp_dir().join(format!("hh-cli-failing-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let input: String = (0..5_000).map(|i| format!("{}\n", i % 37)).collect();
+        for (kind, room) in [(ErrorKind::BrokenPipe, 300), (ErrorKind::Other, 0)] {
+            let path = dir.join(format!("{kind:?}.ckpt"));
+            let path = path.to_str().unwrap();
+            let args = [
+                "serve",
+                "--shards",
+                "2",
+                "--report-every",
+                "100",
+                "--snapshot-out",
+                path,
+            ];
+            let o = opts(&args);
+            let result = run_serve(&o, input.as_bytes(), &mut FailingOut { room, kind });
+            match kind {
+                // a reader that left took all it wanted
+                ErrorKind::BrokenPipe => assert!(result.is_ok(), "{result:?}"),
+                _ => assert!(matches!(&result, Err(Error::Io(e)) if e.kind() == kind)),
+            }
+            let ckpt = checkpoint::load::<Key>(path).unwrap();
+            let shards: Vec<Engine<Key>> = ckpt
+                .shards
+                .into_iter()
+                .map(|s| Engine::from_snapshot(s).unwrap())
+                .collect();
+            let total: u64 = shards.iter().map(Engine::stream_len).sum();
+            assert!((1..=5_000).contains(&total), "{kind:?}: {total}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -68,3 +68,51 @@ fn a_stdout_closed_before_the_final_report_still_gets_serve_its_checkpoint() {
     std::fs::remove_file(&snap).ok();
     std::fs::remove_file(format!("{path}.prev")).ok();
 }
+
+#[test]
+fn a_stdout_closed_at_a_live_report_still_gets_serve_its_checkpoint() {
+    // `hh gen --zipf 500,60000,1.2,9 | hh serve --shards 2 --report-every
+    // 1000 --snapshot-out x.ckpt | head -2`: the reader leaves after the
+    // first live report, long before the stream ends.
+    let snap = std::env::temp_dir().join(format!("hh-closed-live-{}.ckpt", std::process::id()));
+    let path = snap.to_str().unwrap();
+    let args = [
+        "serve",
+        "--shards",
+        "2",
+        "--report-every",
+        "1000",
+        "--snapshot-out",
+        path,
+    ];
+    let mut child = spawn(&args);
+    const SENT: u64 = 60_000;
+    let mut stdin = child.stdin.take().unwrap();
+    let feeder = std::thread::spawn(move || {
+        // `hh` stops reading once its stdout is gone: a refused write ends
+        // the feed.
+        for i in 0..SENT {
+            if writeln!(stdin, "{}", i % 500).is_err() {
+                break;
+            }
+        }
+    });
+    let mut stdout = std::io::BufReader::new(child.stdout.take().unwrap());
+    let mut line = String::new();
+    for _ in 0..2 {
+        std::io::BufRead::read_line(&mut stdout, &mut line).unwrap();
+    }
+    drop(stdout);
+    feeder.join().unwrap();
+    assert_clean_exit(child, "serve --report-every 1000 | head -2");
+    let out = Command::new(HH)
+        .args(["residual", "--json", "-k", "1", "--snapshot-in", path])
+        .output()
+        .unwrap();
+    let answer: serde_json::Value =
+        serde_json::from_str(&String::from_utf8_lossy(&out.stdout)).unwrap();
+    let total = answer["stream_len"].as_u64().unwrap();
+    assert!((1..=SENT).contains(&total), "{total}");
+    std::fs::remove_file(&snap).ok();
+    std::fs::remove_file(format!("{path}.prev")).ok();
+}

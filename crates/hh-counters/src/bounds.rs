@@ -6,12 +6,6 @@
 //! floating-point bound for any constants is
 //! [`TailConstants::bound`](crate::traits::TailConstants::bound).
 
-/// Definition 1 with `A = 1`: the heavy-hitter bound `⌊F1/m⌋`.
-pub fn heavy_hitter_bound(f1: u64, m: usize) -> u64 {
-    assert!(m >= 1);
-    f1 / m as u64
-}
-
 /// Definition 2 with integer constants: `⌊A·F1^res(k) / (m − B·k)⌋`, or
 /// `None` when `m ≤ B·k` (the guarantee is vacuous).
 pub fn tail_bound_floor(a: u64, b: u64, m: usize, k: usize, res1_k: u64) -> Option<u64> {
@@ -29,12 +23,6 @@ pub fn tail_bound_one_one(m: usize, k: usize, res1_k: u64) -> Option<u64> {
     tail_bound_floor(1, 1, m, k, res1_k)
 }
 
-/// The Theorem 2 generic HTC bound (`A = 1, B = 2`):
-/// `⌊F1^res(k) / (m − 2k)⌋`.
-pub fn tail_bound_generic(m: usize, k: usize, res1_k: u64) -> Option<u64> {
-    tail_bound_floor(1, 2, m, k, res1_k)
-}
-
 /// The Appendix A lower bound: any deterministic m-counter algorithm has a
 /// stream forcing error at least `F1^res(k) / (2m + 2k/X)` (→ `F1^res(k)/2m`
 /// as the prefix multiplicity `X → ∞`).
@@ -45,20 +33,12 @@ pub fn lower_bound(m: usize, k: usize, x: u64, res1_k: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn heavy_hitter_floor_semantics() {
-        assert_eq!(heavy_hitter_bound(99, 10), 9);
-        assert_eq!(heavy_hitter_bound(100, 10), 10);
-        assert_eq!(heavy_hitter_bound(0, 3), 0);
-    }
+    use crate::traits::TailConstants;
 
     #[test]
     fn tail_bounds_exact() {
         assert_eq!(tail_bound_one_one(10, 2, 17), Some(2)); // 17/8
         assert_eq!(tail_bound_one_one(3, 3, 17), None);
-        assert_eq!(tail_bound_generic(10, 2, 17), Some(2)); // 17/6
-        assert_eq!(tail_bound_generic(4, 2, 17), None);
     }
 
     #[test]
@@ -67,9 +47,9 @@ mod tests {
             for k in 1..(m / 2) {
                 for res in [0u64, 5, 100] {
                     let tight = tail_bound_one_one(m, k, res).unwrap();
-                    let generic = tail_bound_generic(m, k, res);
+                    let generic = TailConstants::GENERIC.bound(m, k, res);
                     if let Some(g) = generic {
-                        assert!(tight <= g, "m={m} k={k} res={res}");
+                        assert!(tight as f64 <= g, "m={m} k={k} res={res}");
                     }
                 }
             }

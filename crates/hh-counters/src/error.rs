@@ -94,7 +94,7 @@ impl fmt::Display for Error {
             Error::SnapshotMismatch { expected, found } => {
                 write!(f, "snapshot mismatch: expected {expected}, found {found}")
             }
-            Error::CorruptSnapshot(msg) => write!(f, "corrupt snapshot: {msg}"),
+            Error::CorruptSnapshot(msg) => write!(f, "{CORRUPT}{msg}"),
             Error::Overflow(msg) => write!(f, "arithmetic overflow: {msg}"),
             Error::InvalidQuery(msg) => write!(f, "invalid query: {msg}"),
             Error::Pipeline(msg) => write!(f, "pipeline error: {msg}"),
@@ -124,9 +124,25 @@ impl From<std::io::Error> for Error {
     }
 }
 
+/// Display prefix of [`Error::CorruptSnapshot`]; a serde error carrying it
+/// converts back to that variant.
+const CORRUPT: &str = "corrupt snapshot: ";
+
+/// A typed error raised inside a decoder travels as its display text;
+/// [`Error::CorruptSnapshot`] comes back typed on the way out.
+impl From<Error> for serde::Error {
+    fn from(e: Error) -> Self {
+        serde::Error::custom(e.to_string())
+    }
+}
+
 impl From<serde::Error> for Error {
     fn from(e: serde::Error) -> Self {
-        Error::Json(e.to_string())
+        let msg = e.to_string();
+        match msg.strip_prefix(CORRUPT) {
+            Some(reason) => Error::corrupt_snapshot(reason),
+            None => Error::Json(msg),
+        }
     }
 }
 
@@ -158,6 +174,14 @@ mod tests {
         for v in variants {
             assert!(!v.to_string().is_empty());
         }
+    }
+
+    #[test]
+    fn a_corrupt_snapshot_keeps_its_type_through_a_decoder() {
+        let through: Error = serde::Error::from(Error::corrupt_snapshot("bad tag")).into();
+        assert!(matches!(&through, Error::CorruptSnapshot(m) if m == "bad tag"));
+        let json: Error = serde::Error::custom("missing field `algo`").into();
+        assert!(matches!(json, Error::Json(_)));
     }
 
     #[test]

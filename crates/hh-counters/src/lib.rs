@@ -3,14 +3,21 @@
 //! This crate is the primary contribution of the reproduction of
 //! *Space-optimal Heavy Hitters with Strong Error Bounds* (Berinde,
 //! Cormode, Indyk, Strauss — PODS 2009): the FREQUENT and SPACESAVING
-//! counter algorithms, their real-weighted extensions, and the machinery
-//! around the paper's k-tail guarantee
+//! counter algorithms and the machinery around the paper's k-tail
+//! guarantee
 //!
 //! > `δ_i ≤ A · F1^res(k) / (m − B·k)` with `A = B = 1`,
 //!
 //! including sparse recovery (Section 4), summary merging (Section 6.2),
 //! Zipfian sizing rules (Section 5) and an empirical heavy-tolerance
 //! checker (Definitions 3–4).
+//!
+//! Weighted streams (Section 6.1) need no separate algorithm: Theorem 10
+//! gives SPACESAVING and FREQUENT the same `A = B = 1` tail bound for any
+//! non-negative weights, so a weight counted as a whole number of units
+//! goes through [`FrequencyEstimator::update_by`], with exact sums. The
+//! unit is the caller's choice; the `hh` CLI counts thousandths, so its
+//! largest total is `u64::MAX` thousandths, about 1.8·10^16.
 //!
 //! # Quick start
 //!
@@ -49,7 +56,8 @@ pub mod stream_summary;
 pub mod topk;
 pub mod traits;
 pub mod underestimate;
-pub mod weighted;
+#[cfg(test)]
+mod weighted;
 
 pub use error::Error;
 pub use frequent::Frequent;
@@ -62,6 +70,5 @@ pub use reference::{ReferenceFrequent, ReferenceSpaceSaving};
 pub use space_saving::{HeapSpaceSaving, SpaceSaving};
 pub use sticky_sampling::StickySampling;
 pub use stream_summary::StreamSummary;
-pub use traits::{Bias, FrequencyEstimator, TailConstants, WeightedFrequencyEstimator};
+pub use traits::{Bias, FrequencyEstimator, TailConstants};
 pub use underestimate::{Correction, UnderestimatedSpaceSaving};
-pub use weighted::{FrequentR, SpaceSavingR};

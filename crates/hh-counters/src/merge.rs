@@ -59,31 +59,6 @@ where
     target
 }
 
-/// Weighted analogue of [`merge_k_sparse`] for the Section 6.1 algorithms:
-/// each summary's k heaviest counters are replayed as weighted arrivals
-/// into a fresh weighted estimator. Theorem 11's argument carries over
-/// verbatim (its proof never uses integrality of the updates).
-pub fn merge_k_sparse_weighted<I, S, T>(
-    summaries: &[S],
-    k: usize,
-    make_target: impl FnOnce() -> T,
-) -> T
-where
-    I: Eq + Hash + Clone,
-    S: crate::traits::WeightedFrequencyEstimator<I>,
-    T: crate::traits::WeightedFrequencyEstimator<I>,
-{
-    let mut target = make_target();
-    for s in summaries {
-        for (item, w) in s.entries_weighted().into_iter().take(k) {
-            if w > 0.0 {
-                target.update_weighted(item, w);
-            }
-        }
-    }
-    target
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,49 +143,46 @@ mod tests {
 
     #[test]
     fn weighted_merge_keeps_heavy_flows() {
-        use crate::traits::WeightedFrequencyEstimator;
-        use crate::weighted::SpaceSavingR;
+        // weights in thousandths: the merge is the count merge, exactly
         let mut sites = Vec::new();
         for j in 0..3u64 {
-            let mut s = SpaceSavingR::new(16);
-            s.update_weighted(42, 500.0 + j as f64);
+            let mut s = SpaceSaving::new(16);
+            s.update_by(42, 500_000 + j * 1000);
             for i in 0..30u64 {
-                s.update_weighted(j * 100 + i, 1.5);
+                s.update_by(j * 100 + i, 1500);
             }
             sites.push(s);
         }
-        let merged = merge_k_sparse_weighted(&sites, 4, || SpaceSavingR::new(16));
-        let top = merged.entries_weighted();
+        let merged = merge_k_sparse(&sites, 4, || SpaceSaving::new(16));
+        let top = merged.entries();
         assert_eq!(top[0].0, 42);
-        assert!(top[0].1 >= 1500.0);
+        assert!(top[0].1 >= 1_500_000);
     }
 
     #[test]
     fn weighted_merge_tail_guarantee() {
-        use crate::traits::WeightedFrequencyEstimator;
-        use crate::weighted::SpaceSavingR;
-        // three sites over a shared skewed weight vector
+        // three sites over a shared skewed weight vector, in thousandths
         let m = 40;
         let k = 4;
         let mut exact = std::collections::HashMap::new();
         let mut sites = Vec::new();
         for j in 0..3u64 {
-            let mut s = SpaceSavingR::new(m);
+            let mut s = SpaceSaving::new(m);
             for i in 1..=50u64 {
-                let w = 300.0 / i as f64 + j as f64 * 0.25;
-                s.update_weighted(i, w);
-                *exact.entry(i).or_insert(0.0) += w;
+                let w = 300_000 / i + j * 250;
+                s.update_by(i, w);
+                *exact.entry(i).or_insert(0u64) += w;
             }
             sites.push(s);
         }
-        let merged = merge_k_sparse_weighted(&sites, k, || SpaceSavingR::new(m));
-        let mut weights: Vec<f64> = exact.values().copied().collect();
-        weights.sort_unstable_by(|a, b| b.partial_cmp(a).unwrap());
-        let res: f64 = weights.iter().skip(k).sum();
-        let bound = 3.0 * res / (m as f64 - 2.0 * k as f64);
+        let merged = merge_k_sparse(&sites, k, || SpaceSaving::new(m));
+        let mut weights: Vec<u64> = exact.values().copied().collect();
+        weights.sort_unstable_by(|a, b| b.cmp(a));
+        let res: u64 = weights.iter().skip(k).sum();
+        let bound = TailConstants::ONE_ONE.merged().bound(m, k, res).unwrap();
         for (&item, &w) in &exact {
-            let err = (w - merged.estimate_weighted(&item)).abs();
-            assert!(err <= bound + 1e-6, "item {item}: {err} > {bound}");
+            let err = w.abs_diff(merged.estimate(&item));
+            assert!(err as f64 <= bound, "item {item}: {err} > {bound}");
         }
     }
 

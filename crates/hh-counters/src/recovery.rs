@@ -66,32 +66,6 @@ pub fn l1_norm<I>(v: &[(I, u64)]) -> u64 {
     v.iter().map(|&(_, c)| c).sum()
 }
 
-/// Weighted analogue of [`k_sparse`]: the k heaviest counters of a
-/// weighted summary (Section 6.1 algorithms). Theorem 5's proof is
-/// weight-agnostic, so the same recovery bound applies over the weight
-/// vector.
-pub fn k_sparse_weighted<I, E>(summary: &E, k: usize) -> Vec<(I, f64)>
-where
-    I: Eq + Hash + Clone,
-    E: crate::traits::WeightedFrequencyEstimator<I> + ?Sized,
-{
-    let mut entries = summary.entries_weighted();
-    entries.truncate(k);
-    entries.retain(|&(_, w)| w > 0.0);
-    entries
-}
-
-/// Weighted analogue of [`residual_estimate`] (Theorem 6 over weights):
-/// total stream weight minus the mass of the k heaviest counters.
-pub fn residual_estimate_weighted<I, E>(summary: &E, k: usize) -> f64
-where
-    I: Eq + Hash + Clone,
-    E: crate::traits::WeightedFrequencyEstimator<I> + ?Sized,
-{
-    let recovered: f64 = k_sparse_weighted(summary, k).iter().map(|&(_, w)| w).sum();
-    (summary.total_weight() - recovered).max(0.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,19 +114,15 @@ mod tests {
 
     #[test]
     fn weighted_recovery_and_residual() {
-        use crate::traits::WeightedFrequencyEstimator;
-        use crate::weighted::SpaceSavingR;
-        let mut s = SpaceSavingR::new(10);
-        for (item, w) in [(1u64, 5.0), (2, 3.0), (3, 1.0), (1, 2.0)] {
-            s.update_weighted(item, w);
+        // weights in thousandths go through `update_by`, exactly
+        let mut s = SpaceSaving::new(10);
+        for (item, w) in [(1u64, 5000), (2, 3000), (3, 1000), (1, 2000)] {
+            s.update_by(item, w);
         }
-        let rec = k_sparse_weighted(&s, 2);
-        assert_eq!(rec.len(), 2);
-        assert_eq!(rec[0].0, 1);
-        assert!((rec[0].1 - 7.0).abs() < 1e-12);
+        assert_eq!(k_sparse(&s, 2), vec![(1, 7000), (2, 3000)]);
         // F1 = 11, top-2 = 10, residual = 1
-        assert!((residual_estimate_weighted(&s, 2) - 1.0).abs() < 1e-12);
-        assert!((residual_estimate_weighted(&s, 0) - 11.0).abs() < 1e-12);
+        assert_eq!(residual_estimate(&s, 2), 1000);
+        assert_eq!(residual_estimate(&s, 0), 11_000);
     }
 
     #[test]

@@ -263,38 +263,6 @@ pub trait FrequencyEstimator<I: Eq + Hash + Clone> {
     }
 }
 
-/// A frequency estimator for real-weighted streams (Section 6.1 of the
-/// paper: each arrival is `(item, b)` with `b ∈ ℝ⁺`).
-pub trait WeightedFrequencyEstimator<I: Eq + Hash + Clone> {
-    /// Short human-readable algorithm name.
-    fn name(&self) -> &'static str;
-
-    /// The space budget `m`.
-    fn capacity(&self) -> usize;
-
-    /// Processes an arrival of `item` with weight `w ≥ 0`.
-    fn update_weighted(&mut self, item: I, w: f64);
-
-    /// The point estimate of the item's total weight.
-    fn estimate_weighted(&self, item: &I) -> f64;
-
-    /// Number of items currently stored.
-    fn stored_len(&self) -> usize;
-
-    /// Snapshot of stored `(item, estimate)` pairs sorted by decreasing
-    /// estimate.
-    fn entries_weighted(&self) -> Vec<(I, f64)>;
-
-    /// Total weight processed so far.
-    fn total_weight(&self) -> f64;
-
-    /// The `(A, B)` tail constants (Theorem 10: `A = B = 1` for both
-    /// FREQUENTR and SPACESAVINGR).
-    fn tail_constants(&self) -> Option<TailConstants> {
-        Some(TailConstants::ONE_ONE)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -6,8 +6,8 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use hh_counters::{
-    Bias, FrequencyEstimator, Frequent, FrequentR, HeapSpaceSaving, ReferenceFrequent,
-    ReferenceSpaceSaving, SpaceSaving, SpaceSavingR, StreamSummary, WeightedFrequencyEstimator,
+    Bias, FrequencyEstimator, Frequent, HeapSpaceSaving, ReferenceFrequent, ReferenceSpaceSaving,
+    SpaceSaving, StreamSummary,
 };
 
 /// A random stream: items in 1..=sigma, length up to `len`.
@@ -205,45 +205,48 @@ proptest! {
         }
     }
 
+    /// A weight of 1.000 counted as 1000 units scales every counter by
+    /// 1000 and changes nothing else, tie-breaking included.
     #[test]
     fn weighted_unit_equivalence(stream in stream_strategy(8, 100), m in 1usize..6) {
         let mut ss = SpaceSaving::new(m);
-        let mut ssr = SpaceSavingR::new(m);
+        let mut ssr = SpaceSaving::new(m);
+        let mut fr = Frequent::new(m);
+        let mut frr = Frequent::new(m);
         for &x in &stream {
             ss.update(x);
-            ssr.update_weighted(x, 1.0);
+            ssr.update_by(x, 1000);
+            fr.update(x);
+            frr.update_by(x, 1000);
         }
-        let mut a: Vec<u64> = ss.entries().iter().map(|&(_, c)| c).collect();
-        let mut b: Vec<u64> = ssr.entries_weighted().iter()
-            .map(|&(_, w)| w.round() as u64).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        prop_assert_eq!(a, b);
+        let scaled = |e: Vec<(u64, u64)>| -> Vec<(u64, u64)> {
+            e.into_iter().map(|(i, c)| (i, c * 1000)).collect()
+        };
+        prop_assert_eq!(ssr.entries(), scaled(ss.entries()));
+        prop_assert_eq!(frr.entries(), scaled(fr.entries()));
     }
 
+    /// The heavy-hitter guarantee `|f_i − c_i| ≤ F1/m` over integer
+    /// weights, summed exactly.
     #[test]
     fn weighted_heavy_hitter_guarantee(
-        updates in vec((1u64..10, 1u32..1000), 1..80),
+        updates in vec((1u64..10, 1u64..1_000_000), 1..80),
         m in 1usize..8
     ) {
-        // weights as fractional values: w = raw / 16
-        let mut frr = FrequentR::new(m);
-        let mut ssr = SpaceSavingR::new(m);
-        let mut f1 = 0.0f64;
+        let mut frr = Frequent::new(m);
+        let mut ssr = SpaceSaving::new(m);
         let mut exact_w = std::collections::HashMap::new();
-        for &(item, raw) in &updates {
-            let w = raw as f64 / 16.0;
-            frr.update_weighted(item, w);
-            ssr.update_weighted(item, w);
-            *exact_w.entry(item).or_insert(0.0) += w;
-            f1 += w;
+        for &(item, w) in &updates {
+            frr.update_by(item, w);
+            ssr.update_by(item, w);
+            *exact_w.entry(item).or_insert(0u64) += w;
         }
-        let bound = f1 / m as f64 + 1e-6 * f1.max(1.0);
+        let f1: u64 = updates.iter().map(|&(_, w)| w).sum();
+        prop_assert_eq!((frr.stream_len(), ssr.stream_len()), (f1, f1));
+        let bound = f1 / m as u64;
         for (&item, &w) in &exact_w {
-            prop_assert!((w - frr.estimate_weighted(&item)).abs() <= bound,
-                "FrequentR item {}", item);
-            prop_assert!((w - ssr.estimate_weighted(&item)).abs() <= bound,
-                "SpaceSavingR item {}", item);
+            prop_assert!(w.abs_diff(frr.estimate(&item)) <= bound, "Frequent item {}", item);
+            prop_assert!(w.abs_diff(ssr.estimate(&item)) <= bound, "SpaceSaving item {}", item);
         }
     }
 

@@ -35,7 +35,7 @@
 use std::path::Path;
 
 use hh_counters::error::Error;
-use hh_sketches::engine::{Engine, EngineItem, Snapshot, WeightedEngine};
+use hh_sketches::engine::{Engine, EngineItem, Snapshot};
 use hh_sketches::pipeline::check_partition;
 use serde::{Deserialize, Serialize};
 
@@ -297,7 +297,7 @@ where
 
 /// Reads snapshot files ([`load_latest`] each) into the shards an offline
 /// reader answers from, with their summed unobserved mass. Files of the
-/// same N unweighted shards that pass [`check_partition`] merge shard `j`
+/// same N shards that pass [`check_partition`] merge shard `j`
 /// into shard `j` (Theorem 11 per shard), staying one hash partition; any
 /// other input folds into one snapshot, sound for any partition.
 pub fn load_shards<I>(paths: &[String]) -> Result<Checkpoint<I>, Error>
@@ -314,8 +314,7 @@ where
     let n = files.first().map_or(0, Vec::len);
     let like = files.first().and_then(|file| file.first());
     let aligned = like.is_some_and(|like| {
-        !like.is_weighted()
-            && (files.iter()).all(|file| file.len() == n && check_partition(file, like).is_ok())
+        (files.iter()).all(|file| file.len() == n && check_partition(file, like).is_ok())
     });
     let mut columns = vec![Vec::new(); if aligned { n } else { 1 }];
     for file in files {
@@ -331,9 +330,9 @@ where
     Ok(Checkpoint { shards, unobserved })
 }
 
-/// Folds snapshots into one snapshot (Theorem 11 snapshot merge; weighted
-/// shards fold through a [`WeightedEngine`]), sound for any partition.
-/// `None` for an empty list.
+/// Folds snapshots into one snapshot (Theorem 11 snapshot merge), sound
+/// for any partition. `None` for an empty list; a weighted snapshot
+/// beside a count snapshot is an [`Error::SnapshotMismatch`].
 pub fn merge_to_snapshot<I: EngineItem>(
     shards: Vec<Snapshot<I>>,
 ) -> Result<Option<Snapshot<I>>, Error> {
@@ -341,13 +340,6 @@ pub fn merge_to_snapshot<I: EngineItem>(
     let Some(first) = it.next() else {
         return Ok(None);
     };
-    if first.is_weighted() {
-        let mut merged = WeightedEngine::from_snapshot(first)?;
-        for snap in it {
-            merged.merge_snapshot(&snap)?;
-        }
-        return Ok(Some(merged.snapshot()));
-    }
     let mut merged = Engine::from_snapshot(first)?;
     for snap in it {
         merged.merge_snapshot(&snap)?;

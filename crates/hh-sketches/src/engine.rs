@@ -10,9 +10,11 @@
 //! engine answers the same [`Report`] queries (top-k, φ-heavy hitters with
 //! confidence labels, residual estimation, per-item bound intervals),
 //! serializes to one portable [`Snapshot`] format, and merges across
-//! processes via [`Engine::merge`] (Theorem 11). The real-weighted
-//! [`WeightedEngine`] (Section 6.1) answers the same [`Report`] in `f64`
-//! weights (see [`Count`]).
+//! processes via [`Engine::merge`] (Theorem 11). Weighted streams
+//! (Section 6.1) run on the same engine: a weight counted as a whole
+//! number of units goes through [`Engine::update_by`], and
+//! [`Engine::into_weighted`] marks the engine so its snapshots cannot be
+//! mistaken for occurrence counts.
 //!
 //! ```
 //! use hh_sketches::engine::{AlgoKind, EngineConfig};
@@ -38,8 +40,8 @@ use hh_counters::error::Error;
 use hh_counters::heavy_hitters::Confidence;
 use hh_counters::recovery;
 use hh_counters::topk::zipf_counters_for_topk;
-use hh_counters::traits::{Bias, FrequencyEstimator, TailConstants, WeightedFrequencyEstimator};
-use hh_counters::{Frequent, FrequentR, LossyCounting, SpaceSaving, SpaceSavingR, StickySampling};
+use hh_counters::traits::{Bias, FrequencyEstimator, TailConstants};
+use hh_counters::{Frequent, LossyCounting, SpaceSaving, StickySampling};
 use serde::{Deserialize, Reader, Serialize};
 
 use crate::count_min::{CountMin, UpdateRule};
@@ -317,8 +319,7 @@ pub const CS_DEPTH: usize = 5;
 const STICKY_SUPPORT: f64 = 0.01;
 const STICKY_DELTA: f64 = 0.1;
 
-/// Builder describing how to construct an [`Engine`] (or a
-/// [`WeightedEngine`]).
+/// Builder describing how to construct an [`Engine`].
 ///
 /// ```
 /// use hh_sketches::engine::{AlgoKind, CapacitySpec, EngineConfig};
@@ -514,39 +515,7 @@ impl EngineConfig {
                 ))
             }
         };
-        Ok(Engine::with_backend(backend))
-    }
-
-    /// Builds the real-weighted variant (Section 6.1: SPACESAVINGR or
-    /// FREQUENTR).
-    ///
-    /// Fails with [`Error::Unsupported`] for algorithms without a weighted
-    /// form.
-    ///
-    /// ```
-    /// use hh_sketches::engine::{AlgoKind, EngineConfig};
-    ///
-    /// let mut e = EngineConfig::new(AlgoKind::SpaceSaving)
-    ///     .counters(16)
-    ///     .build_weighted::<u64>()
-    ///     .unwrap();
-    /// e.update(7, 2.5);
-    /// assert!((e.estimate(&7) - 2.5).abs() < 1e-12);
-    /// assert!(EngineConfig::new(AlgoKind::CountMin).build_weighted::<u64>().is_err());
-    /// ```
-    pub fn build_weighted<I: EngineItem>(&self) -> Result<WeightedEngine<I>, Error> {
-        let budget = self.resolved_counters()?;
-        let backend = match self.algo {
-            AlgoKind::SpaceSaving => WeightedBackend::SpaceSaving(SpaceSavingR::new(budget)),
-            AlgoKind::Frequent => WeightedBackend::Frequent(FrequentR::new(budget)),
-            other => {
-                return Err(Error::Unsupported {
-                    algo: other.name().to_string(),
-                    operation: "weighted updates",
-                })
-            }
-        };
-        Ok(WeightedEngine { backend })
+        Ok(Engine::with_backend(backend, false))
     }
 }
 
@@ -681,37 +650,10 @@ pub struct CountSketchState<I> {
     pub cap: usize,
 }
 
-/// Wire state of a weighted SPACESAVINGR backend.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SpaceSavingRState<I> {
-    /// Counter capacity `m`.
-    pub capacity: usize,
-    /// Total stream weight consumed.
-    pub total_weight: f64,
-    /// Upper-bound slack accumulated from prior merges (donor minimums).
-    pub absorbed_slack: f64,
-    /// Stored `(item, weight, err)` triples in descending weight order.
-    pub entries: Vec<(I, f64, f64)>,
-}
-
-/// Wire state of a weighted FREQUENTR backend.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FrequentRState<I> {
-    /// Counter capacity `m`.
-    pub capacity: usize,
-    /// Total stream weight consumed.
-    pub total_weight: f64,
-    /// Accumulated reduction offset.
-    pub reductions: f64,
-    /// Stored `(item, logical value)` pairs in descending order.
-    pub entries: Vec<(I, f64)>,
-}
-
 /// The single portable snapshot format covering every engine backend.
 ///
 /// A snapshot round-trips through JSON (or any serde format) and
-/// rehydrates — via [`Engine::from_snapshot`] /
-/// [`WeightedEngine::from_snapshot`] — into an engine whose estimates,
+/// rehydrates — via [`Engine::from_snapshot`] — into an engine whose estimates,
 /// bounds and tie-breaking state are identical to the captured one's.
 /// Snapshots are also the merge currency: [`Engine::merge_snapshot`]
 /// absorbs a snapshot produced by another process.
@@ -741,15 +683,15 @@ pub enum Snapshot<I> {
     CountMin(CountMinState<I>),
     /// Count-Sketch state.
     CountSketch(CountSketchState<I>),
-    /// Weighted SPACESAVINGR state.
-    SpaceSavingR(SpaceSavingRState<I>),
-    /// Weighted FREQUENTR state.
-    FrequentR(FrequentRState<I>),
+    /// SPACESAVING state over weights (see [`Engine::into_weighted`]).
+    WeightedSpaceSaving(SpaceSavingState<I>),
+    /// FREQUENT state over weights (see [`Engine::into_weighted`]).
+    WeightedFrequent(FrequentState<I>),
 }
 
 impl<I> Snapshot<I> {
-    /// The algorithm the snapshot came from (weighted variants report
-    /// their unweighted [`AlgoKind`]).
+    /// The algorithm the snapshot came from (weighted snapshots report
+    /// their algorithm's [`AlgoKind`]).
     ///
     /// ```
     /// use hh_sketches::engine::{AlgoKind, EngineConfig};
@@ -758,8 +700,8 @@ impl<I> Snapshot<I> {
     /// ```
     pub fn algo(&self) -> AlgoKind {
         match self {
-            Snapshot::SpaceSaving(_) | Snapshot::SpaceSavingR(_) => AlgoKind::SpaceSaving,
-            Snapshot::Frequent(_) | Snapshot::FrequentR(_) => AlgoKind::Frequent,
+            Snapshot::SpaceSaving(_) | Snapshot::WeightedSpaceSaving(_) => AlgoKind::SpaceSaving,
+            Snapshot::Frequent(_) | Snapshot::WeightedFrequent(_) => AlgoKind::Frequent,
             Snapshot::LossyCounting(_) => AlgoKind::LossyCounting,
             Snapshot::StickySampling(_) => AlgoKind::StickySampling,
             Snapshot::CountMin(_) => AlgoKind::CountMin,
@@ -769,7 +711,10 @@ impl<I> Snapshot<I> {
 
     /// Whether this is a weighted (Section 6.1) snapshot.
     pub fn is_weighted(&self) -> bool {
-        matches!(self, Snapshot::SpaceSavingR(_) | Snapshot::FrequentR(_))
+        matches!(
+            self,
+            Snapshot::WeightedSpaceSaving(_) | Snapshot::WeightedFrequent(_)
+        )
     }
 
     fn tag(&self) -> &'static str {
@@ -786,14 +731,12 @@ impl<I: Serialize> Serialize for Snapshot<I> {
         self.tag().serialize(out);
         out.push_str(",\"state\":");
         match self {
-            Snapshot::SpaceSaving(s) => s.serialize(out),
-            Snapshot::Frequent(s) => s.serialize(out),
+            Snapshot::SpaceSaving(s) | Snapshot::WeightedSpaceSaving(s) => s.serialize(out),
+            Snapshot::Frequent(s) | Snapshot::WeightedFrequent(s) => s.serialize(out),
             Snapshot::LossyCounting(s) => s.serialize(out),
             Snapshot::StickySampling(s) => s.serialize(out),
             Snapshot::CountMin(s) => s.serialize(out),
             Snapshot::CountSketch(s) => s.serialize(out),
-            Snapshot::SpaceSavingR(s) => s.serialize(out),
-            Snapshot::FrequentR(s) => s.serialize(out),
         }
         out.push('}');
     }
@@ -809,8 +752,18 @@ impl<I: Deserialize> Snapshot<I> {
             "sticky_sampling" => Ok(Snapshot::StickySampling(Deserialize::deserialize(r)?)),
             "count_min" => Ok(Snapshot::CountMin(Deserialize::deserialize(r)?)),
             "count_sketch" => Ok(Snapshot::CountSketch(Deserialize::deserialize(r)?)),
-            "space_saving_r" => Ok(Snapshot::SpaceSavingR(Deserialize::deserialize(r)?)),
-            "frequent_r" => Ok(Snapshot::FrequentR(Deserialize::deserialize(r)?)),
+            "space_saving_weighted" => {
+                Ok(Snapshot::WeightedSpaceSaving(Deserialize::deserialize(r)?))
+            }
+            "frequent_weighted" => Ok(Snapshot::WeightedFrequent(Deserialize::deserialize(r)?)),
+            // Earlier releases stored weights as `f64`, where an integral
+            // weight prints as `10`: read as units it would be off by the
+            // unit's scale, so these files are refused, not converted.
+            "space_saving_r" | "frequent_r" => Err(Error::corrupt_snapshot(format!(
+                "{tag} snapshots hold floating-point weights from an earlier release; \
+                 re-ingest the stream to get a snapshot in whole weight units"
+            ))
+            .into()),
             other => Err(serde::Error::custom(format!(
                 "unknown snapshot algo tag {other:?}"
             ))),
@@ -858,9 +811,9 @@ fn mismatch<I>(expected: &'static str, found: &Snapshot<I>) -> Error {
 /// The wire tag of the snapshot an `algo` backend captures.
 fn snapshot_tag(algo: AlgoKind, weighted: bool) -> &'static str {
     match algo {
-        AlgoKind::SpaceSaving if weighted => "space_saving_r",
+        AlgoKind::SpaceSaving if weighted => "space_saving_weighted",
         AlgoKind::SpaceSaving => "space_saving",
-        AlgoKind::Frequent if weighted => "frequent_r",
+        AlgoKind::Frequent if weighted => "frequent_weighted",
         AlgoKind::Frequent => "frequent",
         AlgoKind::LossyCounting => "lossy_counting",
         AlgoKind::StickySampling => "sticky_sampling",
@@ -896,22 +849,6 @@ macro_rules! each_backend {
             Backend::StickySampling($b) => $body,
             Backend::CountMin($b) => $body,
             Backend::CountSketch($b) => $body,
-        }
-    };
-}
-
-/// The Section 6.1 backends a [`WeightedEngine`] runs.
-enum WeightedBackend<I: EngineItem> {
-    SpaceSaving(SpaceSavingR<I>),
-    Frequent(FrequentR<I>),
-}
-
-/// `each_backend!` for `WeightedBackend`.
-macro_rules! each_weighted {
-    ($on:expr, $b:ident => $body:expr) => {
-        match $on {
-            WeightedBackend::SpaceSaving($b) => $body,
-            WeightedBackend::Frequent($b) => $body,
         }
     };
 }
@@ -999,6 +936,8 @@ pub struct Engine<I: EngineItem> {
     /// (e.g. a crashed pipeline shard's unsnapshotted in-queue mass, see
     /// [`Engine::add_unobserved`]). Widens every upper bound and `F1`.
     unobserved: u64,
+    /// Whether the counts are weights (see [`Engine::into_weighted`]).
+    weighted: bool,
 }
 
 impl<I: EngineItem> fmt::Debug for Engine<I> {
@@ -1009,17 +948,67 @@ impl<I: EngineItem> fmt::Debug for Engine<I> {
             .field("stored_len", &self.stored_len())
             .field("stream_len", &self.stream_len())
             .field("unobserved", &self.unobserved)
+            .field("weighted", &self.weighted)
             .finish()
     }
 }
 
 impl<I: EngineItem> Engine<I> {
-    fn with_backend(backend: Backend<I>) -> Self {
+    fn with_backend(backend: Backend<I>, weighted: bool) -> Self {
         Engine {
             backend,
             ingest: IngestStats::default(),
             unobserved: 0,
+            weighted,
         }
+    }
+
+    /// Marks the engine's counts as weights (Section 6.1): every
+    /// `update_by(item, w)` adds a weight of `w` whole units, whose scale
+    /// only the caller knows (the `hh` CLI counts thousandths). Theorem 10
+    /// keeps SPACESAVING's and FREQUENT's `A = B = 1` tail bound over any
+    /// non-negative weights, so the counting, merging and [`Report`] are
+    /// the ones counts use; only the snapshot tag differs, so a weighted
+    /// snapshot and a count snapshot never merge into one another.
+    ///
+    /// Fails with [`Error::Unsupported`] for the other algorithms:
+    /// LOSSYCOUNTING's and STICKY SAMPLING's `update_by` costs O(weight),
+    /// and the sketches have no weighted snapshot.
+    ///
+    /// ```
+    /// use hh_sketches::engine::{AlgoKind, Engine, EngineConfig};
+    ///
+    /// let mut e = EngineConfig::new(AlgoKind::SpaceSaving)
+    ///     .counters(16)
+    ///     .build::<u64>()
+    ///     .unwrap()
+    ///     .into_weighted()
+    ///     .unwrap();
+    /// e.update_by(7, 2_500); // 2.5 in thousandths
+    /// let back = Engine::from_snapshot(e.snapshot()).unwrap();
+    /// assert_eq!((back.estimate(&7), back.is_weighted()), (2_500, true));
+    /// assert!(EngineConfig::new(AlgoKind::CountMin)
+    ///     .build::<u64>()
+    ///     .unwrap()
+    ///     .into_weighted()
+    ///     .is_err());
+    /// ```
+    pub fn into_weighted(mut self) -> Result<Self, Error> {
+        match self.algo() {
+            AlgoKind::SpaceSaving | AlgoKind::Frequent => {
+                self.weighted = true;
+                Ok(self)
+            }
+            other => Err(Error::Unsupported {
+                algo: other.name().to_string(),
+                operation: "weighted updates",
+            }),
+        }
+    }
+
+    /// Whether the counts are weights (see [`Engine::into_weighted`]).
+    pub fn is_weighted(&self) -> bool {
+        self.weighted
     }
 
     /// The algorithm this engine runs.
@@ -1188,18 +1177,32 @@ impl<I: EngineItem> Engine<I> {
     /// Captures the engine's full state as a portable [`Snapshot`].
     pub fn snapshot(&self) -> Snapshot<I> {
         match &self.backend {
-            Backend::SpaceSaving(b) => Snapshot::SpaceSaving(SpaceSavingState {
-                capacity: b.capacity(),
-                stream_len: b.stream_len(),
-                absorbed_slack: b.absorbed_slack(),
-                entries: b.entries_with_err(),
-            }),
-            Backend::Frequent(b) => Snapshot::Frequent(FrequentState {
-                capacity: b.capacity(),
-                stream_len: b.stream_len(),
-                decrements: b.decrements(),
-                entries: b.entries(),
-            }),
+            Backend::SpaceSaving(b) => {
+                let state = SpaceSavingState {
+                    capacity: b.capacity(),
+                    stream_len: b.stream_len(),
+                    absorbed_slack: b.absorbed_slack(),
+                    entries: b.entries_with_err(),
+                };
+                if self.weighted {
+                    Snapshot::WeightedSpaceSaving(state)
+                } else {
+                    Snapshot::SpaceSaving(state)
+                }
+            }
+            Backend::Frequent(b) => {
+                let state = FrequentState {
+                    capacity: b.capacity(),
+                    stream_len: b.stream_len(),
+                    decrements: b.decrements(),
+                    entries: b.entries(),
+                };
+                if self.weighted {
+                    Snapshot::WeightedFrequent(state)
+                } else {
+                    Snapshot::Frequent(state)
+                }
+            }
             Backend::LossyCounting(b) => Snapshot::LossyCounting(LossyCountingState {
                 width: b.width(),
                 window: b.window(),
@@ -1250,9 +1253,8 @@ impl<I: EngineItem> Engine<I> {
     /// every query identically to the captured one and continues the
     /// stream bit-identically.
     ///
-    /// Fails with [`Error::CorruptSnapshot`] on inconsistent state, or
-    /// [`Error::Unsupported`] for weighted snapshots (use
-    /// [`WeightedEngine::from_snapshot`]).
+    /// A weighted snapshot gives a weighted engine. Fails with
+    /// [`Error::CorruptSnapshot`] on inconsistent state.
     ///
     /// ```
     /// use hh_sketches::engine::{AlgoKind, Engine, EngineConfig};
@@ -1262,19 +1264,14 @@ impl<I: EngineItem> Engine<I> {
     /// assert_eq!(restored.estimate(&1), 2);
     /// ```
     pub fn from_snapshot(snap: Snapshot<I>) -> Result<Self, Error> {
+        let weighted = snap.is_weighted();
         let backend = match snap {
-            Snapshot::SpaceSaving(s) => Backend::SpaceSaving(SpaceSaving::from_parts(
-                s.capacity,
-                s.stream_len,
-                s.absorbed_slack,
-                s.entries,
-            )?),
-            Snapshot::Frequent(s) => Backend::Frequent(Frequent::from_parts(
-                s.capacity,
-                s.stream_len,
-                s.decrements,
-                s.entries,
-            )?),
+            Snapshot::SpaceSaving(s) | Snapshot::WeightedSpaceSaving(s) => Backend::SpaceSaving(
+                SpaceSaving::from_parts(s.capacity, s.stream_len, s.absorbed_slack, s.entries)?,
+            ),
+            Snapshot::Frequent(s) | Snapshot::WeightedFrequent(s) => Backend::Frequent(
+                Frequent::from_parts(s.capacity, s.stream_len, s.decrements, s.entries)?,
+            ),
             Snapshot::LossyCounting(s) => Backend::LossyCounting(LossyCounting::from_parts(
                 s.width,
                 s.window,
@@ -1294,14 +1291,8 @@ impl<I: EngineItem> Engine<I> {
             )?),
             Snapshot::CountMin(s) => Backend::CountMin(count_min_from(s)?),
             Snapshot::CountSketch(s) => Backend::CountSketch(count_sketch_from(s)?),
-            weighted @ (Snapshot::SpaceSavingR(_) | Snapshot::FrequentR(_)) => {
-                return Err(Error::Unsupported {
-                    algo: weighted.algo().name().to_string(),
-                    operation: "rehydrating a weighted snapshot into an unweighted Engine",
-                })
-            }
         };
-        Ok(Engine::with_backend(backend))
+        Ok(Engine::with_backend(backend, weighted))
     }
 
     /// Absorbs a snapshot produced elsewhere (another process, an earlier
@@ -1316,20 +1307,25 @@ impl<I: EngineItem> Engine<I> {
     /// reports the true combined `F1`. STICKY SAMPLING merges by O(m)
     /// table union; sketch backends add cell-wise and re-rank the
     /// candidate union. Fails with [`Error::SnapshotMismatch`] when
-    /// algorithms (or sketch shapes) differ, and with [`Error::Overflow`]
+    /// algorithms (or sketch shapes) differ or only one side is
+    /// [weighted](Engine::into_weighted), and with [`Error::Overflow`]
     /// when the combined counter bookkeeping would exceed `u64::MAX`.
     pub fn merge_snapshot(&mut self, snap: &Snapshot<I>) -> Result<(), Error> {
-        let algo = self.algo();
+        let expected = snapshot_tag(self.algo(), self.weighted);
+        if snap.is_weighted() != self.weighted {
+            return Err(mismatch(expected, snap));
+        }
         match (&mut self.backend, snap) {
             // replay the counters carrying their overcount bounds (sound
             // lower bounds) and widen the upper-bound slack by the donor's
             // Δ (sound upper bounds for items the donor did not store)
-            (Backend::SpaceSaving(b), Snapshot::SpaceSaving(s)) => {
-                b.absorb_parts(&s.entries, s.capacity, s.absorbed_slack)?
-            }
+            (
+                Backend::SpaceSaving(b),
+                Snapshot::SpaceSaving(s) | Snapshot::WeightedSpaceSaving(s),
+            ) => b.absorb_parts(&s.entries, s.capacity, s.absorbed_slack)?,
             // replay the counters and fold in the donor's decrement rounds
             // and unstored stream mass, keeping upper bounds and F1 sound
-            (Backend::Frequent(b), Snapshot::Frequent(s)) => {
+            (Backend::Frequent(b), Snapshot::Frequent(s) | Snapshot::WeightedFrequent(s)) => {
                 b.absorb_parts(&s.entries, s.decrements, s.stream_len)?
             }
             // Manku–Motwani distributed merge: counts and deltas add, the
@@ -1348,7 +1344,7 @@ impl<I: EngineItem> Engine<I> {
             (Backend::CountSketch(b), Snapshot::CountSketch(s)) => {
                 b.merge_from(&count_sketch_from(s.clone())?, |a, b| a.merge_from(b))?
             }
-            (_, snap) => return Err(mismatch(snapshot_tag(algo, false), snap)),
+            (_, snap) => return Err(mismatch(expected, snap)),
         }
         Ok(())
     }
@@ -1523,109 +1519,71 @@ fn first_by_count_then_item<I: EngineItem>(
 mod sealed {
     use super::EngineItem;
 
-    pub trait Sealed {}
-
-    impl Sealed for u64 {}
-    impl Sealed for f64 {}
-
-    /// What a `Report` reads, in the count type: an engine, or a view
-    /// over several engines (`pipeline::ShardedView`).
-    pub trait Source<I: EngineItem, C> {
-        /// The stream total the report is over (`F1` or total weight).
-        fn total(&self) -> C;
+    /// What a `Report` reads: an engine, or a view over several engines
+    /// (`pipeline::ShardedView`).
+    pub trait Source<I: EngineItem> {
+        /// The stream total the report is over (`F1`).
+        fn total(&self) -> u64;
         /// The point estimate of any item.
-        fn estimate(&self, item: &I) -> C;
+        fn estimate(&self, item: &I) -> u64;
         /// The certified `(lower, upper)` interval of any item.
-        fn interval(&self, item: &I) -> (C, C);
+        fn interval(&self, item: &I) -> (u64, u64);
         /// Stored `(item, estimate)` pairs, largest first, into `out`
         /// (cleared first).
-        fn pairs_into(&self, out: &mut Vec<(I, C)>);
+        fn pairs_into(&self, out: &mut Vec<(I, u64)>);
         /// The first `k` of [`Source::pairs_into`]'s pairs, into `out`
         /// (cleared first). Never allocates by `k`: any `usize` is a
         /// valid request.
-        fn top_pairs_into(&self, k: usize, out: &mut Vec<(I, C)>) {
+        fn top_pairs_into(&self, k: usize, out: &mut Vec<(I, u64)>) {
             self.pairs_into(out);
             out.truncate(k);
         }
         /// The Theorem 6 residual estimate `F1^res(k)`.
-        fn residual(&self, k: usize) -> C;
+        fn residual(&self, k: usize) -> u64;
     }
 }
 
 pub(crate) use sealed::Source;
 
-/// The count type of a [`Report`]: `u64` occurrences for an [`Engine`],
-/// `f64` weights for a [`WeightedEngine`] (Section 6.1; Theorem 10 keeps
-/// the same `A = B = 1` tail bound over weights, so both answer the same
-/// queries). Sealed: implemented for exactly these two types.
-///
-/// ```
-/// use hh_sketches::engine::Count;
-///
-/// fn threshold<C: Count>(total: C, phi: f64) -> f64 {
-///     phi * total.to_f64()
-/// }
-/// assert_eq!(threshold(200u64, 0.5), 100.0);
-/// assert_eq!(threshold(3.0f64, 0.5), 1.5);
-/// ```
-pub trait Count:
-    sealed::Sealed + Copy + PartialOrd + fmt::Debug + fmt::Display + Send + Sync + 'static
-{
-    /// The count as an `f64` (heavy-hitter thresholds are `phi · F1`).
-    fn to_f64(self) -> f64;
-}
-
-impl Count for u64 {
-    fn to_f64(self) -> f64 {
-        self as f64
-    }
-}
-
-impl Count for f64 {
-    fn to_f64(self) -> f64 {
-        self
-    }
-}
-
-/// One reported item with its certified frequency (or weight) interval.
+/// One reported item with its certified frequency interval (a weight, in
+/// its units, for a [weighted](Engine::into_weighted) engine).
 ///
 /// `lower ≤ f_item ≤ upper` always holds for deterministic backends (for
 /// STICKY SAMPLING the bounds are the trivial ones its probabilistic
 /// guarantee allows).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReportEntry<I, C = u64> {
+pub struct ReportEntry<I> {
     /// The item.
     pub item: I,
     /// The backend's point estimate.
-    pub estimate: C,
+    pub estimate: u64,
     /// Certified lower bound on the true frequency.
-    pub lower: C,
+    pub lower: u64,
     /// Certified upper bound on the true frequency.
-    pub upper: C,
+    pub upper: u64,
 }
 
 /// One reported φ-heavy hitter: a [`ReportEntry`] plus its confidence
 /// label, unified across over- and under-estimating backends.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HeavyHitterEntry<I, C = u64> {
+pub struct HeavyHitterEntry<I> {
     /// The item.
     pub item: I,
     /// The backend's point estimate.
-    pub estimate: C,
+    pub estimate: u64,
     /// Certified lower bound on the true frequency.
-    pub lower: C,
+    pub lower: u64,
     /// Certified upper bound on the true frequency.
-    pub upper: C,
+    pub upper: u64,
     /// Guaranteed (`lower > φF1`) or merely potential (`upper > φF1`).
     pub confidence: Confidence,
 }
 
 /// The one query surface every engine answers: top-k, φ-heavy hitters,
-/// residual estimation, and per-item bound intervals — in `u64` counts
-/// for an [`Engine`] and `f64` weights for a [`WeightedEngine`].
+/// residual estimation, and per-item bound intervals — in occurrences, or
+/// in weight units for a [weighted](Engine::into_weighted) engine.
 ///
-/// Borrowed from [`Engine::report`], [`WeightedEngine::report`] or a
-/// pipeline's [`ShardedView::report`](crate::pipeline::ShardedView::report);
+/// Borrowed from [`Engine::report`] or a pipeline's [`ShardedView::report`](crate::pipeline::ShardedView::report);
 /// queries never mutate what they read.
 ///
 /// ```
@@ -1642,29 +1600,20 @@ pub struct HeavyHitterEntry<I, C = u64> {
 /// assert_eq!(hh[0].confidence, Confidence::Guaranteed);
 /// // residual mass after removing the top-1
 /// assert_eq!(report.residual(1), 4);
-///
-/// // the same queries over weights
-/// let mut w = EngineConfig::new(AlgoKind::SpaceSaving).counters(8).build_weighted().unwrap();
-/// w.update(1u64, 70.0);
-/// w.update(2, 20.0);
-/// w.update(3, 10.0);
-/// let hh = w.report().heavy_hitters(0.5).unwrap();
-/// assert_eq!(hh.len(), 1);
-/// assert_eq!((hh[0].item, hh[0].confidence), (1, Confidence::Guaranteed));
 /// ```
-pub struct Report<'a, I: EngineItem, C: Count = u64> {
-    source: &'a dyn Source<I, C>,
+pub struct Report<'a, I: EngineItem> {
+    source: &'a dyn Source<I>,
 }
 
-impl<I: EngineItem, C: Count> Clone for Report<'_, I, C> {
+impl<I: EngineItem> Clone for Report<'_, I> {
     fn clone(&self) -> Self {
         *self
     }
 }
 
-impl<I: EngineItem, C: Count> Copy for Report<'_, I, C> {}
+impl<I: EngineItem> Copy for Report<'_, I> {}
 
-impl<I: EngineItem, C: Count> fmt::Debug for Report<'_, I, C> {
+impl<I: EngineItem> fmt::Debug for Report<'_, I> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Report")
             .field("total", &self.total())
@@ -1678,15 +1627,15 @@ impl<'a, I: EngineItem> From<&'a Engine<I>> for Report<'a, I> {
     }
 }
 
-impl<'a, I: EngineItem, C: Count> Report<'a, I, C> {
-    pub(crate) fn over(source: &'a dyn Source<I, C>) -> Self {
+impl<'a, I: EngineItem> Report<'a, I> {
+    pub(crate) fn over(source: &'a dyn Source<I>) -> Self {
         Report { source }
     }
 }
 
-impl<I: EngineItem, C: Count> Report<'_, I, C> {
-    /// The stream total the report is over: `F1` for counts, the total
-    /// weight for weights.
+impl<I: EngineItem> Report<'_, I> {
+    /// The stream total the report is over: `F1` (the total weight, for
+    /// weights).
     ///
     /// ```
     /// use hh_sketches::engine::{AlgoKind, EngineConfig};
@@ -1694,7 +1643,7 @@ impl<I: EngineItem, C: Count> Report<'_, I, C> {
     /// e.update_batch(&[1, 1, 2]);
     /// assert_eq!(e.report().total(), 3);
     /// ```
-    pub fn total(&self) -> C {
+    pub fn total(&self) -> u64 {
         self.source.total()
     }
 
@@ -1707,7 +1656,7 @@ impl<I: EngineItem, C: Count> Report<'_, I, C> {
     /// e.update_batch(&[1, 1, 2]);
     /// assert_eq!(e.report().interval(&1), (2, 2)); // table not full: exact
     /// ```
-    pub fn interval(&self, item: &I) -> (C, C) {
+    pub fn interval(&self, item: &I) -> (u64, u64) {
         self.source.interval(item)
     }
 
@@ -1721,12 +1670,12 @@ impl<I: EngineItem, C: Count> Report<'_, I, C> {
     /// let row = e.report().entry(&1);
     /// assert_eq!((row.estimate, row.lower, row.upper), (2, 2, 2));
     /// ```
-    pub fn entry(&self, item: &I) -> ReportEntry<I, C> {
+    pub fn entry(&self, item: &I) -> ReportEntry<I> {
         self.row(item.clone(), self.source.estimate(item))
     }
 
     /// One report row: `item` with its estimate and certified interval.
-    fn row(&self, item: I, estimate: C) -> ReportEntry<I, C> {
+    fn row(&self, item: I, estimate: u64) -> ReportEntry<I> {
         let (lower, upper) = self.interval(&item);
         ReportEntry {
             item,
@@ -1738,7 +1687,7 @@ impl<I: EngineItem, C: Count> Report<'_, I, C> {
 
     /// Every stored entry with its bound interval, sorted by decreasing
     /// estimate (ties broken by the backend's eviction order).
-    pub fn entries(&self) -> Vec<ReportEntry<I, C>> {
+    pub fn entries(&self) -> Vec<ReportEntry<I>> {
         let mut pairs = Vec::new();
         let mut out = Vec::new();
         self.entries_into(&mut pairs, &mut out);
@@ -1760,7 +1709,7 @@ impl<I: EngineItem, C: Count> Report<'_, I, C> {
     /// e.report().entries_into(&mut pairs, &mut rows);
     /// assert_eq!(rows[0].item, 5);
     /// ```
-    pub fn entries_into(&self, pairs: &mut Vec<(I, C)>, out: &mut Vec<ReportEntry<I, C>>) {
+    pub fn entries_into(&self, pairs: &mut Vec<(I, u64)>, out: &mut Vec<ReportEntry<I>>) {
         self.source.pairs_into(pairs);
         out.clear();
         out.extend(
@@ -1781,7 +1730,7 @@ impl<I: EngineItem, C: Count> Report<'_, I, C> {
     /// let top: Vec<u64> = e.report().top_k(2).into_iter().map(|r| r.item).collect();
     /// assert_eq!(top, vec![1, 2]);
     /// ```
-    pub fn top_k(&self, k: usize) -> Vec<ReportEntry<I, C>> {
+    pub fn top_k(&self, k: usize) -> Vec<ReportEntry<I>> {
         let mut pairs = Vec::new();
         self.source.top_pairs_into(k, &mut pairs);
         pairs
@@ -1808,19 +1757,19 @@ impl<I: EngineItem, C: Count> Report<'_, I, C> {
     /// assert_eq!(hh[0].item, 9);
     /// assert!(e.report().heavy_hitters(1.0).is_err());
     /// ```
-    pub fn heavy_hitters(&self, phi: f64) -> Result<Vec<HeavyHitterEntry<I, C>>, Error> {
+    pub fn heavy_hitters(&self, phi: f64) -> Result<Vec<HeavyHitterEntry<I>>, Error> {
         if !(0.0..1.0).contains(&phi) {
             return Err(Error::InvalidQuery(format!(
                 "phi must be in [0, 1), got {phi}"
             )));
         }
-        let threshold = phi * self.total().to_f64();
+        let threshold = phi * self.total() as f64;
         Ok(self
             .entries()
             .into_iter()
-            .filter(|e| e.upper.to_f64() > threshold)
+            .filter(|e| e.upper as f64 > threshold)
             .map(|e| {
-                let confidence = if e.lower.to_f64() > threshold {
+                let confidence = if e.lower as f64 > threshold {
                     Confidence::Guaranteed
                 } else {
                     Confidence::Candidate
@@ -1838,12 +1787,12 @@ impl<I: EngineItem, C: Count> Report<'_, I, C> {
 
     /// The Theorem 6 estimator of the residual tail mass `F1^res(k)`: the
     /// total minus the mass of the k largest counters.
-    pub fn residual(&self, k: usize) -> C {
+    pub fn residual(&self, k: usize) -> u64 {
         self.source.residual(k)
     }
 }
 
-impl<I: EngineItem> Source<I, u64> for Engine<I> {
+impl<I: EngineItem> Source<I> for Engine<I> {
     fn total(&self) -> u64 {
         Engine::stream_len(self)
     }
@@ -1866,230 +1815,6 @@ impl<I: EngineItem> Source<I, u64> for Engine<I> {
 
     fn residual(&self, k: usize) -> u64 {
         recovery::residual_estimate(self, k)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Weighted engine
-// ---------------------------------------------------------------------------
-
-/// The uniform handle over a real-weighted backend (SPACESAVINGR or
-/// FREQUENTR; Theorem 10 preserves the `A = B = 1` tail guarantee over the
-/// weight vector). Its [`Report`] answers the same queries as an
-/// [`Engine`]'s, in `f64` weights.
-///
-/// ```
-/// use hh_sketches::engine::{AlgoKind, EngineConfig};
-///
-/// let mut e = EngineConfig::new(AlgoKind::SpaceSaving)
-///     .counters(8)
-///     .build_weighted::<&'static str>()
-///     .unwrap();
-/// e.update("flow-a", 120.0);
-/// e.update("flow-b", 3.5);
-/// e.update("flow-a", 40.0);
-/// assert_eq!(e.report().top_k(1)[0].item, "flow-a");
-/// ```
-pub struct WeightedEngine<I: EngineItem> {
-    backend: WeightedBackend<I>,
-}
-
-impl<I: EngineItem> fmt::Debug for WeightedEngine<I> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("WeightedEngine")
-            .field("algo", &self.algo())
-            .field("capacity", &self.capacity())
-            .field("stored_len", &self.stored_len())
-            .field("total_weight", &self.total_weight())
-            .finish()
-    }
-}
-
-impl<I: EngineItem> WeightedEngine<I> {
-    /// The algorithm this engine runs (its unweighted [`AlgoKind`]).
-    pub fn algo(&self) -> AlgoKind {
-        match self.backend {
-            WeightedBackend::SpaceSaving(_) => AlgoKind::SpaceSaving,
-            WeightedBackend::Frequent(_) => AlgoKind::Frequent,
-        }
-    }
-
-    /// Processes an arrival of `item` with weight `w ≥ 0`.
-    pub fn update(&mut self, item: I, w: f64) {
-        each_weighted!(&mut self.backend, b => b.update_weighted(item, w))
-    }
-
-    /// The point estimate of the item's total weight.
-    pub fn estimate(&self, item: &I) -> f64 {
-        each_weighted!(&self.backend, b => b.estimate_weighted(item))
-    }
-
-    /// The unified query surface, in weights.
-    pub fn report(&self) -> Report<'_, I, f64> {
-        Report::over(self)
-    }
-
-    /// Captures the engine's full state as a portable [`Snapshot`].
-    pub fn snapshot(&self) -> Snapshot<I> {
-        match &self.backend {
-            WeightedBackend::SpaceSaving(b) => Snapshot::SpaceSavingR(SpaceSavingRState {
-                capacity: b.capacity(),
-                total_weight: b.total_weight(),
-                absorbed_slack: b.absorbed_slack(),
-                entries: b.entries_with_err(),
-            }),
-            WeightedBackend::Frequent(b) => Snapshot::FrequentR(FrequentRState {
-                capacity: b.capacity(),
-                total_weight: b.total_weight(),
-                reductions: b.reductions(),
-                entries: b.entries_weighted(),
-            }),
-        }
-    }
-
-    /// Rehydrates a weighted engine from a snapshot.
-    ///
-    /// ```
-    /// use hh_sketches::engine::{AlgoKind, EngineConfig, WeightedEngine};
-    /// let mut e = EngineConfig::new(AlgoKind::Frequent).counters(4).build_weighted().unwrap();
-    /// e.update(1u64, 2.5);
-    /// let back = WeightedEngine::from_snapshot(e.snapshot()).unwrap();
-    /// assert!((back.estimate(&1) - 2.5).abs() < 1e-12);
-    /// ```
-    pub fn from_snapshot(snap: Snapshot<I>) -> Result<Self, Error> {
-        let backend = match snap {
-            Snapshot::SpaceSavingR(s) => WeightedBackend::SpaceSaving(SpaceSavingR::from_parts(
-                s.capacity,
-                s.total_weight,
-                s.absorbed_slack,
-                s.entries,
-            )?),
-            Snapshot::FrequentR(s) => WeightedBackend::Frequent(FrequentR::from_parts(
-                s.capacity,
-                s.total_weight,
-                s.reductions,
-                s.entries,
-            )?),
-            other => {
-                return Err(Error::Unsupported {
-                    algo: other.algo().name().to_string(),
-                    operation: "rehydrating an unweighted snapshot into a WeightedEngine",
-                })
-            }
-        };
-        Ok(WeightedEngine { backend })
-    }
-
-    /// Absorbs a weighted snapshot (cross-process merge; the weighted
-    /// analogue of [`Engine::merge_snapshot`]).
-    pub fn merge_snapshot(&mut self, snap: &Snapshot<I>) -> Result<(), Error> {
-        let algo = self.algo();
-        match (&mut self.backend, snap) {
-            (WeightedBackend::SpaceSaving(b), Snapshot::SpaceSavingR(s)) => {
-                b.absorb_parts(&s.entries, s.capacity, s.absorbed_slack)
-            }
-            (WeightedBackend::Frequent(b), Snapshot::FrequentR(s)) => {
-                b.absorb_parts(&s.entries, s.reductions, s.total_weight)
-            }
-            (_, snap) => return Err(mismatch(snapshot_tag(algo, true), snap)),
-        }
-        Ok(())
-    }
-
-    /// Merges another weighted engine into this one.
-    pub fn merge(&mut self, other: &WeightedEngine<I>) -> Result<(), Error> {
-        self.merge_snapshot(&other.snapshot())
-    }
-
-    /// Serializes the engine's snapshot to JSON.
-    pub fn to_json(&self) -> String
-    where
-        I: Serialize,
-    {
-        let mut out = String::new();
-        self.snapshot().serialize(&mut out);
-        out
-    }
-
-    /// Rehydrates a weighted engine from [`WeightedEngine::to_json`]
-    /// output.
-    pub fn from_json(json: &str) -> Result<Self, Error>
-    where
-        I: Deserialize,
-    {
-        let snap: Snapshot<I> = serde_json::from_str(json)?;
-        Self::from_snapshot(snap)
-    }
-}
-
-impl<I: EngineItem> WeightedFrequencyEstimator<I> for WeightedEngine<I> {
-    fn name(&self) -> &'static str {
-        each_weighted!(&self.backend, b => b.name())
-    }
-
-    fn capacity(&self) -> usize {
-        each_weighted!(&self.backend, b => b.capacity())
-    }
-
-    fn update_weighted(&mut self, item: I, w: f64) {
-        WeightedEngine::update(self, item, w)
-    }
-
-    fn estimate_weighted(&self, item: &I) -> f64 {
-        WeightedEngine::estimate(self, item)
-    }
-
-    fn stored_len(&self) -> usize {
-        each_weighted!(&self.backend, b => b.stored_len())
-    }
-
-    fn entries_weighted(&self) -> Vec<(I, f64)> {
-        each_weighted!(&self.backend, b => b.entries_weighted())
-    }
-
-    fn total_weight(&self) -> f64 {
-        each_weighted!(&self.backend, b => b.total_weight())
-    }
-}
-
-impl<I: EngineItem> Source<I, f64> for WeightedEngine<I> {
-    fn total(&self) -> f64 {
-        self.total_weight()
-    }
-
-    fn estimate(&self, item: &I) -> f64 {
-        WeightedEngine::estimate(self, item)
-    }
-
-    fn interval(&self, item: &I) -> (f64, f64) {
-        match &self.backend {
-            WeightedBackend::SpaceSaving(b) => {
-                let upper = if b.err(item).is_some() {
-                    // the absorbed slack covers weight a merged-in donor
-                    // may have held for the item without storing it
-                    b.estimate_weighted(item) + b.absorbed_slack()
-                } else {
-                    // unstored: bounded by the minimum counter, whose lazy
-                    // lookup needs &mut — fall back to the trivially sound
-                    // total weight
-                    b.total_weight()
-                };
-                (b.guaranteed_weight(item), upper)
-            }
-            WeightedBackend::Frequent(b) => {
-                let w = b.estimate_weighted(item);
-                (w, w + b.reductions())
-            }
-        }
-    }
-
-    fn pairs_into(&self, out: &mut Vec<(I, f64)>) {
-        out.clear();
-        out.append(&mut self.entries_weighted());
-    }
-
-    fn residual(&self, k: usize) -> f64 {
-        recovery::residual_estimate_weighted(self, k)
     }
 }
 
@@ -2255,34 +1980,72 @@ mod tests {
         assert!(a.merge(&other).is_err());
     }
 
+    fn weighted(algo: AlgoKind) -> Engine<u64> {
+        let e = EngineConfig::new(algo).counters(8).build().unwrap();
+        e.into_weighted().unwrap()
+    }
+
     #[test]
     fn weighted_engine_roundtrip_and_merge() {
         for algo in [AlgoKind::SpaceSaving, AlgoKind::Frequent] {
-            let config = EngineConfig::new(algo).counters(8);
-            let mut a = config.build_weighted::<u64>().unwrap();
-            a.update(1, 5.0);
-            a.update(2, 2.5);
-            let back = WeightedEngine::from_json(&a.to_json()).unwrap();
-            assert!((back.estimate(&1) - a.estimate(&1)).abs() < 1e-12, "{algo}");
-            let mut b = config.build_weighted::<u64>().unwrap();
-            b.update(1, 3.0);
+            let mut a = weighted(algo);
+            a.update_by(1, 5_000);
+            a.update_by(2, 2_500);
+            let json = a.to_json();
+            assert!(json.contains("_weighted"), "{json}");
+            let back: Engine<u64> = Engine::from_json(&json).unwrap();
+            assert_eq!(back.estimate(&1), a.estimate(&1), "{algo}");
+            assert!(back.is_weighted(), "{algo}");
+            let mut b = weighted(algo);
+            b.update_by(1, 3_000);
             a.merge(&b).unwrap();
-            assert!(a.estimate(&1) >= 8.0 - 1e-9, "{algo}");
+            assert_eq!((a.estimate(&1), a.stream_len()), (8_000, 10_500), "{algo}");
+            assert!(a.is_weighted(), "{algo}");
+        }
+        for algo in [
+            AlgoKind::LossyCounting,
+            AlgoKind::StickySampling,
+            AlgoKind::CountMin,
+        ] {
+            let e = EngineConfig::new(algo).counters(64).build::<u64>().unwrap();
+            assert!(matches!(e.into_weighted(), Err(Error::Unsupported { .. })));
         }
     }
 
     #[test]
     fn weighted_and_unweighted_snapshots_do_not_cross() {
-        let e = EngineConfig::new(AlgoKind::SpaceSaving)
-            .counters(4)
-            .build::<u64>()
-            .unwrap();
-        assert!(WeightedEngine::from_snapshot(e.snapshot()).is_err());
-        let w = EngineConfig::new(AlgoKind::SpaceSaving)
-            .counters(4)
-            .build_weighted::<u64>()
-            .unwrap();
-        assert!(Engine::from_snapshot(w.snapshot()).is_err());
+        for algo in [AlgoKind::SpaceSaving, AlgoKind::Frequent] {
+            let mut counts = EngineConfig::new(algo).counters(8).build::<u64>().unwrap();
+            let mut weights = weighted(algo);
+            let (c, w) = (counts.snapshot(), weights.snapshot());
+            assert!(!c.is_weighted() && w.is_weighted());
+            assert!(matches!(
+                counts.merge_snapshot(&w),
+                Err(Error::SnapshotMismatch { .. })
+            ));
+            assert!(matches!(
+                weights.merge_snapshot(&c),
+                Err(Error::SnapshotMismatch { .. })
+            ));
+            // each kind rehydrates as itself
+            assert!(Engine::from_snapshot(w).unwrap().is_weighted());
+            assert!(!Engine::from_snapshot(c).unwrap().is_weighted());
+        }
+    }
+
+    #[test]
+    fn floating_point_weight_snapshots_are_corrupt() {
+        for tag in ["space_saving_r", "frequent_r"] {
+            let json = format!(
+                "{{\"algo\":\"{tag}\",\"state\":{{\"capacity\":2,\"total_weight\":10,\
+                 \"reductions\":0,\"entries\":[[1,10]]}}}}"
+            );
+            let err = Engine::<u64>::from_json(&json).unwrap_err();
+            assert!(
+                matches!(&err, Error::CorruptSnapshot(m) if m.contains(tag)),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -2438,24 +2201,14 @@ mod tests {
         .unwrap();
         e.update_batch(&(10..1000).collect::<Vec<u64>>());
         assert_eq!((e.estimate(&1), e.stored_len()), (2, 992));
-        let weighted = [
-            Snapshot::SpaceSavingR(SpaceSavingRState {
-                capacity: HUGE,
-                total_weight: 1.5,
-                absorbed_slack: 0.0,
-                entries: vec![(1u64, 1.5, 0.0)],
-            }),
-            Snapshot::FrequentR(FrequentRState {
-                capacity: HUGE,
-                total_weight: 1.5,
-                reductions: 0.0,
-                entries: vec![(1u64, 1.5)],
-            }),
-        ];
-        for snap in weighted {
-            let e = WeightedEngine::from_snapshot(snap).unwrap();
-            assert_eq!((e.capacity(), e.estimate(&1)), (HUGE, 1.5));
-        }
+        let e = Engine::from_snapshot(Snapshot::WeightedSpaceSaving(SpaceSavingState {
+            capacity: HUGE,
+            stream_len: 1_500,
+            absorbed_slack: 0,
+            entries: vec![(1u64, 1_500, 0)],
+        }))
+        .unwrap();
+        assert_eq!((e.capacity(), e.estimate(&1)), (HUGE, 1_500));
     }
 
     #[test]

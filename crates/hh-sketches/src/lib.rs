@@ -29,8 +29,8 @@ pub use count_min::{CountMin, UpdateRule};
 pub use count_sketch::CountSketch;
 pub use dyadic::DyadicCountMin;
 pub use engine::{
-    AlgoKind, CapacitySpec, Count, Engine, EngineConfig, HeavyHitterEntry, IngestStats, Report,
-    ReportEntry, Snapshot, WeightedEngine,
+    AlgoKind, CapacitySpec, Engine, EngineConfig, HeavyHitterEntry, IngestStats, Report,
+    ReportEntry, Snapshot,
 };
 pub use pipeline::{Pipeline, PipelineConfig, PipelineStats, ShardStats, ShardedView};
 pub use topk_tracker::SketchHeavyHitters;

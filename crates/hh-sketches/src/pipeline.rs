@@ -421,10 +421,8 @@ pub fn check_partition<I: EngineItem>(
 /// snapshot can be checked against a config without a merge.
 fn shape<I>(snap: &Snapshot<I>) -> String {
     let sizing = match snap {
-        Snapshot::SpaceSaving(s) => format!("m={}", s.capacity),
-        Snapshot::Frequent(s) => format!("m={}", s.capacity),
-        Snapshot::SpaceSavingR(s) => format!("m={}", s.capacity),
-        Snapshot::FrequentR(s) => format!("m={}", s.capacity),
+        Snapshot::SpaceSaving(s) | Snapshot::WeightedSpaceSaving(s) => format!("m={}", s.capacity),
+        Snapshot::Frequent(s) | Snapshot::WeightedFrequent(s) => format!("m={}", s.capacity),
         Snapshot::LossyCounting(s) => format!("w={}", s.width),
         Snapshot::StickySampling(s) => format!("eps={} w={}", s.epsilon, s.window),
         Snapshot::CountMin(s) => format!("{:?}", (s.depth, s.width, s.seed, s.conservative, s.cap)),
@@ -438,12 +436,14 @@ fn shape<I>(snap: &Snapshot<I>) -> String {
 /// candidates.
 fn stored_items<I>(snap: &Snapshot<I>) -> Vec<&I> {
     match snap {
-        Snapshot::SpaceSaving(s) => s.entries.iter().map(|e| &e.0).collect(),
-        Snapshot::Frequent(s) => s.entries.iter().map(|e| &e.0).collect(),
+        Snapshot::SpaceSaving(s) | Snapshot::WeightedSpaceSaving(s) => {
+            s.entries.iter().map(|e| &e.0).collect()
+        }
+        Snapshot::Frequent(s) | Snapshot::WeightedFrequent(s) => {
+            s.entries.iter().map(|e| &e.0).collect()
+        }
         Snapshot::LossyCounting(s) => s.entries.iter().map(|e| &e.0).collect(),
         Snapshot::StickySampling(s) => s.entries.iter().map(|e| &e.0).collect(),
-        Snapshot::SpaceSavingR(s) => s.entries.iter().map(|e| &e.0).collect(),
-        Snapshot::FrequentR(s) => s.entries.iter().map(|e| &e.0).collect(),
         Snapshot::CountMin(s) => s.candidates.iter().collect(),
         Snapshot::CountSketch(s) => s.candidates.iter().collect(),
     }
@@ -1403,7 +1403,7 @@ impl<'a, I: EngineItem> ShardedView<'a, I> {
     }
 }
 
-impl<I: EngineItem> Source<I, u64> for ShardedView<'_, I> {
+impl<I: EngineItem> Source<I> for ShardedView<'_, I> {
     fn total(&self) -> u64 {
         let shards = self.shards.iter().map(Engine::stream_len);
         shards

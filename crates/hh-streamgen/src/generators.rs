@@ -88,16 +88,17 @@ pub fn uniform_stream(n: usize, len: usize, seed: u64) -> Vec<Item> {
 }
 
 /// A weighted stream of `(item, weight)` tuples — the Section 6.1 model
-/// where each arrival carries a positive real weight (e.g. packet bytes).
+/// where each arrival carries a non-negative weight (e.g. packet bytes),
+/// here a whole number of units that `update_by` applies exactly.
 #[derive(Debug, Clone)]
 pub struct WeightedStream {
     /// The `(item, weight)` arrivals in stream order.
-    pub updates: Vec<(Item, f64)>,
+    pub updates: Vec<(Item, u64)>,
 }
 
 impl WeightedStream {
     /// Total weight `F1` of the stream.
-    pub fn total_weight(&self) -> f64 {
+    pub fn total_weight(&self) -> u64 {
         self.updates.iter().map(|(_, w)| w).sum()
     }
 
@@ -113,8 +114,8 @@ impl WeightedStream {
 
     /// Synthesizes a packet-trace-like workload: item popularity is Zipfian
     /// (via an exact frequency vector shuffled into random order) and each
-    /// arrival's weight is drawn i.i.d. LogNormal(`mu`, `sigma`) — a standard
-    /// stand-in for packet/transaction sizes.
+    /// arrival's size in whole bytes is a LogNormal(`mu`, `sigma`) draw
+    /// rounded up — a standard stand-in for packet/transaction sizes.
     ///
     /// This substitutes for the real network traces the paper's motivation
     /// refers to: the tail-guarantee theorems are worst-case, so any workload
@@ -133,24 +134,22 @@ impl WeightedStream {
         let sizes = LogNormal::new(mu, sigma).expect("valid lognormal params");
         let updates = items
             .into_iter()
-            .map(|i| (i, sizes.sample(&mut rng)))
+            .map(|i| (i, sizes.sample(&mut rng).ceil() as u64))
             .collect();
         WeightedStream { updates }
     }
 
     /// A weighted stream with explicit per-item total weights, split into
-    /// `chunks` roughly-equal arrivals per item and shuffled (seeded).
-    pub fn from_totals(totals: &[(Item, f64)], chunks: usize, seed: u64) -> Self {
+    /// `chunks` arrivals per item that differ by at most one unit and sum
+    /// to the total, shuffled (seeded).
+    pub fn from_totals(totals: &[(Item, u64)], chunks: usize, seed: u64) -> Self {
         assert!(chunks > 0);
         let mut updates = Vec::with_capacity(totals.len() * chunks);
+        let chunks = chunks as u64;
         for &(item, total) in totals {
-            assert!(
-                total >= 0.0 && total.is_finite(),
-                "weights must be non-negative"
-            );
-            let per = total / chunks as f64;
-            for _ in 0..chunks {
-                updates.push((item, per));
+            let (per, extra) = (total / chunks, total % chunks);
+            for chunk in 0..chunks {
+                updates.push((item, per + u64::from(chunk < extra)));
             }
         }
         let mut rng = StdRng::seed_from_u64(seed);
@@ -187,7 +186,7 @@ pub fn split(stream: &[Item], parts: usize) -> Vec<Vec<Item>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::{ExactCounter, ExactWeightedCounter};
+    use crate::oracle::ExactCounter;
 
     #[test]
     fn builder_assigns_sequential_ids() {
@@ -223,17 +222,19 @@ mod tests {
         assert!(w
             .updates
             .iter()
-            .all(|&(i, wt)| wt > 0.0 && (1..=100).contains(&i)));
-        assert!(w.total_weight() > 0.0);
+            .all(|&(i, wt)| wt > 0 && (1..=100).contains(&i)));
+        assert!(w.total_weight() > 0);
     }
 
     #[test]
     fn from_totals_preserves_per_item_weight() {
-        let w = WeightedStream::from_totals(&[(1, 10.0), (2, 4.0)], 4, 0);
+        let w = WeightedStream::from_totals(&[(1, 10), (2, 4)], 4, 0);
         assert_eq!(w.len(), 8);
-        let c = ExactWeightedCounter::from_stream(&w.updates);
-        assert!((c.weight(&1) - 10.0).abs() < 1e-9);
-        assert!((c.weight(&2) - 4.0).abs() < 1e-9);
+        let mut c = ExactCounter::new();
+        for &(item, weight) in &w.updates {
+            c.update_by(item, weight);
+        }
+        assert_eq!((c.count(&1), c.count(&2)), (10, 4));
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub mod trace_io;
 pub mod zipf;
 
 pub use generators::{Ordering, StreamBuilder, WeightedStream};
-pub use oracle::{ExactCounter, ExactWeightedCounter};
+pub use oracle::ExactCounter;
 pub use stats::Freqs;
 pub use zipf::{exact_zipf_counts, stream_from_counts, zeta, ZipfSampler};
 

@@ -5,7 +5,7 @@ use std::hash::Hash;
 
 use crate::stats::Freqs;
 
-/// Exact frequency counter over an unweighted stream.
+/// Exact frequency counter over a stream.
 ///
 /// This is the ground-truth oracle: it stores every distinct item (O(n)
 /// space, which the streaming algorithms are precisely trying to avoid) and
@@ -43,7 +43,8 @@ impl<I: Eq + Hash + Clone + Ord> ExactCounter<I> {
         self.update_by(item, 1);
     }
 
-    /// Processes `count` occurrences of `item`.
+    /// Processes `count` occurrences of `item` — or, for a weighted
+    /// stream (Section 6.1), a weight of `count` whole units.
     pub fn update_by(&mut self, item: I, count: u64) {
         if count == 0 {
             return;
@@ -94,83 +95,6 @@ impl<I: Eq + Hash + Clone + Ord> ExactCounter<I> {
     }
 }
 
-/// Exact counter over a weighted stream (Section 6.1 of the paper: each
-/// update is `(item, weight)` with `weight ∈ ℝ⁺`).
-#[derive(Debug, Clone, Default)]
-pub struct ExactWeightedCounter<I: Eq + Hash> {
-    weights: HashMap<I, f64>,
-    total: f64,
-}
-
-impl<I: Eq + Hash + Clone + Ord> ExactWeightedCounter<I> {
-    /// Creates an empty weighted oracle.
-    pub fn new() -> Self {
-        ExactWeightedCounter {
-            weights: HashMap::new(),
-            total: 0.0,
-        }
-    }
-
-    /// Builds an oracle from a weighted stream of `(item, weight)` pairs.
-    pub fn from_stream<'a, It: IntoIterator<Item = &'a (I, f64)>>(stream: It) -> Self
-    where
-        I: 'a,
-    {
-        let mut c = Self::new();
-        for (item, w) in stream {
-            c.update(item.clone(), *w);
-        }
-        c
-    }
-
-    /// Adds `weight` occurrences-worth of `item`. Panics on negative or
-    /// non-finite weights (the paper's model is `b_i ∈ ℝ⁺`).
-    pub fn update(&mut self, item: I, weight: f64) {
-        assert!(
-            weight >= 0.0 && weight.is_finite(),
-            "weights must be non-negative and finite"
-        );
-        *self.weights.entry(item).or_insert(0.0) += weight;
-        self.total += weight;
-    }
-
-    /// The exact total weight of `item` (0 if never seen).
-    pub fn weight(&self, item: &I) -> f64 {
-        self.weights.get(item).copied().unwrap_or(0.0)
-    }
-
-    /// Total stream weight `F1`.
-    pub fn total(&self) -> f64 {
-        self.total
-    }
-
-    /// Number of distinct items.
-    pub fn distinct(&self) -> usize {
-        self.weights.len()
-    }
-
-    /// All `(item, weight)` pairs sorted by decreasing weight, ties broken by
-    /// ascending item.
-    pub fn sorted_weights(&self) -> Vec<(I, f64)> {
-        let mut v: Vec<(I, f64)> = self.weights.iter().map(|(i, &w)| (i.clone(), w)).collect();
-        v.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        v
-    }
-
-    /// `F1^res(k)` of the weight vector.
-    pub fn res1(&self, k: usize) -> f64 {
-        let sorted = self.sorted_weights();
-        sorted.iter().skip(k).map(|(_, w)| w).sum()
-    }
-
-    /// The exact top-`k` items by weight.
-    pub fn top_k(&self, k: usize) -> Vec<(I, f64)> {
-        let mut v = self.sorted_weights();
-        v.truncate(k);
-        v
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,19 +138,12 @@ mod tests {
 
     #[test]
     fn weighted_counts() {
-        let stream = [(1u64, 2.5), (2, 1.0), (1, 0.5)];
-        let c = ExactWeightedCounter::from_stream(&stream);
-        assert!((c.weight(&1) - 3.0).abs() < 1e-12);
-        assert!((c.weight(&2) - 1.0).abs() < 1e-12);
-        assert!((c.total() - 4.0).abs() < 1e-12);
-        assert_eq!(c.top_k(1), vec![(1, 3.0)]);
-        assert!((c.res1(1) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn weighted_rejects_negative() {
-        let mut c: ExactWeightedCounter<u64> = ExactWeightedCounter::new();
-        c.update(1, -1.0);
+        let mut c = ExactCounter::new();
+        for (item, w) in [(1u64, 2_500), (2, 1_000), (1, 500)] {
+            c.update_by(item, w);
+        }
+        assert_eq!((c.count(&1), c.count(&2), c.total()), (3_000, 1_000, 4_000));
+        assert_eq!(c.top_k(1), vec![(1, 3_000)]);
+        assert_eq!(c.freqs().res1(1), 1_000);
     }
 }

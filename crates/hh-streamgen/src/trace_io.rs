@@ -48,7 +48,8 @@ pub fn write_weighted(mut w: impl Write, stream: &WeightedStream) -> std::io::Re
     Ok(())
 }
 
-/// Reads a weighted stream (`item<TAB or space>weight` per line).
+/// Reads a weighted stream (`item<TAB or space>weight` per line, the
+/// weight a whole number of units).
 pub fn read_weighted(r: impl Read) -> std::io::Result<WeightedStream> {
     let mut updates = Vec::new();
     for line in BufReader::new(r).lines() {
@@ -64,14 +65,11 @@ pub fn read_weighted(r: impl Read) -> std::io::Result<WeightedStream> {
             .ok_or_else(|| bad(format!("empty line {t:?}")))?
             .parse()
             .map_err(|e| bad(format!("bad item in {t:?}: {e}")))?;
-        let weight: f64 = parts
+        let weight: u64 = parts
             .next()
             .ok_or_else(|| bad(format!("missing weight in {t:?}")))?
             .parse()
             .map_err(|e| bad(format!("bad weight in {t:?}: {e}")))?;
-        if weight < 0.0 || !weight.is_finite() {
-            return Err(bad(format!("negative/non-finite weight in {t:?}")));
-        }
         updates.push((item, weight));
     }
     Ok(WeightedStream { updates })
@@ -115,7 +113,7 @@ mod tests {
     #[test]
     fn weighted_roundtrip() {
         let ws = WeightedStream {
-            updates: vec![(1, 2.5), (7, 0.125)],
+            updates: vec![(1, 2_500), (7, 125)],
         };
         let mut buf = Vec::new();
         write_weighted(&mut buf, &ws).unwrap();
@@ -127,6 +125,10 @@ mod tests {
     fn weighted_rejects_garbage() {
         assert!(read_weighted("1\n".as_bytes()).is_err(), "missing weight");
         assert!(read_weighted("1 x\n".as_bytes()).is_err(), "bad weight");
+        assert!(
+            read_weighted("1 2.5\n".as_bytes()).is_err(),
+            "fractional weight"
+        );
         assert!(
             read_weighted("1 -2\n".as_bytes()).is_err(),
             "negative weight"

@@ -6,14 +6,15 @@
 //!
 //! * [`engine`] — the unified serving surface: config-driven construction
 //!   ([`engine::EngineConfig`]), one query surface ([`engine::Report`],
-//!   in counts or real weights), portable snapshots
+//!   in occurrences or whole weight units), portable snapshots
 //!   ([`engine::Snapshot`]) and cross-process merging;
 //! * [`pipeline`] — the concurrent twin of [`engine`]: a long-lived
 //!   sharded ingest service ([`pipeline::Pipeline`]) with bounded-channel
 //!   backpressure and live epoch-boundary queries, sound by the paper's
 //!   Theorem 11 merge;
-//! * [`counters`] — FREQUENT, SPACESAVING (and the weighted FREQUENTR /
-//!   SPACESAVINGR), sparse recovery, merging, Zipf sizing and the
+//! * [`counters`] — FREQUENT and SPACESAVING (which also count weights:
+//!   Theorem 10 keeps their tail bound, and a weight in whole units goes
+//!   through `update_by`), sparse recovery, merging, Zipf sizing and the
 //!   heavy-tolerance machinery (the paper's contribution);
 //! * [`obs`] — zero-dependency runtime telemetry (counters, gauges,
 //!   log-bucketed histograms, Prometheus/JSON exposition) behind
@@ -89,14 +90,12 @@ pub use hh_sketches::pipeline;
 pub mod prelude {
     pub use hh_analysis::{check_tail, error_stats, lp_recovery_error, precision_recall, Table};
     pub use hh_counters::{
-        Bias, Confidence, Error, FrequencyEstimator, Frequent, FrequentR, Key, LossyCounting,
-        SpaceSaving, SpaceSavingR, TailConstants, WeightedFrequencyEstimator,
+        Bias, Confidence, Error, FrequencyEstimator, Frequent, Key, LossyCounting, SpaceSaving,
+        TailConstants,
     };
     pub use hh_net::{NetOptions, ServeOptions, ServeSession, Server};
-    pub use hh_sketches::engine::{
-        AlgoKind, CapacitySpec, Count, Engine, EngineConfig, Report, Snapshot, WeightedEngine,
-    };
+    pub use hh_sketches::engine::{AlgoKind, CapacitySpec, Engine, EngineConfig, Report, Snapshot};
     pub use hh_sketches::pipeline::{Pipeline, PipelineConfig, PipelineStats, ShardStats};
     pub use hh_sketches::{CountMin, CountSketch, SketchHeavyHitters, UpdateRule};
-    pub use hh_streamgen::{ExactCounter, ExactWeightedCounter, Freqs, ZipfSampler};
+    pub use hh_streamgen::{ExactCounter, Freqs, ZipfSampler};
 }

@@ -1,8 +1,10 @@
 //! Network monitoring: find the top flows *by bytes* in a synthetic packet
-//! trace with a weighted engine (SPACESAVINGR, Section 6.1 of the paper).
+//! trace with a weighted engine (SPACESAVING over weights, Section 6.1 of
+//! the paper).
 //!
 //! Each packet is `(flow_id, bytes)`; popularity is Zipfian and packet
 //! sizes are LogNormal — a standard stand-in for real router traces.
+//! Bytes are whole units, so `update_by` sums them exactly.
 //!
 //! Run with: `cargo run -p hh --example network_monitor`
 
@@ -15,21 +17,22 @@ fn main() {
     println!(
         "trace: {} packets, {:.1} MB total",
         trace.len(),
-        trace.total_weight() / 1e6
+        trace.total_weight() as f64 / 1e6
     );
 
-    // Track byte counts with 64 counters through the weighted engine.
+    // Track byte counts with 64 counters through a weighted engine.
     let m = 64;
-    let mut monitor: WeightedEngine<u64> = EngineConfig::new(AlgoKind::SpaceSaving)
+    let mut monitor: Engine<u64> = EngineConfig::new(AlgoKind::SpaceSaving)
         .counters(m)
-        .build_weighted()
+        .build()
+        .and_then(Engine::into_weighted)
         .expect("valid config");
-    for &(flow, bytes) in &trace.updates {
-        monitor.update(flow, bytes);
-    }
-
     // Ground truth for comparison (a real monitor wouldn't have this!).
-    let oracle = ExactWeightedCounter::from_stream(&trace.updates);
+    let mut oracle = ExactCounter::new();
+    for &(flow, bytes) in &trace.updates {
+        monitor.update_by(flow, bytes);
+        oracle.update_by(flow, bytes);
+    }
 
     println!("\ntop-10 flows by bytes (monitor vs exact):");
     println!(
@@ -37,32 +40,32 @@ fn main() {
         "flow", "estimated", "exact", "rel err"
     );
     // The same `Report` an unweighted engine answers, in bytes: every row
-    // carries a certified (lower, upper) interval around the true weight
-    // (up to float rounding in the sums).
+    // carries a certified (lower, upper) interval around the true weight.
     let report = monitor.report();
-    let tol = 1e-9 * report.total();
     for entry in report.top_k(10) {
-        let exact = oracle.weight(&entry.item);
-        assert!(entry.lower <= exact + tol && exact <= entry.upper + tol);
+        let exact = oracle.count(&entry.item);
+        assert!(entry.lower <= exact && exact <= entry.upper);
         println!(
-            "{:>8}  {:>12.0}  {:>12.0}  {:>8.2}%",
+            "{:>8}  {:>12}  {:>12}  {:>8.2}%",
             entry.item,
             entry.estimate,
             exact,
-            (entry.estimate - exact).abs() / exact * 100.0
+            entry.estimate.abs_diff(exact) as f64 / exact as f64 * 100.0
         );
     }
 
     // Theorem 10: the weighted algorithms keep the A=B=1 tail guarantee.
     let k = 8;
-    let bound = oracle.res1(k) / (m - k) as f64;
+    let bound = TailConstants::ONE_ONE
+        .bound(m, k, oracle.freqs().res1(k))
+        .expect("m > k");
     let worst = oracle
-        .sorted_weights()
-        .into_iter()
-        .map(|(flow, w)| (w - monitor.estimate(&flow)).abs())
-        .fold(0.0f64, f64::max);
-    println!("\nTheorem 10 check (k={k}): max byte error {worst:.0} <= bound {bound:.0}");
-    assert!(worst <= bound * (1.0 + 1e-9));
+        .iter()
+        .map(|(flow, bytes)| bytes.abs_diff(monitor.estimate(flow)))
+        .max()
+        .unwrap_or(0);
+    println!("\nTheorem 10 check (k={k}): max byte error {worst} <= bound {bound:.0}");
+    assert!(worst as f64 <= bound);
 
     // Heavy flows with confidence labels: a guaranteed entry's certified
     // lower bound already exceeds the threshold — zero false positives

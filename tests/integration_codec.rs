@@ -6,19 +6,21 @@
 //! The items cover every string the encoder escapes or copies — non-ASCII
 //! text, `"`, `\`, a control character, a key past the 22-byte inline
 //! limit, the empty string — and the numbers cover `u64::MAX`,
-//! `i64::MIN` and the `f64` values `0.1`, `1e-12` and `123456.789`.
+//! `i64::MIN` and the `f64` value `0.1`. Snapshots of floating-point
+//! weights from earlier releases (`space_saving_r`, `frequent_r`) are kept
+//! as legacy fixtures: each decodes to a typed corrupt-snapshot error.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 
 use hh::engine::{
-    AlgoKind, CountMinState, CountSketchState, EngineConfig, FrequentRState, FrequentState,
-    LossyCountingState, Snapshot, SpaceSavingRState, SpaceSavingState, StickySamplingState,
-    CS_HASH_REV,
+    AlgoKind, CountMinState, CountSketchState, Engine, EngineConfig, FrequentState,
+    LossyCountingState, Snapshot, SpaceSavingState, StickySamplingState, CS_HASH_REV,
 };
 use hh::net::checkpoint::{self, Checkpoint};
 use hh::net::proto;
 use hh::prelude::Key;
+use hh::Error;
 
 const NON_ASCII: &str = "naïve 語 😀";
 const QUOTE: &str = "say \"hi\"";
@@ -110,21 +112,21 @@ fn snapshots() -> Vec<(&'static str, Snapshot<Key>)> {
             }),
         ),
         (
-            "space_saving_r",
-            Snapshot::SpaceSavingR(SpaceSavingRState {
+            "space_saving_weighted",
+            Snapshot::WeightedSpaceSaving(SpaceSavingState {
                 capacity: 4,
-                total_weight: 123456.789,
-                absorbed_slack: 1e-12,
-                entries: vec![(k(BACKSLASH), 0.1, 1e-12), (k(LONG), 2.5, 0.0)],
+                stream_len: u64::MAX,
+                absorbed_slack: 1,
+                entries: vec![(k(LONG), 123_456_789, 0), (k(BACKSLASH), 100, 1)],
             }),
         ),
         (
-            "frequent_r",
-            Snapshot::FrequentR(FrequentRState {
+            "frequent_weighted",
+            Snapshot::WeightedFrequent(FrequentState {
                 capacity: 2,
-                total_weight: 0.1,
-                reductions: 1e-12,
-                entries: vec![(k(UNIT_SEP), 123456.789)],
+                stream_len: 123_456_789,
+                decrements: 1,
+                entries: vec![(k(UNIT_SEP), 2_500)],
             }),
         ),
     ]
@@ -138,8 +140,8 @@ fn golden_snapshot(tag: &str) -> &'static str {
         "sticky_sampling" => include_str!("golden/snapshot_sticky_sampling.json"),
         "count_min" => include_str!("golden/snapshot_count_min.json"),
         "count_sketch" => include_str!("golden/snapshot_count_sketch.json"),
-        "space_saving_r" => include_str!("golden/snapshot_space_saving_r.json"),
-        "frequent_r" => include_str!("golden/snapshot_frequent_r.json"),
+        "space_saving_weighted" => include_str!("golden/snapshot_space_saving_weighted.json"),
+        "frequent_weighted" => include_str!("golden/snapshot_frequent_weighted.json"),
         other => panic!("no golden for {other}"),
     }
 }
@@ -180,6 +182,35 @@ fn every_snapshot_variant_encodes_to_its_golden_and_back() {
         );
         let err = serde_json::from_str::<Snapshot<Key>>(&twice).unwrap_err();
         assert_eq!(err.to_string(), "duplicate field `algo`", "{tag}");
+    }
+}
+
+/// Floating-point weight snapshots of earlier releases, including one of
+/// integral weights (`"total_weight":10`), which read as thousandths would
+/// silently lose a factor of 1000.
+const LEGACY: [&str; 3] = [
+    include_str!("golden/snapshot_space_saving_r.json"),
+    include_str!("golden/snapshot_frequent_r.json"),
+    include_str!("golden/snapshot_space_saving_r_integral.json"),
+];
+
+#[test]
+fn legacy_weight_snapshots_are_typed_corrupt_snapshots() {
+    for legacy in LEGACY {
+        let err = Engine::<Key>::from_json(legacy).unwrap_err();
+        assert!(
+            matches!(&err, Error::CorruptSnapshot(m) if m.contains("floating-point weights")),
+            "{legacy}: {err}"
+        );
+        // the same through a CRC-valid envelope, as `hh` reads files
+        let crc = checkpoint::crc32(format!("[{legacy}]").as_bytes());
+        let envelope = format!(
+            "{} v1 crc={crc:08x} len={} shards=1 unobserved=0\n[{legacy}]",
+            checkpoint::MAGIC,
+            legacy.len() + 2
+        );
+        let err = checkpoint::decode::<Key>(&envelope).unwrap_err();
+        assert!(matches!(err, Error::CorruptSnapshot(_)), "{legacy}: {err}");
     }
 }
 
