@@ -92,7 +92,7 @@ straight into hh::net::NetOptions; records are always NDJSON):
 client options (client only):
   --connect <H:P>    server address (required)
   --query <Q>        in-band query after ingest, e.g. 'topk 5', 'stats',
-                     'snapshot', 'ping' (repeatable)
+                     'ping' (repeatable)
   --shutdown         finish by asking the server to drain gracefully
   --connect-timeout <MS>
                      per-attempt connect timeout (default 5000; 0 off)

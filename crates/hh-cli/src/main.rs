@@ -135,7 +135,8 @@ fn run(opts: Options, mut reader: impl BufRead) -> Result<String, Error> {
         Command::Merge => opts.inputs.as_slice(),
         _ => opts.snapshot_in.as_slice(),
     };
-    let ckpt = checkpoint::load_shards(paths)?;
+    let (ckpt, fallbacks) = checkpoint::load_shards(paths)?;
+    fallbacks.iter().for_each(warn_fallback);
     let weighted = match opts.command {
         Command::Merge if ckpt.shards.is_empty() => {
             return Err(Error::parse("the snapshot files hold no snapshots"))
@@ -304,6 +305,12 @@ fn answer(opts: &Options, report: &Report<'_, Key>, unit: &Unit) -> Result<Strin
     })
 }
 
+/// Tells the operator that a checkpoint's previous generation answered:
+/// up to one checkpoint interval of the stream is missing.
+fn warn_fallback(fallback: &checkpoint::Fallback) {
+    eprintln!("warning: {fallback}");
+}
+
 /// `hh serve`: long-lived sharded ingest over the `hh::pipeline` service,
 /// configured through the same [`hh::net::ServeOptions`] the network
 /// server uses. N worker shards (default: available cores) each own an
@@ -320,6 +327,9 @@ fn run_serve(
     out: &mut impl std::io::Write,
 ) -> Result<(), Error> {
     let mut session: ServeSession<Key> = ServeSession::spawn(&opts.serve)?;
+    if let Some(fallback) = session.fallback() {
+        warn_fallback(fallback);
+    }
     let mut render = |record: Record<'_, Key>| serve_record(record, opts.json);
     let (mut line, mut lineno) = (String::new(), 0);
     // A failed record write stops the reading; the drain still runs, so
@@ -359,6 +369,9 @@ fn run_serve_net(
     out: &mut impl std::io::Write,
 ) -> Result<String, Error> {
     let server: Server<Key> = Server::bind(serve.clone(), net.clone())?;
+    if let Some(fallback) = server.fallback() {
+        warn_fallback(fallback);
+    }
     if let Some(addr) = server.tcp_addr() {
         eprintln!("listening on {addr}");
     }
@@ -1239,7 +1252,7 @@ mod tests {
             assert!(s["routed"].as_u64().unwrap() <= 12);
             assert!(s["imbalance"].as_f64().unwrap() >= 1.0);
             assert!(s["snapshot_ns"]["count"].as_u64().unwrap() >= 1, "{s:?}");
-            // Views do not replay, and no ?snapshot asked for one.
+            // Views do not replay: `hh serve` never records a merge.
             assert_eq!(s["merge_ns"]["count"].as_u64(), Some(0), "{s:?}");
             let shards = s["shards"].as_array().unwrap();
             assert_eq!(shards.len(), 3);

@@ -1,9 +1,11 @@
 //! Hostile inputs — snapshot files that pass the envelope's CRC but carry
 //! hostile payloads, and flag values far outside any sane range — must
-//! end `hh` with an error or a normal answer, never an abort.
+//! end `hh` with an error or a normal answer, never an abort; a torn
+//! checkpoint is answered from its previous generation, never silently.
 
 use std::collections::HashMap;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 use hh::engine::{AlgoKind, EngineConfig};
 use hh::net::checkpoint::{self, crc32, Checkpoint, MAGIC};
@@ -195,4 +197,91 @@ fn out_of_range_pipeline_sizing_is_an_error() {
         assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
+}
+
+/// A torn current checkpoint generation is never answered from in
+/// silence: `topk --snapshot-in`, `merge`, and `serve --snapshot-in` from
+/// stdin and with `--listen` each print one stderr line per torn file,
+/// naming it, the reason and the fallback, and answer from `PATH.prev`.
+#[test]
+fn a_torn_checkpoint_falls_back_out_loud() {
+    let dir = std::env::temp_dir().join(format!("hh-hostile-{}-torn", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("state.ckpt").to_str().unwrap().to_string();
+    // The CLI's default engine, so `serve` resumes it.
+    let mut engine = EngineConfig::new(AlgoKind::SpaceSaving)
+        .counters(256)
+        .build::<String>()
+        .unwrap();
+    for items in [&["a", "a", "b"][..], &["c"]] {
+        engine.update_batch(&items.iter().map(|s| s.to_string()).collect::<Vec<_>>());
+        let shards = vec![engine.snapshot()];
+        checkpoint::write(
+            &path,
+            &Checkpoint {
+                shards,
+                unobserved: 0,
+            },
+        )
+        .unwrap();
+    }
+    let text = std::fs::read(&path).unwrap();
+    std::fs::write(&path, &text[..text.len() / 2]).unwrap();
+    let warned = |stderr: &[u8], times: usize| {
+        let stderr = String::from_utf8_lossy(stderr);
+        let head = format!("warning: checkpoint {path} failed to load (corrupt snapshot: ");
+        let tail = format!("); answering from {path}.prev");
+        let lines = stderr.lines().filter(|l| l.starts_with("warning:"));
+        let warnings: Vec<_> = lines.collect();
+        assert_eq!(warnings.len(), times, "{stderr}");
+        for line in warnings {
+            assert!(line.starts_with(&head) && line.ends_with(&tail), "{line}");
+        }
+    };
+
+    let topk = ["topk", "--json", "--snapshot-in", &path, "/dev/null"];
+    let merge = ["merge", "--json", &path, &path];
+    let serve = ["serve", "--json", "--snapshot-in", &path, "/dev/null"];
+    for (args, files, stream_len) in [(&topk[..], 1, 3), (&merge, 2, 6), (&serve, 1, 3)] {
+        let out = hh(args);
+        assert!(out.status.success(), "{args:?}: {out:?}");
+        warned(&out.stderr, files);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let count = format!("{{\"item\":\"a\",\"count\":{}", stream_len * 2 / 3);
+        assert!(stdout.contains(&count), "{args:?}: {stdout}");
+    }
+
+    let addr_file = dir.join("addr.txt");
+    let server = Command::new(HH)
+        .args([
+            "serve",
+            "--snapshot-in",
+            &path,
+            "--listen",
+            "127.0.0.1:0",
+            "--addr-file",
+        ])
+        .arg(&addr_file)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let addr = loop {
+        match std::fs::read_to_string(&addr_file) {
+            Ok(a) if !a.trim().is_empty() => break a.trim().to_string(),
+            _ if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(20)),
+            _ => panic!("server never published its address"),
+        }
+    };
+    hh(&["client", "--connect", &addr, "--shutdown", "/dev/null"]);
+    let out = server.wait_with_output().unwrap();
+    assert!(out.status.success(), "{out:?}");
+    warned(&out.stderr, 1);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("\"final\":true,\"stream_len\":3"),
+        "{stdout}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -273,19 +273,13 @@ impl<I: Eq + Hash + Clone> FrequencyEstimator<I> for Frequent<I> {
     }
 
     fn entries(&self) -> Vec<(I, u64)> {
-        self.summary
-            .snapshot_desc()
-            .into_iter()
-            .map(|(i, raw, _)| (i, self.logical(raw)))
-            .collect()
+        let mut out = Vec::new();
+        self.top_entries_into(usize::MAX, &mut out);
+        out
     }
 
-    /// Allocation-free snapshot straight out of the bucket list, with raw
-    /// counts translated to logical values on the way out.
-    fn entries_into(&self, out: &mut Vec<(I, u64)>) {
-        self.top_entries_into(usize::MAX, out);
-    }
-
+    /// Straight out of the bucket list, with raw counts translated to
+    /// logical values on the way out.
     fn top_entries_into(&self, k: usize, out: &mut Vec<(I, u64)>) {
         out.clear();
         if k == 0 {

@@ -35,7 +35,7 @@ pub struct TopKMonitor<I: Eq + Hash + Clone + Ord, E: FrequencyEstimator<I> = Sp
     members: BTreeSet<I>,
     /// Estimate of the weakest current member (entry threshold).
     kth_estimate: u64,
-    /// Reused snapshot buffer for resyncs ([`FrequencyEstimator::entries_into`]),
+    /// Reused top-k buffer for resyncs ([`FrequencyEstimator::top_entries_into`]),
     /// so the monitor loop stops allocating a fresh `Vec` per membership
     /// change.
     scratch: Vec<(I, u64)>,
@@ -80,8 +80,7 @@ impl<I: Eq + Hash + Clone + Ord, E: FrequencyEstimator<I>> TopKMonitor<I, E> {
     }
 
     fn resync(&mut self) -> Vec<TopKChange<I>> {
-        self.summary.entries_into(&mut self.scratch);
-        self.scratch.truncate(self.k);
+        self.summary.top_entries_into(self.k, &mut self.scratch);
         let fresh: BTreeSet<I> = self.scratch.iter().map(|(i, _)| i.clone()).collect();
         let mut changes = Vec::new();
         for gone in self.members.difference(&fresh) {

@@ -101,11 +101,11 @@ impl<I: Eq + Hash + Clone> SpaceSaving<I> {
     }
 
     /// Absorbs another SPACESAVING summary's snapshot state (the Theorem 11
-    /// merge step): replays every stored `(item, count, err)` counter via
-    /// [`SpaceSaving::absorb_counter`], then widens the upper-bound slack
-    /// by the donor's minimum counter `Δ` (plus any slack the donor itself
-    /// had absorbed) — an item the donor did not store may still have
-    /// occurred up to `Δ` times in its stream.
+    /// merge step): replays every stored `(item, count, err)` counter,
+    /// adding its `err` to the replayed entry's annotation, then widens the
+    /// upper-bound slack by the donor's minimum counter `Δ` (plus any slack
+    /// the donor itself had absorbed) — an item the donor did not store may
+    /// still have occurred up to `Δ` times in its stream.
     ///
     /// Returns [`Error::Overflow`], leaving the summary unchanged, when the
     /// combined stream length or slack would exceed `u64::MAX`. Every
@@ -217,7 +217,7 @@ impl<I: Eq + Hash + Clone> SpaceSaving<I> {
     /// annotation, so post-merge certified lower bounds (`c_i − err_i`)
     /// remain sound — the replayed `count` may itself overcount the donor
     /// stream by up to `err`.
-    pub fn absorb_counter(&mut self, item: &I, count: u64, err: u64) {
+    fn absorb_counter(&mut self, item: &I, count: u64, err: u64) {
         if count == 0 {
             return;
         }
@@ -298,19 +298,12 @@ impl<I: Eq + Hash + Clone> FrequencyEstimator<I> for SpaceSaving<I> {
     }
 
     fn entries(&self) -> Vec<(I, u64)> {
-        self.summary
-            .snapshot_desc()
-            .into_iter()
-            .map(|(i, c, _)| (i, c))
-            .collect()
+        let mut out = Vec::new();
+        self.top_entries_into(usize::MAX, &mut out);
+        out
     }
 
-    /// Allocation-free snapshot straight out of the bucket list
-    /// ([`StreamSummary::while_desc`]).
-    fn entries_into(&self, out: &mut Vec<(I, u64)>) {
-        self.top_entries_into(usize::MAX, out);
-    }
-
+    /// Straight out of the bucket list ([`StreamSummary::while_desc`]).
     fn top_entries_into(&self, k: usize, out: &mut Vec<(I, u64)>) {
         out.clear();
         if k == 0 {

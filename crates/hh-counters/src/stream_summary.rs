@@ -231,15 +231,6 @@ impl<I: Eq + Hash + Clone> StreamSummary<I> {
         }
     }
 
-    /// Largest raw count currently stored.
-    pub fn max_count(&self) -> Option<u64> {
-        if self.tail == NIL {
-            None
-        } else {
-            Some(self.bcount[self.tail as usize])
-        }
-    }
-
     // ---- arena plumbing -------------------------------------------------
 
     fn alloc_entry(&mut self, item: I, hash: u64, err: u64) -> u32 {
@@ -499,24 +490,11 @@ impl<I: Eq + Hash + Clone> StreamSummary<I> {
         Some((count, err))
     }
 
-    /// Removes every entry whose raw count is `<= threshold`, returning the
-    /// removed items. This is FREQUENT's "drop zeroed counters" step under
-    /// the offset interpretation; amortized O(1) per removed entry.
-    pub fn pop_le(&mut self, threshold: u64) -> Vec<I> {
-        let mut out = Vec::new();
-        self.drain_le(threshold, |item| out.push(item));
-        out
-    }
-
-    /// [`Self::pop_le`] without collecting: the removed items are dropped
-    /// in place. FREQUENT's decrement rounds run this on the ingest hot
-    /// path and never look at the dead items, so the collecting variant's
-    /// fresh `Vec` per round would be pure overhead there.
+    /// Removes every entry whose raw count is `<= threshold`, dropping the
+    /// removed items in place. This is FREQUENT's "drop zeroed counters"
+    /// step under the offset interpretation; amortized O(1) per removed
+    /// entry.
     pub fn drop_le(&mut self, threshold: u64) {
-        self.drain_le(threshold, |_| {});
-    }
-
-    fn drain_le(&mut self, threshold: u64, mut sink: impl FnMut(I)) {
         while self.head != NIL && self.bcount[self.head as usize] <= threshold {
             let b = self.head;
             let count = self.bcount[b as usize];
@@ -524,7 +502,7 @@ impl<I: Eq + Hash + Clone> StreamSummary<I> {
             while e != NIL {
                 let next = self.elink[e as usize].next;
                 self.detach(e);
-                sink(self.free_entry(e));
+                self.free_entry(e);
                 self.counter_sum -= count;
                 e = next;
             }
@@ -535,16 +513,7 @@ impl<I: Eq + Hash + Clone> StreamSummary<I> {
     /// Snapshot of all entries in ascending count order (FIFO order within a
     /// bucket: oldest first).
     pub fn snapshot_asc(&self) -> Vec<SummaryEntry<I>> {
-        let mut out = Vec::new();
-        self.snapshot_asc_into(&mut out);
-        out
-    }
-
-    /// Ascending snapshot written into a caller-owned buffer (cleared
-    /// first) — the allocation-free variant for monitor/report loops.
-    pub fn snapshot_asc_into(&self, out: &mut Vec<SummaryEntry<I>>) {
-        out.clear();
-        out.reserve(self.len);
+        let mut out = Vec::with_capacity(self.len);
         let mut b = self.head;
         while b != NIL {
             let count = self.bcount[b as usize];
@@ -560,32 +529,26 @@ impl<I: Eq + Hash + Clone> StreamSummary<I> {
             }
             b = self.bmeta[b as usize].next;
         }
-    }
-
-    /// Snapshot in descending count order.
-    pub fn snapshot_desc(&self) -> Vec<SummaryEntry<I>> {
-        let mut out = Vec::new();
-        self.snapshot_desc_into(&mut out);
         out
     }
 
-    /// Descending snapshot written into a caller-owned buffer (cleared
-    /// first). Exactly the reverse of [`StreamSummary::snapshot_asc_into`],
-    /// produced by walking the lists backwards instead of reversing.
-    pub fn snapshot_desc_into(&self, out: &mut Vec<SummaryEntry<I>>) {
-        out.clear();
-        out.reserve(self.len);
+    /// Snapshot in descending count order: exactly the reverse of
+    /// [`StreamSummary::snapshot_asc`], produced by walking the lists
+    /// backwards instead of reversing.
+    pub fn snapshot_desc(&self) -> Vec<SummaryEntry<I>> {
+        let mut out = Vec::with_capacity(self.len);
         self.while_desc(|item, count, err| {
             out.push((item.clone(), count, err));
             true
         });
+        out
     }
 
     /// Visits entries in descending count order (the
     /// [`StreamSummary::snapshot_desc`] order) without cloning items or
     /// allocating, until `f` returns `false` — so reading the `k` largest
     /// entries walks `k` entries, not the whole summary. The primitive
-    /// behind the `entries_into` reuse variants.
+    /// behind SPACESAVING's and FREQUENT's `top_entries_into`.
     pub fn while_desc(&self, mut f: impl FnMut(&I, u64, u64) -> bool) {
         let mut b = self.tail;
         while b != NIL {
@@ -679,6 +642,11 @@ mod tests {
         s
     }
 
+    /// The largest raw count stored.
+    fn top_count(s: &StreamSummary<u64>) -> Option<u64> {
+        s.snapshot_desc().first().map(|&(_, c, _)| c)
+    }
+
     #[test]
     fn insert_and_lookup() {
         let s = summary_of(&[(1, 5), (2, 3), (3, 5)]);
@@ -688,7 +656,7 @@ mod tests {
         assert_eq!(s.count(&3), Some(5));
         assert_eq!(s.count(&9), None);
         assert_eq!(s.min_count(), Some(3));
-        assert_eq!(s.max_count(), Some(5));
+        assert_eq!(top_count(&s), Some(5));
         assert_eq!(s.counter_sum(), 13);
     }
 
@@ -712,7 +680,7 @@ mod tests {
         s.check_invariants();
         assert_eq!(s.count(&1), Some(2));
         // bucket structure should have exactly one bucket
-        assert_eq!(s.min_count(), s.max_count());
+        assert_eq!(s.min_count(), top_count(&s));
     }
 
     #[test]
@@ -721,7 +689,7 @@ mod tests {
         assert!(s.increment(&1, 10)); // jumps past everything
         s.check_invariants();
         assert_eq!(s.count(&1), Some(11));
-        assert_eq!(s.max_count(), Some(11));
+        assert_eq!(top_count(&s), Some(11));
     }
 
     #[test]
@@ -766,16 +734,16 @@ mod tests {
     }
 
     #[test]
-    fn pop_le_removes_low_buckets() {
+    fn drop_le_removes_low_buckets() {
         let mut s = summary_of(&[(1, 1), (2, 1), (3, 2), (4, 5)]);
-        let mut popped = s.pop_le(2);
-        popped.sort_unstable();
+        s.drop_le(2);
         s.check_invariants();
-        assert_eq!(popped, vec![1, 2, 3]);
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.min_count(), Some(5));
+        assert!([1, 2, 3].iter().all(|i| !s.contains(i)));
+        assert_eq!(s.snapshot_asc(), vec![(4, 5, 0)]);
+        assert_eq!(s.counter_sum(), 5);
         // threshold below everything: no-op
-        assert!(s.pop_le(4).is_empty());
+        s.drop_le(4);
+        assert_eq!(s.len(), 1);
     }
 
     #[test]
@@ -786,13 +754,6 @@ mod tests {
         assert_eq!(counts, vec![1, 3, 3, 7]);
         let desc = s.snapshot_desc();
         assert_eq!(desc.first().map(|&(i, c, _)| (i, c)), Some((3, 7)));
-        // the _into variants agree with the allocating ones and clear old
-        // contents
-        let mut buf = vec![(99u64, 99u64, 99u64)];
-        s.snapshot_desc_into(&mut buf);
-        assert_eq!(buf, desc);
-        s.snapshot_asc_into(&mut buf);
-        assert_eq!(buf, asc);
     }
 
     #[test]
@@ -854,7 +815,7 @@ mod tests {
         };
         let mut s: StreamSummary<Key> = StreamSummary::with_capacity(64);
         let mut state = 0x2545_f491_4f6c_dd1du64;
-        for step in 0..4000u32 {
+        for _ in 0..4000u32 {
             // xorshift64
             state ^= state << 13;
             state ^= state >> 7;
@@ -872,11 +833,15 @@ mod tests {
                 8 => {
                     s.remove(&item);
                 }
-                _ if step.is_multiple_of(2) => {
+                _ => {
                     let floor = s.min_count().unwrap_or(0);
-                    assert!(s.pop_le(floor).iter().all(|k| !s.contains(k)));
+                    let low: Vec<Key> = (s.snapshot_asc().into_iter())
+                        .take_while(|&(_, c, _)| c <= floor)
+                        .map(|(k, _, _)| k)
+                        .collect();
+                    s.drop_le(floor);
+                    assert!(low.iter().all(|k| !s.contains(k)));
                 }
-                _ => s.drop_le(s.min_count().unwrap_or(0)),
             }
             s.check_invariants();
         }

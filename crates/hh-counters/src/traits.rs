@@ -188,23 +188,17 @@ pub trait FrequencyEstimator<I: Eq + Hash + Clone> {
     /// estimate with ties broken by the summary's eviction order.
     fn entries(&self) -> Vec<(I, u64)>;
 
-    /// [`FrequencyEstimator::entries`] written into a caller-owned buffer
-    /// (cleared first). The default delegates to `entries`; implementations
-    /// backed by [`crate::stream_summary::StreamSummary`] override it to
-    /// write straight out of the summary, so monitor/report loops that poll
-    /// every few updates stop allocating a fresh `Vec` per poll.
-    fn entries_into(&self, out: &mut Vec<(I, u64)>) {
+    /// The first `k` pairs of [`FrequencyEstimator::entries`], into a
+    /// caller-owned buffer (cleared first); any `k` is valid, and
+    /// `usize::MAX` lists every pair. The default lists every pair and
+    /// truncates; implementations backed by
+    /// [`crate::stream_summary::StreamSummary`] walk down from the largest
+    /// counter and stop after `k`, without allocating once `out` has
+    /// grown, so monitor/report loops that poll every few updates reuse
+    /// one buffer.
+    fn top_entries_into(&self, k: usize, out: &mut Vec<(I, u64)>) {
         out.clear();
         out.append(&mut self.entries());
-    }
-
-    /// The first `k` pairs of [`FrequencyEstimator::entries_into`], into
-    /// `out` (cleared first); any `k` is valid. The default lists every
-    /// pair and truncates; implementations backed by
-    /// [`crate::stream_summary::StreamSummary`] walk down from the largest
-    /// counter and stop after `k`.
-    fn top_entries_into(&self, k: usize, out: &mut Vec<(I, u64)>) {
-        self.entries_into(out);
         out.truncate(k);
     }
 

@@ -32,6 +32,7 @@
 //! or fails its CRC. Two generations are kept; older ones are
 //! overwritten.
 
+use std::fmt;
 use std::path::Path;
 
 use hh_counters::error::Error;
@@ -59,6 +60,28 @@ pub struct Checkpoint<I: EngineItem> {
     /// Occurrences that are part of `stream_len` but observed by no
     /// snapshot; a loader must widen the merged engine by this mass.
     pub unobserved: u64,
+}
+
+/// Why [`load_latest`] answered from `<path>.prev`: the current
+/// generation failed to load, so up to one checkpoint interval of the
+/// stream is missing from the answer. Readers tell the operator (its
+/// `Display` is the warning line `hh` prints).
+#[derive(Debug)]
+pub struct Fallback {
+    /// The current generation's path.
+    pub path: String,
+    /// Why it failed to load.
+    pub reason: Error,
+}
+
+impl fmt::Display for Fallback {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Fallback { path, reason } = self;
+        write!(
+            f,
+            "checkpoint {path} failed to load ({reason}); answering from {path}.prev"
+        )
+    }
 }
 
 /// The reflected CRC-32 of every byte value, built at compile time.
@@ -279,35 +302,41 @@ where
 
 /// Loads `path`, falling back to the previous generation
 /// (`<path>.prev`) when the current file is missing, torn, or corrupt.
-/// Returns the checkpoint and whether the fallback was used; if both
-/// generations fail, the *current* generation's error is reported.
-pub fn load_latest<I>(path: &str) -> Result<(Checkpoint<I>, bool), Error>
+/// Returns the checkpoint and, when the fallback answered, why the
+/// current generation failed; if both generations fail, the *current*
+/// generation's error is reported.
+pub fn load_latest<I>(path: &str) -> Result<(Checkpoint<I>, Option<Fallback>), Error>
 where
     I: EngineItem + Deserialize,
 {
-    let current = load(path);
-    match current {
-        Ok(ckpt) => Ok((ckpt, false)),
-        Err(err) => match load(&format!("{path}.prev")) {
-            Ok(ckpt) => Ok((ckpt, true)),
-            Err(_) => Err(err),
+    match load(path) {
+        Ok(ckpt) => Ok((ckpt, None)),
+        Err(reason) => match load(&format!("{path}.prev")) {
+            Ok(ckpt) => {
+                let path = path.to_string();
+                Ok((ckpt, Some(Fallback { path, reason })))
+            }
+            Err(_) => Err(reason),
         },
     }
 }
 
 /// Reads snapshot files ([`load_latest`] each) into the shards an offline
-/// reader answers from, with their summed unobserved mass. Files of the
-/// same N shards that pass [`check_partition`] merge shard `j`
-/// into shard `j` (Theorem 11 per shard), staying one hash partition; any
-/// other input folds into one snapshot, sound for any partition.
-pub fn load_shards<I>(paths: &[String]) -> Result<Checkpoint<I>, Error>
+/// reader answers from, with their summed unobserved mass, and the
+/// fallbacks taken. Files of the same N shards that pass
+/// [`check_partition`] merge shard `j` into shard `j` (Theorem 11 per
+/// shard), staying one hash partition; any other input folds into one
+/// snapshot, sound for any partition.
+pub fn load_shards<I>(paths: &[String]) -> Result<(Checkpoint<I>, Vec<Fallback>), Error>
 where
     I: EngineItem + Deserialize,
 {
     let mut files = Vec::with_capacity(paths.len());
     let mut unobserved = 0u64;
+    let mut fallbacks = Vec::new();
     for path in paths {
-        let (ckpt, _) = load_latest(path)?;
+        let (ckpt, fallback) = load_latest(path)?;
+        fallbacks.extend(fallback);
         files.push(ckpt.shards);
         unobserved = unobserved.saturating_add(ckpt.unobserved);
     }
@@ -327,7 +356,7 @@ where
         .map(merge_to_snapshot)
         .filter_map(Result::transpose)
         .collect::<Result<_, _>>()?;
-    Ok(Checkpoint { shards, unobserved })
+    Ok((Checkpoint { shards, unobserved }, fallbacks))
 }
 
 /// Folds snapshots into one snapshot (Theorem 11 snapshot merge), sound
@@ -546,8 +575,8 @@ mod tests {
         write(&path, &first).unwrap();
         write(&path, &second).unwrap();
         // current is the second generation...
-        let (got, fell_back) = load_latest::<u64>(&path).unwrap();
-        assert!(!fell_back);
+        let (got, fallback) = load_latest::<u64>(&path).unwrap();
+        assert!(fallback.is_none());
         assert_eq!(got, second);
         // ...and the first survives at .prev
         assert_eq!(load::<u64>(&format!("{path}.prev")).unwrap(), first);
@@ -555,8 +584,16 @@ mod tests {
         // Tear the current generation: load_latest skips to .prev.
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::write(&path, &text[..text.len() / 2]).unwrap();
-        let (got, fell_back) = load_latest::<u64>(&path).unwrap();
-        assert!(fell_back);
+        let (got, fallback) = load_latest::<u64>(&path).unwrap();
+        let fallback = fallback.expect("the torn generation falls back");
+        assert!(matches!(fallback.reason, Error::CorruptSnapshot(_)));
+        assert_eq!(
+            fallback.to_string(),
+            format!(
+                "checkpoint {path} failed to load ({}); answering from {path}.prev",
+                fallback.reason
+            )
+        );
         assert_eq!(got, first);
 
         // Tear both: the current generation's typed error surfaces.

@@ -20,7 +20,7 @@
 //!   [`ServeSession::send`] per item and one record policy that both
 //!   only render, so the two modes cannot drift;
 //! * [`proto`] — the wire protocol: `item` / `item\tcount` ingest lines,
-//!   `?topk` / `?stats` / `?snapshot` / `?ping` / `?shutdown` queries,
+//!   `?topk` / `?stats` / `?ping` / `?shutdown` queries,
 //!   and the versioned (`"v":1`) NDJSON record renderers;
 //! * [`Server`] — a single-threaded edge-triggered epoll event loop
 //!   (vendored [`sys`] bindings; no crates.io) multiplexing client

@@ -21,7 +21,7 @@ use hh_sketches::engine::{Engine, EngineConfig, EngineItem};
 use hh_sketches::pipeline::{Pipeline, PipelineConfig, PipelineStats, ShardedView};
 use serde::{Deserialize, Serialize};
 
-use crate::checkpoint::{self, Checkpoint};
+use crate::checkpoint::{self, Checkpoint, Fallback};
 
 /// Everything the stdin/trace serve path and the network serve path have
 /// in common. Build one from an [`EngineConfig`], tune it with the
@@ -264,9 +264,8 @@ pub enum Record<'a, I: EngineItem> {
 /// Every answer, the final report included, reads [`ServeSession::view`]:
 /// each item gets its owner shard's interval, widened by the owner's own
 /// lost mass and by the resumed checkpoint's unobserved mass. Only
-/// shipped summaries replay everything into one engine (Theorem 11):
-/// [`ServeSession::merged`] for `?snapshot`, and the engine
-/// [`ServeSession::finish`] returns. Checkpoints, the drain's included,
+/// [`ServeSession::finish`] replays the shards into one engine (Theorem
+/// 11), for a caller that ships it. Checkpoints, the drain's included,
 /// hold one snapshot per shard: shard `j` resumes from snapshot `j`, and
 /// the counts must match.
 ///
@@ -287,9 +286,9 @@ pub enum Record<'a, I: EngineItem> {
 #[derive(Debug)]
 pub struct ServeSession<I: EngineItem> {
     pipeline: Pipeline<I>,
-    /// Whether the resume load fell back to the previous checkpoint
-    /// generation because the current one was torn or corrupt.
-    resumed_from_fallback: bool,
+    /// Why the resume load fell back to the previous checkpoint
+    /// generation, if it did.
+    fallback: Option<Fallback>,
     report_cadence: Cadence,
     stats_cadence: Cadence,
     checkpoint_cadence: Cadence,
@@ -327,19 +326,19 @@ impl<I: EngineItem> ServeSession<I> {
     {
         opts.validate()?;
         let mut config = opts.pipeline_config();
-        let (pipeline, resumed_from_fallback) = match &opts.snapshot_in {
+        let (pipeline, fallback) = match &opts.snapshot_in {
             Some(path) => {
-                let (ckpt, fell_back) = checkpoint::load_latest::<I>(path)?;
+                let (ckpt, fallback) = checkpoint::load_latest::<I>(path)?;
                 if opts.shards.is_none() && !ckpt.shards.is_empty() {
                     config = config.shards(ckpt.shards.len());
                 }
-                (config.resume(ckpt.shards, ckpt.unobserved)?, fell_back)
+                (config.resume(ckpt.shards, ckpt.unobserved)?, fallback)
             }
-            None => (config.spawn()?, false),
+            None => (config.spawn()?, None),
         };
         Ok(ServeSession {
             pipeline,
-            resumed_from_fallback,
+            fallback,
             report_cadence: Cadence::new(opts.report_every),
             stats_cadence: Cadence::new(opts.stats_every.unwrap_or(0)),
             checkpoint_cadence: Cadence::new(opts.checkpoint_every),
@@ -350,10 +349,10 @@ impl<I: EngineItem> ServeSession<I> {
         })
     }
 
-    /// Whether the resume load skipped a torn/corrupt current checkpoint
-    /// and used the previous generation instead.
-    pub fn resumed_from_fallback(&self) -> bool {
-        self.resumed_from_fallback
+    /// Why the resume load skipped the current checkpoint and used the
+    /// previous generation instead, if it did; `hh serve` prints it.
+    pub fn fallback(&self) -> Option<&Fallback> {
+        self.fallback.as_ref()
     }
 
     /// `k` for report records.
@@ -427,13 +426,6 @@ impl<I: EngineItem> ServeSession<I> {
     /// resumed checkpoint's unobserved mass.
     pub fn view(&mut self) -> Result<ShardedView<'_, I>, Error> {
         self.pipeline.view()
-    }
-
-    /// One merged engine at an epoch boundary — the Theorem 11 replay
-    /// that `?snapshot` ships. Live answers read [`ServeSession::view`]
-    /// instead. See [`Pipeline::merged`].
-    pub fn merged(&mut self) -> Result<Engine<I>, Error> {
-        self.pipeline.merged()
     }
 }
 
@@ -698,8 +690,8 @@ mod tests {
         let merged = s.finish().unwrap();
         assert_eq!(merged.stream_len(), 3);
 
-        // Resume: the live view, merged engines and the final engine
-        // include the snapshot's stream.
+        // Resume: the live view and the final engine include the
+        // snapshot's stream.
         let second = opts().shards(Some(2)).snapshot_in(Some(snap));
         let mut s: ServeSession<u64> = ServeSession::spawn(&second).unwrap();
         s.send(1).unwrap();
@@ -707,9 +699,6 @@ mod tests {
         let view = s.view().unwrap();
         assert_eq!(view.report().total(), 5);
         assert_eq!(view.report().entry(&1).estimate, 3);
-        let live = s.merged().unwrap();
-        assert_eq!(live.stream_len(), 5);
-        assert_eq!(live.estimate(&1), 3);
         let fin = s.finish().unwrap();
         assert_eq!(fin.stream_len(), 5);
         std::fs::remove_dir_all(&dir).ok();
@@ -843,8 +832,8 @@ mod tests {
         // only `<path>.prev` on disk.
         let path = path_with_prev("missing.ckpt", &[1, 1, 2]);
         let mut s = ServeSession::<u64>::spawn(&opts().snapshot_in(Some(path.clone()))).unwrap();
-        assert!(s.resumed_from_fallback());
-        assert_eq!(s.merged().unwrap().stream_len(), 3);
+        assert!(s.fallback().is_some());
+        assert_eq!(s.view().unwrap().report().total(), 3);
         std::fs::remove_file(format!("{path}.prev")).ok();
     }
 
@@ -891,11 +880,11 @@ mod tests {
         // Resume from the envelope: the whole prior stream is covered.
         let second = opts().shards(Some(2)).snapshot_in(Some(path.clone()));
         let mut s: ServeSession<u64> = ServeSession::spawn(&second).unwrap();
-        assert!(!s.resumed_from_fallback());
+        assert!(s.fallback().is_none());
         s.send(1).unwrap();
-        let live = s.merged().unwrap();
-        assert_eq!(live.stream_len(), 7);
-        assert_eq!(live.estimate(&1), 3);
+        let live = s.view().unwrap().report();
+        assert_eq!(live.total(), 7);
+        assert_eq!(live.entry(&1).estimate, 3);
 
         // Tear the current generation: resume falls back to .prev (the
         // mid-stream checkpoint covering the first 4 items).
@@ -903,8 +892,10 @@ mod tests {
         std::fs::write(&path, &text[..text.len() / 2]).unwrap();
         let third = opts().shards(Some(2)).snapshot_in(Some(path.clone()));
         let mut s: ServeSession<u64> = ServeSession::spawn(&third).unwrap();
-        assert!(s.resumed_from_fallback());
-        assert_eq!(s.merged().unwrap().stream_len(), 4);
+        let fallback = s.fallback().expect("the torn generation falls back");
+        assert_eq!(fallback.path, path);
+        assert!(matches!(fallback.reason, Error::CorruptSnapshot(_)));
+        assert_eq!(s.view().unwrap().report().total(), 4);
 
         // Tear both generations: the typed corruption error surfaces.
         std::fs::write(format!("{path}.prev"), "hhckpt vX garbage\n{}").unwrap();

@@ -15,7 +15,6 @@
 //! ```text
 //! ?topk [k]       # live top-k report record
 //! ?stats          # pipeline + net telemetry record
-//! ?snapshot       # merged engine snapshot record
 //! ?ping           # liveness record
 //! ?shutdown       # graceful drain: flush, final records, exit
 //! ```
@@ -31,7 +30,7 @@ use std::fmt::Write as _;
 
 use hh_counters::error::Error;
 use hh_obs::HistogramSnapshot;
-use hh_sketches::engine::{Engine, Report};
+use hh_sketches::engine::Report;
 use hh_sketches::pipeline::PipelineStats;
 use serde::Serialize;
 
@@ -53,9 +52,6 @@ pub enum Query {
     TopK(Option<usize>),
     /// `?stats` — pipeline + network telemetry.
     Stats,
-    /// `?snapshot` — the merged engine's snapshot and unobserved mass
-    /// (rehydrate with `Engine::from_json`, then `add_unobserved`).
-    Snapshot,
     /// `?ping` — liveness check.
     Ping,
     /// `?shutdown` — graceful drain.
@@ -99,7 +95,6 @@ pub fn parse_line(line: &str) -> Line<'_> {
                 _ => Line::Malformed("?topk k must be a positive integer"),
             },
             (Some("stats"), None, None) => Line::Query(Query::Stats),
-            (Some("snapshot"), None, None) => Line::Query(Query::Snapshot),
             (Some("ping"), None, None) => Line::Query(Query::Ping),
             (Some("shutdown"), None, None) => Line::Query(Query::Shutdown),
             _ => Line::Malformed("unknown query command"),
@@ -287,21 +282,6 @@ pub fn shutdown_record(routed: u64) -> String {
     format!("{{\"v\":{PROTOCOL_VERSION},\"shutdown\":true,\"routed\":{routed}}}")
 }
 
-/// Renders the `?snapshot` response: the merged engine's snapshot, in
-/// the format of one shard of the checkpoint envelope `--snapshot-out`
-/// writes, and its unobserved mass, which the snapshot does not carry
-/// (see [`Engine::add_unobserved`]).
-pub fn snapshot_record<I>(engine: &Engine<I>) -> String
-where
-    I: ServeItem + Serialize,
-{
-    format!(
-        "{{\"v\":{PROTOCOL_VERSION},\"snapshot\":{},\"unobserved\":{}}}",
-        engine.to_json(),
-        engine.unobserved()
-    )
-}
-
 /// Validates the `"v"` field of a parsed record: absent or a different
 /// major is rejected (the stats-stream contract).
 ///
@@ -338,7 +318,6 @@ mod tests {
         assert_eq!(parse_line("?topk"), Line::Query(Query::TopK(None)));
         assert_eq!(parse_line("?topk 7"), Line::Query(Query::TopK(Some(7))));
         assert_eq!(parse_line("?stats"), Line::Query(Query::Stats));
-        assert_eq!(parse_line("?snapshot"), Line::Query(Query::Snapshot));
         assert_eq!(parse_line("?ping"), Line::Query(Query::Ping));
         assert_eq!(parse_line("?shutdown"), Line::Query(Query::Shutdown));
         // Outer whitespace (including a leading tab) trims away first.
@@ -348,6 +327,7 @@ mod tests {
             "?topk x",
             "?topk 1 2",
             "?frobnicate",
+            "?snapshot",
             "x\t0",
             "x\tfour",
             "x\t-1",
@@ -371,7 +351,6 @@ mod tests {
         for record in [
             report_record(engine.report(), Some(3), 2),
             report_record(engine.report(), None, 2),
-            snapshot_record(&engine),
             error_record("bad \"line\"", 9),
             pong_record(),
             shutdown_record(42),

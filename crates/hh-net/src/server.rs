@@ -32,6 +32,7 @@ use hh_counters::error::Error;
 use hh_obs::{Counter, Gauge, Registry};
 use hh_sketches::engine::Engine;
 
+use crate::checkpoint::Fallback;
 use crate::options::{NetOptions, Record, ServeItem, ServeOptions, ServeSession};
 use crate::poll::{Event, Interest, Poller};
 use crate::proto::{self, Line, NetSample, Query};
@@ -278,16 +279,6 @@ fn write_reject_notice(stream: &mut ConnStream, record: &str) -> u64 {
     written as u64
 }
 
-/// Runtime-specialized integer item: when `I` is `u64`, converts the
-/// decimal value already accumulated while scanning the line, skipping
-/// the string re-parse. The `Any` downcast monomorphizes to a constant
-/// type-id comparison, so for other item types this is a compile-time
-/// `None` and the caller falls back to `FromStr`.
-#[inline]
-fn int_item<I: ServeItem>(value: u64) -> Option<I> {
-    (&value as &dyn std::any::Any).downcast_ref::<I>().cloned()
-}
-
 /// Renders a session record as the server writes it: NDJSON, with the
 /// `net` sample in stats records.
 // lint:cold-path epoch-boundary records and query answers; the cost is amortized over the whole epoch's items
@@ -379,6 +370,12 @@ impl<I: ServeItem> Server<I> {
     /// The actual TCP listening address (resolves `:0` ephemeral binds).
     pub fn tcp_addr(&self) -> Option<SocketAddr> {
         self.tcp_addr
+    }
+
+    /// Why the `snapshot_in` resume answered from the previous checkpoint
+    /// generation, if it did ([`ServeSession::fallback`]).
+    pub fn fallback(&self) -> Option<&Fallback> {
+        self.session.fallback()
     }
 
     /// Runs the event loop until a drain is requested (SIGTERM/SIGINT
@@ -757,24 +754,18 @@ impl<I: ServeItem> Server<I> {
             let tb = text.as_bytes();
             let mut consumed = 0usize;
             while consumed < tb.len() {
-                // One fused walk per line: locate the newline while
-                // accumulating the decimal value, so the dominant line
-                // shape — a plain integer item — costs a single pass and
-                // no re-parse. Wrapping arithmetic keeps the speculative
-                // accumulate branch-free; the value is only trusted when
-                // every byte was a digit and the line is short enough
-                // (<= 19 digits) to fit a `u64`.
-                let mut value = 0u64;
-                let mut digits = true;
+                // One walk per line: locate the newline while checking
+                // that every byte is printable ASCII, so the dominant line
+                // shape — a plain single item — costs a single pass before
+                // its `FromStr` parse.
+                let mut printable = true;
                 let mut nl = usize::MAX;
                 for (off, &b) in tb[consumed..].iter().enumerate() {
                     if b == b'\n' {
                         nl = consumed + off;
                         break;
                     }
-                    let d = b.wrapping_sub(b'0');
-                    digits &= d <= 9;
-                    value = value.wrapping_mul(10).wrapping_add(u64::from(d & 0xf));
+                    printable &= (b'!'..=b'~').contains(&b);
                 }
                 if nl == usize::MAX {
                     break; // incomplete tail line: carry over
@@ -788,18 +779,12 @@ impl<I: ServeItem> Server<I> {
                     conn.skip_line = false;
                     continue;
                 }
-                // All-decimal lines convert straight from the walk; other
-                // plain single-item lines (printable ASCII, no
+                // Plain single-item lines (printable ASCII, no
                 // whitespace, not a query) parse without the protocol
                 // dispatch. Anything else — or a fast parse that fails —
                 // takes the full `parse_line` path, which produces the
                 // proper error record.
-                let fast = if digits && (1..=19).contains(&len) {
-                    int_item::<I>(value).or_else(|| line.parse::<I>().ok())
-                } else if len >= 1
-                    && tb[j - len] != b'?'
-                    && line.bytes().all(|b| (b'!'..=b'~').contains(&b))
-                {
+                let fast = if printable && len >= 1 && tb[j - len] != b'?' {
                     line.parse::<I>().ok()
                 } else {
                     None
@@ -895,10 +880,6 @@ impl<I: ServeItem> Server<I> {
             Query::Stats => {
                 let stats = self.session.fresh_stats()?;
                 proto::stats_record(&stats, Some(&self.metrics.sample()), false)
-            }
-            Query::Snapshot => {
-                let merged = self.session.merged()?;
-                proto::snapshot_record(&merged)
             }
             Query::Ping => proto::pong_record(),
             Query::Shutdown => {

@@ -38,7 +38,6 @@ use std::str::FromStr;
 
 use hh_counters::error::Error;
 use hh_counters::heavy_hitters::Confidence;
-use hh_counters::recovery;
 use hh_counters::topk::zipf_counters_for_topk;
 use hh_counters::traits::{Bias, FrequencyEstimator, TailConstants};
 use hh_counters::{Frequent, LossyCounting, SpaceSaving, StickySampling};
@@ -46,6 +45,7 @@ use serde::{Deserialize, Reader, Serialize};
 
 use crate::count_min::{CountMin, UpdateRule};
 use crate::count_sketch::CountSketch;
+use crate::pipeline::ShardedView;
 use crate::topk_tracker::SketchHeavyHitters;
 
 /// Bound alias for item types an engine can track: hashable, orderable,
@@ -376,36 +376,21 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the capacity from any [`CapacitySpec`].
-    pub fn capacity(mut self, spec: CapacitySpec) -> Self {
-        self.capacity = spec;
-        self
-    }
-
-    /// Sizes the engine for residual-error target `eps` at tail parameter
-    /// `k` (shorthand for [`CapacitySpec::ResidualEstimate`] — the sizing
-    /// behind the CLI's `--eps` flag).
+    /// Sets the capacity from any [`CapacitySpec`]:
+    /// [`CapacitySpec::ResidualEstimate`] is the sizing behind the CLI's
+    /// `--eps` flag.
     ///
     /// ```
-    /// use hh_sketches::engine::{AlgoKind, EngineConfig};
-    /// let e = EngineConfig::new(AlgoKind::SpaceSaving).error_rate(0.1, 10).build::<u64>().unwrap();
+    /// use hh_sketches::engine::{AlgoKind, CapacitySpec, EngineConfig};
+    /// let residual = CapacitySpec::ResidualEstimate { k: 10, eps: 0.1 };
+    /// let e = EngineConfig::new(AlgoKind::SpaceSaving).capacity(residual).build::<u64>().unwrap();
     /// assert_eq!(e.capacity(), 110);
-    /// ```
-    pub fn error_rate(mut self, eps: f64, k: usize) -> Self {
-        self.capacity = CapacitySpec::ResidualEstimate { k, eps };
-        self
-    }
-
-    /// Sizes the engine to answer φ-heavy-hitter queries at threshold
-    /// `phi` (shorthand for [`CapacitySpec::HeavyHitters`]).
-    ///
-    /// ```
-    /// use hh_sketches::engine::{AlgoKind, EngineConfig};
-    /// let e = EngineConfig::new(AlgoKind::Frequent).heavy_hitter_phi(0.02).build::<u64>().unwrap();
+    /// let heavy = CapacitySpec::HeavyHitters { phi: 0.02 };
+    /// let e = EngineConfig::new(AlgoKind::Frequent).capacity(heavy).build::<u64>().unwrap();
     /// assert_eq!(e.capacity(), 50);
     /// ```
-    pub fn heavy_hitter_phi(mut self, phi: f64) -> Self {
-        self.capacity = CapacitySpec::HeavyHitters { phi };
+    pub fn capacity(mut self, spec: CapacitySpec) -> Self {
+        self.capacity = spec;
         self
     }
 
@@ -458,8 +443,9 @@ impl EngineConfig {
     /// build will use).
     ///
     /// ```
-    /// use hh_sketches::engine::{AlgoKind, EngineConfig};
-    /// let c = EngineConfig::new(AlgoKind::SpaceSaving).error_rate(0.01, 10);
+    /// use hh_sketches::engine::{AlgoKind, CapacitySpec, EngineConfig};
+    /// let residual = CapacitySpec::ResidualEstimate { k: 10, eps: 0.01 };
+    /// let c = EngineConfig::new(AlgoKind::SpaceSaving).capacity(residual);
     /// assert_eq!(c.resolved_counters().unwrap(), 1010);
     /// ```
     pub fn resolved_counters(&self) -> Result<usize, Error> {
@@ -1171,7 +1157,7 @@ impl<I: EngineItem> Engine<I> {
     /// assert_eq!(e.report().top_k(1)[0].item, 5);
     /// ```
     pub fn report(&self) -> Report<'_, I> {
-        Report::over(self)
+        ShardedView::one(self).report()
     }
 
     /// Captures the engine's full state as a portable [`Snapshot`].
@@ -1446,10 +1432,6 @@ impl<I: EngineItem> FrequencyEstimator<I> for Engine<I> {
         Engine::entries(self)
     }
 
-    fn entries_into(&self, out: &mut Vec<(I, u64)>) {
-        self.top_entries_into(usize::MAX, out);
-    }
-
     /// The walk down SpaceSaving's and Frequent's buckets stops after `k`
     /// rows; the hash-table and candidate backends list every row
     /// unsorted and keep the first `k` by a bounded selection, so either
@@ -1516,35 +1498,6 @@ fn first_by_count_then_item<I: EngineItem>(
 // The query surface
 // ---------------------------------------------------------------------------
 
-mod sealed {
-    use super::EngineItem;
-
-    /// What a `Report` reads: an engine, or a view over several engines
-    /// (`pipeline::ShardedView`).
-    pub trait Source<I: EngineItem> {
-        /// The stream total the report is over (`F1`).
-        fn total(&self) -> u64;
-        /// The point estimate of any item.
-        fn estimate(&self, item: &I) -> u64;
-        /// The certified `(lower, upper)` interval of any item.
-        fn interval(&self, item: &I) -> (u64, u64);
-        /// Stored `(item, estimate)` pairs, largest first, into `out`
-        /// (cleared first).
-        fn pairs_into(&self, out: &mut Vec<(I, u64)>);
-        /// The first `k` of [`Source::pairs_into`]'s pairs, into `out`
-        /// (cleared first). Never allocates by `k`: any `usize` is a
-        /// valid request.
-        fn top_pairs_into(&self, k: usize, out: &mut Vec<(I, u64)>) {
-            self.pairs_into(out);
-            out.truncate(k);
-        }
-        /// The Theorem 6 residual estimate `F1^res(k)`.
-        fn residual(&self, k: usize) -> u64;
-    }
-}
-
-pub(crate) use sealed::Source;
-
 /// One reported item with its certified frequency interval (a weight, in
 /// its units, for a [weighted](Engine::into_weighted) engine).
 ///
@@ -1583,8 +1536,10 @@ pub struct HeavyHitterEntry<I> {
 /// residual estimation, and per-item bound intervals — in occurrences, or
 /// in weight units for a [weighted](Engine::into_weighted) engine.
 ///
-/// Borrowed from [`Engine::report`] or a pipeline's [`ShardedView::report`](crate::pipeline::ShardedView::report);
-/// queries never mutate what they read.
+/// Every report reads a [`ShardedView`]: a pipeline's, through
+/// [`ShardedView::report`], or an engine's as the one-shard view with no
+/// lost mass, through [`Engine::report`]. Queries never mutate what they
+/// read.
 ///
 /// ```
 /// use hh_sketches::engine::{AlgoKind, EngineConfig};
@@ -1602,7 +1557,7 @@ pub struct HeavyHitterEntry<I> {
 /// assert_eq!(report.residual(1), 4);
 /// ```
 pub struct Report<'a, I: EngineItem> {
-    source: &'a dyn Source<I>,
+    pub(crate) view: ShardedView<'a, I>,
 }
 
 impl<I: EngineItem> Clone for Report<'_, I> {
@@ -1627,12 +1582,6 @@ impl<'a, I: EngineItem> From<&'a Engine<I>> for Report<'a, I> {
     }
 }
 
-impl<'a, I: EngineItem> Report<'a, I> {
-    pub(crate) fn over(source: &'a dyn Source<I>) -> Self {
-        Report { source }
-    }
-}
-
 impl<I: EngineItem> Report<'_, I> {
     /// The stream total the report is over: `F1` (the total weight, for
     /// weights).
@@ -1644,7 +1593,7 @@ impl<I: EngineItem> Report<'_, I> {
     /// assert_eq!(e.report().total(), 3);
     /// ```
     pub fn total(&self) -> u64 {
-        self.source.total()
+        self.view.total()
     }
 
     /// The certified `(lower, upper)` interval for any item, stored or
@@ -1657,7 +1606,7 @@ impl<I: EngineItem> Report<'_, I> {
     /// assert_eq!(e.report().interval(&1), (2, 2)); // table not full: exact
     /// ```
     pub fn interval(&self, item: &I) -> (u64, u64) {
-        self.source.interval(item)
+        self.view.interval(item)
     }
 
     /// The report row for any item, stored or not: its point estimate and
@@ -1671,7 +1620,7 @@ impl<I: EngineItem> Report<'_, I> {
     /// assert_eq!((row.estimate, row.lower, row.upper), (2, 2, 2));
     /// ```
     pub fn entry(&self, item: &I) -> ReportEntry<I> {
-        self.row(item.clone(), self.source.estimate(item))
+        self.row(item.clone(), self.view.estimate(item))
     }
 
     /// One report row: `item` with its estimate and certified interval.
@@ -1688,35 +1637,7 @@ impl<I: EngineItem> Report<'_, I> {
     /// Every stored entry with its bound interval, sorted by decreasing
     /// estimate (ties broken by the backend's eviction order).
     pub fn entries(&self) -> Vec<ReportEntry<I>> {
-        let mut pairs = Vec::new();
-        let mut out = Vec::new();
-        self.entries_into(&mut pairs, &mut out);
-        out
-    }
-
-    /// [`Report::entries`] written into caller-owned buffers (both cleared
-    /// first): `pairs` is the raw `(item, estimate)` scratch filled via the
-    /// backend's allocation-free
-    /// [`FrequencyEstimator::entries_into`] path, `out` receives the
-    /// interval-annotated rows. Monitor/report loops that poll every few
-    /// updates reuse both buffers and stop allocating per poll.
-    ///
-    /// ```
-    /// use hh_sketches::engine::{AlgoKind, EngineConfig};
-    /// let mut e = EngineConfig::new(AlgoKind::SpaceSaving).counters(8).build::<u64>().unwrap();
-    /// e.update_batch(&[5, 5, 9]);
-    /// let (mut pairs, mut rows) = (Vec::new(), Vec::new());
-    /// e.report().entries_into(&mut pairs, &mut rows);
-    /// assert_eq!(rows[0].item, 5);
-    /// ```
-    pub fn entries_into(&self, pairs: &mut Vec<(I, u64)>, out: &mut Vec<ReportEntry<I>>) {
-        self.source.pairs_into(pairs);
-        out.clear();
-        out.extend(
-            pairs
-                .drain(..)
-                .map(|(item, estimate)| self.row(item, estimate)),
-        );
+        self.top_k(usize::MAX)
     }
 
     /// The `k` largest entries, most frequent first (subsumes the free
@@ -1732,7 +1653,7 @@ impl<I: EngineItem> Report<'_, I> {
     /// ```
     pub fn top_k(&self, k: usize) -> Vec<ReportEntry<I>> {
         let mut pairs = Vec::new();
-        self.source.top_pairs_into(k, &mut pairs);
+        self.view.top_pairs_into(k, &mut pairs);
         pairs
             .into_iter()
             .map(|(item, estimate)| self.row(item, estimate))
@@ -1788,33 +1709,7 @@ impl<I: EngineItem> Report<'_, I> {
     /// The Theorem 6 estimator of the residual tail mass `F1^res(k)`: the
     /// total minus the mass of the k largest counters.
     pub fn residual(&self, k: usize) -> u64 {
-        self.source.residual(k)
-    }
-}
-
-impl<I: EngineItem> Source<I> for Engine<I> {
-    fn total(&self) -> u64 {
-        Engine::stream_len(self)
-    }
-
-    fn estimate(&self, item: &I) -> u64 {
-        Engine::estimate(self, item)
-    }
-
-    fn interval(&self, item: &I) -> (u64, u64) {
-        (self.lower_estimate(item), self.upper_estimate(item))
-    }
-
-    fn pairs_into(&self, out: &mut Vec<(I, u64)>) {
-        self.entries_into(out)
-    }
-
-    fn top_pairs_into(&self, k: usize, out: &mut Vec<(I, u64)>) {
-        self.top_entries_into(k, out)
-    }
-
-    fn residual(&self, k: usize) -> u64 {
-        recovery::residual_estimate(self, k)
+        self.view.residual(k)
     }
 }
 
@@ -2241,11 +2136,11 @@ mod tests {
             .build::<u64>()
             .is_err());
         assert!(EngineConfig::new(AlgoKind::SpaceSaving)
-            .error_rate(1.5, 4)
+            .capacity(CapacitySpec::ResidualEstimate { k: 4, eps: 1.5 })
             .build::<u64>()
             .is_err());
         assert!(EngineConfig::new(AlgoKind::SpaceSaving)
-            .heavy_hitter_phi(0.0)
+            .capacity(CapacitySpec::HeavyHitters { phi: 0.0 })
             .build::<u64>()
             .is_err());
         assert!(EngineConfig::new(AlgoKind::CountMin)

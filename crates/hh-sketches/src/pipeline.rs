@@ -101,9 +101,10 @@ use std::time::Instant;
 
 use hh_counters::error::Error;
 use hh_counters::fasthash::FxBuildHasher;
+use hh_counters::traits::FrequencyEstimator;
 use hh_obs::{Counter, Gauge, Histogram, HistogramSnapshot, Registry};
 
-use crate::engine::{Engine, EngineConfig, EngineItem, Report, Snapshot, Source};
+use crate::engine::{Engine, EngineConfig, EngineItem, Report, Snapshot};
 
 // ---------------------------------------------------------------------------
 // Configuration
@@ -1361,6 +1362,9 @@ impl<I: EngineItem> Pipeline<I> {
 /// Each shard keeps its own `(A, B)` k-tail bound over its slice of the
 /// stream, instead of the Theorem 11 `(3A, A+B)` bound of a replay merge,
 /// and no interval is wider than the merged engine's.
+///
+/// One engine is the one-shard case ([`Engine::report`]): every item is
+/// its own, so the view reads it without hashing or merging.
 #[derive(Debug)]
 pub struct ShardedView<'a, I: EngineItem> {
     shards: &'a [Engine<I>],
@@ -1368,6 +1372,14 @@ pub struct ShardedView<'a, I: EngineItem> {
     unobserved: u64,
     epoch: u64,
 }
+
+impl<I: EngineItem> Clone for ShardedView<'_, I> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<I: EngineItem> Copy for ShardedView<'_, I> {}
 
 impl<'a, I: EngineItem> ShardedView<'a, I> {
     /// A view over `shards`, one hash partition in shard order, where
@@ -1391,6 +1403,17 @@ impl<'a, I: EngineItem> ShardedView<'a, I> {
         })
     }
 
+    /// The view over one engine, with no lost or unobserved mass beyond
+    /// the engine's own.
+    pub(crate) fn one(engine: &'a Engine<I>) -> Self {
+        ShardedView {
+            shards: std::slice::from_ref(engine),
+            lost: &[0],
+            unobserved: 0,
+            epoch: 0,
+        }
+    }
+
     /// The epoch boundary this view reflects ([`Pipeline::epoch`] when
     /// it was taken; 0 from [`ShardedView::new`]).
     pub fn epoch(&self) -> u64 {
@@ -1398,35 +1421,50 @@ impl<'a, I: EngineItem> ShardedView<'a, I> {
     }
 
     /// The query surface over this view.
-    pub fn report(&self) -> Report<'_, I> {
-        Report::over(self)
+    pub fn report(&self) -> Report<'a, I> {
+        Report { view: *self }
     }
-}
 
-impl<I: EngineItem> Source<I> for ShardedView<'_, I> {
-    fn total(&self) -> u64 {
+    /// The stream total the view is over (`F1`).
+    pub(crate) fn total(&self) -> u64 {
         let shards = self.shards.iter().map(Engine::stream_len);
         shards
             .chain(self.lost.iter().copied())
             .fold(self.unobserved, u64::saturating_add)
     }
 
-    fn estimate(&self, item: &I) -> u64 {
-        self.shards[hash_shard(self.shards.len(), item)].estimate(item)
+    /// The [`hash_shard`] owner of `item`.
+    fn owner(&self, item: &I) -> usize {
+        match self.shards.len() {
+            1 => 0,
+            n => hash_shard(n, item),
+        }
     }
 
-    fn interval(&self, item: &I) -> (u64, u64) {
-        let shard = hash_shard(self.shards.len(), item);
-        let (lower, upper) = Source::interval(&self.shards[shard], item);
+    /// The point estimate of any item: its owner's.
+    pub(crate) fn estimate(&self, item: &I) -> u64 {
+        self.shards[self.owner(item)].estimate(item)
+    }
+
+    /// The certified `(lower, upper)` interval of any item: its owner's,
+    /// the upper bound widened by the owner's lost mass and the
+    /// unobserved mass.
+    pub(crate) fn interval(&self, item: &I) -> (u64, u64) {
+        let shard = self.owner(item);
+        let engine = &self.shards[shard];
         let widen = self.lost[shard].saturating_add(self.unobserved);
-        (lower, upper.saturating_add(widen))
+        let upper = engine.upper_estimate(item).saturating_add(widen);
+        (engine.lower_estimate(item), upper)
     }
 
-    fn pairs_into(&self, out: &mut Vec<(I, u64)>) {
-        self.top_pairs_into(usize::MAX, out);
-    }
-
-    fn top_pairs_into(&self, k: usize, out: &mut Vec<(I, u64)>) {
+    /// The first `k` stored `(item, estimate)` pairs, largest first, into
+    /// `out` (cleared first). Never allocates by `k`: any `usize` is a
+    /// valid request, and `usize::MAX` lists every pair.
+    pub(crate) fn top_pairs_into(&self, k: usize, out: &mut Vec<(I, u64)>) {
+        if let [engine] = self.shards {
+            engine.top_entries_into(k, out);
+            return;
+        }
         out.clear();
         // A k-way merge of each shard's first `k` rows, largest first; the
         // heap holds one head per shard, ties going to the lower shard
@@ -1436,7 +1474,7 @@ impl<I: EngineItem> Source<I> for ShardedView<'_, I> {
             .iter()
             .map(|engine| {
                 let mut top = Vec::new();
-                engine.top_pairs_into(k, &mut top);
+                engine.top_entries_into(k, &mut top);
                 top.into_iter().peekable()
             })
             .collect();
@@ -1457,7 +1495,9 @@ impl<I: EngineItem> Source<I> for ShardedView<'_, I> {
         }
     }
 
-    fn residual(&self, k: usize) -> u64 {
+    /// The Theorem 6 residual estimate `F1^res(k)`: the total minus the
+    /// mass of the `k` largest stored pairs.
+    pub(crate) fn residual(&self, k: usize) -> u64 {
         let mut top = Vec::new();
         self.top_pairs_into(k, &mut top);
         let head = top

@@ -232,17 +232,9 @@ impl<I: Eq + Hash + Clone + Ord, S: FrequencyEstimator<I>> FrequencyEstimator<I>
 
     /// Candidates with their *current* sketch estimates, sorted descending.
     fn entries(&self) -> Vec<(I, u64)> {
-        let mut v = Vec::new();
-        self.entries_into(&mut v);
+        let mut v: Vec<_> = self.unsorted_entries().collect();
+        v.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         v
-    }
-
-    /// Allocation-free variant: re-estimates the candidates into the
-    /// caller's buffer.
-    fn entries_into(&self, out: &mut Vec<(I, u64)>) {
-        out.clear();
-        out.extend(self.unsorted_entries());
-        out.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     }
 
     fn stream_len(&self) -> u64 {

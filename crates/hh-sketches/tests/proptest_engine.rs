@@ -1,15 +1,20 @@
 //! Property tests for the `hh::engine` façade: an `EngineConfig`-built
 //! engine must be *observationally identical* to the directly-constructed
 //! backend on the same stream (the façade adds dispatch, never behavior),
-//! snapshots must round-trip losslessly through JSON, and `Engine::merge`
-//! must agree with the generic `merge_full` replay it documents.
+//! snapshots must round-trip losslessly through JSON, `Engine::merge`
+//! must agree with the generic `merge_full` replay it documents, and an
+//! engine's report — the one-shard `ShardedView` — must answer what the
+//! engine's own `FrequencyEstimator` methods give.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
 use hh_counters::merge::merge_full;
-use hh_counters::{FrequencyEstimator, Frequent, LossyCounting, SpaceSaving, StickySampling};
-use hh_sketches::engine::{AlgoKind, Engine, EngineConfig};
+use hh_counters::recovery;
+use hh_counters::{
+    Confidence, FrequencyEstimator, Frequent, LossyCounting, SpaceSaving, StickySampling,
+};
+use hh_sketches::engine::{AlgoKind, Engine, EngineConfig, HeavyHitterEntry, ReportEntry};
 use hh_sketches::pipeline::{hash_shard, ShardedView};
 use hh_sketches::{CountMin, CountSketch, SketchHeavyHitters, UpdateRule};
 
@@ -309,6 +314,95 @@ proptest! {
                         all[..k.min(all.len())].to_vec(),
                         "{} {} k={}", algo, what, k
                     );
+                }
+            }
+        }
+    }
+}
+
+/// The row `engine`'s own [`FrequencyEstimator`] methods give `item`.
+fn oracle_row(engine: &Engine<u64>, item: u64) -> ReportEntry<u64> {
+    ReportEntry {
+        item,
+        estimate: engine.estimate(&item),
+        lower: engine.lower_estimate(&item),
+        upper: engine.upper_estimate(&item),
+    }
+}
+
+/// The φ-heavy hitters computed straight from `engine`'s listing and
+/// bounds: every stored item whose upper bound passes `φ·F1`, guaranteed
+/// when its lower bound passes too.
+fn oracle_heavy(engine: &Engine<u64>, phi: f64) -> Vec<HeavyHitterEntry<u64>> {
+    let threshold = phi * engine.stream_len() as f64;
+    let rows = FrequencyEstimator::entries(engine).into_iter();
+    rows.map(|(item, _)| oracle_row(engine, item))
+        .filter(|row| row.upper as f64 > threshold)
+        .map(|row| HeavyHitterEntry {
+            confidence: if row.lower as f64 > threshold {
+                Confidence::Guaranteed
+            } else {
+                Confidence::Candidate
+            },
+            item: row.item,
+            estimate: row.estimate,
+            lower: row.lower,
+            upper: row.upper,
+        })
+        .collect()
+}
+
+proptest! {
+    /// One read path: an engine's report and a one-shard `ShardedView`
+    /// over it answer exactly what the engine's own `FrequencyEstimator`
+    /// methods give — total, interval and entry of stored and unstored
+    /// items, `top_k` at every size, `heavy_hitters` and `residual`, which
+    /// is `recovery::residual_estimate` — for every backend and for
+    /// weighted SpaceSaving and Frequent, on streams full of ties, with
+    /// the engine's own unobserved mass counted once.
+    #[test]
+    fn one_shard_view_answers_exactly_like_the_engine(
+        stream in vec((0u64..40, 1u64..5_000), 1..400),
+        m in 16usize..48,
+        seed in 0u64..8,
+        unobserved in 0u64..4,
+    ) {
+        let configs = AlgoKind::ALL
+            .map(|algo| (algo, false))
+            .into_iter()
+            .chain([(AlgoKind::SpaceSaving, true), (AlgoKind::Frequent, true)]);
+        for (algo, weighted) in configs {
+            let mut e = EngineConfig::new(algo).counters(m).seed(seed).build::<u64>().unwrap();
+            if weighted {
+                e = e.into_weighted().unwrap();
+                for &(x, units) in &stream {
+                    e.update_by(x, units);
+                }
+            } else {
+                e.update_batch(&stream.iter().map(|&(x, _)| x).collect::<Vec<_>>());
+            }
+            e.add_unobserved(unobserved);
+            let listing = FrequencyEstimator::entries(&e);
+            let view = ShardedView::new(std::slice::from_ref(&e), &[0], 0).unwrap();
+            for (what, report) in [("engine", e.report()), ("view", view.report())] {
+                let case = format!("{algo} weighted={weighted} {what}");
+                prop_assert_eq!(report.total(), e.stream_len(), "{}", case);
+                for x in 0..50u64 {
+                    let row = oracle_row(&e, x);
+                    prop_assert_eq!(report.interval(&x), (row.lower, row.upper), "{} item {}", case, x);
+                    prop_assert_eq!(report.entry(&x), row, "{} item {}", case, x);
+                }
+                for k in [0, 1, 50, e.stored_len(), usize::MAX] {
+                    let top: Vec<_> = (listing.iter().take(k))
+                        .map(|&(item, _)| oracle_row(&e, item))
+                        .collect();
+                    prop_assert_eq!(report.top_k(k), top, "{} k={}", case, k);
+                    let residual = recovery::residual_estimate(&e, k);
+                    prop_assert_eq!(report.residual(k), residual, "{} k={}", case, k);
+                }
+                for phi in [0.0, 0.05, 0.2, 0.5] {
+                    let heavy = report.heavy_hitters(phi).unwrap();
+                    prop_assert_eq!(heavy, oracle_heavy(&e, phi), "{} phi={}", case, phi);
                 }
             }
         }

@@ -21,8 +21,8 @@
 //!   [`pipeline::Pipeline::stats`] and the CLI's `serve --stats-every`;
 //! * [`net`] — the network-facing ingest/query server over [`pipeline`]:
 //!   an epoll event loop multiplexing newline-delimited writers onto the
-//!   shard channels with real backpressure, in-band `?topk`/`?stats`/
-//!   `?snapshot` queries, and graceful drain/resume (`hh serve --listen`);
+//!   shard channels with real backpressure, in-band `?topk`/`?stats`
+//!   queries, and graceful drain/resume (`hh serve --listen`);
 //! * [`fault`] — seeded fault-injection hooks (panics, stalls, torn
 //!   writes at named sites) compiled out of release builds, plus the
 //!   capped-backoff [`fault::RetryPolicy`] the CLI client retries with;

@@ -222,8 +222,8 @@ fn three_shard_envelope_encodes_to_its_golden_and_back() {
     assert_eq!(checkpoint::decode::<Key>(golden).unwrap(), ckpt);
 }
 
-/// The served records that embed items or reasons: a `"top"` cell, an
-/// error record and a `?snapshot` record, one per line.
+/// The served records that embed items or reasons: a `"top"` cell and an
+/// error record, one per line.
 fn proto_records() -> String {
     let mut e = EngineConfig::new(AlgoKind::SpaceSaving)
         .counters(8)
@@ -237,7 +237,6 @@ fn proto_records() -> String {
     [
         proto::top_json(&e, 6).unwrap(),
         proto::error_record("bad \"count\"\tnear \\ é", 12),
-        proto::snapshot_record(&e),
     ]
     .join("\n")
 }

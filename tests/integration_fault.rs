@@ -18,6 +18,7 @@
 //! the merged `(3A, A + B)` certificate (Theorem 11) and the per-shard
 //! owner certificate survive the crash.
 
+use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -157,9 +158,9 @@ proptest! {
         checkpoint::write(&path, &good).unwrap();   // generation 1: clean
         checkpoint::write(&path, &newer).unwrap();  // generation 2: torn (hit #2)
 
-        let (loaded, fell_back) = checkpoint::load_latest::<u64>(&path)
+        let (loaded, fallback) = checkpoint::load_latest::<u64>(&path)
             .expect("previous generation still loads");
-        prop_assert!(fell_back, "torn current generation must not verify");
+        prop_assert!(fallback.is_some(), "torn current generation must not verify");
         prop_assert_eq!(loaded, good);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -169,15 +170,20 @@ proptest! {
 /// restart count.
 type ViewRun = (Vec<Vec<(u64, u64)>>, Vec<u64>);
 
-/// One serve session's live view, checked at every epoch against the
-/// exact counts and against the session's merged engine at the same
-/// boundary.
+/// One pipeline's live view, resumed from `resume` if given, checked at
+/// every epoch against the exact counts and against the pipeline's
+/// merged engine at the same boundary.
 fn view_oracle_run(
-    opts: &ServeOptions,
+    config: &PipelineConfig,
+    resume: Option<&Checkpoint<u64>>,
     prefix: &[u64],
     stream: &[u64],
 ) -> Result<ViewRun, TestCaseError> {
-    let mut session: ServeSession<u64> = ServeSession::spawn(opts).expect("valid serve options");
+    let mut pipeline: Pipeline<u64> = match resume {
+        Some(ckpt) => config.resume(ckpt.shards.clone(), ckpt.unobserved),
+        None => config.spawn(),
+    }
+    .expect("valid pipeline config");
     let mut truth = vec![0u64; UNIVERSE as usize];
     for &x in prefix {
         truth[x as usize] += 1;
@@ -185,13 +191,13 @@ fn view_oracle_run(
     let mut epochs = Vec::new();
     for chunk in stream.chunks(1_500) {
         for &x in chunk {
-            session
+            pipeline
                 .send(x)
                 .expect("supervised ingest survives the kill");
             truth[x as usize] += 1;
         }
         let (intervals, total) = {
-            let view = session.view().expect("epoch view survives the kill");
+            let view = pipeline.view().expect("epoch view survives the kill");
             let report = view.report();
             let top = report.top_k(usize::MAX);
             prop_assert!(top.windows(2).all(|w| w[0].estimate >= w[1].estimate));
@@ -200,7 +206,7 @@ fn view_oracle_run(
             (intervals, report.total())
         };
         // No item arrives in between, so the merge sees the same shards.
-        let merged = session.merged().expect("merged epoch");
+        let merged = pipeline.merged().expect("merged epoch");
         prop_assert_eq!(total, merged.stream_len());
         let merged = merged.report();
         for (x, &(lower, upper)) in (0..UNIVERSE).zip(&intervals) {
@@ -226,14 +232,8 @@ fn view_oracle_run(
         }
         epochs.push(intervals);
     }
-    let restarts = session
-        .pipeline()
-        .stats()
-        .shards
-        .iter()
-        .map(|s| s.restarts)
-        .collect();
-    session.finish().expect("drain succeeds after recovery");
+    let restarts = pipeline.stats().shards.iter().map(|s| s.restarts).collect();
+    pipeline.finish().expect("drain succeeds after recovery");
     Ok((epochs, restarts))
 }
 
@@ -257,44 +257,30 @@ proptest! {
         kill_batch in 1u64..120,
     ) {
         let (algo, resumed) = (AlgoKind::ALL[algo], resumed == 1);
-        let config = EngineConfig::new(algo).counters(M).seed(seed);
+        let config = PipelineConfig::new(EngineConfig::new(algo).counters(M).seed(seed))
+            .shards(shards);
         let stream = skewed_stream(seed);
-        let mut opts = ServeOptions::new(config.clone())
-            .shards(Some(shards))
-            .batch_size(64)
-            .queue_depth(2);
-        let dir = std::env::temp_dir().join(format!(
-            "hh-fault-view-{}-{seed}-{shards}-{algo}",
-            std::process::id()
-        ));
-        let prefix: Vec<u64> = if resumed {
+        let (prefix, resume) = if resumed {
             let prefix: Vec<u64> = skewed_stream(seed + 1).into_iter().take(4_000).collect();
             let _chaos = Chaos::arm(FaultPlan::new(seed));
-            let mut pipeline = PipelineConfig::new(config.clone())
-                .shards(shards)
-                .spawn::<u64>()
-                .unwrap();
+            let mut pipeline = config.spawn::<u64>().unwrap();
             pipeline.send_batch(&prefix).unwrap();
-            std::fs::create_dir_all(&dir).unwrap();
-            let path = dir.join("prefix.ckpt").to_str().unwrap().to_string();
             let ckpt = Checkpoint { shards: pipeline.snapshots().unwrap(), unobserved: seed % 7 };
             pipeline.finish().unwrap();
-            checkpoint::write(&path, &ckpt).unwrap();
-            opts = opts.snapshot_in(Some(path));
-            prefix
+            (prefix, Some(ckpt))
         } else {
-            Vec::new()
+            (Vec::new(), None)
         };
+        let config = config.batch_size(64).queue_depth(2);
 
         let (clean, _) = {
             let _chaos = Chaos::arm(FaultPlan::new(seed));
-            view_oracle_run(&opts, &prefix, &stream)?
+            view_oracle_run(&config, resume.as_ref(), &prefix, &stream)?
         };
         let (killed, restarts) = {
             let _chaos = Chaos::arm(FaultPlan::new(seed).panic_on(sites::SHARD_BATCH, kill_batch));
-            view_oracle_run(&opts, &prefix, &stream)?
+            view_oracle_run(&config, resume.as_ref(), &prefix, &stream)?
         };
-        std::fs::remove_dir_all(&dir).ok();
 
         prop_assert_eq!(restarts.iter().sum::<u64>(), 1, "exactly one injected kill");
         for (epoch, (clean, killed)) in clean.iter().zip(&killed).enumerate() {
@@ -771,6 +757,101 @@ fn server_final_record_equals_the_last_epoch_record() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Seeded protocol bytes for one `Server<Key>` connection, ended by
+/// `?shutdown`: plain decimal and text items (ASCII and multi-byte),
+/// counted lines, queries, malformed lines, non-UTF-8 lines and lines
+/// over the 64 KiB cap; with the exact count of every item they carry.
+fn protocol_bytes(seed: u64) -> (Vec<u8>, HashMap<Key, u64>) {
+    let mut rng = hh::fault::XorShift::new(seed);
+    let (mut bytes, mut counts) = (Vec::new(), HashMap::new());
+    let mut add = |item: String, n: u64| *counts.entry(Key::from(item.as_str())).or_default() += n;
+    for i in 0..6_000u64 {
+        let r = rng.next_u64();
+        let line: Vec<u8> = match r % 16 {
+            // Every third line is `hot`, so `?topk 1` has one answer.
+            _ if i % 3 == 0 => {
+                add("hot".into(), 1);
+                b"hot".to_vec()
+            }
+            0..=5 => {
+                let id = (r >> 8) % 500;
+                add(id.to_string(), 1);
+                id.to_string().into_bytes()
+            }
+            6 | 7 => {
+                let item = ["w", "ключ", "日本語", "x-y_z"][(r >> 8) as usize % 4];
+                add(item.into(), 1);
+                item.as_bytes().to_vec()
+            }
+            8 | 9 => {
+                let (id, n) = ((r >> 8) % 50, (r >> 20) % 9 + 1);
+                add(format!("c{id}"), n);
+                format!("c{id}\t{n}").into_bytes()
+            }
+            10 => b"?ping".to_vec(),
+            11 => b"?topk 1".to_vec(),
+            12 => ["?frobnicate", "x\t0", "y\tfour", "?topk 0"][(r >> 8) as usize % 4]
+                .as_bytes()
+                .to_vec(),
+            13 => vec![b'b', 0xff, 0xfe, b'z'],
+            14 if (r >> 8).is_multiple_of(64) => vec![b'L'; 70_000 + (r >> 16) as usize % 5_000],
+            _ => Vec::new(),
+        };
+        bytes.extend_from_slice(&line);
+        bytes.push(b'\n');
+    }
+    bytes.extend_from_slice(b"?shutdown\n");
+    (bytes, counts)
+}
+
+/// Sends `bytes` over one connection to a fresh `Server<Key>` under
+/// `plan`, and returns the replies the connection received and the
+/// drained engine's exact counts.
+fn serve_bytes(plan: FaultPlan, bytes: &[u8]) -> (Vec<String>, HashMap<Key, u64>) {
+    use std::io::{Read, Write};
+    use std::net::{Shutdown, TcpStream};
+
+    let _chaos = Chaos::arm(plan);
+    sys::reset_drain();
+    let config = EngineConfig::new(AlgoKind::SpaceSaving).counters(4_096);
+    let opts = ServeOptions::new(config).shards(Some(2));
+    let server: Server<Key> = Server::bind(opts, NetOptions::new().tcp("127.0.0.1:0")).unwrap();
+    let addr = server.tcp_addr().expect("tcp listener");
+    let running = std::thread::spawn(move || server.run(&mut Vec::new()).expect("server run"));
+    let mut conn = TcpStream::connect(addr).expect("connect");
+    conn.write_all(bytes).expect("write");
+    conn.shutdown(Shutdown::Write).expect("half-close");
+    let mut replies = String::new();
+    conn.read_to_string(&mut replies).expect("read until close");
+    let engine = running.join().expect("server thread");
+    let counts = engine.entries().into_iter().collect();
+    (replies.lines().map(String::from).collect(), counts)
+}
+
+/// The server's line stitching does not depend on where reads end: the
+/// same bytes read whole and through injected short reads give the same
+/// exact counts and the same replies — error records with their line
+/// numbers, `?ping` and `?topk` answers — for every kind of line.
+#[test]
+fn short_reads_parse_every_line_as_whole_reads_do() {
+    for seed in 0..3 {
+        let (bytes, truth) = protocol_bytes(seed);
+        let whole = serve_bytes(FaultPlan::new(seed), &bytes);
+        let plan = FaultPlan::parse(&format!("seed={seed}; shortread@net::read%0.5")).unwrap();
+        let short = serve_bytes(plan, &bytes);
+        assert_eq!(whole.1, truth, "seed {seed}: exact counts");
+        assert_eq!(
+            short.1, truth,
+            "seed {seed}: exact counts under short reads"
+        );
+        assert_eq!(whole.0, short.0, "seed {seed}: replies");
+        let errors = whole.0.iter().filter(|r| r.contains("\"error\"")).count();
+        assert!(errors > 0 && whole.0.iter().any(|r| r.contains("max_line_bytes")));
+        assert!(whole.0.iter().any(|r| r.contains("not valid UTF-8")));
+        assert!(whole.0.iter().any(|r| r.contains("\"item\":\"hot\"")));
+    }
+}
+
 /// The full durable-checkpoint cycle under injected torn writes: a serve
 /// session checkpoints cleanly, a later checkpoint tears, and the next
 /// session resumes from the previous generation — reporting the
@@ -806,12 +887,12 @@ fn serve_session_resumes_from_previous_generation_after_torn_checkpoint() {
         .snapshot_in(Some(path.clone()));
     let mut session: ServeSession<u64> = ServeSession::spawn(&resume).unwrap();
     assert!(
-        session.resumed_from_fallback(),
+        session.fallback().is_some(),
         "resume must detect the torn current generation"
     );
-    let merged = session.merged().unwrap();
-    assert_eq!(merged.stream_len(), 4, "previous generation covers 4 items");
-    assert_eq!(merged.estimate(&1), 2);
+    let live = session.view().unwrap().report();
+    assert_eq!(live.total(), 4, "previous generation covers 4 items");
+    assert_eq!(live.entry(&1).estimate, 2);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -359,7 +359,7 @@ fn answers(report: Report<'_, u64>) -> (u64, Vec<ReportEntry<u64>>) {
 /// gives for `paths`: the shards `checkpoint::load_shards` reads, through
 /// a `ShardedView` with no lost mass.
 fn offline_answers(paths: &[String]) -> (usize, (u64, Vec<ReportEntry<u64>>)) {
-    let ckpt = checkpoint::load_shards::<u64>(paths).expect("readable checkpoints");
+    let (ckpt, _) = checkpoint::load_shards::<u64>(paths).expect("readable checkpoints");
     let shards: Vec<Engine<u64>> = ckpt
         .shards
         .into_iter()
@@ -396,7 +396,7 @@ fn an_offline_read_of_a_drain_equals_the_served_final_record() {
     let unobserved = 5;
     let shards = Vec::new();
     checkpoint::write(&empty, &Checkpoint::<u64> { shards, unobserved }).expect("write");
-    let loaded = checkpoint::load_shards::<u64>(std::slice::from_ref(&empty)).expect("load");
+    let (loaded, _) = checkpoint::load_shards::<u64>(std::slice::from_ref(&empty)).expect("load");
     assert_eq!((loaded.shards.len(), loaded.unobserved), (0, unobserved));
     for (a, algo) in AlgoKind::ALL.into_iter().enumerate() {
         for shards in 1..=8usize {
@@ -455,7 +455,7 @@ fn a_merge_of_two_drains_brackets_the_exact_counts_and_resumes() {
             }
 
             let merged = path_in(&dir, &format!("{algo}-{shards}-merged.ckpt"));
-            let ckpt = checkpoint::load_shards::<u64>(&drains).expect("drains");
+            let (ckpt, _) = checkpoint::load_shards::<u64>(&drains).expect("drains");
             checkpoint::write(&merged, &ckpt).expect("write");
             let resumed = ServeOptions::new(config).snapshot_in(Some(merged));
             let mut session = ServeSession::<u64>::spawn(&resumed).expect("resumes exactly");
